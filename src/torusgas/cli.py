@@ -213,7 +213,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (ConfigError, OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except InvariantViolation as exc:

@@ -11,3 +11,12 @@ class ConfigError(ValueError):
 
 class InvariantViolation(RuntimeError):
     """A runtime check that should hold by construction failed."""
+
+
+def require(mapping, key: str, where: str):
+    """mapping[key] from parsed user input, as a ConfigError when absent."""
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"{where} must be an object")
+    if key not in mapping:
+        raise ConfigError(f"missing key {key!r} in {where}")
+    return mapping[key]

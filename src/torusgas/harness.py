@@ -9,13 +9,14 @@ separate side file excluded from that contract).
 from __future__ import annotations
 
 import json
+import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, InvariantViolation
+from .errors import ConfigError, InvariantViolation, require
 from .exactsmall import (MAX_SITES, exact_evolution_small,
                          product_distribution, total_variation)
 from .gibbs import relative_entropy_distributions, relative_entropy_product
@@ -43,6 +44,8 @@ _EXACT_KEYS = {"side", "replicas", "alpha", "times"}
 
 
 def _reject_unknown(mapping: dict, allowed: set, where: str):
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"{where} must be an object")
     unknown = set(mapping) - allowed
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
@@ -99,21 +102,21 @@ class ExperimentConfig:
         _reject_unknown(data, _TOP_KEYS, "config")
         if data.get("schema_version") != SCHEMA_VERSION:
             raise ConfigError(f"schema_version must be {SCHEMA_VERSION}")
-        kd = data["kernel"]
+        kd = require(data, "kernel", "config")
         _reject_unknown(kd, _KERNEL_KEYS, "kernel")
-        kernel = TransitionKernel.from_entries(int(kd["dimension"]), kd["entries"])
+        kernel = TransitionKernel.from_entries(int(require(kd, "dimension", "kernel")),
+                                               require(kd, "entries", "kernel"))
         validate_kernel(kernel)
-        prof = dict(data["profile"])
+        prof = require(data, "profile", "config")
         _reject_unknown(prof, _PROFILE_KEYS, "profile")
-        if prof.get("kind") == "cosine":
-            if not 0 <= int(prof["axis"]) < kernel.dimension:
-                raise ConfigError("profile axis outside the kernel dimension")
+        prof = dict(prof)
         trunc = None
         if "truncation" in data:
-            td = dict(data["truncation"])
+            td = data["truncation"]
             _reject_unknown(td, _TRUNC_KEYS, "truncation")
             trunc = TruncationParams(
-                radius=int(td["radius"]), max_degree=int(td["max_degree"]),
+                radius=int(require(td, "radius", "truncation")),
+                max_degree=int(require(td, "max_degree", "truncation")),
                 solver_tol=float(td.get("solver_tol", 1e-10)),
                 reg=float(td.get("reg", 1e-3)),
                 lambda_seq=tuple(td.get("lambda_seq", (1e-1, 1e-2, 1e-3, 1e-4))),
@@ -122,14 +125,14 @@ class ExperimentConfig:
         _reject_unknown(pde, _PDE_KEYS, "pde")
         exact = dict(data.get("exact", {}))
         _reject_unknown(exact, _EXACT_KEYS, "exact")
-        return cls(
+        cfg = cls(
             kernel=kernel,
-            torus_sizes=[int(n) for n in data["torus_sizes"]],
+            torus_sizes=[int(n) for n in require(data, "torus_sizes", "config")],
             profile_spec=prof,
-            times=[float(t) for t in data["times"]],
-            block_radius=int(data["block_radius"]),
-            replicas=int(data["replicas"]),
-            master_seed=int(data["master_seed"]),
+            times=[float(t) for t in require(data, "times", "config")],
+            block_radius=int(require(data, "block_radius", "config")),
+            replicas=int(require(data, "replicas", "config")),
+            master_seed=int(require(data, "master_seed", "config")),
             delta0=float(data.get("delta0", 0.05)),
             alpha_grid=[float(a) for a in data.get(
                 "alpha_grid", [round(0.1 * i, 10) for i in range(1, 10)])],
@@ -144,6 +147,8 @@ class ExperimentConfig:
             exact=exact,
             label=str(data.get("label", "experiment")),
         )
+        cfg.build_profile()  # rejects a malformed profile at parse time
+        return cfg
 
     def to_dict(self) -> dict:
         out = {
@@ -325,13 +330,17 @@ def run_experiment(cfg: ExperimentConfig, table: DiffusionTable | None = None,
                 b < a for a, b in zip(vals, vals[1:]))
     except Exception as exc:  # flush partial results with a marker, then re-raise
         report.failure = f"{type(exc).__name__}: {exc}"
-        raise
-    finally:
-        if report.failure and cfg.output_dir:
+        if cfg.output_dir:
             try:
                 emit_outputs(report, cfg.output_dir, cfg.formats)
-            except Exception:
-                pass
+            except Exception as flush_exc:
+                # the report cannot reach disk, so the flush error goes to
+                # stderr as well as into the report
+                note = (f"partial-output flush failed: "
+                        f"{type(flush_exc).__name__}: {flush_exc}")
+                report.failure += f"; {note}"
+                print(f"torusgas: {note}", file=sys.stderr)
+        raise
     return report
 
 

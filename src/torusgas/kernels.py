@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, require
 
 WEIGHT_SUM_TOL = 1e-12
 
@@ -48,8 +48,10 @@ class TransitionKernel:
     @classmethod
     def from_entries(cls, dimension, entries) -> "TransitionKernel":
         """Build from [{"offset": [...], "prob": p}, ...] records."""
-        offsets = np.array([e["offset"] for e in entries], dtype=np.int64)
-        weights = np.array([e["prob"] for e in entries], dtype=np.float64)
+        offsets = np.array([require(e, "offset", "kernel entry") for e in entries],
+                           dtype=np.int64)
+        weights = np.array([require(e, "prob", "kernel entry") for e in entries],
+                           dtype=np.float64)
         return cls(dimension, offsets, weights)
 
     def to_entries(self):

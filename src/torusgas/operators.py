@@ -8,7 +8,8 @@ defining sums literally on dictionary-backed functions; reads outside the
 truncation are zero while the on-diagonal occupation terms keep their full
 coefficients, so the truncated operators inherit symmetry/antisymmetry and
 translation-identity preservation exactly.  A packed array engine
-(`packed.py`) reproduces the same action for large spaces.
+(`packed.py`) reproduces the same action on translation-consistent
+functions for large spaces, with one unknown per translation class.
 """
 
 from __future__ import annotations

@@ -1,15 +1,28 @@
-"""Array-backed engine for the graded operators on large truncated spaces.
+"""Array-backed engine for the graded operators on the translation classes.
 
-Enumerates the truncated set space once (degree-grouped, lexicographically
-sorted integer encodings), assembles the degree-preserving arrows as a CSR
-pattern with separate even/odd weight data, and keeps the degree-changing
-arrows in a small separate sparse matrix.  The full operator at any density
-is then two sparse matvecs plus a diagonal, with the density entering only
-through scalar coefficients, so one assembly serves a whole density grid.
+The truncated space is enumerated once as sets (degree-grouped,
+lexicographically sorted integer encodings) and every set is mapped to its
+translation class: a degree-n set A shares its class with the n sets
+(A u {0}) - z minus the origin, z in A.  The truncation is closed under
+this identity, so every class has exactly n + 1 members, and each part of
+the operator (even, odd, raise/lower) maps class-constant functions to
+class-constant functions.  The engine therefore keeps one unknown per class.
 
-The action agrees with the dictionary-path reference in `operators.py`
-entry for entry; the on-diagonal occupation coefficients keep their full
-lattice sums, so symmetry/antisymmetry survive the truncation exactly.
+Class vectors are coordinates in the orthonormal class basis: the value of
+class K is f(A) * sqrt(n + 1) for any member A, so the lift x -> f is an
+isometry into the plain (counting) norm of set vectors.  Euclidean norms of
+class vectors are the full-space norms, the symmetric part stays a symmetric
+matrix, and the degree-weighted pairing keeps its 1/(n + 1) weights.
+
+Only the representative row of each class is assembled; its columns are
+summed into classes (scaled by sqrt((n_row + 1) / (n_col + 1)) for the
+degree-changing arrows).  The degree-preserving arrows form a CSR pattern
+with separate even/odd weight data, the degree-changing ones a small
+separate sparse matrix.  The operator at any density is two sparse matvecs
+plus a diagonal, with the density entering only through scalar
+coefficients, so one assembly serves a whole density grid.  The
+on-diagonal occupation coefficients keep their full lattice sums, so
+symmetry/antisymmetry survive the truncation exactly.
 """
 
 from __future__ import annotations
@@ -49,7 +62,14 @@ def _combinations_span(compat: np.ndarray, base: np.ndarray) -> np.ndarray:
 
 
 class PackedSpace:
-    """Enumerated truncated set space with fast membership lookup."""
+    """Enumerated truncated set space, grouped into translation classes.
+
+    Set level: `sets[n]` (pool-index rows), `enc[n]`, `offsets[n]`,
+    `n_sets`, `set_class`.  Class level (the unknowns): `size`, `rep` (the
+    global set index of each class's representative, its smallest member),
+    `degree` and `weight`; classes are ordered by representative, hence
+    grouped by degree.
+    """
 
     def __init__(self, dimension: int, trunc: TruncationParams):
         self.dimension = dimension
@@ -70,9 +90,12 @@ class PackedSpace:
         cube[lin] = np.arange(p)
         self._cube = cube
 
-        diff = np.abs(self.pool[:, None, :] - self.pool[None, :, :]).max(axis=2)
-        compat = diff <= r
-        np.fill_diagonal(compat, False)
+        # diff[i, j]: pool index of pool[j] - pool[i], -1 outside the cube and
+        # -2 at the origin; two points may share a set when it is >= 0
+        rel = self.pool[None, :, :] - self.pool[:, None, :]
+        self.diff = np.where((rel == 0).all(axis=2), -2, self.lookup_points(rel))
+        self.compat = compat = self.diff >= 0
+        self.neg = self.lookup_points(-self.pool)  # pool index of -pool[i]
 
         self.sets = {1: np.arange(p, dtype=np.int64)[:, None]}
         level = self.sets[1]
@@ -89,11 +112,31 @@ class PackedSpace:
             self.enc[n] = e
             self.offsets[n] = total
             total += len(e)
-        self.size = total
-        degs = np.concatenate([np.full(len(self.sets[n]), n, dtype=np.int64)
-                               for n in range(1, trunc.max_degree + 1)])
-        self.degree = degs
-        self.weight = 1.0 / (degs + 1.0)
+        self.n_sets = total
+        self.set_degree = np.concatenate(
+            [np.full(len(self.sets[n]), n, dtype=np.int64)
+             for n in range(1, trunc.max_degree + 1)])
+
+        # class of every set: its smallest member under the member shifts
+        smallest = np.arange(total, dtype=np.int64)
+        for n in range(1, trunc.max_degree + 1):
+            sets_n = self.sets[n]
+            span = slice(self.offsets[n], self.offsets[n] + len(sets_n))
+            for m in range(n):
+                other = self.find(self._member_shift(sets_n, m), n)
+                if np.any(other < 0):
+                    raise InvariantViolation(
+                        "truncation not closed under the translation identity")
+                np.minimum(smallest[span], other, out=smallest[span])
+        self.rep = np.unique(smallest)
+        self.set_class = np.searchsorted(self.rep, smallest)
+        self.size = len(self.rep)
+        self.degree = self.set_degree[self.rep]
+        self.weight = 1.0 / (self.degree + 1.0)
+        if not np.array_equal(np.bincount(self.set_class, minlength=self.size),
+                              self.degree + 1):
+            raise InvariantViolation("a translation class does not have n + 1 members")
+        self._lift_scale = 1.0 / np.sqrt(self.set_degree + 1.0)
 
     def _linear(self, coords: np.ndarray) -> np.ndarray:
         r = self.trunc.radius
@@ -119,7 +162,7 @@ class PackedSpace:
         return code
 
     def find(self, rows: np.ndarray, degree: int) -> np.ndarray:
-        """Global indices of sorted index rows; -1 when absent or invalid."""
+        """Global set indices of sorted index rows; -1 when absent or invalid."""
         valid = (rows >= 0).all(axis=1)
         code = self.encode(np.where(valid[:, None], rows, 0))
         table = self.enc[degree]
@@ -128,9 +171,36 @@ class PackedSpace:
         hit = valid & (table[pos_c] == code) if len(table) else np.zeros(len(rows), bool)
         return np.where(hit, self.offsets[degree] + pos_c, -1)
 
+    def _member_shift(self, rows: np.ndarray, m: int) -> np.ndarray:
+        """Sorted index rows of (A u {0}) - a_m minus the origin, a_m in slot m.
+
+        Entries are -1 where a point leaves the radius cube.
+        """
+        z = rows[:, m]
+        moved = self.diff[z[:, None], rows]
+        moved[:, m] = self.neg[z]
+        return np.sort(moved, axis=1)
+
+    def translate(self, v) -> np.ndarray:
+        """Pool index of pool[i] + v for every pool point (-1 / -2 as in `diff`)."""
+        iv = self.lookup_points(np.asarray(v, dtype=np.int64))
+        if iv < 0:
+            raise ConfigError("offset outside the truncation cube")
+        return self.diff[self.neg[iv]]
+
     # conversions ---------------------------------------------------------
 
-    def index_of_subset(self, A) -> int:
+    def lift(self, x: np.ndarray) -> np.ndarray:
+        """Set vector of a class vector: x_K / sqrt(n + 1) on every member."""
+        return x[self.set_class] * self._lift_scale
+
+    def restrict(self, v: np.ndarray) -> np.ndarray:
+        """Class coordinates of the projection of a set vector (adjoint of lift)."""
+        return np.bincount(self.set_class, weights=v * self._lift_scale,
+                           minlength=self.size)
+
+    def set_index(self, A) -> int:
+        """Global set index of a subset; -1 outside the truncated space."""
         A = canonical(A)
         n = len(A)
         if n == 0 or n > self.trunc.max_degree:
@@ -138,65 +208,51 @@ class PackedSpace:
         idx = self.lookup_points(np.array(A, dtype=np.int64))
         if np.any(idx < 0):
             return -1
-        row = np.sort(idx)[None, :]
-        return int(self.find(row, n)[0])
+        return int(self.find(np.sort(idx)[None, :], n)[0])
 
-    def subset_of_index(self, gidx: int) -> tuple:
-        for n in range(1, self.trunc.max_degree + 1):
-            start = self.offsets[n]
-            if start <= gidx < start + len(self.sets[n]):
-                row = self.sets[n][gidx - start]
-                return canonical(self.pool[row])
-        raise ConfigError("global index out of range")
+    def index_of_subset(self, A) -> int:
+        """Class index of a subset; -1 outside the truncated space."""
+        g = self.set_index(A)
+        return int(self.set_class[g]) if g >= 0 else -1
 
-    def vector_from_dual(self, f: DualFunction) -> np.ndarray:
-        x = np.zeros(self.size)
-        for A, v in f.values.items():
-            if A == ():
-                if v != 0.0:
-                    raise ConfigError("packed space pins the empty set to zero")
-                continue
-            g = self.index_of_subset(A)
-            if g < 0:
-                raise ConfigError(f"set {A} outside the truncated space")
-            x[g] = v
-        return x
+    def _subset_of_set(self, g: int) -> tuple:
+        n = int(self.set_degree[g])
+        return canonical(self.pool[self.sets[n][g - self.offsets[n]]])
 
     def dual_from_vector(self, x: np.ndarray, alpha: float,
                          threshold: float = 0.0) -> DualFunction:
-        vals = {}
-        nz = np.nonzero(np.abs(x) > threshold)[0]
-        for g in nz:
-            vals[self.subset_of_index(int(g))] = float(x[g])
+        """Subset function of a class vector (its lift)."""
+        lifted = self.lift(x)
+        vals = {self._subset_of_set(int(g)): float(lifted[g])
+                for g in np.nonzero(np.abs(lifted) > threshold)[0]}
         return DualFunction(alpha, vals)
 
     def dot(self, x: np.ndarray, y: np.ndarray) -> float:
-        """Degree-weighted inner product of packed vectors."""
+        """Degree-weighted inner product; equals that of the lifted vectors."""
         return float(np.sum(self.weight * x * y))
 
     def singleton_coefficients(self, x: np.ndarray) -> dict:
-        """Map single-point sets to their values (degree-one slice)."""
-        out = {}
-        block = x[self.offsets[1]:self.offsets[1] + len(self.sets[1])]
-        for j in np.nonzero(block)[0]:
-            out[tuple(int(c) for c in self.pool[j])] = float(block[j])
-        return out
+        """Map single-point sets {z} and {-z} to their lifted values."""
+        g0, g1 = self.offsets[1], self.offsets[1] + len(self.sets[1])
+        block = x[self.set_class[g0:g1]] * self._lift_scale[g0:g1]
+        return {tuple(int(c) for c in self.pool[j]): float(block[j])
+                for j in np.nonzero(block)[0]}
 
     def current_vector(self, analysis: KernelAnalysis, direction: int) -> np.ndarray:
-        x = np.zeros(self.size)
+        v = np.zeros(self.n_sets)
         for z, a in zip(analysis.sym_offsets, analysis.asym_weights):
             if a == 0.0:
                 continue
             idx = self.lookup_points(z[None, :])
             if idx[0] < 0:
                 raise ConfigError("kernel range exceeds truncation radius")
-            x[self.offsets[1] + idx[0]] = -2.0 * float(z[direction]) * float(a)
-        return x
+            v[self.offsets[1] + idx[0]] = -2.0 * float(z[direction]) * float(a)
+        return self.restrict(v)
 
 
 @dataclass
 class PackedOperator:
-    """Assembled arrow data for one kernel on one packed space."""
+    """Assembled class-level arrow data for one kernel on one packed space."""
 
     space: PackedSpace
     analysis: KernelAnalysis
@@ -205,7 +261,7 @@ class PackedOperator:
     diag_even: np.ndarray
     diag_odd: np.ndarray
     updown: sp.csr_matrix    # degree-changing arrows (shared density scalar)
-    clip_arrows: tuple       # (row, value-squared-weight) proxies per family
+    clip_weight: np.ndarray  # per-class clipped-arrow weight, see clipped_outflow
 
     def __post_init__(self):
         self._buf = np.empty_like(self.keep.data)
@@ -220,27 +276,18 @@ class PackedOperator:
             self._buf += self.keep.data
             self._cd = cd
 
-    def apply(self, x: np.ndarray, cs: float = 1.0, cd: float = 0.0,
-              cp: float = 0.0) -> np.ndarray:
-        """Apply cs*(even part) + cd*(odd part) + cp*(raise+lower)."""
-        if cs == 1.0:
-            self._compose(cd)
-            y = self._composed.dot(x)
-            y += (self.diag_even + cd * self.diag_odd) * x
-        else:
-            y = cs * (self.keep.dot(x) + self.diag_even * x)
-            if cd != 0.0:
-                odd = sp.csr_matrix((self.keep_odd, self.keep.indices,
-                                     self.keep.indptr), shape=self.keep.shape,
-                                    copy=False)
-                y += cd * (odd.dot(x) + self.diag_odd * x)
+    def apply(self, x: np.ndarray, cd: float = 0.0, cp: float = 0.0) -> np.ndarray:
+        """Apply (even part) + cd*(odd part) + cp*(raise+lower)."""
+        self._compose(cd)
+        y = self._composed.dot(x)
+        y += (self.diag_even + cd * self.diag_odd) * x
         if cp != 0.0:
             y += cp * self.updown.dot(x)
         return y
 
     def apply_full(self, x: np.ndarray, alpha: float) -> np.ndarray:
         chi = alpha * (1.0 - alpha)
-        return self.apply(x, 1.0, 1.0 - 2.0 * alpha, np.sqrt(chi))
+        return self.apply(x, 1.0 - 2.0 * alpha, np.sqrt(chi))
 
     def apply_sym(self, x: np.ndarray) -> np.ndarray:
         return self.keep.dot(x) + self.diag_even * x
@@ -248,27 +295,70 @@ class PackedOperator:
     def resolvent_matvec(self, x: np.ndarray, alpha: float, lam: float) -> np.ndarray:
         return lam * x - self.apply_full(x, alpha)
 
+    def matrix(self, alpha: float) -> sp.csr_matrix:
+        """The full operator at one density as an explicit sparse matrix."""
+        cd = 1.0 - 2.0 * alpha
+        self._compose(cd)
+        mat = sp.csr_matrix((self._buf.copy(), self.keep.indices, self.keep.indptr),
+                            shape=self.keep.shape)
+        mat = mat + sp.diags(self.diag_even + cd * self.diag_odd)
+        return mat + np.sqrt(alpha * (1.0 - alpha)) * self.updown
+
     def clipped_outflow(self, x: np.ndarray) -> float:
         """Per-arrow squared mass the operator sends outside the space.
 
-        Sum of squared single-arrow contributions at clipped targets (an
-        upper-bound proxy for the squared norm of the dropped image; exact
-        grouping is only available on small spaces via widened re-apply).
+        Sum over every set of the space (not only representatives) of the
+        squared single-arrow contributions at clipped targets, in the
+        degree-weighted norm: an upper-bound proxy for the squared norm of
+        the dropped image.
         """
-        total = 0.0
-        for rows, wsq in self.clip_arrows:
-            if len(rows):
-                total += float(np.sum(wsq * x[rows] ** 2))
-        return total
+        return float(np.dot(self.clip_weight, x * x))
+
+
+def _exchange(space: PackedSpace, sets_n: np.ndarray, m: int, move: np.ndarray):
+    """Member m moved by v: (arrow exists, target inside the space, new point).
+
+    `move` is `space.translate(v)`.
+    """
+    y = move[sets_n[:, m]]
+    exists = y != -2
+    for j in range(sets_n.shape[1]):
+        if j != m:
+            exists &= y != sets_n[:, j]
+    inside = exists & (y >= 0)
+    safe = np.where(inside, y, 0)
+    for j in range(sets_n.shape[1]):
+        if j != m:
+            inside &= space.compat[safe, sets_n[:, j]]
+    return exists, inside, y
+
+
+def _rigid(sets_n: np.ndarray, back: np.ndarray):
+    """Whole set shifted by -v: (arrow exists, target inside, target rows).
+
+    `back` is `space.translate(-v)`; translation keeps the rows sorted.
+    """
+    shifted = back[sets_n]
+    exists = ~(shifted == -2).any(axis=1)
+    inside = exists & (shifted >= 0).all(axis=1)
+    return exists, inside, shifted
+
+
+def _find_all(space: PackedSpace, rows: np.ndarray, degree: int) -> np.ndarray:
+    tgt = space.find(rows, degree)
+    if np.any(tgt < 0):
+        raise InvariantViolation("target inside the truncation missing from the space")
+    return tgt
 
 
 def assemble(space: PackedSpace, analysis: KernelAnalysis) -> PackedOperator:
-    """Build the arrow matrices for a kernel on an enumerated space."""
+    """Build the class-level arrow matrices for a kernel on an enumerated space."""
     trunc = space.trunc
     trunc.check_kernel(analysis)
-    d = space.dimension
     pool = space.pool
     p = len(pool)
+    size = space.size
+    cls = space.set_class
 
     offsets = analysis.sym_offsets.astype(np.int64)
     svals = analysis.sym_weights
@@ -285,144 +375,112 @@ def assemble(space: PackedSpace, analysis: KernelAnalysis) -> PackedOperator:
         a_pp[(diffs == z).all(axis=2)] = a
         a_pt[(pool == z).all(axis=1)] = a
 
-    indices_parts, sdata_parts, adata_parts, indptr_counts = [], [], [], []
-    diag_even = np.zeros(space.size)
-    diag_odd = np.zeros(space.size)
+    indices_parts, offset_parts, indptr_counts = [], [], []
+    diag_even = np.zeros(size)
+    diag_odd = np.zeros(size)
     ud_rows, ud_cols, ud_vals = [], [], []
-    clip_arrows = []
+    clip_weight = np.zeros(size)
+
+    def degree_change(krow, tgt, vals, scale):
+        ud_rows.append(krow)
+        ud_cols.append(cls[tgt])
+        ud_vals.append(vals * scale)
 
     for n in range(1, trunc.max_degree + 1):
-        sets_n = space.sets[n]
-        nn = len(sets_n)
-        if nn == 0:
-            indptr_counts.append(np.zeros(0, dtype=np.int64))
+        sets_all = space.sets[n]
+        if len(sets_all) == 0:
             continue
-        g0 = space.offsets[n]
-        grow = np.arange(nn, dtype=np.int64) + g0
-        coords = pool[sets_n]  # (nn, n, d)
-        n_fam = len(offsets) * (n + 1)
-        cols2d = np.full((nn, n_fam), -1, dtype=np.int64)
-        fam_s = np.zeros(n_fam)
-        fam_a = np.zeros(n_fam)
+        g_all = space.offsets[n] + np.arange(len(sets_all), dtype=np.int64)
+        cls_all = cls[g_all]
+        is_rep = space.rep[cls_all] == g_all
+        sets_n = sets_all[is_rep]
+        krow = cls_all[is_rep]
+        nn = len(sets_n)
+        # degree-preserving arrows: every set for the clipped mass (membership
+        # needs only the cube and the compatibility table), representatives
+        # for the matrix rows; one column per (offset, member or rigid shift)
+        cols2d = np.full((nn, len(offsets) * (n + 1)), -1, dtype=np.int32)
+        col_offset = np.repeat(np.arange(len(offsets), dtype=np.int32), n + 1)
         f = 0
         for v, sv, av in zip(offsets, svals, avals):
-            for m in range(n):
-                y = coords[:, m, :] + v
-                nonzero = (y != 0).any(axis=1)
-                in_b = np.zeros(nn, dtype=bool)
-                for j in range(n):
-                    if j != m:
-                        in_b |= (y == coords[:, j, :]).all(axis=1)
-                exists = nonzero & ~in_b
-                y_idx = space.lookup_points(y)
-                rows_new = sets_n.copy()
-                rows_new[:, m] = y_idx
-                rows_new = np.sort(rows_new, axis=1)
-                tgt = space.find(rows_new, n)
-                found = exists & (y_idx >= 0) & (tgt >= 0)
-                cols2d[found, f] = tgt[found]
-                fam_s[f], fam_a[f] = sv, av
-                diag_even[grow[exists]] -= sv
-                diag_odd[grow[exists]] -= av
-                clipped = exists & ~found
-                if clipped.any():
-                    clip_arrows.append((grow[clipped],
-                                        (sv * sv + av * av) / (n + 1.0)))
+            wsq = (sv * sv + av * av) / (n + 1.0)
+            move, back = space.translate(v), space.translate(-v)
+            for m in [*range(n), None]:  # member m moved by v, or the rigid shift
+                exists, inside, hit = (_rigid(sets_all, back) if m is None
+                                       else _exchange(space, sets_all, m, move))
+                clip_weight += wsq * np.bincount(cls_all[exists & ~inside],
+                                                 minlength=size)
+                exists, inside, hit = exists[is_rep], inside[is_rep], hit[is_rep]
+                diag_even[krow[exists]] -= sv
+                diag_odd[krow[exists]] -= av
+                if m is None:
+                    rows_new = hit[inside]
+                else:
+                    rows_new = sets_n[inside].copy()
+                    rows_new[:, m] = hit[inside]
+                    rows_new.sort(axis=1)
+                cols2d[inside, f] = cls[_find_all(space, rows_new, n)]
                 f += 1
-            # rigid shift by -v
-            in_b = (coords == v).all(axis=2).any(axis=1)
-            exists = ~in_b
-            shifted = space.lookup_points(coords - v)
-            ok = (shifted >= 0).all(axis=1)
-            tgt = space.find(np.where(ok[:, None], shifted, 0), n)
-            tgt = np.where(ok, tgt, -1)
-            found = exists & (tgt >= 0)
-            cols2d[found, f] = tgt[found]
-            fam_s[f], fam_a[f] = sv, av
-            diag_even[grow[exists]] -= sv
-            diag_odd[grow[exists]] -= av
-            clipped = exists & ~found
-            if clipped.any():
-                clip_arrows.append((grow[clipped], (sv * sv + av * av) / (n + 1.0)))
-            f += 1
-
         mask = cols2d >= 0
-        indptr_counts.append(mask.sum(axis=1).astype(np.int64))
+        indptr_counts.append(mask.sum(axis=1))
         indices_parts.append(cols2d[mask])
-        sdata_parts.append(np.broadcast_to(fam_s, (nn, n_fam))[mask])
-        adata_parts.append(np.broadcast_to(fam_a, (nn, n_fam))[mask])
+        offset_parts.append(np.broadcast_to(col_offset, cols2d.shape)[mask])
+        del cols2d, mask
 
         # degree-raising arrows (rows of degree >= 2 read one point fewer)
         if n >= 2:
+            scale = np.sqrt((n + 1.0) / n)
             keep_slots = [[j for j in range(n) if j != m] for m in range(n)]
             for m in range(n):
-                rest = sets_n[:, keep_slots[m]]
-                tgt = space.find(rest, n - 1)
-                if np.any(tgt < 0):
-                    raise InvariantViolation("subset of a kept set missing")
+                tgt = _find_all(space, sets_n[:, keep_slots[m]], n - 1)
                 coeff = np.zeros(nn)
-                for j in range(n):
-                    if j != m:
-                        coeff += a_pp[sets_n[:, m], sets_n[:, j]]
-                coeff *= 2.0
+                for j in keep_slots[m]:
+                    coeff += a_pp[sets_n[:, m], sets_n[:, j]]
                 sel = coeff != 0.0
-                ud_rows.append(grow[sel])
-                ud_cols.append(tgt[sel])
-                ud_vals.append(coeff[sel])
+                degree_change(krow[sel], tgt[sel], 2.0 * coeff[sel], scale)
                 am = a_pt[sets_n[:, m]]
                 sel = am != 0.0
                 if sel.any():
-                    ud_rows.append(grow[sel])
-                    ud_cols.append(tgt[sel])
-                    ud_vals.append(2.0 * am[sel])
-                    rel = coords[:, keep_slots[m], :] - coords[:, m, :][:, None, :]
-                    ridx = space.lookup_points(rel[sel])
+                    degree_change(krow[sel], tgt[sel], 2.0 * am[sel], scale)
+                    ridx = space.diff[sets_n[sel, m][:, None], sets_n[sel][:, keep_slots[m]]]
                     if np.any(ridx < 0):
                         raise InvariantViolation("rebased subset left the cube")
-                    tgt2 = space.find(ridx, n - 1)
-                    if np.any(tgt2 < 0):
-                        raise InvariantViolation("rebased subset missing")
-                    ud_rows.append(grow[sel])
-                    ud_cols.append(tgt2)
-                    ud_vals.append(-2.0 * am[sel])
+                    degree_change(krow[sel], _find_all(space, ridx, n - 1),
+                                  -2.0 * am[sel], scale)
 
         # degree-lowering arrows (rows below the cap read one extra point)
         if n < trunc.max_degree:
-            for anchor in range(n + 1):
-                base = coords[:, anchor, :] if anchor < n else np.zeros((nn, d),
-                                                                        dtype=np.int64)
-                for j in asym_sel:
-                    v = offsets[j]
-                    av = avals[j]
-                    y = base + v
-                    nonzero = (y != 0).any(axis=1)
-                    in_b = np.zeros(nn, dtype=bool)
+            scale = np.sqrt((n + 1.0) / (n + 2.0))
+            for j in asym_sel:
+                move = space.translate(offsets[j])
+                for anchor in range(n + 1):
+                    y = move[sets_n[:, anchor]] if anchor < n else np.full(
+                        nn, space.lookup_points(offsets[j]))
+                    exists = y >= 0
                     for slot in range(n):
-                        in_b |= (y == coords[:, slot, :]).all(axis=1)
-                    exists = nonzero & ~in_b
-                    y_idx = space.lookup_points(y)
-                    grown = np.concatenate([sets_n, y_idx[:, None]], axis=1)
-                    grown = np.sort(grown, axis=1)
+                        exists &= y != sets_n[:, slot]
+                    grown = np.sort(np.concatenate([sets_n, y[:, None]], axis=1), axis=1)
                     tgt = space.find(grown, n + 1)
-                    found = exists & (y_idx >= 0) & (tgt >= 0)
+                    found = exists & (tgt >= 0)
                     if found.any():
-                        ud_rows.append(grow[found])
-                        ud_cols.append(tgt[found])
-                        ud_vals.append(np.full(found.sum(), -2.0 * av))
+                        degree_change(krow[found], tgt[found],
+                                      np.full(found.sum(), -2.0 * avals[j]), scale)
 
+    # rows are the classes in order: representatives ascend within a degree
     indptr = np.concatenate([[0]] + indptr_counts).cumsum()
-    indices = np.concatenate(indices_parts).astype(np.int32)
-    sdata = np.concatenate(sdata_parts)
-    adata = np.concatenate(adata_parts)
-    keep = sp.csr_matrix((sdata, indices, indptr), shape=(space.size, space.size))
+    offset_of = np.concatenate(offset_parts)
+    keep = sp.csr_matrix((svals[offset_of], np.concatenate(indices_parts), indptr),
+                         shape=(size, size))
+    odd = avals[offset_of]
 
     if ud_rows:
         updown = sp.coo_matrix(
             (np.concatenate(ud_vals),
              (np.concatenate(ud_rows), np.concatenate(ud_cols))),
-            shape=(space.size, space.size)).tocsr()
+            shape=(size, size)).tocsr()
     else:
-        updown = sp.csr_matrix((space.size, space.size))
+        updown = sp.csr_matrix((size, size))
 
-    return PackedOperator(space, analysis, keep, adata, diag_even, diag_odd,
-                          updown, tuple(clip_arrows))
+    # clipped mass in the degree-weighted norm of the lift: f(A)^2 = x_K^2/(n+1)
+    return PackedOperator(space, analysis, keep, odd, diag_even, diag_odd,
+                          updown, clip_weight * space.weight)

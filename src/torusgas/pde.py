@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from .errors import ConfigError, InvariantViolation
+from .errors import ConfigError, InvariantViolation, require
 from .profiles import _interp_periodic
 
 
@@ -184,7 +184,8 @@ class DiffusionTable:
         with open(path) as fh:
             data = json.load(fh)
         floor = data.get("floor_matrix")
-        return cls(np.array(data["alphas"]), np.array(data["matrices"]),
+        return cls(np.array(require(data, "alphas", "diffusion table")),
+                   np.array(require(data, "matrices", "diffusion table")),
                    floor_matrix=None if floor is None else np.array(floor))
 
 

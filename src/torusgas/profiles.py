@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, require
 
 
 @dataclass
@@ -86,14 +86,16 @@ class Profile:
 
     @classmethod
     def from_spec(cls, dimension: int, spec: dict, delta0: float = 0.0) -> "Profile":
-        kind = spec.get("kind")
+        kind = require(spec, "kind", "profile")
         if kind == "constant":
-            return cls.constant(dimension, float(spec["value"]), delta0)
+            return cls.constant(dimension, float(require(spec, "value", "profile")), delta0)
         if kind == "cosine":
-            return cls.cosine(dimension, float(spec["base"]), float(spec["amplitude"]),
-                              int(spec["axis"]), delta0)
+            return cls.cosine(dimension, float(require(spec, "base", "profile")),
+                              float(require(spec, "amplitude", "profile")),
+                              int(require(spec, "axis", "profile")), delta0)
         if kind == "csv":
-            return cls.from_grid(load_profile_csv(spec["path"], dimension), delta0)
+            return cls.from_grid(
+                load_profile_csv(require(spec, "path", "profile"), dimension), delta0)
         raise ConfigError(f"unknown profile kind {kind!r}")
 
 

@@ -1,7 +1,8 @@
 """Resolvent solves on the truncated subset space and what they yield.
 
 The shifted equation (shift - generator image) f = current is solved per
-(density, direction, shift) on a packed space; the density-dependent
+(density, direction, shift) on the translation classes of the truncated
+space (one unknown per class, see `packed`); the density-dependent
 diffusion matrix is read off the single-point coefficients and extrapolated
 linearly to zero shift, with the extrapolation spread reported as the
 uncertainty.  Also here: the Dirichlet form, the regularized negative-order
@@ -15,9 +16,10 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, bicgstab, cg, lgmres
+import scipy.sparse as sp
+from scipy.sparse.linalg import LinearOperator, bicgstab, cg, lgmres, splu
 
-from .errors import ConfigError, InvariantViolation
+from .errors import ConfigError, InvariantViolation, require
 from .kernels import KernelAnalysis
 from .packed import PackedOperator, PackedSpace, assemble
 from .subsets import TruncationParams
@@ -30,9 +32,8 @@ def build_engine(analysis: KernelAnalysis, trunc: TruncationParams) -> PackedOpe
 
 @dataclass
 class SolveInfo:
-    iterations: int
-    residual: float
-    translation_violation: float
+    iterations: int          # operator matvecs, residual checks included
+    residual: float          # Euclidean residual norm, equal to the lifted one
     clipped_outflow: float
     residual_history: tuple = ()
 
@@ -40,64 +41,38 @@ class SolveInfo:
 def _iterate(matvec, size: int, b: np.ndarray, x0, tol: float):
     """Krylov solve with a residual polish loop.
 
-    Returns (solution, residual, iterations, per-attempt residual history).
+    Returns (solution, residual, per-attempt residual history).
     """
     op = LinearOperator((size, size), matvec=matvec)
     x = x0
-    total_iters = 0
     history = []
     for attempt in range(4):
-        counter = {"n": 0}
-
-        def cb(_xk):
-            counter["n"] += 1
-
         x, info = bicgstab(op, b, x0=x, rtol=0.0, atol=tol / 4.0,
-                           maxiter=max(2000, 40 * int(np.sqrt(size))), callback=cb)
-        total_iters += counter["n"]
+                           maxiter=max(2000, 40 * int(np.sqrt(size))))
         if info < 0 or not np.all(np.isfinite(x)):
             x, info = lgmres(op, b, x0=x0 if x0 is not None else None,
                              rtol=0.0, atol=tol / 4.0, maxiter=2000)
-            total_iters += 2000
         resid = float(np.linalg.norm(matvec(x) - b))
         history.append(resid)
         if resid <= tol:
-            return x, resid, total_iters, tuple(history)
+            return x, resid, tuple(history)
         tol_inner = tol / (10.0 ** (attempt + 1))
         x, _ = lgmres(op, b, x0=x, rtol=0.0, atol=tol_inner, maxiter=500)
-        total_iters += 500
         resid = float(np.linalg.norm(matvec(x) - b))
         history.append(resid)
         if resid <= tol:
-            return x, resid, total_iters, tuple(history)
-    return x, resid, total_iters, tuple(history)
-
-
-def _dense_resolvent(engine: PackedOperator, alpha: float, shift: float,
-                     b: np.ndarray) -> np.ndarray:
-    """Direct sparse factorization of the shifted operator (small bases)."""
-    import scipy.sparse as sp
-    from scipy.sparse.linalg import splu
-
-    space = engine.space
-    chi = alpha * (1.0 - alpha)
-    cd = 1.0 - 2.0 * alpha
-    engine._compose(cd)
-    mat = sp.csr_matrix((engine._buf.copy(), engine.keep.indices,
-                         engine.keep.indptr), shape=engine.keep.shape)
-    mat = mat + sp.diags(engine.diag_even + cd * engine.diag_odd)
-    mat = mat + np.sqrt(chi) * engine.updown
-    mat = shift * sp.identity(space.size, format="csr") - mat
-    return splu(mat.tocsc()).solve(b)
+            return x, resid, tuple(history)
+    return x, resid, tuple(history)
 
 
 def resolvent_solve(engine: PackedOperator, alpha: float, shift: float,
                     direction: int, x0: np.ndarray | None = None):
     """Solve (shift - full operator) f = current for one direction.
 
-    Returns (vector, SolveInfo).  The empty set never enters the space, so
-    its value stays zero; the translation-identity violation of the solution
-    is enforced as a postcondition and the clipped image outflow reported.
+    Works on class vectors, so the solution satisfies the translation
+    identity by construction; the empty set never enters the space, so its
+    value stays zero.  Returns (vector, SolveInfo) with the true number of
+    operator matvecs and the clipped image outflow.
     """
     if shift <= 0.0:
         raise ConfigError("resolvent shift must be positive")
@@ -106,51 +81,27 @@ def resolvent_solve(engine: PackedOperator, alpha: float, shift: float,
     tol = space.trunc.solver_tol
     if not np.any(b):
         zero = np.zeros(space.size)
-        return zero, SolveInfo(0, 0.0, 0.0, 0.0)
+        return zero, SolveInfo(0, 0.0, 0.0)
+
+    matvecs = 0
 
     def matvec(x):
+        nonlocal matvecs
+        matvecs += 1
         return engine.resolvent_matvec(x, alpha, shift)
 
     if 0 < space.size <= space.trunc.dense_threshold:
-        x = _dense_resolvent(engine, alpha, shift, b)
-        resid = float(np.linalg.norm(matvec(x) - b))
-        iters, history = 0, (resid,)
+        mat = (shift * sp.identity(space.size, format="csr") - engine.matrix(alpha)).tocsc()
+        x = splu(mat).solve(b)
+        resid = float(np.linalg.norm(mat.dot(x) - b))
+        history = (resid,)
     else:
-        x, resid, iters, history = _iterate(matvec, space.size, b, x0, tol)
+        x, resid, history = _iterate(matvec, space.size, b, x0, tol)
     if resid > max(tol, 1e-8):
         raise InvariantViolation(
             f"resolvent solve stalled: residual {resid:g} above tolerance {tol:g}; "
             f"history {history}")
-    violation = translation_violation_packed(space, x)
-    if violation > 1e-8:
-        raise InvariantViolation(
-            f"solution violates the translation identity by {violation:g}")
-    clipped = engine.clipped_outflow(x)
-    return x, SolveInfo(iters, resid, violation, clipped, history)
-
-
-def translation_violation_packed(space: PackedSpace, x: np.ndarray,
-                                 sample: int = 4000) -> float:
-    """Max |f(A) - f(shifted A)| over member shifts, sampled for big spaces."""
-    rng = np.random.default_rng(0)
-    worst = 0.0
-    from .subsets import shift_set
-
-    for n in range(1, space.trunc.max_degree + 1):
-        nn = len(space.sets[n])
-        if nn == 0:
-            continue
-        take = np.arange(nn) if nn <= sample else rng.choice(nn, sample, replace=False)
-        block = x[space.offsets[n]:space.offsets[n] + nn]
-        for i in take:
-            if block[i] == 0.0:
-                continue
-            A = tuple(tuple(int(c) for c in p) for p in space.pool[space.sets[n][i]])
-            for z in A:
-                g = space.index_of_subset(shift_set(A, z))
-                other = x[g] if g >= 0 else 0.0
-                worst = max(worst, abs(block[i] - other))
-    return worst
+    return x, SolveInfo(matvecs, resid, engine.clipped_outflow(x), history)
 
 
 def h1_form_packed(engine: PackedOperator, x: np.ndarray, y: np.ndarray) -> float:
@@ -162,9 +113,9 @@ def h_minus_one_sq(engine: PackedOperator, b: np.ndarray, reg: float,
                    x0: np.ndarray | None = None):
     """Regularized squared negative-order norm <b, u>, (reg - sym part) u = b.
 
-    The plain counting-basis matrix of the symmetric part is symmetric, so
-    conjugate gradients apply directly; the degree weights only enter the
-    final pairing.
+    The symmetric part is a symmetric matrix in the orthonormal class basis,
+    so conjugate gradients apply directly and the residual is the lifted
+    one; the degree weights only enter the final pairing.
     """
     if reg <= 0.0:
         raise ConfigError("regularization must be positive")
@@ -184,16 +135,6 @@ def h_minus_one_sq(engine: PackedOperator, b: np.ndarray, reg: float,
         raise InvariantViolation(f"negative-norm solve stalled at residual {resid:g}")
     value = space.dot(b, u)
     return max(value, 0.0), u
-
-
-def h_minus_one_sq_dual(f, analysis: KernelAnalysis, trunc: TruncationParams,
-                        reg: float, engine: PackedOperator | None = None) -> float:
-    """Dictionary-function surface for the regularized negative-order norm."""
-    if engine is None:
-        engine = build_engine(analysis, trunc)
-    b = engine.space.vector_from_dual(f)
-    value, _ = h_minus_one_sq(engine, b, reg)
-    return value
 
 
 def extrapolate_to_zero(shifts, values):
@@ -404,26 +345,27 @@ class DiffusionResult:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "DiffusionResult":
-        alphas = [float(a) for a in data["alphas"]]
+        def get(key):
+            return require(data, key, "diffusion result")
 
         def parse(entry):
             return {float(k): np.array(v) for k, v in entry.items()}
 
         return cls(
-            dimension=int(data["dimension"]),
-            alphas=alphas,
-            sigma=np.array(data["sigma"]),
-            diffusion=parse(data["diffusion"]),
-            hydro=parse(data["hydro"]),
-            coupling=parse(data["coupling"]),
-            spread=parse(data["spread"]),
-            per_shift={float(k): parse(v) for k, v in data["per_shift"].items()},
+            dimension=int(get("dimension")),
+            alphas=[float(a) for a in get("alphas")],
+            sigma=np.array(get("sigma")),
+            diffusion=parse(get("diffusion")),
+            hydro=parse(get("hydro")),
+            coupling=parse(get("coupling")),
+            spread=parse(get("spread")),
+            per_shift={float(k): parse(v) for k, v in get("per_shift").items()},
             energy={float(k): {float(s): list(e) for s, e in v.items()}
-                    for k, v in data["energy"].items()},
-            mobility={float(k): v for k, v in data["mobility"].items()},
-            residuals={float(k): v for k, v in data["residuals"].items()},
-            solver=data["solver"],
-            truncation=data["truncation"],
+                    for k, v in get("energy").items()},
+            mobility={float(k): v for k, v in get("mobility").items()},
+            residuals={float(k): v for k, v in get("residuals").items()},
+            solver=get("solver"),
+            truncation=get("truncation"),
             kernel_entries=data.get("kernel_entries", []),
             notes=data.get("notes", []),
         )
@@ -468,9 +410,8 @@ def compute_diffusion(analysis: KernelAnalysis, alphas, trunc: TruncationParams,
 
     diffusion, hydro, coupling, spread = {}, {}, {}, {}
     per_shift_all, energy_all, mobility_all, residuals_all = {}, {}, {}, {}
-    solver_stats = {"iterations": 0, "max_residual": 0.0,
-                    "max_translation_violation": 0.0, "max_clipped_outflow": 0.0,
-                    "space_size": space.size}
+    solver_stats = {"iterations": 0, "max_residual": 0.0, "max_clipped_outflow": 0.0,
+                    "space_size": space.n_sets, "classes": space.size}
 
     for alpha in alphas:
         alpha = float(alpha)
@@ -491,9 +432,6 @@ def compute_diffusion(analysis: KernelAnalysis, alphas, trunc: TruncationParams,
                 solver_stats["iterations"] += info.iterations
                 solver_stats["max_residual"] = max(solver_stats["max_residual"],
                                                    info.residual)
-                solver_stats["max_translation_violation"] = max(
-                    solver_stats["max_translation_violation"],
-                    info.translation_violation)
                 solver_stats["max_clipped_outflow"] = max(
                     solver_stats["max_clipped_outflow"], info.clipped_outflow)
                 energy[lam][i] = float(lam * space.dot(x, x)
@@ -545,6 +483,6 @@ def compute_diffusion(analysis: KernelAnalysis, alphas, trunc: TruncationParams,
         truncation={"radius": trunc.radius, "max_degree": trunc.max_degree,
                     "solver_tol": trunc.solver_tol,
                     "lambda_seq": list(trunc.lambda_seq),
-                    "space_size": space.size},
+                    "space_size": space.n_sets, "classes": space.size},
         kernel_entries=analysis.kernel.to_entries(),
     )

@@ -92,10 +92,14 @@ class TruncationParams:
     A set A is kept when |A| <= max_degree and the sup-norm diameter of
     A u {0} is at most `radius`.  This is the largest family of sets
     confined to the radius-`radius` cube that is closed under the
-    translation identity, so solves preserve that identity exactly.
+    translation identity: each degree-n set lies in a class of n + 1 kept
+    sets (A and its member shifts).  The packed engine solves on one
+    unknown per class and lifts back to sets, so solutions satisfy the
+    identity by construction.
 
-    `dense_threshold` switches the resolvent to a direct factorization when
-    the enumerated basis is at most that large (0 keeps it iterative).
+    `dense_threshold` switches the resolvent to a direct factorization of
+    the class matrix when there are at most that many classes (0 keeps it
+    iterative).
     """
 
     radius: int

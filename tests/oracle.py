@@ -1,11 +1,14 @@
 """Dense enumerated-basis oracle for the graded operators.
 
-Independent check path: the whole truncated space is enumerated, each
-operator is assembled entry by entry from the literal defining sums
-(including the half-weighted double sum over ordered pairs, and the raw
-outside-pair double sum of the degree-lowering part), and solves use a
-direct sparse factorization.  Nothing here is shared with the package's
-packed engine beyond the space definition itself.
+Independent check path: the whole truncated space is enumerated set by
+set, each operator is assembled entry by entry from the literal defining
+sums (including the half-weighted double sum over ordered pairs, and the
+raw outside-pair double sum of the degree-lowering part), and solves use a
+direct sparse factorization.  The translation classes are built here from
+`shift_set`, and the class checks below are full (every set, every class
+indicator), not sampled.  Nothing here is shared with the package's packed
+engine beyond the space definition itself; `packed_order` only aligns the
+two set orderings.
 """
 
 import itertools
@@ -42,6 +45,23 @@ class DenseOracle:
         self.mat_drift = self._assemble_degree_preserving(self.a_map, half=False)
         self.mat_raise = self._assemble_raising()
         self.mat_lower = self._assemble_lowering()
+        self.set_class, self.classes = self._classes()
+        self.class_size = np.asarray(self.classes.sum(axis=0)).ravel()
+
+    def _classes(self):
+        """Class label of every set and the set-by-class indicator matrix.
+
+        The class of A holds A and shift_set(A, z) for z in A; every member
+        must lie in the enumerated space.
+        """
+        smallest = np.arange(self.size)
+        for A, i in self.index.items():
+            for z in A:
+                smallest[i] = min(smallest[i], self.index[shift_set(A, z)])
+        _, label = np.unique(smallest, return_inverse=True)
+        ind = sp.csr_matrix((np.ones(self.size), (np.arange(self.size), label)),
+                            shape=(self.size, label.max() + 1))
+        return label, ind
 
     # --- literal assembly -------------------------------------------------
 
@@ -165,6 +185,33 @@ class DenseOracle:
         mat = reg * sp.identity(self.size, format="csc") - self.mat_sym.tocsc()
         u = splu(mat).solve(np.asarray(b, dtype=np.float64))
         return float(np.sum(self.weights * b * u))
+
+    # --- translation classes ----------------------------------------------
+
+    def class_average(self, v):
+        """Replace set values by their class means (v may have columns)."""
+        means = sp.diags(1.0 / self.class_size) @ (self.classes.T @ v)
+        return self.classes @ means
+
+    def translation_violation(self, x):
+        """Largest deviation of a set vector from class constancy."""
+        x = np.asarray(x, dtype=np.float64)
+        return float(np.abs(x - self.class_average(x)).max())
+
+    def class_violation(self, mat):
+        """Largest deviation from class constancy of mat applied to every
+        class indicator: zero when mat maps class-constant vectors to
+        class-constant vectors."""
+        image = sp.csr_matrix(mat @ self.classes)
+        diff = image - sp.csr_matrix(self.class_average(image))
+        return float(abs(diff).max()) if diff.nnz else 0.0
+
+    def packed_order(self, space):
+        """Packed set index of every basis set; checks it is a bijection."""
+        perm = np.array([space.set_index(A) for A in self.basis])
+        assert np.all(perm >= 0) and len(set(perm.tolist())) == self.size
+        assert space.n_sets == self.size
+        return perm
 
     def vector_from_dual(self, f):
         x = np.zeros(self.size)

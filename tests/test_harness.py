@@ -167,3 +167,67 @@ def test_threads_option_matches_sequential(tmp_path):
     rows1 = [{k: r[k] for k in ("N", "t", "L1")} for r in r1.rows]
     rows2 = [{k: r[k] for k in ("N", "t", "L1")} for r in r2.rows]
     assert rows1 == rows2
+
+
+@pytest.mark.parametrize("path", [("times",), ("kernel", "entries"),
+                                  ("kernel", "entries", 0, "prob"), ("profile", "kind"),
+                                  ("profile", "value"), ("truncation", "radius")])
+def test_missing_key_is_config_error(tmp_path, path):
+    data = base_config(truncation={"radius": 2, "max_degree": 2})
+    section = data
+    for key in path[:-1]:
+        section = section[key]
+    del section[path[-1]]
+    with pytest.raises(ConfigError, match=repr(path[-1])):
+        ExperimentConfig.from_dict(data)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(data))
+    assert cli_main(["kernel", "--config", str(cfg_path)]) == 2
+
+
+def test_code_keyerror_is_not_a_config_error(tmp_path, monkeypatch):
+    import torusgas.cli as cli
+
+    def broken(_args):
+        raise KeyError("internal")
+
+    monkeypatch.setitem(cli._COMMANDS, "kernel", broken)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(base_config()))
+    with pytest.raises(KeyError):
+        cli_main(["kernel", "--config", str(cfg_path)])
+
+
+def test_flush_error_reaches_the_caller(tmp_path, monkeypatch, capsys):
+    import torusgas.harness as harness
+
+    def replica_fails(*_args):
+        raise ConfigError("replica blew up")
+
+    # output_dir names a regular file, so the partial-output flush fails too
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    monkeypatch.setattr(harness, "_replica_job", replica_fails)
+    data = base_config(output_dir=str(blocker))
+    with pytest.raises(ConfigError, match="replica blew up"):
+        run_experiment(ExperimentConfig.from_dict(data))
+    err = capsys.readouterr().err
+    assert "partial-output flush failed: FileExistsError" in err
+    # through the CLI: the original error sets the exit code, and both
+    # messages reach stderr
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(data))
+    assert cli_main(["compare", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert "partial-output flush failed: FileExistsError" in err
+    assert "config error: replica blew up" in err
+
+
+def test_table_missing_key_is_config_error(tmp_path, capsys):
+    table_path = tmp_path / "table.json"
+    table_path.write_text(json.dumps({"alphas": [0.2, 0.5, 0.8]}))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(base_config(diffusion_table=str(table_path),
+                                               output_dir=str(tmp_path / "o"))))
+    assert cli_main(["pde", "--config", str(cfg_path)]) == 2
+    assert "missing key 'matrices' in diffusion table" in capsys.readouterr().err

@@ -6,7 +6,8 @@ from torusgas.operators import apply_operator, evaluate_operator_at
 from torusgas.packed import PackedSpace, assemble
 from torusgas.subsets import (DualFunction, TruncationParams,
                               check_translation_identity, current_dual,
-                              dual_inner_product)
+                              dual_inner_product, enumerate_truncation,
+                              shift_set)
 
 from oracle import DenseOracle
 
@@ -70,14 +71,15 @@ def test_identity_preservation(kernel_d2_asym):
 
 
 def test_self_adjointness_and_dissipativity(kernel_d2_asym):
+    # arbitrary set functions on the whole truncated space, not only
+    # translation-consistent ones
     rng = np.random.default_rng(8)
     tr = TruncationParams(radius=3, max_degree=2)
-    space = PackedSpace(2, tr)
+    sets = [A for by_n in enumerate_truncation(2, tr).values() for A in by_n]
     for _ in range(5):
-        x = rng.standard_normal(space.size)
-        y = rng.standard_normal(space.size)
-        f = space.dual_from_vector(x, 0.4)
-        g = space.dual_from_vector(y, 0.4)
+        f = DualFunction(0.4, dict(zip(sets, rng.standard_normal(len(sets)))))
+        g = DualFunction(0.4, dict(zip(sets, rng.standard_normal(len(sets)))))
+        assert check_translation_identity(f) > 0.1
         lf = apply_operator("symmetric", f, kernel_d2_asym, tr)
         lg = apply_operator("symmetric", g, kernel_d2_asym, tr)
         assert dual_inner_product(f, lg) == pytest.approx(
@@ -128,3 +130,72 @@ def test_operator_at_empty_set_is_zero(kernel_d2_asym):
     # identity f({z}) = f({-z}) makes the odd-weighted sum cancel
     val = evaluate_operator_at("lowering", (), f, kernel_d2_asym, tr)
     assert val == pytest.approx(0.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_classes_have_degree_plus_one_members(dim):
+    # every class holds exactly the n + 1 member shifts of a degree-n set,
+    # all of them inside the truncation
+    tr = TruncationParams(radius=2, max_degree=2)
+    space = PackedSpace(dim, tr)
+    by_degree = enumerate_truncation(dim, tr)
+    assert space.n_sets == sum(len(sets) for sets in by_degree.values())
+    members = {}
+    for sets in by_degree.values():
+        for A in sets:
+            k = space.index_of_subset(A)
+            members.setdefault(k, set()).add(A)
+            for z in A:
+                B = shift_set(A, z)
+                assert tr.contains(B)
+                assert space.index_of_subset(B) == k
+    assert sorted(members) == list(range(space.size))
+    for k, sets in members.items():
+        n = int(space.degree[k])
+        assert {len(A) for A in sets} == {n}
+        assert len(sets) == n + 1
+
+
+@pytest.mark.parametrize("dim,trunc", [(2, (2, 3)), (3, (2, 2))])
+def test_oracle_parts_preserve_classes(dim, trunc, kernel_d2_asym, kernel_d3_asym):
+    # full check over every class indicator: the even part, the odd part and
+    # the raise/lower part each map class-constant vectors to class-constant
+    # vectors, so one unknown per class is exact
+    analysis = kernel_d2_asym if dim == 2 else kernel_d3_asym
+    oracle = DenseOracle(analysis, TruncationParams(radius=trunc[0], max_degree=trunc[1]))
+    degree = np.array([len(A) for A in oracle.basis])
+    assert np.array_equal(oracle.class_size[oracle.set_class], degree + 1)
+    for mat in (oracle.mat_sym, oracle.mat_drift, oracle.mat_raise + oracle.mat_lower):
+        assert oracle.class_violation(mat) <= 1e-12
+    # the check does see a part that breaks the classes
+    broken = oracle.mat_sym.tolil()
+    broken[0, 0] += 1.0
+    assert oracle.class_violation(broken.tocsc()) >= 0.5
+
+
+def test_clipped_outflow_sums_over_every_set(kernel_d2_asym):
+    # per-arrow proxy of the dropped image, summed literally over every set
+    # of the space (not over class representatives only)
+    tr = TruncationParams(radius=2, max_degree=3)
+    eng = assemble(PackedSpace(2, tr), kernel_d2_asym)
+    space = eng.space
+    x = np.random.default_rng(4).standard_normal(space.size)
+    f = space.dual_from_vector(x, 0.4)
+    an = kernel_d2_asym
+    want = 0.0
+    for A in f.support():
+        for z, s, a in zip(an.sym_offsets, an.sym_weights, an.asym_weights):
+            v = tuple(int(c) for c in z)
+            wsq = (s * s + a * a) / (len(A) + 1)
+            targets = []
+            for p in A:
+                y = tuple(pc + vc for pc, vc in zip(p, v))
+                if any(y) and y not in A:
+                    targets.append([q for q in A if q != p] + [y])
+            if v not in A:
+                targets.append(shift_set(A, v))
+            for B in targets:
+                if not tr.contains(tuple(sorted(B))):
+                    want += wsq * f(A) ** 2
+    assert want > 0.0
+    assert eng.clipped_outflow(x) == pytest.approx(want, rel=1e-12)

@@ -26,15 +26,25 @@ def test_zero_right_side_symmetric_kernel():
     assert info.iterations == 0
 
 
-def test_residual_and_identity(small_engine):
+@pytest.fixture(scope="module")
+def small_oracle(kernel_d2_asym, small_engine):
+    return DenseOracle(kernel_d2_asym, small_engine.space.trunc)
+
+
+def test_residual_and_identity(small_engine, small_oracle):
     x, info = resolvent_solve(small_engine, 0.35, 1e-3, 0)
     assert info.residual <= 1e-10
-    assert info.translation_violation <= 1e-12
+    # the lifted solution satisfies the translation identity on every set
+    space = small_engine.space
+    lifted = space.lift(x)[small_oracle.packed_order(space)]
+    assert small_oracle.translation_violation(lifted) <= 1e-12
     # empty set pinned: nothing to check there; degree-one parity instead
-    coeffs = small_engine.space.singleton_coefficients(x)
+    coeffs = space.singleton_coefficients(x)
+    assert coeffs
     for z, v in coeffs.items():
         neg = tuple(-c for c in z)
-        assert coeffs.get(neg, 0.0) == pytest.approx(v, abs=1e-10)
+        assert neg in coeffs
+        assert coeffs[neg] == pytest.approx(v, abs=1e-10)
 
 
 def test_large_shift_asymptotics(small_engine):
@@ -45,42 +55,44 @@ def test_large_shift_asymptotics(small_engine):
     assert rel < 1e-3
 
 
-def test_iterative_matches_dense_oracle(kernel_d2_asym, small_engine):
-    tr = small_engine.space.trunc
-    oracle = DenseOracle(kernel_d2_asym, tr)
-    # align basis orderings through explicit set lookup
+def test_iterative_matches_dense_oracle(small_engine, small_oracle):
+    # the lifted engine output against the oracle's set-level answers
     space = small_engine.space
-    perm = np.array([space.index_of_subset(A) for A in oracle.basis])
-    assert np.all(perm >= 0) and len(set(perm.tolist())) == oracle.size == space.size
+    perm = small_oracle.packed_order(space)
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal(space.size)
+    for alpha in (0.3, 0.6):
+        want = small_oracle.full_matrix(alpha).dot(space.lift(x)[perm])
+        got = space.lift(small_engine.apply_full(x, alpha))[perm]
+        assert np.abs(got - want).max() <= 1e-8
     for alpha, lam in [(0.3, 1e-2), (0.5, 1e-3), (0.7, 1e-1)]:
-        want = oracle.resolvent_direct(alpha, lam, 0)
+        want = small_oracle.resolvent_direct(alpha, lam, 0)
         got, _ = resolvent_solve(small_engine, alpha, lam, 0)
-        assert np.abs(got[perm] - want).max() <= 1e-8
+        assert np.abs(space.lift(got)[perm] - want).max() <= 1e-8
 
 
-def test_operator_application_matches_oracle(kernel_d2_asym, small_engine):
-    oracle = DenseOracle(kernel_d2_asym, small_engine.space.trunc)
+def test_operator_application_matches_oracle(small_engine, small_oracle):
     space = small_engine.space
-    perm = np.array([space.index_of_subset(A) for A in oracle.basis])
+    perm = small_oracle.packed_order(space)
     rng = np.random.default_rng(2)
-    x_o = rng.standard_normal(oracle.size)
-    x_p = np.zeros(space.size)
-    x_p[perm] = x_o
+    x = rng.standard_normal(space.size)
+    x_o = space.lift(x)[perm]
     for alpha in (0.25, 0.5):
-        want = oracle.full_matrix(alpha).dot(x_o)
-        got = small_engine.apply_full(x_p, alpha)
-        assert np.abs(got[perm] - want).max() <= 1e-10
+        want = small_oracle.full_matrix(alpha).dot(x_o)
+        got = space.lift(small_engine.apply_full(x, alpha))[perm]
+        assert np.abs(got - want).max() <= 1e-10
 
 
-def test_neg_norm_matches_oracle(kernel_d2_asym, small_engine):
-    oracle = DenseOracle(kernel_d2_asym, small_engine.space.trunc)
+def test_neg_norm_matches_oracle(small_engine, small_oracle):
     space = small_engine.space
-    perm = np.array([space.index_of_subset(A) for A in oracle.basis])
-    b_o = oracle.current_vector(0)
-    b_p = np.zeros(space.size)
-    b_p[perm] = b_o
+    perm = small_oracle.packed_order(space)
+    b_o = small_oracle.current_vector(0)
+    b_set = np.zeros(space.n_sets)
+    b_set[perm] = b_o
+    b_p = space.restrict(b_set)
+    assert np.abs(space.lift(b_p)[perm] - b_o).max() <= 1e-15
     for reg in (1e-1, 1e-2, 1e-3):
-        want = oracle.neg_norm_direct(b_o, reg)
+        want = small_oracle.neg_norm_direct(b_o, reg)
         got, _ = h_minus_one_sq(small_engine, b_p, reg)
         assert got == pytest.approx(want, abs=1e-8)
     val, _ = h_minus_one_sq(small_engine, np.zeros(space.size), 1e-2)
@@ -104,7 +116,8 @@ def test_h1_hand_value(kernel_d1_nn):
     eng = build_engine(kernel_d1_nn, TruncationParams(radius=2, max_degree=2))
     x = np.zeros(eng.space.size)
     x[eng.space.index_of_subset(((1,),))] = 1.0
-    # from the hand application of the symmetric part: value 1/2
+    # unit class vector of {{1}, {-1}}: value 1/sqrt(2) on both sets; from
+    # the hand application of the symmetric part, 2 * (1/2) * (1/sqrt(2))^2
     assert h1_form_packed(eng, x, x) == pytest.approx(0.5, abs=1e-14)
 
 
@@ -280,3 +293,24 @@ def test_truncation_stability_of_diffusion(kernel_d3_asym, heavy_diffusion):
     assert abs(d_small - d_big) / abs(d_big) <= 0.05
     # symmetry of the reported matrices
     assert heavy_diffusion.symmetry_gap() <= 1e-9
+
+
+def test_iterations_count_operator_matvecs(kernel_d2_asym):
+    # SolveInfo.iterations and solver["iterations"] are true matvec counts,
+    # the residual checks included
+    eng = build_engine(kernel_d2_asym, TruncationParams(radius=2, max_degree=3))
+    calls = []
+    inner = eng.resolvent_matvec
+
+    def counted(*args):
+        calls.append(1)
+        return inner(*args)
+
+    eng.resolvent_matvec = counted
+    _, info = resolvent_solve(eng, 0.3, 1e-2, 0)
+    assert info.iterations == len(calls) > 0
+    calls.clear()
+    res = compute_diffusion(kernel_d2_asym, [0.3], eng.space.trunc, engine=eng)
+    assert res.solver["iterations"] == len(calls) > 0
+    assert res.solver["space_size"] == eng.space.n_sets
+    assert res.solver["classes"] == res.truncation["classes"] == eng.space.size
