@@ -15,13 +15,13 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, InvariantViolation
-from .harness import (ExperimentConfig, convergence_study, emit_outputs,
-                      exact_small_experiment, run_experiment, replica_stream)
+from .harness import (ExperimentConfig, _load_or_compute_table, convergence_study,
+                      emit_outputs, exact_small_experiment, replica_stream,
+                      replica_trajectory, run_experiment)
 from .kernels import validate_kernel
-from .lattice import TorusGeometry, block_density, sample_product_measure
+from .lattice import TorusGeometry, block_density
 from .pde import DensityField, DiffusionTable, solve_to_time
 from .resolvent import compute_diffusion
-from .simulate import evolve
 from .profiles import validate_profile
 
 
@@ -87,13 +87,7 @@ def cmd_simulate(args) -> int:
         geom = TorusGeometry(cfg.dimension, n)
         for r in range(cfg.replicas):
             rng = replica_stream(cfg, size_index, r).generator()
-            config = sample_product_measure(geom, profile, rng)
-            t_prev = 0.0
-            for t in cfg.times:
-                before = config
-                config, ledger = evolve(config, cfg.kernel, (t - t_prev) * n * n, rng)
-                ledger.check_continuity(before, config)
-                t_prev = t
+            for t, config in replica_trajectory(geom, profile, cfg.kernel, cfg.times, rng):
                 blocks = block_density(config, cfg.block_radius)
                 header = {"d": cfg.dimension, "N": n, "K": cfg.block_radius,
                           "t": t, "replica": r, "seed": cfg.master_seed}
@@ -133,11 +127,7 @@ def cmd_pde(args) -> int:
     cfg = _load(args)
     analysis = validate_kernel(cfg.kernel)
     profile = cfg.build_profile()
-    if cfg.diffusion_table_path:
-        table = DiffusionTable.load_json(cfg.diffusion_table_path)
-    else:
-        result = compute_diffusion(analysis, cfg.alpha_grid, cfg.truncation)
-        table = DiffusionTable.from_diffusion_result(result)
+    table = _load_or_compute_table(cfg, analysis)
     out = _outdir(cfg)
     fld = DensityField.from_profile(profile, cfg.pde_resolution)
     t_prev = 0.0

@@ -2,8 +2,8 @@
 
 The harness owns the declarative run description, drives the other modules
 through their public contracts only, and emits deterministic outputs: equal
-master seeds give byte-identical report files (wall-clock timings go to a
-separate side file excluded from that contract).
+master seeds give byte-identical report files (the write timestamp goes to
+a separate side file excluded from that contract).
 """
 
 from __future__ import annotations
@@ -36,11 +36,15 @@ _TOP_KEYS = {
     "exact", "label",
 }
 _KERNEL_KEYS = {"dimension", "entries"}
-_TRUNC_KEYS = {"radius", "max_degree", "solver_tol", "lambda_seq", "reg",
-               "dense_threshold"}
+_TRUNC_KEYS = {"radius", "max_degree", "solver_tol", "lambda_seq", "reg"}
 _PDE_KEYS = {"resolution", "safety"}
 _PROFILE_KEYS = {"kind", "value", "base", "amplitude", "axis", "path"}
 _EXACT_KEYS = {"side", "replicas", "alpha", "times"}
+
+# Replica substream keys: (size_index << 20) | r for comparisons and
+# (1 << 19) + r for the exact diagnostics; they stay distinct only while
+# both replica counts are at most 2**19.
+MAX_REPLICAS = 1 << 19
 
 
 def _reject_unknown(mapping: dict, allowed: set, where: str):
@@ -84,6 +88,10 @@ class ExperimentConfig:
             raise ConfigError("block radius must be nonnegative")
         if self.replicas < 1:
             raise ConfigError("need at least one replica")
+        if self.replicas > MAX_REPLICAS:
+            raise ConfigError(f"replicas must be at most {MAX_REPLICAS}")
+        if int(self.exact.get("replicas", 0)) > MAX_REPLICAS:
+            raise ConfigError(f"exact replicas must be at most {MAX_REPLICAS}")
         for n in self.torus_sizes:
             if 2 * self.block_radius + 1 > n:
                 raise ConfigError(f"block radius {self.block_radius} too large for N={n}")
@@ -119,8 +127,7 @@ class ExperimentConfig:
                 max_degree=int(require(td, "max_degree", "truncation")),
                 solver_tol=float(td.get("solver_tol", 1e-10)),
                 reg=float(td.get("reg", 1e-3)),
-                lambda_seq=tuple(td.get("lambda_seq", (1e-1, 1e-2, 1e-3, 1e-4))),
-                dense_threshold=int(td.get("dense_threshold", 0)))
+                lambda_seq=tuple(td.get("lambda_seq", (1e-1, 1e-2, 1e-3, 1e-4))))
         pde = dict(data.get("pde", {}))
         _reject_unknown(pde, _PDE_KEYS, "pde")
         exact = dict(data.get("exact", {}))
@@ -223,29 +230,40 @@ def replica_stream(cfg: ExperimentConfig, size_index: int, replica: int) -> RngS
     return RngStream(cfg.master_seed, (size_index << 20) | replica)
 
 
-def _replica_job(cfg_dict: dict, size_index: int, replica: int):
-    """One replica trajectory: block fields and state checks per time.
+def replica_trajectory(geom: TorusGeometry, profile: Profile, kernel: TransitionKernel,
+                       times, rng):
+    """One replica: sample the initial state, then evolve through the times.
 
-    Self-contained so a process pool can run replicas independently; the
-    replica substream makes the result a pure function of (config, indices).
+    Yields (t, configuration) at every observation time t (macroscopic, so
+    each span runs for (t - t_prev) N^2 microscopic time).  Every span is
+    continuity-checked against its bond ledger and must keep the particle
+    count.  The random draws depend only on `rng` and the arguments.
     """
-    cfg = ExperimentConfig.from_dict(cfg_dict)
-    n = cfg.torus_sizes[size_index]
-    geom = TorusGeometry(cfg.dimension, n)
-    profile = cfg.build_profile()
-    rng = replica_stream(cfg, size_index, replica).generator()
+    n = geom.side
     config = sample_product_measure(geom, profile, rng)
     t_prev = 0.0
-    fields = {}
-    for t in cfg.times:
+    for t in times:
         before = config
-        config, ledger = evolve(config, cfg.kernel, (t - t_prev) * n ** 2, rng)
+        config, ledger = evolve(config, kernel, (t - t_prev) * n ** 2, rng)
         ledger.check_continuity(before, config)
         if config.particle_count != before.particle_count:
             raise InvariantViolation("particle count changed")
         t_prev = t
-        fields[t] = block_density(config, cfg.block_radius)
-    return fields
+        yield t, config
+
+
+def _replica_job(cfg: ExperimentConfig, size_index: int, replica: int):
+    """Block fields of one replica trajectory at every observation time.
+
+    Self-contained (the config pickles) so a process pool can run replicas
+    independently; the replica substream makes the result a pure function
+    of (config, indices).
+    """
+    geom = TorusGeometry(cfg.dimension, cfg.torus_sizes[size_index])
+    rng = replica_stream(cfg, size_index, replica).generator()
+    return {t: block_density(config, cfg.block_radius)
+            for t, config in replica_trajectory(geom, cfg.build_profile(), cfg.kernel,
+                                                cfg.times, rng)}
 
 
 @dataclass
@@ -302,12 +320,12 @@ def run_experiment(cfg: ExperimentConfig, table: DiffusionTable | None = None,
                 from concurrent.futures import ProcessPoolExecutor
 
                 with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
-                    futures = [pool.submit(_replica_job, cfg.to_dict(), size_index, r)
+                    futures = [pool.submit(_replica_job, cfg, size_index, r)
                                for r in range(cfg.replicas)]
                     # reduce in replica order for a deterministic report
                     results = [f.result() for f in futures]
             else:
-                results = [_replica_job(cfg.to_dict(), size_index, r)
+                results = [_replica_job(cfg, size_index, r)
                            for r in range(cfg.replicas)]
             for r, fields in enumerate(results):
                 for t in cfg.times:
@@ -425,13 +443,7 @@ def exact_small_experiment(cfg: ExperimentConfig,
     counts = {t: np.zeros(1 << geom.n_sites, dtype=np.int64) for t in times}
     for r in range(mc_replicas):
         gen = RngStream(cfg.master_seed, (1 << 19) + r).generator()
-        config = sample_product_measure(geom, profile, gen)
-        t_prev = 0.0
-        for t in times:
-            before = config
-            config, ledger = evolve(config, cfg.kernel, (t - t_prev) * n ** 2, gen)
-            ledger.check_continuity(before, config)
-            t_prev = t
+        for t, config in replica_trajectory(geom, profile, cfg.kernel, times, gen):
             counts[t][config.state_code()] += 1
     mc_rows = []
     for t in times:

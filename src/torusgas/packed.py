@@ -35,7 +35,7 @@ import scipy.sparse as sp
 
 from .errors import ConfigError, InvariantViolation
 from .kernels import KernelAnalysis
-from .subsets import DualFunction, TruncationParams, canonical
+from .subsets import TruncationParams, canonical
 
 _BITS = 16  # per-point index field in the set encoding
 
@@ -215,18 +215,6 @@ class PackedSpace:
         g = self.set_index(A)
         return int(self.set_class[g]) if g >= 0 else -1
 
-    def _subset_of_set(self, g: int) -> tuple:
-        n = int(self.set_degree[g])
-        return canonical(self.pool[self.sets[n][g - self.offsets[n]]])
-
-    def dual_from_vector(self, x: np.ndarray, alpha: float,
-                         threshold: float = 0.0) -> DualFunction:
-        """Subset function of a class vector (its lift)."""
-        lifted = self.lift(x)
-        vals = {self._subset_of_set(int(g)): float(lifted[g])
-                for g in np.nonzero(np.abs(lifted) > threshold)[0]}
-        return DualFunction(alpha, vals)
-
     def dot(self, x: np.ndarray, y: np.ndarray) -> float:
         """Degree-weighted inner product; equals that of the lifted vectors."""
         return float(np.sum(self.weight * x * y))
@@ -294,15 +282,6 @@ class PackedOperator:
 
     def resolvent_matvec(self, x: np.ndarray, alpha: float, lam: float) -> np.ndarray:
         return lam * x - self.apply_full(x, alpha)
-
-    def matrix(self, alpha: float) -> sp.csr_matrix:
-        """The full operator at one density as an explicit sparse matrix."""
-        cd = 1.0 - 2.0 * alpha
-        self._compose(cd)
-        mat = sp.csr_matrix((self._buf.copy(), self.keep.indices, self.keep.indptr),
-                            shape=self.keep.shape)
-        mat = mat + sp.diags(self.diag_even + cd * self.diag_odd)
-        return mat + np.sqrt(alpha * (1.0 - alpha)) * self.updown
 
     def clipped_outflow(self, x: np.ndarray) -> float:
         """Per-arrow squared mass the operator sends outside the space.

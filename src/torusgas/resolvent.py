@@ -16,8 +16,7 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import LinearOperator, bicgstab, cg, lgmres, splu
+from scipy.sparse.linalg import LinearOperator, bicgstab, cg, lgmres
 
 from .errors import ConfigError, InvariantViolation, require
 from .kernels import KernelAnalysis
@@ -90,13 +89,7 @@ def resolvent_solve(engine: PackedOperator, alpha: float, shift: float,
         matvecs += 1
         return engine.resolvent_matvec(x, alpha, shift)
 
-    if 0 < space.size <= space.trunc.dense_threshold:
-        mat = (shift * sp.identity(space.size, format="csr") - engine.matrix(alpha)).tocsc()
-        x = splu(mat).solve(b)
-        resid = float(np.linalg.norm(mat.dot(x) - b))
-        history = (resid,)
-    else:
-        x, resid, history = _iterate(matvec, space.size, b, x0, tol)
+    x, resid, history = _iterate(matvec, space.size, b, x0, tol)
     if resid > max(tol, 1e-8):
         raise InvariantViolation(
             f"resolvent solve stalled: residual {resid:g} above tolerance {tol:g}; "

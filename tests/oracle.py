@@ -65,8 +65,14 @@ class DenseOracle:
 
     # --- literal assembly -------------------------------------------------
 
+    def _matrix(self, entries):
+        """Sparse matrix summing (row, col, value) triples in their order."""
+        rows, cols, vals = zip(*entries) if entries else ((), (), ())
+        return sp.coo_matrix((np.array(vals, dtype=np.float64), (rows, cols)),
+                             shape=(self.size, self.size)).tocsc()
+
     def _assemble_degree_preserving(self, wmap, half):
-        m = sp.lil_matrix((self.size, self.size))
+        m = []
         for A, row in self.index.items():
             members = set(A)
             # ordered pairs (x, y), both nonzero, exactly one inside A
@@ -92,20 +98,20 @@ class DenseOracle:
                                    + ([y] if x_inside else [x]))
                 col = self.index.get(target)
                 if col is not None:
-                    m[row, col] += w
-                m[row, row] -= w
+                    m.append((row, col, w))
+                m.append((row, row, -w))
             for v, w in wmap.items():
                 if v in members:
                     continue
                 target = shift_set(A, v)
                 col = self.index.get(target)
                 if col is not None:
-                    m[row, col] += w
-                m[row, row] -= w
-        return m.tocsc()
+                    m.append((row, col, w))
+                m.append((row, row, -w))
+        return self._matrix(m)
 
     def _assemble_raising(self):
-        m = sp.lil_matrix((self.size, self.size))
+        m = []
         for A, row in self.index.items():
             for y in A:
                 for x in A:
@@ -115,24 +121,24 @@ class DenseOracle:
                         continue
                     target = canonical([p for p in A if p != y])
                     if target:
-                        m[row, self.index[target]] += 2.0 * a_val
+                        m.append((row, self.index[target], 2.0 * a_val))
             for x in A:
                 a_val = self.a_map.get(x, 0.0)
                 if a_val == 0.0:
                     continue
                 rest = canonical([p for p in A if p != x])
                 if rest:
-                    m[row, self.index[rest]] += 2.0 * a_val
+                    m.append((row, self.index[rest], 2.0 * a_val))
                     shifted = shift_set(rest, x)
                     col = self.index.get(shifted)
                     if col is not None:
-                        m[row, col] -= 2.0 * a_val
-        return m.tocsc()
+                        m.append((row, col, -2.0 * a_val))
+        return self._matrix(m)
 
     def _assemble_lowering(self):
         # literal double sum over outside pairs: for each candidate extra
         # point y, the coefficient is 2 sum over x outside A u {0} of a(y - x)
-        m = sp.lil_matrix((self.size, self.size))
+        m = []
         for A, row in self.index.items():
             if len(A) >= self.trunc.max_degree:
                 continue
@@ -151,8 +157,8 @@ class DenseOracle:
                     if any(x) and x not in set(A):
                         coeff += 2.0 * a_val
                 if coeff != 0.0:
-                    m[row, self.index[B]] += coeff
-        return m.tocsc()
+                    m.append((row, self.index[B], coeff))
+        return self._matrix(m)
 
     def _near_points(self, A):
         # candidate extra points: anything inside the truncation cube
@@ -212,14 +218,3 @@ class DenseOracle:
         assert np.all(perm >= 0) and len(set(perm.tolist())) == self.size
         assert space.n_sets == self.size
         return perm
-
-    def vector_from_dual(self, f):
-        x = np.zeros(self.size)
-        for A, v in f.values.items():
-            if A == ():
-                continue
-            x[self.index[A]] = v
-        return x
-
-    def dual_values(self, x):
-        return {A: x[i] for A, i in self.index.items() if x[i] != 0.0}

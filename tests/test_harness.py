@@ -1,13 +1,20 @@
 import json
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from torusgas.cli import main as cli_main
 from torusgas.errors import ConfigError
-from torusgas.harness import (ExperimentConfig, compare_fields,
-                              convergence_study, emit_outputs, run_experiment)
+from torusgas.harness import (MAX_REPLICAS, ExperimentConfig, _replica_job,
+                              compare_fields, convergence_study, emit_outputs,
+                              run_experiment)
 from torusgas.pde import DensityField
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def base_config(**overrides):
@@ -43,6 +50,10 @@ def test_unknown_keys_rejected():
             kernel={"dimension": 2, "entries": [], "extra": 0}))
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict(base_config(schema_version=99))
+    # the direct-solve switch is gone: the key is unknown at schema version 1
+    with pytest.raises(ConfigError, match="dense_threshold"):
+        ExperimentConfig.from_dict(base_config(
+            truncation={"radius": 2, "max_degree": 2, "dense_threshold": 100}))
 
 
 def test_invalid_config_values():
@@ -231,3 +242,75 @@ def test_table_missing_key_is_config_error(tmp_path, capsys):
                                                output_dir=str(tmp_path / "o"))))
     assert cli_main(["pde", "--config", str(cfg_path)]) == 2
     assert "missing key 'matrices' in diffusion table" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["replicas", "exact"])
+def test_replica_count_beyond_stream_keys_is_config_error(tmp_path, key):
+    # comparison keys (size_index << 20) | r and exact keys (1 << 19) + r
+    # stay distinct only up to 2**19 replicas
+    assert MAX_REPLICAS == 2 ** 19
+
+    def with_count(count):
+        value = count if key == "replicas" else {"side": 3, "replicas": count}
+        return base_config(output_dir=str(tmp_path / "o"), **{key: value})
+
+    ExperimentConfig.from_dict(with_count(MAX_REPLICAS))
+    with pytest.raises(ConfigError, match="at most 524288"):
+        ExperimentConfig.from_dict(with_count(MAX_REPLICAS + 1))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(with_count(MAX_REPLICAS + 1)))
+    assert cli_main(["kernel", "--config", str(cfg_path)]) == 2
+
+
+def test_simulate_writes_the_replica_job_fields(tmp_path):
+    # `torusgas simulate` and the comparison ensemble run the same replica
+    # loop on the same substreams
+    data = base_config(output_dir=str(tmp_path / "sim"), torus_sizes=[4, 5],
+                       replicas=2, times=[0.05, 0.1], formats=["npy"])
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(data))
+    assert cli_main(["simulate", "--config", str(cfg_path)]) == 0
+    cfg = pickle.loads(pickle.dumps(ExperimentConfig.from_dict(data)))
+    for size_index, n in enumerate(cfg.torus_sizes):
+        for r in range(cfg.replicas):
+            fields = _replica_job(cfg, size_index, r)
+            assert list(fields) == cfg.times
+            for t, blocks in fields.items():
+                written = np.load(tmp_path / "sim" / f"blocks_N{n}_t{t}_r{r}.npy")
+                assert np.array_equal(written.reshape(-1), blocks)
+
+
+_TRACE_SCRIPT = """
+import json, sys
+sys.path[:0] = [sys.argv[1] + "/perfbench", sys.argv[1] + "/src"]
+from tracing import Tracer
+tracer = Tracer()
+tracer.install()
+from torusgas.harness import ExperimentConfig, run_experiment
+run_experiment(ExperimentConfig.from_dict(json.loads(sys.argv[2])))
+called = sorted({tracer.names[i] for i in tracer.name_id})
+print(json.dumps({"missing": tracer.missing, "called": called,
+                  "engines": len(tracer.engines)}))
+"""
+
+
+def test_benchmark_tracer_finds_every_layer_boundary(tmp_path):
+    # the benchmark's tracer wraps the package's layer boundaries by name;
+    # the only one it may miss is the sampled identity check that the class
+    # basis made unnecessary
+    data = base_config(output_dir=str(tmp_path / "o"), alpha_grid=[0.3, 0.6],
+                       truncation={"radius": 2, "max_degree": 2},
+                       kernel={"dimension": 2, "entries": [
+                           {"offset": [1, 0], "prob": 0.5}, {"offset": [-1, 0], "prob": 0.25},
+                           {"offset": [0, 1], "prob": 0.125},
+                           {"offset": [0, -1], "prob": 0.125}]})
+    out = subprocess.run([sys.executable, "-c", _TRACE_SCRIPT, str(ROOT), json.dumps(data)],
+                         capture_output=True, text=True, check=True)
+    seen = json.loads(out.stdout.splitlines()[-1])
+    assert set(seen["missing"]) <= {"torusgas.resolvent.translation_violation_packed"}
+    assert seen["engines"] == 1
+    for name in ("packed.enumerate", "packed.assemble", "packed.matvec",
+                 "resolvent.solve", "simulate.evolve", "simulate.rng_setup",
+                 "simulate.continuity", "lattice.sample", "lattice.block_density",
+                 "pde.solve", "harness.run_experiment", "harness.config_parse"):
+        assert name in seen["called"]

@@ -71,16 +71,22 @@ def test_iterative_matches_dense_oracle(small_engine, small_oracle):
         assert np.abs(space.lift(got)[perm] - want).max() <= 1e-8
 
 
-def test_operator_application_matches_oracle(small_engine, small_oracle):
-    space = small_engine.space
-    perm = small_oracle.packed_order(space)
+def test_operator_application_matches_oracle(kernel_d2_asym, small_engine, small_oracle):
+    # (2, 2) and (2, 3), so that degree-3 rows are checked against the
+    # literal sums too
+    tr3 = TruncationParams(radius=2, max_degree=3)
     rng = np.random.default_rng(2)
-    x = rng.standard_normal(space.size)
-    x_o = space.lift(x)[perm]
-    for alpha in (0.25, 0.5):
-        want = small_oracle.full_matrix(alpha).dot(x_o)
-        got = space.lift(small_engine.apply_full(x, alpha))[perm]
-        assert np.abs(got - want).max() <= 1e-10
+    for engine, oracle in [(small_engine, small_oracle),
+                           (build_engine(kernel_d2_asym, tr3),
+                            DenseOracle(kernel_d2_asym, tr3))]:
+        space = engine.space
+        perm = oracle.packed_order(space)
+        x = rng.standard_normal(space.size)
+        x_o = space.lift(x)[perm]
+        for alpha in (0.25, 0.5):
+            want = oracle.full_matrix(alpha).dot(x_o)
+            got = space.lift(engine.apply_full(x, alpha))[perm]
+            assert np.abs(got - want).max() <= 1e-10
 
 
 def test_neg_norm_matches_oracle(small_engine, small_oracle):
@@ -268,17 +274,6 @@ def test_bad_inputs(small_engine):
         resolvent_solve(small_engine, 0.5, 0.0, 0)
     with pytest.raises(ConfigError):
         h_minus_one_sq(small_engine, np.zeros(small_engine.space.size), 0.0)
-
-
-def test_dense_fallback_matches_iterative(kernel_d2_asym):
-    tr_iter = TruncationParams(radius=2, max_degree=2)
-    tr_dense = TruncationParams(radius=2, max_degree=2, dense_threshold=10 ** 6)
-    e_iter = build_engine(kernel_d2_asym, tr_iter)
-    e_dense = build_engine(kernel_d2_asym, tr_dense)
-    x1, info1 = resolvent_solve(e_iter, 0.4, 1e-3, 0)
-    x2, info2 = resolvent_solve(e_dense, 0.4, 1e-3, 0)
-    assert info1.iterations > 0 and info2.iterations == 0
-    assert np.abs(x1 - x2).max() <= 1e-10
 
 
 def test_truncation_stability_of_diffusion(kernel_d3_asym, heavy_diffusion):

@@ -3,11 +3,10 @@ import pytest
 
 from torusgas.errors import ConfigError
 from torusgas.kernels import ssep, tasep, validate_kernel
-from torusgas.subsets import (DualFunction, TruncationParams, canonical,
-                              check_translation_identity, current_dual,
-                              dual_inner_product, exchange_set,
-                              lift_dual_to_local, psi_basis_cylinder, shift_set,
-                              transform_local_to_dual)
+from torusgas.packed import PackedSpace
+from torusgas.subsets import TruncationParams, canonical, shift_set
+
+from oracle import DenseOracle
 
 
 def test_shift_set_cases():
@@ -20,84 +19,53 @@ def test_shift_set_cases():
     assert shift_set(A, (1, 0)) == canonical([(-1, 0), (1, 0)])
 
 
-def test_exchange_set_table():
-    A = canonical([(1, 0), (0, 1)])
-    assert exchange_set(A, (1, 0), (2, 0)) == canonical([(2, 0), (0, 1)])
-    assert exchange_set(A, (2, 0), (1, 0)) == canonical([(2, 0), (0, 1)])
-    assert exchange_set(A, (1, 0), (0, 1)) == A  # both members
-    assert exchange_set(A, (3, 0), (4, 0)) == A  # both outside
-    moved = exchange_set(A, (1, 0), (5, 5))
-    assert exchange_set(moved, (1, 0), (5, 5)) == A  # involution
-
-
-def test_canonical_rejects_origin_and_duplicates():
-    with pytest.raises(ConfigError):
-        DualFunction(0.5, {((0, 0),): 1.0})
+def test_space_excludes_origin_and_repeats():
+    space = PackedSpace(2, TruncationParams(radius=2, max_degree=2))
+    assert space.set_index(((1, 0),)) >= 0
+    assert space.set_index(((0, 0),)) == -1
+    assert space.set_index(((0, 0), (1, 0))) == -1
+    assert space.set_index(((1, 0), (1, 0))) == -1
 
 
 def test_inner_product_weights():
-    f = DualFunction(0.5, {((1, 0),): 1.0})
-    assert dual_inner_product(f, f) == pytest.approx(0.5)  # degree 1: 1/2
-    g = DualFunction(0.5, {((1, 0), (2, 0)): 1.0})
-    assert dual_inner_product(g, g) == pytest.approx(1 / 3)  # degree 2: 1/3
-    h = DualFunction(0.5, {((3, 0),): 2.0})
-    assert dual_inner_product(f, h) == 0.0  # disjoint supports
+    # weight 1/(n+1) on sets of n points; a class vector pairs like its lift
+    space = PackedSpace(2, TruncationParams(radius=2, max_degree=2))
+    one = np.zeros(space.size)
+    one[space.index_of_subset(((1, 0),))] = 1.0
+    assert space.dot(one, one) == pytest.approx(0.5)  # degree 1: 1/2
+    two = np.zeros(space.size)
+    two[space.index_of_subset(((1, 0), (2, 0)))] = 1.0
+    assert space.dot(two, two) == pytest.approx(1 / 3)  # degree 2: 1/3
+    assert space.dot(one, two) == 0.0  # disjoint supports
+    rng = np.random.default_rng(7)
+    x, y = rng.standard_normal((2, space.size))
+    weights = 1.0 / (space.set_degree + 1.0)
+    assert space.dot(x, y) == pytest.approx(
+        np.sum(weights * space.lift(x) * space.lift(y)), abs=1e-12)
 
 
 def test_translation_identity_checker():
-    w = current_dual(validate_kernel(tasep(3)), 0)
-    assert check_translation_identity(w) == 0.0
-    assert check_translation_identity(DualFunction(0.1, {})) == 0.0
-    broken = DualFunction(0.1, {((1, 0, 0),): 1.0})  # no counterpart at -e1
-    assert check_translation_identity(broken) > 0.0
+    an = validate_kernel(tasep(3))
+    oracle = DenseOracle(an, TruncationParams(radius=1, max_degree=2))
+    assert oracle.translation_violation(oracle.current_vector(0)) == 0.0
+    assert oracle.translation_violation(np.zeros(oracle.size)) == 0.0
+    broken = np.zeros(oracle.size)  # no counterpart at -e1
+    broken[oracle.index[((1, 0, 0),)]] = 1.0
+    assert oracle.translation_violation(broken) > 0.0
 
 
 def test_current_dual_values(kernel_d2_spec):
-    w3 = current_dual(validate_kernel(tasep(3)), 0)
-    assert w3(((1, 0, 0),)) == pytest.approx(-1.0)
-    assert w3(((-1, 0, 0),)) == pytest.approx(-1.0)
-    w2 = current_dual(kernel_d2_spec, 0)
-    assert w2(((1, 0),)) == pytest.approx(-0.25)  # -2 * 1 * 0.125
-    wsym = current_dual(validate_kernel(ssep(3)), 1)
-    assert wsym.values == {}
+    # the dual current, -2 z_i a(z) on single points, read back through the lift
+    def coefficients(analysis, direction):
+        space = PackedSpace(analysis.dimension, TruncationParams(radius=1, max_degree=2))
+        return space.singleton_coefficients(space.current_vector(analysis, direction))
 
-
-def test_lift_singleton_coefficient():
-    f = DualFunction(0.5, {((2, 0),): 0.6, ((-2, 0),): 0.6})
-    coeffs = lift_dual_to_local(f)
-    pair = canonical([(0, 0), (2, 0)])
-    assert coeffs[pair] == pytest.approx(0.3)  # value / |B| with |B| = 2
-    assert lift_dual_to_local(DualFunction(0.5, {})) == {}
-
-
-def test_lift_roundtrip_three_set_support():
-    c1, c2 = 0.7, -0.3
-    vals = {((1,),): c1, ((-1,),): c1,
-            ((1,), (2,)): c2, ((-1,), (1,)): c2, ((-2,), (-1,)): c2}
-    g = DualFunction(0.4, vals)
-    assert check_translation_identity(g) == 0.0
-    back = transform_local_to_dual(lift_dual_to_local(g), 0.4)
-    for A in g.support():
-        assert back(A) == pytest.approx(g(A), abs=1e-14)
-    for A in back.support():
-        assert g(A) == pytest.approx(back(A), abs=1e-14)
-
-
-def test_lift_requires_identity():
-    broken = DualFunction(0.5, {((1, 0),): 1.0})
-    with pytest.raises(ConfigError):
-        lift_dual_to_local(broken)
-
-
-def test_lifted_local_function_is_admissible():
-    # the materialized local function has zero mean at every density, and so
-    # does its density derivative (no degree-one content in the lift)
-    from torusgas.gibbs import fclass_check
-
-    f = DualFunction(0.5, {((1,),): 1.0, ((-1,),): 1.0})
-    cyl = psi_basis_cylinder(lift_dual_to_local(f))
-    diag = fclass_check(cyl, beta_grid=np.linspace(0.05, 0.95, 21))
-    assert diag["ok"]
+    w3 = coefficients(validate_kernel(tasep(3)), 0)
+    assert w3[(1, 0, 0)] == pytest.approx(-1.0)
+    assert w3[(-1, 0, 0)] == pytest.approx(-1.0)
+    w2 = coefficients(kernel_d2_spec, 0)
+    assert w2[(1, 0)] == pytest.approx(-0.25)  # -2 * 1 * 0.125
+    assert coefficients(validate_kernel(ssep(3)), 1) == {}
 
 
 def test_truncation_membership():
