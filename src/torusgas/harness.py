@@ -21,11 +21,11 @@ from .exactsmall import (MAX_SITES, exact_evolution_small,
                          product_distribution, total_variation)
 from .gibbs import relative_entropy_distributions, relative_entropy_product
 from .kernels import TransitionKernel, validate_kernel
-from .lattice import TorusGeometry, block_density, sample_product_measure
+from .lattice import TorusGeometry, block_density, sample_product_measure, state_codes
 from .pde import DensityField, DiffusionTable, solve_to_time
 from .profiles import Profile, validate_profile
 from .resolvent import TruncationParams, compute_diffusion
-from .simulate import RngStream, evolve
+from .simulate import RngStream, check_replica_ledgers, evolve, evolve_replicas
 
 SCHEMA_VERSION = 1
 
@@ -41,10 +41,16 @@ _PDE_KEYS = {"resolution", "safety"}
 _PROFILE_KEYS = {"kind", "value", "base", "amplitude", "axis", "path"}
 _EXACT_KEYS = {"side", "replicas", "alpha", "times"}
 
-# Replica substream keys: (size_index << 20) | r for comparisons and
-# (1 << 19) + r for the exact diagnostics; they stay distinct only while
-# both replica counts are at most 2**19.
+# Comparison replica substream keys are the one word (size_index << 20) | r,
+# distinct across sizes while r < 2**20; the bound keeps 2**19.  The exact
+# diagnostics key their batch streams by the two words (1, batch), which
+# differ from every one-word key, so their replica count needs no bound.
 MAX_REPLICAS = 1 << 19
+
+# Replicas per lockstep batch of the exact Monte Carlo ensemble.  Fixed, so
+# the batch streams (and the results) do not depend on anything but the
+# config; 4096 keeps the batch arrays small.
+EXACT_BATCH = 4096
 
 
 def _reject_unknown(mapping: dict, allowed: set, where: str):
@@ -90,8 +96,6 @@ class ExperimentConfig:
             raise ConfigError("need at least one replica")
         if self.replicas > MAX_REPLICAS:
             raise ConfigError(f"replicas must be at most {MAX_REPLICAS}")
-        if int(self.exact.get("replicas", 0)) > MAX_REPLICAS:
-            raise ConfigError(f"exact replicas must be at most {MAX_REPLICAS}")
         for n in self.torus_sizes:
             if 2 * self.block_radius + 1 > n:
                 raise ConfigError(f"block radius {self.block_radius} too large for N={n}")
@@ -228,6 +232,12 @@ def _load_or_compute_table(cfg: ExperimentConfig, analysis) -> DiffusionTable:
 
 def replica_stream(cfg: ExperimentConfig, size_index: int, replica: int) -> RngStream:
     return RngStream(cfg.master_seed, (size_index << 20) | replica)
+
+
+def exact_batch_stream(master_seed: int, batch: int) -> np.random.Generator:
+    """Random stream of one exact Monte Carlo batch, keyed (1, batch)."""
+    seq = np.random.SeedSequence(master_seed, spawn_key=(1, batch))
+    return np.random.Generator(np.random.Philox(seq))
 
 
 def replica_trajectory(geom: TorusGeometry, profile: Profile, kernel: TransitionKernel,
@@ -380,10 +390,11 @@ def exact_small_experiment(cfg: ExperimentConfig,
     """Tiny-torus diagnostics against the exact law.
 
     Reports (i) total-variation distance between the Monte Carlo ensemble
-    and the exactly evolved distribution, (ii) the exact relative entropy of
-    the evolving law against the product state of the PDE solution along the
-    run (with a closed-form cross-check at time zero), and (iii) exact
-    stationarity of the flat product measure.
+    and the exactly evolved distribution, with the ensemble's exact totals
+    of drawn events and executed jumps per span, (ii) the exact relative
+    entropy of the evolving law against the product state of the PDE
+    solution along the run (with a closed-form cross-check at time zero),
+    and (iii) exact stationarity of the flat product measure.
     """
     exact_cfg = cfg.exact or {}
     n = int(exact_cfg.get("side", 3))
@@ -439,16 +450,29 @@ def exact_small_experiment(cfg: ExperimentConfig,
             "entropy_vs_flat": float(relative_entropy_distributions(mu, nu_alpha)),
         })
 
-    # Monte Carlo ensemble through the same times, one replica at a time
-    counts = {t: np.zeros(1 << geom.n_sites, dtype=np.int64) for t in times}
-    for r in range(mc_replicas):
-        gen = RngStream(cfg.master_seed, (1 << 19) + r).generator()
-        for t, config in replica_trajectory(geom, profile, cfg.kernel, times, gen):
-            counts[t][config.state_code()] += 1
+    # Monte Carlo ensemble through the same times, in lockstep batches
+    hist = {t: np.zeros(1 << geom.n_sites, dtype=np.int64) for t in times}
+    events = {t: 0 for t in times}
+    jumps = {t: 0 for t in times}
+    for batch, start in enumerate(range(0, mc_replicas, EXACT_BATCH)):
+        size = min(EXACT_BATCH, mc_replicas - start)
+        gen = exact_batch_stream(cfg.master_seed, batch)
+        occ = (gen.random((size, geom.n_sites)) < marginals0).astype(np.uint8)
+        t_prev = 0.0
+        for t in times:
+            before = occ
+            occ, ledger, drawn = evolve_replicas(geom, occ, cfg.kernel,
+                                                 (t - t_prev) * n ** 2, gen)
+            check_replica_ledgers(geom, cfg.kernel.offsets, before, occ, ledger)
+            t_prev = t
+            hist[t] += np.bincount(state_codes(occ), minlength=1 << geom.n_sites)
+            events[t] += int(drawn.sum())
+            jumps[t] += int(ledger.sum())
     mc_rows = []
     for t in times:
-        emp = counts[t] / counts[t].sum()
-        mc_rows.append({"t": t, "tv_mc_vs_exact": total_variation(emp, exact_laws[t])})
+        emp = hist[t] / hist[t].sum()
+        mc_rows.append({"t": t, "tv_mc_vs_exact": total_variation(emp, exact_laws[t]),
+                        "events": events[t], "jumps": jumps[t]})
 
     # time-zero closed form: product-vs-product entropy from per-site marginals
     closed0 = relative_entropy_product(marginals0, marginals0)

@@ -138,6 +138,11 @@ def sample_product_measure(geometry: TorusGeometry, profile, rng) -> Configurati
     return Configuration(geometry, occ)
 
 
+def state_codes(occupancy: np.ndarray) -> np.ndarray:
+    """State codes of [R, n_sites] occupancies, in the bit order of `state_code`."""
+    return occupancy @ (np.int64(1) << np.arange(occupancy.shape[-1], dtype=np.int64))
+
+
 def block_density(config: Configuration, radius: int) -> np.ndarray:
     """Mean occupancy over the cube of the given radius around every site.
 

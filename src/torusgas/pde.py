@@ -159,14 +159,14 @@ class DiffusionTable:
         return bool(self._zero_entry[i, j])
 
     def max_eigenvalue(self, lo: float, hi: float, samples: int = 201) -> float:
+        """Largest |eigenvalue| of the table over `samples` densities in [lo, hi]."""
         rhos = np.linspace(lo, hi, samples)
-        worst = 0.0
-        for r in rhos:
-            m = np.array([[self.entry(i, j, np.array([r]))[0]
-                           for j in range(self.dimension)]
-                          for i in range(self.dimension)])
-            worst = max(worst, float(np.abs(np.linalg.eigvalsh(m)).max()))
-        return worst
+        d = self.dimension
+        mats = np.empty((samples, d, d))
+        for i in range(d):
+            for j in range(d):
+                mats[:, i, j] = self.entry(i, j, rhos)
+        return float(np.abs(np.linalg.eigvalsh(mats)).max())
 
     def save_json(self, path):
         data = {

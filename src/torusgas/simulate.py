@@ -5,6 +5,12 @@ picks a uniformly random particle and a jump offset from the kernel, and the
 jump is executed only if the target is vacant.  Rejected attempts are legal
 self-loops, so exponential waiting times accrue across them, which reproduces
 the generator's law exactly.
+
+Because the total event rate does not depend on the state, the number of
+events in a span T is Poisson(k T) whatever the trajectory (uniformization).
+`evolve_replicas` uses this to advance many independent replicas in
+lockstep: the event counts are drawn up front, and each step applies one
+vectorized event to every replica that still has events left.
 """
 
 from __future__ import annotations
@@ -83,13 +89,7 @@ class CurrentLedger:
 
     def net_site_change(self) -> np.ndarray:
         """Inflow minus outflow per site, as exact integers."""
-        geom = self.geometry
-        neigh = _neighbors(geom, -self.offsets)  # x - z for each offset z
-        change = -self.counts.sum(axis=1)
-        for j in range(self.counts.shape[1]):
-            # jumps from x - z_j along z_j land on x
-            change += self.counts[neigh[:, j], j]
-        return change
+        return net_site_change(self.geometry, self.offsets, self.counts)
 
     def total_displacement(self) -> np.ndarray:
         """Sum of executed jump vectors (unwrapped), one component per axis."""
@@ -100,6 +100,36 @@ class CurrentLedger:
         delta = after.occupancy.astype(np.int64) - before.occupancy.astype(np.int64)
         if not np.array_equal(delta, self.net_site_change()):
             raise InvariantViolation("bond counts do not reproduce occupancy change")
+
+
+def net_site_change(geometry: TorusGeometry, offsets: np.ndarray,
+                    counts: np.ndarray) -> np.ndarray:
+    """Inflow minus outflow per site from bond counts [..., n_sites, J].
+
+    Leading axes (replicas) are carried through; integer counts give an
+    exact integer result.
+    """
+    neigh = _neighbors(geometry, -offsets)  # x - z for each offset z
+    change = -counts.sum(axis=-1)
+    for j in range(counts.shape[-1]):
+        # jumps from x - z_j along z_j land on x
+        change += counts[..., neigh[:, j], j]
+    return change
+
+
+def check_replica_ledgers(geometry: TorusGeometry, offsets: np.ndarray,
+                          before: np.ndarray, after: np.ndarray, counts: np.ndarray):
+    """Continuity and particle count of every replica of a batch, in full.
+
+    `before` and `after` are [R, n_sites] occupancies, `counts` the
+    [R, n_sites, J] bond ledgers of the span between them.
+    """
+    delta = after.astype(np.int64) - before.astype(np.int64)
+    if not np.array_equal(delta, net_site_change(geometry, offsets, counts)):
+        raise InvariantViolation("bond counts do not reproduce occupancy change")
+    if not np.array_equal(after.sum(axis=1, dtype=np.int64),
+                          before.sum(axis=1, dtype=np.int64)):
+        raise InvariantViolation("particle count changed")
 
 
 def evolve(config: Configuration, kernel: TransitionKernel, duration: float,
@@ -159,6 +189,53 @@ def evolve(config: Configuration, kernel: TransitionKernel, duration: float,
     ledger.elapsed = duration
     out.particle_count = k
     return out, ledger
+
+
+def evolve_replicas(geometry: TorusGeometry, occupancy: np.ndarray,
+                    kernel: TransitionKernel, duration: float, rng: np.random.Generator):
+    """Run independent replicas of one torus in lockstep for a microscopic span.
+
+    `occupancy` is [R, n_sites] with 0/1 entries and is not modified.
+    Replica r draws its event count M_r ~ Poisson(k_r * duration) up front;
+    step s = 1, 2, ... applies one event (uniform particle, kernel offset,
+    rejected on an occupied target) to every replica with M_r >= s.  Returns
+    (occupancy, counts [R, n_sites, J], events M [R]).
+    """
+    if duration < 0:
+        raise ConfigError("duration must be nonnegative")
+    occ = np.array(occupancy, dtype=np.uint8)
+    n_rep, n = occ.shape
+    if n != geometry.n_sites:
+        raise ConfigError("occupancy must have one column per site")
+    counts = np.zeros((n_rep, n, len(kernel.offsets)), dtype=np.int64)
+    k = occ.sum(axis=1, dtype=np.int64)
+    if k.max() * duration > _EVENT_BUDGET:
+        raise ConfigError("event budget overflow: duration too large for this system")
+    events = rng.poisson(k * duration)
+
+    # replicas in decreasing event count: the active ones at every step are
+    # a prefix of this order
+    order = np.argsort(-events, kind="stable")
+    # padded particle positions: each replica's occupied sites come first
+    positions = np.argsort(occ == 0, axis=1, kind="stable")[:, :k.max()]
+    neigh = _neighbors(geometry, kernel.offsets)
+    cumw = np.cumsum(kernel.weights)
+    cumw[-1] = 1.0  # guard against round-off at the top
+    # active[s] = number of replicas with at least s events
+    active = np.cumsum(np.bincount(events)[::-1])[::-1]
+    for s in range(1, len(active)):
+        rows = order[:active[s]]
+        p = rng.integers(0, k[rows])
+        j = np.searchsorted(cumw, rng.random(len(rows)), side="right")
+        x = positions[rows, p]
+        tgt = neigh[x, j]
+        free = occ[rows, tgt] == 0
+        rows, p, j, x, tgt = rows[free], p[free], j[free], x[free], tgt[free]
+        occ[rows, x] = 0
+        occ[rows, tgt] = 1
+        positions[rows, p] = tgt
+        counts[rows, x, j] += 1
+    return occ, counts, events
 
 
 def evolve_diffusive(config: Configuration, kernel: TransitionKernel, t: float,

@@ -4,10 +4,13 @@ import pytest
 from torusgas.exactsmall import (empirical_state_distribution,
                                  exact_evolution_small, generator_matrix,
                                  product_distribution, total_variation)
-from torusgas.errors import ConfigError
+from torusgas.errors import ConfigError, InvariantViolation
+from torusgas.harness import EXACT_BATCH, ExperimentConfig, exact_small_experiment
 from torusgas.kernels import TransitionKernel, adjoint_kernel
-from torusgas.lattice import TorusGeometry, sample_product_measure
-from torusgas.simulate import RngStream, evolve
+from torusgas.lattice import (Configuration, TorusGeometry, sample_product_measure,
+                              state_codes)
+from torusgas.simulate import (RngStream, check_replica_ledgers, evolve, evolve_replicas,
+                               net_site_change)
 
 D2_KERNEL = TransitionKernel(2, np.array([[1, 0], [-1, 0], [0, 1], [0, -1]]),
                              np.array([0.5, 0.25, 0.125, 0.125]))
@@ -75,3 +78,105 @@ def test_mc_matches_exact_law_smoke():
         codes[r] = c.state_code()
     emp = empirical_state_distribution(codes, 512)
     assert total_variation(emp, exact) <= 0.05
+
+
+# Sampling noise alone gives a 20k-sample TV of about 0.04 on the 3x3 law
+# below (0.039 mean, 0.047 worst of 200 multinomial draws), so 0.05 leaves
+# room only for the noise.
+@pytest.mark.parametrize("geom, kernel, marg, spans", [
+    (TorusGeometry(2, 3), D2_KERNEL, np.linspace(0.1, 0.3, 9), [1.2, 0.9]),
+    # offset 2 on a side-2 ring lands on the jumping particle's own site
+    (TorusGeometry(1, 2), TransitionKernel(1, np.array([[1], [2]]), np.array([0.3, 0.7])),
+     np.array([0.2, 0.6]), [0.8, 1.5]),
+])
+def test_lockstep_replicas_match_exact_law(geom, kernel, marg, spans):
+    replicas = 20000
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(31)))
+    occ = (rng.random((replicas, geom.n_sites)) < marg).astype(np.uint8)
+    law = product_distribution(geom, marg)
+    for span in spans:
+        before = occ
+        occ, counts, events = evolve_replicas(geom, before, kernel, span, rng)
+        check_replica_ledgers(geom, kernel.offsets, before, occ, counts)
+        assert counts.sum() <= events.sum()
+        law = exact_evolution_small(geom, kernel, law, span)
+        emp = empirical_state_distribution(state_codes(occ), 1 << geom.n_sites)
+        assert total_variation(emp, law) <= 0.05
+
+
+def test_replica_ledger_check_catches_a_corrupted_count():
+    geom = TorusGeometry(2, 3)
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(5)))
+    before = (rng.random((200, 9)) < 0.4).astype(np.uint8)
+    after, counts, _ = evolve_replicas(geom, before, D2_KERNEL, 2.0, rng)
+    check_replica_ledgers(geom, D2_KERNEL.offsets, before, after, counts)
+    assert not np.array_equal(after, before)
+    # the vectorized inflow-minus-outflow against the literal per-site sum
+    change = net_site_change(geom, D2_KERNEL.offsets, counts)
+    for r in (0, 77, 199):
+        for x in range(9):
+            coords = geom.site_coords(x)
+            inflow = sum(counts[r, geom.site_index(coords - z), j]
+                         for j, z in enumerate(D2_KERNEL.offsets))
+            assert change[r, x] == inflow - counts[r, x].sum()
+    bad = counts.copy()
+    bad[137, 4, 2] += 1
+    with pytest.raises(InvariantViolation):
+        check_replica_ledgers(geom, D2_KERNEL.offsets, before, after, bad)
+
+
+def test_batched_state_codes_match_configuration():
+    geom = TorusGeometry(2, 3)
+    occ = (np.random.default_rng(3).random((500, 9)) < 0.5).astype(np.uint8)
+    codes = state_codes(occ)
+    assert codes.dtype == np.int64
+    assert [int(c) for c in codes] == [Configuration(geom, row).state_code()
+                                       for row in occ]
+
+
+def _exact_config(replicas):
+    return ExperimentConfig.from_dict({
+        "schema_version": 1,
+        "kernel": {"dimension": 2, "entries": [
+            {"offset": [1, 0], "prob": 0.5}, {"offset": [-1, 0], "prob": 0.25},
+            {"offset": [0, 1], "prob": 0.125}, {"offset": [0, -1], "prob": 0.125}]},
+        "torus_sizes": [3], "times": [0.1, 0.3], "block_radius": 1, "replicas": 1,
+        "profile": {"kind": "cosine", "base": 0.15, "amplitude": 0.03, "axis": 1},
+        "master_seed": 99, "delta0": 0.05, "pde": {"resolution": 18},
+        "exact": {"side": 3, "replicas": replicas, "alpha": 0.15},
+    })
+
+
+def test_exact_ensemble_is_deterministic_and_counts_every_replica(monkeypatch):
+    import torusgas.harness as harness
+
+    replicas = 5000  # not a multiple of the batch size
+    assert replicas % EXACT_BATCH
+    cfg = _exact_config(replicas)
+    seen = []
+
+    def recording(occupancy):
+        codes = state_codes(occupancy)
+        seen.append(codes)
+        return codes
+
+    monkeypatch.setattr(harness, "state_codes", recording)
+    first = exact_small_experiment(cfg)
+    monkeypatch.undo()
+    assert exact_small_experiment(cfg) == first
+    assert first["replicas"] == replicas
+
+    # every batch records one code array per observation time, in time order;
+    # the reported distances are those of exactly `replicas` final states
+    geom = TorusGeometry(2, 3)
+    law = product_distribution(geom, cfg.build_profile().values_at(geom.all_coords() / 3))
+    t_prev = 0.0
+    for i, row in enumerate(first["mc"]):
+        codes = np.concatenate(seen[i::len(first["mc"])])
+        assert len(codes) == replicas
+        law = exact_evolution_small(geom, cfg.kernel, law, (row["t"] - t_prev) * 9)
+        t_prev = row["t"]
+        emp = empirical_state_distribution(codes, 512)
+        assert total_variation(emp, law) == pytest.approx(row["tv_mc_vs_exact"], abs=1e-12)
+        assert isinstance(row["events"], int) and isinstance(row["jumps"], int)
+        assert 0 < row["jumps"] <= row["events"]

@@ -246,8 +246,10 @@ def test_table_missing_key_is_config_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("key", ["replicas", "exact"])
 def test_replica_count_beyond_stream_keys_is_config_error(tmp_path, key):
-    # comparison keys (size_index << 20) | r and exact keys (1 << 19) + r
-    # stay distinct only up to 2**19 replicas
+    # comparison keys (size_index << 20) | r stay clear of the next size's
+    # keys only up to 2**19 replicas; the exact ensemble keys its batch
+    # streams (1, batch), so its replica count has no such bound (the
+    # config is parsed, not run)
     assert MAX_REPLICAS == 2 ** 19
 
     def with_count(count):
@@ -255,6 +257,10 @@ def test_replica_count_beyond_stream_keys_is_config_error(tmp_path, key):
         return base_config(output_dir=str(tmp_path / "o"), **{key: value})
 
     ExperimentConfig.from_dict(with_count(MAX_REPLICAS))
+    if key == "exact":
+        cfg = ExperimentConfig.from_dict(with_count(MAX_REPLICAS + 1))
+        assert cfg.exact["replicas"] == MAX_REPLICAS + 1
+        return
     with pytest.raises(ConfigError, match="at most 524288"):
         ExperimentConfig.from_dict(with_count(MAX_REPLICAS + 1))
     cfg_path = tmp_path / "cfg.json"

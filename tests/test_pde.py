@@ -142,3 +142,19 @@ def test_field_io_roundtrip(tmp_path):
     f.save_npy(p_npy)
     h = DensityField.load_npy(p_npy)
     assert np.array_equal(h.values, f.values)
+
+
+def test_max_eigenvalue_matches_per_sample_reference():
+    def coeff(a):
+        return np.array([[0.2 + a, 0.05 * a, -0.03],
+                         [0.05 * a, 0.1 + a * (1 - a), 0.02 * a],
+                         [-0.03, 0.02 * a, 0.15 - 0.1 * a]])
+
+    tab = DiffusionTable.from_callable(coeff, 3, nodes=11)
+    lo, hi, samples = 0.12, 0.83, 201
+    ref = 0.0
+    for r in np.linspace(lo, hi, samples):
+        m = np.array([[tab.entry(i, j, np.array([r]))[0] for j in range(3)]
+                      for i in range(3)])
+        ref = max(ref, float(np.abs(np.linalg.eigvalsh(m)).max()))
+    assert tab.max_eigenvalue(lo, hi, samples) == pytest.approx(ref, rel=1e-14)

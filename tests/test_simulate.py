@@ -4,7 +4,7 @@ import pytest
 from torusgas.kernels import TransitionKernel, ssep, tasep
 from torusgas.lattice import Configuration, TorusGeometry, sample_product_measure
 from torusgas.simulate import (RngStream, current_observables, evolve,
-                               evolve_diffusive)
+                               evolve_diffusive, evolve_replicas)
 
 
 def test_zero_duration_identity():
@@ -135,3 +135,25 @@ def test_event_budget_guard():
     from torusgas.errors import ConfigError
     with pytest.raises(ConfigError):
         evolve(c, ssep(2), 1e39, RngStream(0).generator())
+    with pytest.raises(ConfigError):
+        evolve_replicas(geom, np.stack([c.occupancy] * 3), ssep(2), 1e39,
+                        RngStream(0).generator())
+
+
+def test_lockstep_replicas_conserve_and_keep_their_input():
+    geom = TorusGeometry(2, 4)
+    rng = RngStream(3).generator()
+    occ0 = (rng.random((300, geom.n_sites)) < 0.4).astype(np.uint8)
+    occ0[0] = 0  # an empty replica draws no events
+    occ0[1] = 1  # a full one draws events but every jump is rejected
+    keep = occ0.copy()
+    occ, counts, events = evolve_replicas(geom, occ0, ssep(2), 1.5, rng)
+    assert np.array_equal(occ0, keep)
+    assert np.array_equal(occ.sum(axis=1), occ0.sum(axis=1))
+    assert events[0] == 0 and events[1] > 0 and counts[:2].sum() == 0
+    assert counts.shape == (300, geom.n_sites, 4)
+    # the same stream state reproduces the whole batch
+    rng = RngStream(3).generator()
+    rng.random((300, geom.n_sites))
+    again = evolve_replicas(geom, occ0, ssep(2), 1.5, rng)
+    assert all(np.array_equal(a, b) for a, b in zip(again, (occ, counts, events)))
