@@ -51,6 +51,7 @@ MAX_REPLICAS = 1 << 19
 # the batch streams (and the results) do not depend on anything but the
 # config; 4096 keeps the batch arrays small.
 EXACT_BATCH = 4096
+EXACT_REPLICAS = 100000  # default `exact.replicas`
 
 
 def _reject_unknown(mapping: dict, allowed: set, where: str):
@@ -96,6 +97,8 @@ class ExperimentConfig:
             raise ConfigError("need at least one replica")
         if self.replicas > MAX_REPLICAS:
             raise ConfigError(f"replicas must be at most {MAX_REPLICAS}")
+        if int(self.exact.get("replicas", EXACT_REPLICAS)) < 1:
+            raise ConfigError("need at least one exact Monte Carlo replica")
         for n in self.torus_sizes:
             if 2 * self.block_radius + 1 > n:
                 raise ConfigError(f"block radius {self.block_radius} too large for N={n}")
@@ -398,7 +401,7 @@ def exact_small_experiment(cfg: ExperimentConfig,
     """
     exact_cfg = cfg.exact or {}
     n = int(exact_cfg.get("side", 3))
-    mc_replicas = int(exact_cfg.get("replicas", 100000))
+    mc_replicas = int(exact_cfg.get("replicas", EXACT_REPLICAS))
     alpha = float(exact_cfg.get("alpha", 0.3))
     times = [float(t) for t in exact_cfg.get("times", cfg.times)]
     geom = TorusGeometry(cfg.dimension, n)

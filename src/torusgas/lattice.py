@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, InvariantViolation
+from .errors import ConfigError
 
 
 @dataclass(frozen=True)
@@ -73,10 +73,6 @@ class Configuration:
         self.occupancy = occ
         if self.particle_count < 0:
             self.particle_count = int(occ.sum())
-
-    def check_count(self):
-        if self.particle_count != int(self.occupancy.sum()):
-            raise InvariantViolation("cached particle count is stale")
 
     def copy(self) -> "Configuration":
         return Configuration(self.geometry, self.occupancy.copy(), self.particle_count)

@@ -1,12 +1,20 @@
 """Array-backed engine for the graded operators on the translation classes.
 
-The truncated space is enumerated once as sets (degree-grouped,
-lexicographically sorted integer encodings) and every set is mapped to its
-translation class: a degree-n set A shares its class with the n sets
+A degree-n set A shares its translation class with the n sets
 (A u {0}) - z minus the origin, z in A.  The truncation is closed under
 this identity, so every class has exactly n + 1 members, and each part of
 the operator (even, odd, raise/lower) maps class-constant functions to
-class-constant functions.  The engine therefore keeps one unknown per class.
+class-constant functions.  The engine therefore keeps one unknown per class
+and never enumerates the sets themselves.
+
+Every class has exactly one canonical member whose points are all
+lexicographically positive: the shift of A u {0} by its lexicographically
+smallest point.  The point pool is in lexicographic order with the origin
+removed, so the canonical members are the compatible sets drawn from the
+upper half of the pool, and the space enumerates exactly those
+(degree-grouped, lexicographically sorted integer encodings).  A set whose
+smallest point is negative is looked up through one member shift, by that
+point.
 
 Class vectors are coordinates in the orthonormal class basis: the value of
 class K is f(A) * sqrt(n + 1) for any member A, so the lift x -> f is an
@@ -14,15 +22,16 @@ isometry into the plain (counting) norm of set vectors.  Euclidean norms of
 class vectors are the full-space norms, the symmetric part stays a symmetric
 matrix, and the degree-weighted pairing keeps its 1/(n + 1) weights.
 
-Only the representative row of each class is assembled; its columns are
-summed into classes (scaled by sqrt((n_row + 1) / (n_col + 1)) for the
-degree-changing arrows).  The degree-preserving arrows form a CSR pattern
-with separate even/odd weight data, the degree-changing ones a small
-separate sparse matrix.  The operator at any density is two sparse matvecs
-plus a diagonal, with the density entering only through scalar
-coefficients, so one assembly serves a whole density grid.  The
-on-diagonal occupation coefficients keep their full lattice sums, so
-symmetry/antisymmetry survive the truncation exactly.
+Only the canonical row of each class is assembled; its columns are summed
+into classes (scaled by sqrt((n_row + 1) / (n_col + 1)) for the
+degree-changing arrows).  The clipped mass still sums over every set: the
+other n members of each class are generated from the canonical one.  The
+degree-preserving arrows form a CSR pattern with separate even/odd weight
+data, the degree-changing ones a small separate sparse matrix.  The
+operator at any density is two sparse matvecs plus a diagonal, with the
+density entering only through scalar coefficients, so one assembly serves a
+whole density grid.  The on-diagonal occupation coefficients keep their
+full lattice sums, so symmetry/antisymmetry survive the truncation exactly.
 """
 
 from __future__ import annotations
@@ -62,13 +71,14 @@ def _combinations_span(compat: np.ndarray, base: np.ndarray) -> np.ndarray:
 
 
 class PackedSpace:
-    """Enumerated truncated set space, grouped into translation classes.
+    """The translation classes of the truncated set space.
 
-    Set level: `sets[n]` (pool-index rows), `enc[n]`, `offsets[n]`,
-    `n_sets`, `set_class`.  Class level (the unknowns): `size`, `rep` (the
-    global set index of each class's representative, its smallest member),
-    `degree` and `weight`; classes are ordered by representative, hence
-    grouped by degree.
+    `sets[n]` holds the canonical members of the degree-n classes as sorted
+    pool-index rows, `enc[n]` their strictly increasing encodings and
+    `offsets[n]` the index of the first degree-n class.  Classes are ordered
+    by degree, then by canonical member; `size` counts them, `degree` and
+    `weight` (1 / (n + 1)) are per class, and `n_sets` counts the sets they
+    stand for.
     """
 
     def __init__(self, dimension: int, trunc: TruncationParams):
@@ -83,6 +93,9 @@ class PackedSpace:
         p = len(self.pool)
         if p >= (1 << _BITS) - 1:
             raise ConfigError("truncation radius too large for the set encoding")
+        # pool[:P/2] is lexicographically negative, pool[P/2:] positive, and
+        # -pool[i] = pool[P - 1 - i]
+        self._half = p // 2
         # dense coordinate -> pool index map over the radius cube, -1 at origin
         self._side = side
         cube = np.full(side ** dimension, -1, dtype=np.int64)
@@ -97,7 +110,8 @@ class PackedSpace:
         self.compat = compat = self.diff >= 0
         self.neg = self.lookup_points(-self.pool)  # pool index of -pool[i]
 
-        self.sets = {1: np.arange(p, dtype=np.int64)[:, None]}
+        # canonical members: compatible sets of positive points only
+        self.sets = {1: np.arange(self._half, p, dtype=np.int64)[:, None]}
         level = self.sets[1]
         for n in range(2, trunc.max_degree + 1):
             level = _combinations_span(compat, level)
@@ -112,31 +126,12 @@ class PackedSpace:
             self.enc[n] = e
             self.offsets[n] = total
             total += len(e)
-        self.n_sets = total
-        self.set_degree = np.concatenate(
+        self.size = total
+        self.degree = np.concatenate(
             [np.full(len(self.sets[n]), n, dtype=np.int64)
              for n in range(1, trunc.max_degree + 1)])
-
-        # class of every set: its smallest member under the member shifts
-        smallest = np.arange(total, dtype=np.int64)
-        for n in range(1, trunc.max_degree + 1):
-            sets_n = self.sets[n]
-            span = slice(self.offsets[n], self.offsets[n] + len(sets_n))
-            for m in range(n):
-                other = self.find(self._member_shift(sets_n, m), n)
-                if np.any(other < 0):
-                    raise InvariantViolation(
-                        "truncation not closed under the translation identity")
-                np.minimum(smallest[span], other, out=smallest[span])
-        self.rep = np.unique(smallest)
-        self.set_class = np.searchsorted(self.rep, smallest)
-        self.size = len(self.rep)
-        self.degree = self.set_degree[self.rep]
         self.weight = 1.0 / (self.degree + 1.0)
-        if not np.array_equal(np.bincount(self.set_class, minlength=self.size),
-                              self.degree + 1):
-            raise InvariantViolation("a translation class does not have n + 1 members")
-        self._lift_scale = 1.0 / np.sqrt(self.set_degree + 1.0)
+        self.n_sets = int(np.sum(self.degree + 1))
 
     def _linear(self, coords: np.ndarray) -> np.ndarray:
         r = self.trunc.radius
@@ -161,15 +156,26 @@ class PackedSpace:
             code = (code << _BITS) | rows[:, j]
         return code
 
-    def find(self, rows: np.ndarray, degree: int) -> np.ndarray:
-        """Global set indices of sorted index rows; -1 when absent or invalid."""
+    def find(self, rows: np.ndarray) -> np.ndarray:
+        """Class indices of sorted index rows; -1 when absent or invalid.
+
+        A row whose smallest point is negative is first moved to its
+        canonical member, the shift by that point.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
         valid = (rows >= 0).all(axis=1)
+        moved = valid & (rows[:, 0] < self._half)
+        if moved.any():
+            rows = rows.copy()
+            rows[moved] = self._member_shift(rows[moved], 0)
+            valid &= (rows >= 0).all(axis=1)
+        n = rows.shape[1]
         code = self.encode(np.where(valid[:, None], rows, 0))
-        table = self.enc[degree]
+        table = self.enc[n]
         pos = np.searchsorted(table, code)
         pos_c = np.minimum(pos, len(table) - 1)
         hit = valid & (table[pos_c] == code) if len(table) else np.zeros(len(rows), bool)
-        return np.where(hit, self.offsets[degree] + pos_c, -1)
+        return np.where(hit, self.offsets[n] + pos_c, -1)
 
     def _member_shift(self, rows: np.ndarray, m: int) -> np.ndarray:
         """Sorted index rows of (A u {0}) - a_m minus the origin, a_m in slot m.
@@ -188,19 +194,8 @@ class PackedSpace:
             raise ConfigError("offset outside the truncation cube")
         return self.diff[self.neg[iv]]
 
-    # conversions ---------------------------------------------------------
-
-    def lift(self, x: np.ndarray) -> np.ndarray:
-        """Set vector of a class vector: x_K / sqrt(n + 1) on every member."""
-        return x[self.set_class] * self._lift_scale
-
-    def restrict(self, v: np.ndarray) -> np.ndarray:
-        """Class coordinates of the projection of a set vector (adjoint of lift)."""
-        return np.bincount(self.set_class, weights=v * self._lift_scale,
-                           minlength=self.size)
-
-    def set_index(self, A) -> int:
-        """Global set index of a subset; -1 outside the truncated space."""
+    def index_of_subset(self, A) -> int:
+        """Class index of a subset; -1 outside the truncated space."""
         A = canonical(A)
         n = len(A)
         if n == 0 or n > self.trunc.max_degree:
@@ -208,12 +203,7 @@ class PackedSpace:
         idx = self.lookup_points(np.array(A, dtype=np.int64))
         if np.any(idx < 0):
             return -1
-        return int(self.find(np.sort(idx)[None, :], n)[0])
-
-    def index_of_subset(self, A) -> int:
-        """Class index of a subset; -1 outside the truncated space."""
-        g = self.set_index(A)
-        return int(self.set_class[g]) if g >= 0 else -1
+        return int(self.find(np.sort(idx)[None, :])[0])
 
     def dot(self, x: np.ndarray, y: np.ndarray) -> float:
         """Degree-weighted inner product; equals that of the lifted vectors."""
@@ -221,21 +211,23 @@ class PackedSpace:
 
     def singleton_coefficients(self, x: np.ndarray) -> dict:
         """Map single-point sets {z} and {-z} to their lifted values."""
-        g0, g1 = self.offsets[1], self.offsets[1] + len(self.sets[1])
-        block = x[self.set_class[g0:g1]] * self._lift_scale[g0:g1]
-        return {tuple(int(c) for c in self.pool[j]): float(block[j])
-                for j in np.nonzero(block)[0]}
+        start = self.offsets[1]
+        positive = x[start:start + len(self.sets[1])] * (1.0 / np.sqrt(2.0))
+        values = np.concatenate([positive[::-1], positive])  # in pool order
+        return {tuple(int(c) for c in self.pool[j]): float(values[j])
+                for j in np.nonzero(values)[0]}
 
     def current_vector(self, analysis: KernelAnalysis, direction: int) -> np.ndarray:
-        v = np.zeros(self.n_sets)
+        """Class coordinates of the dual current -2 z_i a(z) on the sets {z}."""
+        x = np.zeros(self.size)
         for z, a in zip(analysis.sym_offsets, analysis.asym_weights):
             if a == 0.0:
                 continue
-            idx = self.lookup_points(z[None, :])
-            if idx[0] < 0:
+            k = self.index_of_subset((z,))
+            if k < 0:
                 raise ConfigError("kernel range exceeds truncation radius")
-            v[self.offsets[1] + idx[0]] = -2.0 * float(z[direction]) * float(a)
-        return self.restrict(v)
+            x[k] += -2.0 * float(z[direction]) * float(a) * (1.0 / np.sqrt(2.0))
+        return x
 
 
 @dataclass
@@ -286,7 +278,7 @@ class PackedOperator:
     def clipped_outflow(self, x: np.ndarray) -> float:
         """Per-arrow squared mass the operator sends outside the space.
 
-        Sum over every set of the space (not only representatives) of the
+        Sum over every set of the space (every member of every class) of the
         squared single-arrow contributions at clipped targets, in the
         degree-weighted norm: an upper-bound proxy for the squared norm of
         the dropped image.
@@ -323,8 +315,8 @@ def _rigid(sets_n: np.ndarray, back: np.ndarray):
     return exists, inside, shifted
 
 
-def _find_all(space: PackedSpace, rows: np.ndarray, degree: int) -> np.ndarray:
-    tgt = space.find(rows, degree)
+def _find_all(space: PackedSpace, rows: np.ndarray) -> np.ndarray:
+    tgt = space.find(rows)
     if np.any(tgt < 0):
         raise InvariantViolation("target inside the truncation missing from the space")
     return tgt
@@ -337,7 +329,6 @@ def assemble(space: PackedSpace, analysis: KernelAnalysis) -> PackedOperator:
     pool = space.pool
     p = len(pool)
     size = space.size
-    cls = space.set_class
 
     offsets = analysis.sym_offsets.astype(np.int64)
     svals = analysis.sym_weights
@@ -362,22 +353,23 @@ def assemble(space: PackedSpace, analysis: KernelAnalysis) -> PackedOperator:
 
     def degree_change(krow, tgt, vals, scale):
         ud_rows.append(krow)
-        ud_cols.append(cls[tgt])
+        ud_cols.append(tgt)
         ud_vals.append(vals * scale)
 
     for n in range(1, trunc.max_degree + 1):
-        sets_all = space.sets[n]
-        if len(sets_all) == 0:
-            continue
-        g_all = space.offsets[n] + np.arange(len(sets_all), dtype=np.int64)
-        cls_all = cls[g_all]
-        is_rep = space.rep[cls_all] == g_all
-        sets_n = sets_all[is_rep]
-        krow = cls_all[is_rep]
+        sets_n = space.sets[n]  # canonical members
         nn = len(sets_n)
-        # degree-preserving arrows: every set for the clipped mass (membership
-        # needs only the cube and the compatibility table), representatives
-        # for the matrix rows; one column per (offset, member or rigid shift)
+        if nn == 0:
+            continue
+        krow = space.offsets[n] + np.arange(nn, dtype=np.int64)
+        # the n other members of every class, for the clipped mass summed
+        # over every set (membership needs only the cube and `compat`)
+        others = [space._member_shift(sets_n, m) for m in range(n)]
+        if any(np.any(rows < 0) for rows in others):
+            raise InvariantViolation(
+                "truncation not closed under the translation identity")
+        # degree-preserving arrows, one column per (offset, member or rigid
+        # shift); matrix rows from the canonical members
         cols2d = np.full((nn, len(offsets) * (n + 1)), -1, dtype=np.int32)
         col_offset = np.repeat(np.arange(len(offsets), dtype=np.int32), n + 1)
         f = 0
@@ -385,11 +377,12 @@ def assemble(space: PackedSpace, analysis: KernelAnalysis) -> PackedOperator:
             wsq = (sv * sv + av * av) / (n + 1.0)
             move, back = space.translate(v), space.translate(-v)
             for m in [*range(n), None]:  # member m moved by v, or the rigid shift
-                exists, inside, hit = (_rigid(sets_all, back) if m is None
-                                       else _exchange(space, sets_all, m, move))
-                clip_weight += wsq * np.bincount(cls_all[exists & ~inside],
-                                                 minlength=size)
-                exists, inside, hit = exists[is_rep], inside[is_rep], hit[is_rep]
+                clipped = np.zeros(nn, dtype=np.int64)
+                for rows in [*others, sets_n]:  # the canonical member last
+                    exists, inside, hit = (_rigid(rows, back) if m is None
+                                           else _exchange(space, rows, m, move))
+                    clipped += exists & ~inside
+                clip_weight[krow] += wsq * clipped
                 diag_even[krow[exists]] -= sv
                 diag_odd[krow[exists]] -= av
                 if m is None:
@@ -398,8 +391,9 @@ def assemble(space: PackedSpace, analysis: KernelAnalysis) -> PackedOperator:
                     rows_new = sets_n[inside].copy()
                     rows_new[:, m] = hit[inside]
                     rows_new.sort(axis=1)
-                cols2d[inside, f] = cls[_find_all(space, rows_new, n)]
+                cols2d[inside, f] = _find_all(space, rows_new)
                 f += 1
+        del others
         mask = cols2d >= 0
         indptr_counts.append(mask.sum(axis=1))
         indices_parts.append(cols2d[mask])
@@ -411,7 +405,7 @@ def assemble(space: PackedSpace, analysis: KernelAnalysis) -> PackedOperator:
             scale = np.sqrt((n + 1.0) / n)
             keep_slots = [[j for j in range(n) if j != m] for m in range(n)]
             for m in range(n):
-                tgt = _find_all(space, sets_n[:, keep_slots[m]], n - 1)
+                tgt = _find_all(space, sets_n[:, keep_slots[m]])
                 coeff = np.zeros(nn)
                 for j in keep_slots[m]:
                     coeff += a_pp[sets_n[:, m], sets_n[:, j]]
@@ -424,7 +418,7 @@ def assemble(space: PackedSpace, analysis: KernelAnalysis) -> PackedOperator:
                     ridx = space.diff[sets_n[sel, m][:, None], sets_n[sel][:, keep_slots[m]]]
                     if np.any(ridx < 0):
                         raise InvariantViolation("rebased subset left the cube")
-                    degree_change(krow[sel], _find_all(space, ridx, n - 1),
+                    degree_change(krow[sel], _find_all(space, ridx),
                                   -2.0 * am[sel], scale)
 
         # degree-lowering arrows (rows below the cap read one extra point)
@@ -439,13 +433,13 @@ def assemble(space: PackedSpace, analysis: KernelAnalysis) -> PackedOperator:
                     for slot in range(n):
                         exists &= y != sets_n[:, slot]
                     grown = np.sort(np.concatenate([sets_n, y[:, None]], axis=1), axis=1)
-                    tgt = space.find(grown, n + 1)
+                    tgt = space.find(grown)
                     found = exists & (tgt >= 0)
                     if found.any():
                         degree_change(krow[found], tgt[found],
                                       np.full(found.sum(), -2.0 * avals[j]), scale)
 
-    # rows are the classes in order: representatives ascend within a degree
+    # rows are the classes in order
     indptr = np.concatenate([[0]] + indptr_counts).cumsum()
     offset_of = np.concatenate(offset_parts)
     keep = sp.csr_matrix((svals[offset_of], np.concatenate(indices_parts), indptr),

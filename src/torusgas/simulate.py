@@ -57,9 +57,6 @@ class RngStream:
         seq = np.random.SeedSequence(self.master_seed, spawn_key=(self.replica,))
         return np.random.Generator(np.random.Philox(seq))
 
-    def child(self, replica: int) -> "RngStream":
-        return RngStream(self.master_seed, replica)
-
 
 @dataclass
 class CurrentLedger:
@@ -79,13 +76,6 @@ class CurrentLedger:
     def zero(cls, geometry: TorusGeometry, kernel: TransitionKernel) -> "CurrentLedger":
         counts = np.zeros((geometry.n_sites, len(kernel.offsets)), dtype=np.int64)
         return cls(geometry, kernel.offsets.copy(), counts)
-
-    def merge(self, other: "CurrentLedger") -> "CurrentLedger":
-        if self.counts.shape != other.counts.shape:
-            raise ConfigError("ledgers are not compatible")
-        return CurrentLedger(self.geometry, self.offsets,
-                             self.counts + other.counts,
-                             self.elapsed + other.elapsed)
 
     def net_site_change(self) -> np.ndarray:
         """Inflow minus outflow per site, as exact integers."""

@@ -61,8 +61,7 @@ class TruncationParams:
     confined to the radius-`radius` cube that is closed under the
     translation identity: each degree-n set lies in a class of n + 1 kept
     sets (A and its member shifts).  The packed engine solves on one
-    unknown per class and lifts back to sets, so solutions satisfy the
-    identity by construction.
+    unknown per class, so solutions satisfy the identity by construction.
     """
 
     radius: int

@@ -7,8 +7,8 @@ raw outside-pair double sum of the degree-lowering part), and solves use a
 direct sparse factorization.  The translation classes are built here from
 `shift_set`, and the class checks below are full (every set, every class
 indicator), not sampled.  Nothing here is shared with the package's packed
-engine beyond the space definition itself; `packed_order` only aligns the
-two set orderings.
+engine beyond the space definition itself; `lift` reads the engine's class
+vectors as set vectors, through `index_of_subset`.
 """
 
 import itertools
@@ -212,9 +212,23 @@ class DenseOracle:
         diff = image - sp.csr_matrix(self.class_average(image))
         return float(abs(diff).max()) if diff.nnz else 0.0
 
-    def packed_order(self, space):
-        """Packed set index of every basis set; checks it is a bijection."""
-        perm = np.array([space.set_index(A) for A in self.basis])
-        assert np.all(perm >= 0) and len(set(perm.tolist())) == self.size
-        assert space.n_sets == self.size
-        return perm
+    def engine_classes(self, space):
+        """Engine class index of every basis set; checks that the engine's
+        classes are the oracle's, each with its n + 1 members."""
+        cls = np.array([space.index_of_subset(A) for A in self.basis])
+        assert np.all(cls >= 0) and space.n_sets == self.size
+        degree = np.array([len(A) for A in self.basis])
+        assert np.array_equal(np.bincount(cls, minlength=space.size),
+                              space.degree + 1)
+        assert np.array_equal(space.degree[cls], degree)
+        # the same partition as the oracle's classes
+        pairs = set(zip(self.set_class.tolist(), cls.tolist()))
+        assert len(pairs) == space.size == self.classes.shape[1]
+        return cls
+
+    def lift(self, space):
+        """The lift of the engine's class vectors to set vectors in basis
+        order: x_K / sqrt(n + 1) on every member of class K."""
+        cls = self.engine_classes(space)
+        root = np.sqrt(np.array([len(A) for A in self.basis]) + 1.0)
+        return lambda x: np.asarray(x)[cls] / root

@@ -268,6 +268,20 @@ def test_replica_count_beyond_stream_keys_is_config_error(tmp_path, key):
     assert cli_main(["kernel", "--config", str(cfg_path)]) == 2
 
 
+@pytest.mark.parametrize("count", [0, -3])
+def test_exact_replica_count_below_one_is_config_error(tmp_path, count):
+    # an empty exact ensemble has no histogram to compare; it is rejected at
+    # parse time instead of reporting a NaN distance
+    data = base_config(output_dir=str(tmp_path / "o"),
+                       exact={"side": 3, "replicas": count})
+    with pytest.raises(ConfigError, match="at least one exact"):
+        ExperimentConfig.from_dict(data)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(data))
+    assert cli_main(["exact", "--config", str(cfg_path)]) == 2
+    assert not (tmp_path / "o").exists()
+
+
 def test_simulate_writes_the_replica_job_fields(tmp_path):
     # `torusgas simulate` and the comparison ensemble run the same replica
     # loop on the same substreams

@@ -87,7 +87,7 @@ def test_operator_at_empty_set_is_zero(kernel_d2_asym):
     an = kernel_d2_asym
     eng = assemble(PackedSpace(2, TruncationParams(radius=2, max_degree=2)), an)
     space = eng.space
-    assert space.set_index(()) == -1
+    assert space.index_of_subset(()) == -1
     x = np.random.default_rng(12).standard_normal(space.size)
     for vec in (x, eng.apply_full(x, 0.3)):
         coeffs = space.singleton_coefficients(vec)
@@ -121,6 +121,29 @@ def test_classes_have_degree_plus_one_members(dim):
 
 
 @pytest.mark.parametrize("dim,trunc", [(2, (2, 3)), (3, (2, 2))])
+def test_canonical_member_is_the_positive_set(dim, trunc, kernel_d2_asym, kernel_d3_asym):
+    # every oracle class holds exactly one set whose points are all
+    # lexicographically positive, and those are exactly the sets the engine
+    # enumerates; `index_of_subset` sends all n + 1 members of a class to
+    # one engine class, and the engine counts every set of the space
+    analysis = kernel_d2_asym if dim == 2 else kernel_d3_asym
+    tr = TruncationParams(radius=trunc[0], max_degree=trunc[1])
+    oracle = DenseOracle(analysis, tr)
+    space = PackedSpace(dim, tr)
+    origin = (0,) * dim
+    positive = np.array([all(p > origin for p in A) for A in oracle.basis])
+    assert np.array_equal(np.bincount(oracle.set_class, weights=positive),
+                          np.ones(oracle.classes.shape[1]))
+    enumerated = [tuple(tuple(int(c) for c in space.pool[i]) for i in row)
+                  for n in sorted(space.sets) for row in space.sets[n]]
+    assert len(enumerated) == space.size
+    assert set(enumerated) == {A for A, pos in zip(oracle.basis, positive) if pos}
+    assert [space.index_of_subset(A) for A in enumerated] == list(range(space.size))
+    oracle.engine_classes(space)  # one engine class per oracle class
+    assert space.n_sets == oracle.size
+
+
+@pytest.mark.parametrize("dim,trunc", [(2, (2, 3)), (3, (2, 2))])
 def test_oracle_parts_preserve_classes(dim, trunc, kernel_d2_asym, kernel_d3_asym):
     # full check over every class indicator: the even part, the odd part and
     # the raise/lower part each map class-constant vectors to class-constant
@@ -145,7 +168,7 @@ def test_clipped_outflow_sums_over_every_set(kernel_d2_asym):
     space = eng.space
     oracle = DenseOracle(kernel_d2_asym, tr)
     x = np.random.default_rng(4).standard_normal(space.size)
-    values = space.lift(x)[oracle.packed_order(space)]
+    values = oracle.lift(space)(x)
     an = kernel_d2_asym
     want = 0.0
     for A, fA in zip(oracle.basis, values):

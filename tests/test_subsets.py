@@ -20,16 +20,29 @@ def test_shift_set_cases():
 
 
 def test_space_excludes_origin_and_repeats():
-    space = PackedSpace(2, TruncationParams(radius=2, max_degree=2))
-    assert space.set_index(((1, 0),)) >= 0
-    assert space.set_index(((0, 0),)) == -1
-    assert space.set_index(((0, 0), (1, 0))) == -1
-    assert space.set_index(((1, 0), (1, 0))) == -1
+    # no class for the empty set, a set with the origin or a repeated point,
+    # or a set beyond the radius (d = 2 (2, 3) and d = 3 (2, 2))
+    for dim, (radius, degree) in [(2, (2, 3)), (3, (2, 2))]:
+        space = PackedSpace(dim, TruncationParams(radius=radius, max_degree=degree))
+        e1, origin = (1,) + (0,) * (dim - 1), (0,) * dim
+        far, minus2 = (3,) + (0,) * (dim - 1), (-2,) + (0,) * (dim - 1)
+        two = (2,) + (0,) * (dim - 1)
+        assert space.index_of_subset((e1,)) >= 0
+        assert space.index_of_subset((minus2, tuple(-c for c in e1))) >= 0
+        assert space.index_of_subset(()) == -1
+        assert space.index_of_subset((origin,)) == -1
+        assert space.index_of_subset((origin, e1)) == -1
+        assert space.index_of_subset((e1, e1)) == -1
+        assert space.index_of_subset((minus2, minus2)) == -1
+        assert space.index_of_subset((far,)) == -1
+        assert space.index_of_subset((minus2, two)) == -1  # diameter 4 > 2
+        assert space.index_of_subset((e1,) * (degree + 1)) == -1
 
 
 def test_inner_product_weights():
     # weight 1/(n+1) on sets of n points; a class vector pairs like its lift
-    space = PackedSpace(2, TruncationParams(radius=2, max_degree=2))
+    tr = TruncationParams(radius=2, max_degree=2)
+    space = PackedSpace(2, tr)
     one = np.zeros(space.size)
     one[space.index_of_subset(((1, 0),))] = 1.0
     assert space.dot(one, one) == pytest.approx(0.5)  # degree 1: 1/2
@@ -39,9 +52,10 @@ def test_inner_product_weights():
     assert space.dot(one, two) == 0.0  # disjoint supports
     rng = np.random.default_rng(7)
     x, y = rng.standard_normal((2, space.size))
-    weights = 1.0 / (space.set_degree + 1.0)
+    oracle = DenseOracle(validate_kernel(ssep(2)), tr)
+    lift = oracle.lift(space)
     assert space.dot(x, y) == pytest.approx(
-        np.sum(weights * space.lift(x) * space.lift(y)), abs=1e-12)
+        np.sum(oracle.weights * lift(x) * lift(y)), abs=1e-12)
 
 
 def test_translation_identity_checker():
