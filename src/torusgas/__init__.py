@@ -1,18 +1,18 @@
 """Workbench for exclusion dynamics on the discrete torus.
 
 Pieces: jump-law analysis, event-driven simulation with exact small-system
-oracles, product-measure entropies and corrected reference densities, a
-finite-subset dual engine that extracts density-dependent diffusion matrices,
-a conservative solver for the limiting nonlinear diffusion equation, and a
-CLI harness that compares rescaled particle densities against the PDE.
+oracles and relative entropies, a finite-subset dual engine that extracts
+density-dependent diffusion matrices, a conservative solver for the limiting
+nonlinear diffusion equation, and a CLI harness that compares rescaled
+particle densities against the PDE.
 """
 
 __version__ = "0.1.0"
 
 from .errors import ConfigError, InvariantViolation
-from .kernels import TransitionKernel, KernelAnalysis, validate_kernel, adjoint_kernel
+from .kernels import TransitionKernel, KernelAnalysis, validate_kernel
 from .lattice import TorusGeometry, Configuration
-from .simulate import RngStream, CurrentLedger, evolve, evolve_diffusive
+from .simulate import RngStream, CurrentLedger, evolve
 
 __all__ = [
     "ConfigError",
@@ -20,11 +20,9 @@ __all__ = [
     "TransitionKernel",
     "KernelAnalysis",
     "validate_kernel",
-    "adjoint_kernel",
     "TorusGeometry",
     "Configuration",
     "RngStream",
     "CurrentLedger",
     "evolve",
-    "evolve_diffusive",
 ]

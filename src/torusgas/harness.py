@@ -17,9 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, InvariantViolation, require
-from .exactsmall import (MAX_SITES, exact_evolution_small,
-                         product_distribution, total_variation)
-from .gibbs import relative_entropy_distributions, relative_entropy_product
+from .exactsmall import (MAX_SITES, exact_evolution_small, product_distribution,
+                         relative_entropy_distributions, relative_entropy_product,
+                         total_variation)
 from .kernels import TransitionKernel, validate_kernel
 from .lattice import TorusGeometry, block_density, sample_product_measure, state_codes
 from .pde import DensityField, DiffusionTable, solve_to_time
@@ -52,6 +52,7 @@ MAX_REPLICAS = 1 << 19
 # config; 4096 keeps the batch arrays small.
 EXACT_BATCH = 4096
 EXACT_REPLICAS = 100000  # default `exact.replicas`
+EXACT_ALPHA = 0.3  # default `exact.alpha`
 
 
 def _reject_unknown(mapping: dict, allowed: set, where: str):
@@ -99,6 +100,9 @@ class ExperimentConfig:
             raise ConfigError(f"replicas must be at most {MAX_REPLICAS}")
         if int(self.exact.get("replicas", EXACT_REPLICAS)) < 1:
             raise ConfigError("need at least one exact Monte Carlo replica")
+        alpha = float(self.exact.get("alpha", EXACT_ALPHA))
+        if not 0.0 <= alpha <= 1.0:  # also false for nan
+            raise ConfigError(f"exact.alpha must lie in [0, 1], got {alpha!r}")
         for n in self.torus_sizes:
             if 2 * self.block_radius + 1 > n:
                 raise ConfigError(f"block radius {self.block_radius} too large for N={n}")
@@ -402,7 +406,7 @@ def exact_small_experiment(cfg: ExperimentConfig,
     exact_cfg = cfg.exact or {}
     n = int(exact_cfg.get("side", 3))
     mc_replicas = int(exact_cfg.get("replicas", EXACT_REPLICAS))
-    alpha = float(exact_cfg.get("alpha", 0.3))
+    alpha = float(exact_cfg.get("alpha", EXACT_ALPHA))
     times = [float(t) for t in exact_cfg.get("times", cfg.times)]
     geom = TorusGeometry(cfg.dimension, n)
     if geom.n_sites > MAX_SITES:

@@ -40,11 +40,6 @@ class TransitionKernel:
         """Largest sup-norm of a support offset."""
         return int(np.abs(self.offsets).max())
 
-    def weight_of(self, offset) -> float:
-        hit = (self.offsets == np.asarray(offset, dtype=np.int64)).all(axis=1)
-        idx = np.nonzero(hit)[0]
-        return float(self.weights[idx[0]]) if len(idx) else 0.0
-
     @classmethod
     def from_entries(cls, dimension, entries) -> "TransitionKernel":
         """Build from [{"offset": [...], "prob": p}, ...] records."""
@@ -155,12 +150,6 @@ def validate_kernel(kernel: TransitionKernel) -> KernelAnalysis:
         asym_weights=asym_weights,
         adjoint=adjoint,
     )
-
-
-def adjoint_kernel(kernel: TransitionKernel) -> TransitionKernel:
-    """Reversed jump law: the weight of z becomes the weight of -z."""
-    validate_kernel(kernel)
-    return TransitionKernel(kernel.dimension, -kernel.offsets, kernel.weights.copy())
 
 
 def ssep(dimension: int) -> TransitionKernel:

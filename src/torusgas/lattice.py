@@ -88,28 +88,12 @@ class Configuration:
         return code
 
     @classmethod
-    def from_state_code(cls, geometry: TorusGeometry, code: int) -> "Configuration":
-        occ = np.zeros(geometry.n_sites, dtype=np.uint8)
-        for x in range(geometry.n_sites):
-            if (code >> x) & 1:
-                occ[x] = 1
-        return cls(geometry, occ)
-
-    @classmethod
     def empty(cls, geometry: TorusGeometry) -> "Configuration":
         return cls(geometry, np.zeros(geometry.n_sites, dtype=np.uint8))
 
     @classmethod
     def full(cls, geometry: TorusGeometry) -> "Configuration":
         return cls(geometry, np.ones(geometry.n_sites, dtype=np.uint8))
-
-
-def swap(config: Configuration, x: int, y: int) -> Configuration:
-    """Exchange the occupancies of two sites (new configuration)."""
-    out = config.copy()
-    occ = out.occupancy
-    occ[x], occ[y] = occ[y], occ[x]
-    return out
 
 
 def sample_product_measure(geometry: TorusGeometry, profile, rng) -> Configuration:
@@ -157,11 +141,3 @@ def block_density(config: Configuration, radius: int) -> np.ndarray:
         grid = acc
     volume = (2 * radius + 1) ** geom.dimension
     return (grid / volume).reshape(-1)
-
-
-def empirical_pairing(config: Configuration, test_function) -> float:
-    """Mass-(1/N^d)-per-particle pairing: N^{-d} sum_x H(x/N) eta(x)."""
-    geom = config.geometry
-    pts = geom.all_coords() / geom.side
-    values = np.asarray(test_function(pts), dtype=np.float64)
-    return float((values * config.occupancy).sum() / geom.n_sites)

@@ -1,11 +1,13 @@
 """Array-backed engine for the graded operators on the translation classes.
 
-A degree-n set A shares its translation class with the n sets
-(A u {0}) - z minus the origin, z in A.  The truncation is closed under
-this identity, so every class has exactly n + 1 members, and each part of
-the operator (even, odd, raise/lower) maps class-constant functions to
-class-constant functions.  The engine therefore keeps one unknown per class
-and never enumerates the sets themselves.
+The solve space is the truncation `TruncationParams`: the finite subsets of
+Z^d minus the origin with at most `max_degree` points whose union with the
+origin has sup-norm diameter at most `radius`.  A degree-n set A shares its
+translation class with the n sets (A u {0}) - z minus the origin, z in A.
+The truncation is closed under this identity, so every class has exactly
+n + 1 members, and each part of the operator (even, odd, raise/lower) maps
+class-constant functions to class-constant functions.  The engine therefore
+keeps one unknown per class and never enumerates the sets themselves.
 
 Every class has exactly one canonical member whose points are all
 lexicographically positive: the shift of A u {0} by its lexicographically
@@ -44,9 +46,42 @@ import scipy.sparse as sp
 
 from .errors import ConfigError, InvariantViolation
 from .kernels import KernelAnalysis
-from .subsets import TruncationParams, canonical
 
 _BITS = 16  # per-point index field in the set encoding
+
+
+def canonical(points) -> tuple:
+    """Sorted tuple-of-tuples form of a collection of lattice points."""
+    return tuple(sorted(tuple(int(c) for c in p) for p in points))
+
+
+@dataclass(frozen=True)
+class TruncationParams:
+    """Finite solve space: degree cap plus a spatial diameter cap.
+
+    A set A is kept when |A| <= max_degree and the sup-norm diameter of
+    A u {0} is at most `radius`.  This is the largest family of sets
+    confined to the radius-`radius` cube that is closed under the
+    translation identity: each degree-n set lies in a class of n + 1 kept
+    sets (A and its member shifts).  The packed engine solves on one
+    unknown per class, so solutions satisfy the identity by construction.
+    """
+
+    radius: int
+    max_degree: int
+    solver_tol: float = 1e-10
+    reg: float = 1e-3
+    lambda_seq: tuple = (1e-1, 1e-2, 1e-3, 1e-4)
+
+    def __post_init__(self):
+        if self.max_degree < 2:
+            raise ConfigError("max degree must be at least 2")
+        if self.radius < 1:
+            raise ConfigError("truncation radius must be positive")
+
+    def check_kernel(self, analysis: KernelAnalysis):
+        if self.radius < analysis.range:
+            raise ConfigError("truncation radius below kernel range")
 
 
 def _combinations_span(compat: np.ndarray, base: np.ndarray) -> np.ndarray:

@@ -66,25 +66,8 @@ class DensityField:
             fh.write("# shape " + " ".join(map(str, self.values.shape)) + "\n")
             np.savetxt(fh, self.values.reshape(-1)[None, :], delimiter=",")
 
-    @classmethod
-    def load_csv(cls, path) -> "DensityField":
-        shape = None
-        with open(path) as fh:
-            for line in fh:
-                if line.startswith("# shape"):
-                    shape = tuple(int(t) for t in line.split()[2:])
-        values = np.loadtxt(path, delimiter=",").reshape(-1)
-        if shape is None:
-            m = round(len(values) ** 0.5)
-            shape = (m, m)
-        return cls(values.reshape(shape))
-
     def save_npy(self, path):
         np.save(path, self.values)
-
-    @classmethod
-    def load_npy(cls, path) -> "DensityField":
-        return cls(np.load(path))
 
 
 class DiffusionTable:

@@ -1,4 +1,4 @@
-"""Density profiles on the continuum torus and the log-odds transform.
+"""Density profiles on the continuum torus.
 
 A profile assigns a density in (0, 1) to every point of [0,1)^d.  Closed
 forms ("constant", "cosine") are kept as callables so the same profile can
@@ -50,10 +50,6 @@ class Profile:
         """Values on the uniform m^d grid with nodes at multiples of 1/m."""
         axes = np.indices((m,) * self.dimension).reshape(self.dimension, -1).T / m
         return self.values_at(axes).reshape((m,) * self.dimension)
-
-    def bounds(self, m: int = 64) -> tuple:
-        g = self.sample_grid(m)
-        return float(g.min()), float(g.max())
 
     @classmethod
     def constant(cls, dimension: int, value: float, delta0: float = 0.0) -> "Profile":
@@ -130,10 +126,6 @@ def load_profile_csv(path, dimension: int) -> np.ndarray:
     return values.reshape((m,) * dimension)
 
 
-def save_profile_csv(path, grid: np.ndarray):
-    np.savetxt(path, np.asarray(grid).reshape(1, -1), delimiter=",")
-
-
 def validate_profile(profile: Profile, drift, delta0: float, tol: float = 1e-10,
                      m: int = 64) -> dict:
     """Drift-constancy and boundedness diagnostics on an m^d evaluation grid.
@@ -159,50 +151,3 @@ def validate_profile(profile: Profile, drift, delta0: float, tol: float = 1e-10,
         "bounded_away": margin >= delta0,
         "ok": max_violation <= tol and margin >= delta0,
     }
-
-
-def project_along_drift(profile: Profile, drift, n_quad: int = 0) -> Profile:
-    """Average the profile along the drift line through each point.
-
-    Replaces rho(u) by the mean of rho(u + r q) over r in [0, 1).  The result
-    is drift-constant up to quadrature error and the operation is idempotent.
-    """
-    q = np.asarray(drift, dtype=np.float64)
-    if np.allclose(q, 0.0):
-        return profile
-    if n_quad <= 0:
-        # enough nodes to resolve integer windings exactly for trig profiles
-        n_quad = max(256, 8 * int(np.ceil(np.abs(q).max())))
-
-    def averaged(pts, _p=profile, _q=q, _n=n_quad):
-        rs = (np.arange(_n) + 0.5) / _n
-        acc = np.zeros(len(pts))
-        for r in rs:
-            acc += _p.values_at(pts + r * _q)
-        return acc / _n
-
-    return Profile(profile.dimension, func=averaged, delta0=profile.delta0,
-                   spec={"kind": "drift_projected", "inner": profile.spec})
-
-
-def lambda_transform(rho, alpha: float):
-    """Log-odds of rho relative to the reference density alpha.
-
-    Strictly increasing in rho; lambda_inverse undoes it to 1e-12.
-    """
-    rho_arr = np.asarray(rho, dtype=np.float64)
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError("reference density must be in (0, 1)")
-    if np.any(rho_arr <= 0.0) or np.any(rho_arr >= 1.0):
-        raise ConfigError("density must be in (0, 1) for the log-odds transform")
-    out = np.log(rho_arr * (1.0 - alpha) / (alpha * (1.0 - rho_arr)))
-    return float(out) if np.isscalar(rho) else out
-
-
-def lambda_inverse(lam, alpha: float):
-    lam_arr = np.asarray(lam, dtype=np.float64)
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError("reference density must be in (0, 1)")
-    expl = np.exp(lam_arr)
-    out = alpha * expl / (1.0 - alpha + alpha * expl)
-    return float(out) if np.isscalar(lam) else out

@@ -20,8 +20,7 @@ from scipy.sparse.linalg import LinearOperator, bicgstab, cg, lgmres
 
 from .errors import ConfigError, InvariantViolation, require
 from .kernels import KernelAnalysis
-from .packed import PackedOperator, PackedSpace, assemble
-from .subsets import TruncationParams
+from .packed import PackedOperator, PackedSpace, TruncationParams, assemble
 
 
 def build_engine(analysis: KernelAnalysis, trunc: TruncationParams) -> PackedOperator:

@@ -81,11 +81,6 @@ class CurrentLedger:
         """Inflow minus outflow per site, as exact integers."""
         return net_site_change(self.geometry, self.offsets, self.counts)
 
-    def total_displacement(self) -> np.ndarray:
-        """Sum of executed jump vectors (unwrapped), one component per axis."""
-        per_offset = self.counts.sum(axis=0)
-        return (per_offset[:, None] * self.offsets).sum(axis=0)
-
     def check_continuity(self, before: Configuration, after: Configuration):
         delta = after.occupancy.astype(np.int64) - before.occupancy.astype(np.int64)
         if not np.array_equal(delta, self.net_site_change()):
@@ -226,46 +221,3 @@ def evolve_replicas(geometry: TorusGeometry, occupancy: np.ndarray,
         positions[rows, p] = tgt
         counts[rows, x, j] += 1
     return occ, counts, events
-
-
-def evolve_diffusive(config: Configuration, kernel: TransitionKernel, t: float,
-                     rng: np.random.Generator):
-    """Run for macroscopic time t, i.e. microscopic duration t * N^2."""
-    if t < 0:
-        raise ConfigError("macroscopic time must be nonnegative")
-    duration = t * config.geometry.side ** 2
-    return evolve(config, kernel, duration, rng)
-
-
-def current_observables(config: Configuration, kernel: TransitionKernel,
-                        alpha: float) -> dict:
-    """Per-site values of the reversed-kernel current observables.
-
-    For the reversed weights p*(y) = p(-y), at every site x (by translation):
-      current[i]        = sum_y p*(y) y_i eta(x) (1 - eta(x+y))
-      centered[i]       = -sum_y p*(y) y_i (eta(x)-alpha)(eta(x+y)-alpha)
-                          - alpha sum_y p*(y) y_i (eta(x+y)-eta(x))
-      second_moment[i,j] = sum_y p*(y) y_i y_j eta(x) (1 - eta(x+y))
-    """
-    if not 0.0 <= alpha <= 1.0:
-        raise ConfigError("alpha must lie in [0, 1]")
-    geom = config.geometry
-    occ = config.occupancy.astype(np.float64)
-    d = geom.dimension
-    star_offsets = -kernel.offsets
-    neigh = _neighbors(geom, star_offsets)
-
-    current = np.zeros((geom.n_sites, d))
-    centered = np.zeros((geom.n_sites, d))
-    second = np.zeros((geom.n_sites, d, d))
-    eta0 = occ
-    for j, (y, p) in enumerate(zip(star_offsets, kernel.weights)):
-        etay = occ[neigh[:, j]]
-        jump = eta0 * (1.0 - etay)
-        for i in range(d):
-            current[:, i] += p * y[i] * jump
-            centered[:, i] += (-p * y[i] * (eta0 - alpha) * (etay - alpha)
-                               - alpha * p * y[i] * (etay - eta0))
-            for i2 in range(d):
-                second[:, i, i2] += p * y[i] * y[i2] * jump
-    return {"current": current, "centered": centered, "second_moment": second}

@@ -7,7 +7,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from torusgas.kernels import TransitionKernel, validate_kernel
-from torusgas.subsets import TruncationParams
+from torusgas.packed import TruncationParams
 
 
 @pytest.fixture(scope="session")

@@ -4,7 +4,8 @@ Independent check path: the whole truncated space is enumerated set by
 set, each operator is assembled entry by entry from the literal defining
 sums (including the half-weighted double sum over ordered pairs, and the
 raw outside-pair double sum of the degree-lowering part), and solves use a
-direct sparse factorization.  The translation classes are built here from
+direct sparse factorization.  The set space is enumerated here
+(`enumerate_truncation`), the translation classes are built from
 `shift_set`, and the class checks below are full (every set, every class
 indicator), not sampled.  Nothing here is shared with the package's packed
 engine beyond the space definition itself; `lift` reads the engine's class
@@ -17,7 +18,62 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from torusgas.subsets import canonical, enumerate_truncation, shift_set
+from torusgas.packed import canonical
+
+
+def _minus(p, z):
+    return tuple(a - b for a, b in zip(p, z))
+
+
+def _is_zero(p) -> bool:
+    return all(c == 0 for c in p)
+
+
+def shift_set(A: tuple, z) -> tuple:
+    """Shift a subset by -z, exchanging the origin with -z when z is a member.
+
+    For z outside A this is the plain translate A - z.  For z in A the
+    translate contains the origin, which is exchanged with -z so the result
+    stays inside the punctured lattice.
+    """
+    A = canonical(A)
+    z = tuple(int(c) for c in z)
+    if _is_zero(z):
+        return A
+    shifted = [_minus(p, z) for p in A]
+    if z in A:
+        shifted = [p for p in shifted if not _is_zero(p)]
+        neg = tuple(-c for c in z)
+        if neg not in shifted:
+            shifted.append(neg)
+        return canonical(shifted)
+    return canonical(shifted)
+
+
+def in_truncation(trunc, A: tuple) -> bool:
+    """Whether |A| <= max_degree and A u {0} has diameter <= radius."""
+    if len(A) > trunc.max_degree:
+        return False
+    if not A:
+        return True
+    d = len(A[0])
+    for ax in range(d):
+        cs = [p[ax] for p in A] + [0]
+        if max(cs) - min(cs) > trunc.radius:
+            return False
+    return True
+
+
+def enumerate_truncation(dimension: int, trunc):
+    """All sets of the truncated space, grouped by degree (small spaces only)."""
+    r = trunc.radius
+    pool = [p for p in itertools.product(range(-r, r + 1), repeat=dimension)
+            if any(c != 0 for c in p)]
+    by_degree = {}
+    for n in range(1, trunc.max_degree + 1):
+        sets_n = [canonical(c) for c in itertools.combinations(pool, n)]
+        by_degree[n] = [A for A in sets_n if in_truncation(trunc, A)]
+    return by_degree
 
 
 def _support_map(analysis, odd=False):

@@ -18,7 +18,7 @@ from torusgas.pde import (DensityField, DiffusionTable, SolveReport,
 from torusgas.profiles import Profile
 from torusgas.resolvent import build_engine, compute_diffusion, h_minus_one_sq, resolvent_solve
 from torusgas.simulate import RngStream, evolve
-from torusgas.subsets import TruncationParams
+from torusgas.packed import TruncationParams
 
 from oracle import DenseOracle
 

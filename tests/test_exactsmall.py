@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from torusgas.exactsmall import (empirical_state_distribution,
-                                 exact_evolution_small, generator_matrix,
-                                 product_distribution, total_variation)
+from torusgas.exactsmall import (exact_evolution_small, generator_matrix,
+                                 product_distribution, relative_entropy_distributions,
+                                 relative_entropy_product, total_variation)
 from torusgas.errors import ConfigError, InvariantViolation
 from torusgas.harness import EXACT_BATCH, ExperimentConfig, exact_small_experiment
-from torusgas.kernels import TransitionKernel, adjoint_kernel
+from torusgas.kernels import TransitionKernel, validate_kernel
 from torusgas.lattice import (Configuration, TorusGeometry, sample_product_measure,
                               state_codes)
 from torusgas.simulate import (RngStream, check_replica_ledgers, evolve, evolve_replicas,
@@ -14,6 +14,11 @@ from torusgas.simulate import (RngStream, check_replica_ledgers, evolve, evolve_
 
 D2_KERNEL = TransitionKernel(2, np.array([[1, 0], [-1, 0], [0, 1], [0, -1]]),
                              np.array([0.5, 0.25, 0.125, 0.125]))
+
+
+def _histogram(codes, n_states):
+    """Empirical law of integer state codes."""
+    return np.bincount(codes, minlength=n_states) / len(codes)
 
 
 def test_generator_rows_sum_to_zero():
@@ -48,8 +53,10 @@ def test_distribution_properties():
 
 def test_reversed_kernel_matches_negated_offsets():
     geom = TorusGeometry(2, 3)
-    star = adjoint_kernel(D2_KERNEL)
+    star = validate_kernel(D2_KERNEL).adjoint
     negated = TransitionKernel(2, -D2_KERNEL.offsets, D2_KERNEL.weights.copy())
+    assert np.array_equal(star.offsets, negated.offsets)
+    assert np.array_equal(star.weights, negated.weights)
     mu = product_distribution(geom, np.linspace(0.2, 0.6, 9))
     out1 = exact_evolution_small(geom, star, mu, 1.3)
     out2 = exact_evolution_small(geom, negated, mu, 1.3)
@@ -76,7 +83,7 @@ def test_mc_matches_exact_law_smoke():
         c = sample_product_measure(geom, marg, rng)
         c, _ = evolve(c, D2_KERNEL, t, rng)
         codes[r] = c.state_code()
-    emp = empirical_state_distribution(codes, 512)
+    emp = _histogram(codes, 512)
     assert total_variation(emp, exact) <= 0.05
 
 
@@ -100,7 +107,7 @@ def test_lockstep_replicas_match_exact_law(geom, kernel, marg, spans):
         check_replica_ledgers(geom, kernel.offsets, before, occ, counts)
         assert counts.sum() <= events.sum()
         law = exact_evolution_small(geom, kernel, law, span)
-        emp = empirical_state_distribution(state_codes(occ), 1 << geom.n_sites)
+        emp = _histogram(state_codes(occ), 1 << geom.n_sites)
         assert total_variation(emp, law) <= 0.05
 
 
@@ -176,7 +183,57 @@ def test_exact_ensemble_is_deterministic_and_counts_every_replica(monkeypatch):
         assert len(codes) == replicas
         law = exact_evolution_small(geom, cfg.kernel, law, (row["t"] - t_prev) * 9)
         t_prev = row["t"]
-        emp = empirical_state_distribution(codes, 512)
+        emp = _histogram(codes, 512)
         assert total_variation(emp, law) == pytest.approx(row["tv_mc_vs_exact"], abs=1e-12)
         assert isinstance(row["events"], int) and isinstance(row["jumps"], int)
         assert 0 < row["jumps"] <= row["events"]
+
+
+def test_relative_entropy_product_values():
+    assert relative_entropy_product([0.3], [0.3]) == 0.0
+    # hand computation: 0.9 ln 1.8 + 0.1 ln 0.2
+    val = relative_entropy_product([0.9], [0.5])
+    assert val == pytest.approx(0.3680642072, abs=1e-9)
+    n = 27
+    field = np.full(n, 0.9)
+    total = relative_entropy_product(field, np.full(n, 0.5))
+    assert total == pytest.approx(n * val)
+    assert total <= n * val + 1e-12
+
+
+def test_relative_entropy_errors_and_edges():
+    assert relative_entropy_product([0.0, 1.0], [0.4, 0.6]) > 0
+    # degenerate reference where the state marginal is interior: precondition
+    with pytest.raises(ConfigError):
+        relative_entropy_product([0.5], [0.0])
+    with pytest.raises(ConfigError):
+        relative_entropy_product([0.5], [1.2])
+
+
+def test_entropy_matches_exhaustive_enumeration():
+    geom = TorusGeometry(2, 3)
+    rng = np.random.default_rng(11)
+    mu_m = rng.uniform(0.1, 0.9, geom.n_sites)
+    nu_m = rng.uniform(0.2, 0.8, geom.n_sites)
+    closed = relative_entropy_product(mu_m, nu_m)
+    mu = product_distribution(geom, mu_m)
+    nu = product_distribution(geom, nu_m)
+    exhaustive = relative_entropy_distributions(mu, nu)
+    assert exhaustive == pytest.approx(closed, abs=1e-9)
+
+
+def test_variational_inequality():
+    # for any test function: mean minus log moment bound is below the entropy
+    geom = TorusGeometry(2, 3)
+    rng = np.random.default_rng(12)
+    mu = product_distribution(geom, rng.uniform(0.2, 0.8, 9))
+    nu = product_distribution(geom, rng.uniform(0.3, 0.7, 9))
+    kl = relative_entropy_distributions(mu, nu)
+    for _ in range(5):
+        f = rng.standard_normal(512)
+        lower = float(mu @ f - np.log(nu @ np.exp(f)))
+        assert lower <= kl + 1e-12
+    # the optimizer log(mu/nu) attains it
+    f_star = np.log(mu / nu)
+    attained = float(mu @ f_star - np.log(nu @ np.exp(f_star)))
+    assert attained == pytest.approx(kl, abs=1e-10)

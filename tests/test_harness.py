@@ -282,6 +282,23 @@ def test_exact_replica_count_below_one_is_config_error(tmp_path, count):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("alpha", [1.5, -0.1, float("nan"), float("inf")])
+def test_exact_alpha_outside_unit_interval_is_config_error(tmp_path, capsys, alpha):
+    # the flat reference density is rejected at parse time, before the exact
+    # evolution runs and fails for a reason that does not name it
+    data = base_config(output_dir=str(tmp_path / "o"),
+                       exact={"side": 3, "replicas": 10, "alpha": alpha})
+    with pytest.raises(ConfigError, match="exact.alpha"):
+        ExperimentConfig.from_dict(data)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(data))
+    assert cli_main(["exact", "--config", str(cfg_path)]) == 2
+    assert "exact.alpha" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+    data["exact"]["alpha"] = 0.15
+    assert ExperimentConfig.from_dict(data).exact["alpha"] == 0.15
+
+
 def test_simulate_writes_the_replica_job_fields(tmp_path):
     # `torusgas simulate` and the comparison ensemble run the same replica
     # loop on the same substreams

@@ -2,8 +2,13 @@ import numpy as np
 import pytest
 
 from torusgas.errors import ConfigError
-from torusgas.kernels import (TransitionKernel, adjoint_kernel, ssep, tasep,
-                              validate_kernel)
+from torusgas.kernels import TransitionKernel, ssep, tasep, validate_kernel
+
+
+def _sorted_table(kernel):
+    """Offsets and weights with the offsets in lexicographic order."""
+    order = np.lexsort(kernel.offsets.T[::-1])
+    return kernel.offsets[order], kernel.weights[order]
 
 
 def test_tasep_d3_analysis():
@@ -47,18 +52,16 @@ def test_decomposition_and_reflection(kernel_d2_spec):
 
 def test_adjoint_involution(kernel_d2_spec):
     k = kernel_d2_spec.kernel
-    back = adjoint_kernel(adjoint_kernel(k))
-    assert sorted(map(tuple, back.offsets.tolist())) == sorted(
-        map(tuple, k.offsets.tolist()))
-    for z in k.offsets:
-        assert back.weight_of(z) == k.weight_of(z)
+    back = validate_kernel(kernel_d2_spec.adjoint).adjoint
+    assert np.array_equal(back.offsets, k.offsets)
+    assert np.array_equal(back.weights, k.weights)
 
 
 def test_adjoint_of_symmetric_is_itself():
     k = ssep(2)
-    star = adjoint_kernel(k)
-    for z in k.offsets:
-        assert star.weight_of(z) == k.weight_of(z)
+    star = validate_kernel(k).adjoint
+    for got, want in zip(_sorted_table(star), _sorted_table(k)):
+        assert np.array_equal(got, want)
 
 
 def test_validation_errors():

@@ -1,9 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from torusgas.errors import ConfigError
 from torusgas.lattice import (Configuration, TorusGeometry, block_density,
-                              empirical_pairing, sample_product_measure, swap)
+                              sample_product_measure, state_codes)
 from torusgas.simulate import RngStream
 
 
@@ -13,19 +15,6 @@ def test_site_indexing_roundtrip():
         assert geom.site_index(geom.site_coords(idx)) == idx
     assert geom.site_index([5, 0, 0]) == geom.site_index([0, 0, 0])
     assert geom.site_index([-1, 0, 0]) == geom.site_index([4, 0, 0])
-
-
-def test_swap_table():
-    geom = TorusGeometry(1, 4)
-    c = Configuration(geom, np.array([1, 0, 0, 1], dtype=np.uint8))
-    same = swap(c, 2, 2)
-    assert np.array_equal(same.occupancy, c.occupancy)
-    moved = swap(c, 0, 1)
-    assert list(moved.occupancy) == [0, 1, 0, 1]
-    back = swap(moved, 0, 1)
-    assert np.array_equal(back.occupancy, c.occupancy)
-    # untouched sites stay put
-    assert moved.occupancy[3] == 1
 
 
 def test_product_sampling_degenerate():
@@ -78,25 +67,11 @@ def test_block_density_too_large():
         block_density(Configuration.empty(geom), 2)
 
 
-def test_empirical_pairing():
-    geom = TorusGeometry(2, 4)
-    ones = lambda pts: np.ones(len(pts))
-    c = Configuration.empty(geom)
-    assert empirical_pairing(c, ones) == 0.0
-    occ = np.zeros(geom.n_sites, dtype=np.uint8)
-    x0 = geom.site_index([1, 2])
-    occ[x0] = 1
-    c1 = Configuration(geom, occ)
-    h = lambda pts: pts[:, 0] + 10 * pts[:, 1]
-    assert empirical_pairing(c1, h) == pytest.approx((0.25 + 10 * 0.5) / 16)
-    cf = Configuration.full(geom)
-    assert empirical_pairing(cf, ones) == pytest.approx(1.0)
-
-
 def test_state_code_roundtrip():
+    # all 512 occupancies of the 3x3 torus: the per-configuration code equals
+    # the batched one, and no two occupancies share a code
     geom = TorusGeometry(2, 3)
-    rng = RngStream(5).generator()
-    c = sample_product_measure(geom, 0.4, rng)
-    code = c.state_code()
-    back = Configuration.from_state_code(geom, code)
-    assert np.array_equal(back.occupancy, c.occupancy)
+    occ = np.array(list(itertools.product((0, 1), repeat=geom.n_sites)), dtype=np.uint8)
+    codes = [Configuration(geom, row).state_code() for row in occ]
+    assert codes == [int(c) for c in state_codes(occ)]
+    assert sorted(codes) == list(range(512))

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from torusgas.kernels import ssep, validate_kernel
-from torusgas.packed import PackedSpace, assemble
-from torusgas.subsets import TruncationParams, enumerate_truncation, shift_set
+from torusgas.packed import PackedSpace, TruncationParams, assemble
 
-from oracle import DenseOracle
+from oracle import DenseOracle, enumerate_truncation, in_truncation, shift_set
 
 
 def _unit(oracle, A):
@@ -111,7 +110,7 @@ def test_classes_have_degree_plus_one_members(dim):
             members.setdefault(k, set()).add(A)
             for z in A:
                 B = shift_set(A, z)
-                assert tr.contains(B)
+                assert in_truncation(tr, B)
                 assert space.index_of_subset(B) == k
     assert sorted(members) == list(range(space.size))
     for k, sets in members.items():
@@ -183,7 +182,7 @@ def test_clipped_outflow_sums_over_every_set(kernel_d2_asym):
             if v not in A:
                 targets.append(shift_set(A, v))
             for B in targets:
-                if not tr.contains(tuple(sorted(B))):
+                if not in_truncation(tr, tuple(sorted(B))):
                     want += wsq * fA ** 2
     assert want > 0.0
     assert eng.clipped_outflow(x) == pytest.approx(want, rel=1e-12)

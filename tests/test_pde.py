@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 import sympy
@@ -135,13 +137,16 @@ def test_table_io_roundtrip(tmp_path):
 def test_field_io_roundtrip(tmp_path):
     f = DensityField(np.random.default_rng(0).uniform(0.2, 0.8, (6, 6)))
     p_csv = tmp_path / "f.csv"
-    f.save_csv(p_csv, {"d": 2, "N": 6, "K": 1, "t": 0.5, "replica": 0, "seed": 1})
-    g = DensityField.load_csv(p_csv)
-    assert np.abs(g.values - f.values).max() < 1e-12
+    header = {"d": 2, "N": 6, "K": 1, "t": 0.5, "replica": 0, "seed": 1}
+    f.save_csv(p_csv, header)
+    lines = p_csv.read_text().splitlines()
+    assert json.loads(lines[0][2:]) == header
+    assert lines[1] == "# shape 6 6"
+    g = np.loadtxt(p_csv, delimiter=",").reshape(6, 6)
+    assert np.abs(g - f.values).max() < 1e-12
     p_npy = tmp_path / "f.npy"
     f.save_npy(p_npy)
-    h = DensityField.load_npy(p_npy)
-    assert np.array_equal(h.values, f.values)
+    assert np.array_equal(np.load(p_npy), f.values)
 
 
 def test_max_eigenvalue_matches_per_sample_reference():

@@ -8,7 +8,7 @@ from torusgas.resolvent import (build_engine, compute_diffusion,
                                 extrapolate_to_zero, h1_form_packed,
                                 h_minus_one_sq, hydrodynamic_matrix, j_matrix,
                                 residual_triple_norm, resolvent_solve)
-from torusgas.subsets import TruncationParams
+from torusgas.packed import TruncationParams
 
 from oracle import DenseOracle
 

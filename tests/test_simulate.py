@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
+from torusgas.harness import replica_trajectory
 from torusgas.kernels import TransitionKernel, ssep, tasep
 from torusgas.lattice import Configuration, TorusGeometry, sample_product_measure
-from torusgas.simulate import (RngStream, current_observables, evolve,
-                               evolve_diffusive, evolve_replicas)
+from torusgas.simulate import RngStream, evolve, evolve_replicas
 
 
 def test_zero_duration_identity():
@@ -51,7 +51,8 @@ def test_single_particle_drift():
     for r in range(replicas):
         rng = RngStream(123, r).generator()
         _, ledger = evolve(Configuration(geom, occ0.copy()), kernel, duration, rng)
-        total += ledger.total_displacement()
+        # executed jumps per offset times the offset (unwrapped displacement)
+        total += (ledger.counts.sum(axis=0)[:, None] * ledger.offsets).sum(axis=0)
     mean = total / replicas
     se = np.sqrt(duration * 1.0 / replicas)  # variance sigma_11 * T per replica
     assert abs(mean[0] - duration) < 4 * se
@@ -83,50 +84,14 @@ def test_determinism_and_diffusive_equivalence():
     a2, l2 = evolve(c0, kernel, 0.25 * 36, RngStream(5, 1).generator())
     assert np.array_equal(a1.occupancy, a2.occupancy)
     assert np.array_equal(l1.counts, l2.counts)
-    b, lb = evolve_diffusive(c0, kernel, 0.25, RngStream(5, 1).generator())
-    assert np.array_equal(b.occupancy, a1.occupancy)
-    assert np.array_equal(lb.counts, l1.counts)
-    # side 2: the microscopic span is four times the macroscopic one
-    tiny = sample_product_measure(TorusGeometry(2, 2), 0.5, RngStream(8).generator())
-    _, ledger2 = evolve_diffusive(tiny, kernel, 0.3, RngStream(8).generator())
-    assert ledger2.elapsed == pytest.approx(0.3 * 4)
+    # a replica trajectory runs macroscopic time t for t N^2 microscopic time
+    (t, b), = replica_trajectory(geom, 0.5, kernel, [0.25], RngStream(5, 3).generator())
+    rng = RngStream(5, 3).generator()
+    want, _ = evolve(sample_product_measure(geom, 0.5, rng), kernel, 0.25 * 36, rng)
+    assert t == 0.25 and np.array_equal(b.occupancy, want.occupancy)
     # different replica index gives a different trajectory
     c, _ = evolve(c0, kernel, 0.25 * 36, RngStream(5, 2).generator())
     assert not np.array_equal(c.occupancy, a1.occupancy)
-
-
-def test_current_observables_trivials():
-    geom = TorusGeometry(3, 4)
-    kernel = tasep(3)
-    for config in (Configuration.empty(geom), Configuration.full(geom)):
-        obs = current_observables(config, kernel, 0.5)
-        assert np.all(obs["current"] == 0.0)
-        assert np.all(obs["second_moment"] == 0.0)
-    occ = np.zeros(geom.n_sites, dtype=np.uint8)
-    occ[geom.site_index([0, 0, 0])] = 1
-    obs = current_observables(Configuration(geom, occ), kernel, 0.0)
-    # reversed weights sit on -e1: current at the particle equals -1
-    assert obs["current"][geom.site_index([0, 0, 0]), 0] == pytest.approx(-1.0)
-
-
-def test_centered_current_matches_definition():
-    geom = TorusGeometry(2, 5)
-    kernel = TransitionKernel(2, np.array([[1, 0], [0, 1], [-1, 0]]),
-                              np.array([0.5, 0.3, 0.2]))
-    rng = RngStream(9).generator()
-    config = sample_product_measure(geom, 0.4, rng)
-    alpha = 0.35
-    obs = current_observables(config, kernel, alpha)
-    occ = config.occupancy.astype(float)
-    star = [(tuple(-z), p) for z, p in zip(kernel.offsets, kernel.weights)]
-    x = geom.site_index([2, 3])
-    for i in range(2):
-        expect = 0.0
-        for y, p in star:
-            xy = geom.site_index(geom.site_coords(x) + np.array(y))
-            expect += (-p * y[i] * (occ[x] - alpha) * (occ[xy] - alpha)
-                       - alpha * p * y[i] * (occ[xy] - occ[x]))
-        assert obs["centered"][x, i] == pytest.approx(expect, abs=1e-12)
 
 
 def test_event_budget_guard():

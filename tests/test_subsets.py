@@ -3,10 +3,9 @@ import pytest
 
 from torusgas.errors import ConfigError
 from torusgas.kernels import ssep, tasep, validate_kernel
-from torusgas.packed import PackedSpace
-from torusgas.subsets import TruncationParams, canonical, shift_set
+from torusgas.packed import PackedSpace, TruncationParams, canonical
 
-from oracle import DenseOracle
+from oracle import DenseOracle, in_truncation, shift_set
 
 
 def test_shift_set_cases():
@@ -84,10 +83,10 @@ def test_current_dual_values(kernel_d2_spec):
 
 def test_truncation_membership():
     tr = TruncationParams(radius=2, max_degree=2)
-    assert tr.contains(((1, 0), (2, 0)))
-    assert tr.contains(((-1, 0), (1, 0)))
-    assert not tr.contains(((-1, 0), (1, 0), (2, 0)))  # degree cap
-    assert not tr.contains(((-1, 0), (2, 0)))  # diameter 3 with the origin
-    assert tr.contains(())
+    assert in_truncation(tr, ((1, 0), (2, 0)))
+    assert in_truncation(tr, ((-1, 0), (1, 0)))
+    assert not in_truncation(tr, ((-1, 0), (1, 0), (2, 0)))  # degree cap
+    assert not in_truncation(tr, ((-1, 0), (2, 0)))  # diameter 3 with the origin
+    assert in_truncation(tr, ())
     with pytest.raises(ConfigError):
         TruncationParams(radius=2, max_degree=1)
