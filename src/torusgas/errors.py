@@ -20,3 +20,13 @@ def require(mapping, key: str, where: str):
     if key not in mapping:
         raise ConfigError(f"missing key {key!r} in {where}")
     return mapping[key]
+
+
+def as_number(kind, value, key: str):
+    """kind(value), with kind int or float, from parsed user input; a value
+    that does not convert is a ConfigError naming `key`."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{key} must be {noun}, got {value!r}") from None

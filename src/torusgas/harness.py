@@ -11,18 +11,18 @@ from __future__ import annotations
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, InvariantViolation, require
+from .errors import ConfigError, InvariantViolation, as_number, require
 from .exactsmall import (MAX_SITES, exact_evolution_small, product_distribution,
                          relative_entropy_distributions, relative_entropy_product,
                          total_variation)
 from .kernels import TransitionKernel, validate_kernel
 from .lattice import TorusGeometry, block_density, sample_product_measure, state_codes
-from .pde import DensityField, DiffusionTable, solve_to_time
+from .pde import DensityField, DiffusionTable, SolveReport, solve_to_time
 from .profiles import Profile, validate_profile
 from .resolvent import TruncationParams, compute_diffusion
 from .simulate import RngStream, check_replica_ledgers, evolve, evolve_replicas
@@ -63,6 +63,13 @@ def _reject_unknown(mapping: dict, allowed: set, where: str):
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
+def _numbers(kind, values, key: str) -> list:
+    """A config list converted entry by entry with `as_number`."""
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(f"{key} must be a list, got {values!r}")
+    return [as_number(kind, v, f"{key} entry") for v in values]
+
+
 @dataclass
 class ExperimentConfig:
     """Validated, serializable description of a comparison run."""
@@ -98,9 +105,12 @@ class ExperimentConfig:
             raise ConfigError("need at least one replica")
         if self.replicas > MAX_REPLICAS:
             raise ConfigError(f"replicas must be at most {MAX_REPLICAS}")
-        if int(self.exact.get("replicas", EXACT_REPLICAS)) < 1:
+        if as_number(int, self.exact.get("replicas", EXACT_REPLICAS),
+                     "exact.replicas") < 1:
             raise ConfigError("need at least one exact Monte Carlo replica")
-        alpha = float(self.exact.get("alpha", EXACT_ALPHA))
+        as_number(int, self.exact.get("side", 3), "exact.side")
+        _numbers(float, self.exact.get("times", self.times), "exact.times")
+        alpha = as_number(float, self.exact.get("alpha", EXACT_ALPHA), "exact.alpha")
         if not 0.0 <= alpha <= 1.0:  # also false for nan
             raise ConfigError(f"exact.alpha must lie in [0, 1], got {alpha!r}")
         for n in self.torus_sizes:
@@ -123,8 +133,8 @@ class ExperimentConfig:
             raise ConfigError(f"schema_version must be {SCHEMA_VERSION}")
         kd = require(data, "kernel", "config")
         _reject_unknown(kd, _KERNEL_KEYS, "kernel")
-        kernel = TransitionKernel.from_entries(int(require(kd, "dimension", "kernel")),
-                                               require(kd, "entries", "kernel"))
+        dimension = as_number(int, require(kd, "dimension", "kernel"), "kernel.dimension")
+        kernel = TransitionKernel.from_entries(dimension, require(kd, "entries", "kernel"))
         validate_kernel(kernel)
         prof = require(data, "profile", "config")
         _reject_unknown(prof, _PROFILE_KEYS, "profile")
@@ -134,10 +144,13 @@ class ExperimentConfig:
             td = data["truncation"]
             _reject_unknown(td, _TRUNC_KEYS, "truncation")
             trunc = TruncationParams(
-                radius=int(require(td, "radius", "truncation")),
-                max_degree=int(require(td, "max_degree", "truncation")),
-                solver_tol=float(td.get("solver_tol", 1e-10)),
-                reg=float(td.get("reg", 1e-3)),
+                radius=as_number(int, require(td, "radius", "truncation"),
+                                 "truncation.radius"),
+                max_degree=as_number(int, require(td, "max_degree", "truncation"),
+                                     "truncation.max_degree"),
+                solver_tol=as_number(float, td.get("solver_tol", 1e-10),
+                                     "truncation.solver_tol"),
+                reg=as_number(float, td.get("reg", 1e-3), "truncation.reg"),
                 lambda_seq=tuple(td.get("lambda_seq", (1e-1, 1e-2, 1e-3, 1e-4))))
         pde = dict(data.get("pde", {}))
         _reject_unknown(pde, _PDE_KEYS, "pde")
@@ -145,23 +158,26 @@ class ExperimentConfig:
         _reject_unknown(exact, _EXACT_KEYS, "exact")
         cfg = cls(
             kernel=kernel,
-            torus_sizes=[int(n) for n in require(data, "torus_sizes", "config")],
+            torus_sizes=_numbers(int, require(data, "torus_sizes", "config"),
+                                 "torus_sizes"),
             profile_spec=prof,
-            times=[float(t) for t in require(data, "times", "config")],
-            block_radius=int(require(data, "block_radius", "config")),
-            replicas=int(require(data, "replicas", "config")),
-            master_seed=int(require(data, "master_seed", "config")),
-            delta0=float(data.get("delta0", 0.05)),
-            alpha_grid=[float(a) for a in data.get(
-                "alpha_grid", [round(0.1 * i, 10) for i in range(1, 10)])],
+            times=_numbers(float, require(data, "times", "config"), "times"),
+            block_radius=as_number(int, require(data, "block_radius", "config"),
+                                   "block_radius"),
+            replicas=as_number(int, require(data, "replicas", "config"), "replicas"),
+            master_seed=as_number(int, require(data, "master_seed", "config"),
+                                  "master_seed"),
+            delta0=as_number(float, data.get("delta0", 0.05), "delta0"),
+            alpha_grid=_numbers(float, data.get(
+                "alpha_grid", [round(0.1 * i, 10) for i in range(1, 10)]), "alpha_grid"),
             truncation=trunc,
-            pde_resolution=int(pde.get("resolution", 64)),
-            pde_safety=float(pde.get("safety", 0.9)),
+            pde_resolution=as_number(int, pde.get("resolution", 64), "pde.resolution"),
+            pde_safety=as_number(float, pde.get("safety", 0.9), "pde.safety"),
             diffusion_table_path=data.get("diffusion_table"),
             output_dir=data.get("output_dir", "out"),
             formats=list(data.get("formats", ["json", "csv"])),
-            threads=int(data.get("threads", 1)),
-            drift_tol=float(data.get("drift_tol", 1e-10)),
+            threads=as_number(int, data.get("threads", 1), "threads"),
+            drift_tol=as_number(float, data.get("drift_tol", 1e-10), "drift_tol"),
             exact=exact,
             label=str(data.get("label", "experiment")),
         )
@@ -211,17 +227,19 @@ class ExperimentConfig:
             json.dump(self.to_dict(), fh, indent=1, sort_keys=True)
 
 
-def compare_fields(empirical: np.ndarray, pde_field: DensityField,
-                   block_radius: int, side: int) -> dict:
-    """Distances between a block-density field and the PDE field at block centers.
+def pde_at_sites(pde_field: DensityField, side: int) -> np.ndarray:
+    """PDE density at the point x/N of every site x of the side-N torus."""
+    geom = TorusGeometry(pde_field.dimension, side)
+    return pde_field.evaluate(geom.all_coords() / side)
 
-    The block field value at site x is compared against the PDE density at
-    the point x/N (blocks are centered on their site).
+
+def compare_fields(empirical: np.ndarray, target: np.ndarray) -> dict:
+    """Distances between a block-density field and the PDE at block centers.
+
+    `target` is `pde_at_sites` of the PDE field: the block field value at
+    site x is compared against the PDE density at the point x/N (blocks are
+    centered on their site).
     """
-    d = pde_field.dimension
-    geom = TorusGeometry(d, side)
-    centers = geom.all_coords() / side
-    target = pde_field.evaluate(centers)
     diff = np.abs(np.asarray(empirical).reshape(-1) - target)
     return {
         "L1": float(diff.mean()),
@@ -290,6 +308,9 @@ class ComparisonReport:
     monotone_in_size: dict
     table_asymmetry: float
     failure: str | None = None
+    # one SolveReport record per observation time; goes to run_meta.json,
+    # not to the report
+    pde_solves: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
         return {
@@ -318,19 +339,24 @@ def run_experiment(cfg: ExperimentConfig, table: DiffusionTable | None = None,
         table = _load_or_compute_table(cfg, analysis)
 
     pde_fields = {}
+    pde_solves = []
     fld = DensityField.from_profile(profile, cfg.pde_resolution)
     t_prev = 0.0
     for t in cfg.times:
-        fld = solve_to_time(fld, table, t - t_prev, safety=cfg.pde_safety)
+        solve = SolveReport()
+        fld = solve_to_time(fld, table, t - t_prev, safety=cfg.pde_safety, report=solve)
         pde_fields[t] = fld
+        pde_solves.append({"t": t, **asdict(solve)})
         t_prev = t
 
     rows = []
     report = ComparisonReport(config=cfg.to_dict(), rows=rows,
-                              monotone_in_size={}, table_asymmetry=table.asymmetry)
+                              monotone_in_size={}, table_asymmetry=table.asymmetry,
+                              pde_solves=pde_solves)
     try:
         for size_index, n in enumerate(cfg.torus_sizes):
             geom = TorusGeometry(cfg.dimension, n)
+            targets = {t: pde_at_sites(pde_fields[t], n) for t in cfg.times}
             sums = {t: np.zeros(geom.n_sites) for t in cfg.times}
             per_replica = {t: [] for t in cfg.times}
             if cfg.threads > 1:
@@ -347,13 +373,12 @@ def run_experiment(cfg: ExperimentConfig, table: DiffusionTable | None = None,
             for r, fields in enumerate(results):
                 for t in cfg.times:
                     sums[t] += fields[t]
-                    per_replica[t].append(compare_fields(
-                        fields[t], pde_fields[t], cfg.block_radius, n)["L1"])
+                    per_replica[t].append(compare_fields(fields[t], targets[t])["L1"])
                 if progress:
                     progress(n, r)
             for t in cfg.times:
                 mean_field = sums[t] / cfg.replicas
-                dist = compare_fields(mean_field, pde_fields[t], cfg.block_radius, n)
+                dist = compare_fields(mean_field, targets[t])
                 rows.append({
                     "N": n, "t": t,
                     "L1": dist["L1"], "L2": dist["L2"], "Linf": dist["Linf"],
@@ -535,5 +560,6 @@ def emit_outputs(report: ComparisonReport, output_dir, formats) -> list:
         path.write_text("\n".join(lines) + "\n")
         written.append(str(path))
     meta = out / "run_meta.json"
-    meta.write_text(json.dumps({"wall_time": time.time()}, indent=1))
+    meta.write_text(json.dumps({"wall_time": time.time(), "pde": report.pde_solves},
+                               indent=1))
     return written

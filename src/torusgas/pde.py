@@ -7,12 +7,20 @@ fields are exact fixed points and total mass telescopes to rounding error.
 Densities leaving [0, 1] raise instead of being clamped: under the maximum
 principle that only happens when the scheme or the coefficient table is
 broken.
+
+The scheme keeps an exactly constant axis exactly constant: the face
+average there is 0.5 * (v + v) == v and every difference along it is 0.
+A field therefore stores such an axis with length 1 (the paper's profiles
+are constant along the drift), and the step runs unchanged on the stored
+array, since `np.roll` along a length-1 axis is the identity.  Every value
+is the one the full m^d grid would hold, bit for bit.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import time
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
@@ -23,51 +31,70 @@ from .profiles import _interp_periodic
 
 @dataclass
 class DensityField:
-    """Periodic grid of densities with spacing 1/m per axis."""
+    """Periodic grid of densities with spacing 1/m per axis.
+
+    `resolution` is the logical m; without it `values` must be a cubic m^d
+    grid.  Every axis along which the grid is exactly constant (checked in
+    full by `==`) is stored with length 1, every other axis with length m.
+    """
 
     values: np.ndarray
+    resolution: int | None = None
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        m = self.values.shape[0]
-        if any(s != m for s in self.values.shape):
-            raise ConfigError("density grid must be cubic")
+        values = np.asarray(self.values, dtype=np.float64)
+        if self.resolution is None:
+            self.resolution = values.shape[0]
+            if any(s != self.resolution for s in values.shape):
+                raise ConfigError("density grid must be cubic")
+        elif any(s not in (1, self.resolution) for s in values.shape):
+            raise ConfigError("density grid axes must have length 1 or the resolution")
+        for axis, size in enumerate(values.shape):
+            if size > 1:
+                first = values.take([0], axis=axis)
+                if (values == first).all():
+                    values = first
+        self.values = values
 
     @property
     def dimension(self) -> int:
         return self.values.ndim
 
     @property
-    def resolution(self) -> int:
-        return self.values.shape[0]
-
-    @property
     def h(self) -> float:
         return 1.0 / self.resolution
 
+    def grid(self) -> np.ndarray:
+        """The full m^d grid (a read-only broadcast view of `values`)."""
+        return np.broadcast_to(self.values, (self.resolution,) * self.dimension)
+
     def mass(self) -> float:
-        return float(self.values.sum() * self.h ** self.dimension)
+        d = self.dimension
+        repeats = self.resolution ** d // self.values.size
+        return float(self.values.sum() * repeats * self.h ** d)
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         """Periodic multilinear interpolation at (n, d) torus points."""
-        return _interp_periodic(self.values, np.asarray(points, dtype=np.float64))
+        return _interp_periodic(self.values, np.asarray(points, dtype=np.float64),
+                                self.resolution)
 
     def copy(self) -> "DensityField":
-        return DensityField(self.values.copy())
+        return DensityField(self.values.copy(), self.resolution)
 
     @classmethod
     def from_profile(cls, profile, resolution: int) -> "DensityField":
         return cls(profile.sample_grid(resolution))
 
     def save_csv(self, path, header: dict | None = None):
+        grid = self.grid()
         with open(path, "w") as fh:
             if header:
                 fh.write("# " + json.dumps(header, sort_keys=True) + "\n")
-            fh.write("# shape " + " ".join(map(str, self.values.shape)) + "\n")
-            np.savetxt(fh, self.values.reshape(-1)[None, :], delimiter=",")
+            fh.write("# shape " + " ".join(map(str, grid.shape)) + "\n")
+            np.savetxt(fh, grid.reshape(1, -1), delimiter=",")
 
     def save_npy(self, path):
-        np.save(path, self.values)
+        np.save(path, np.ascontiguousarray(self.grid()))
 
 
 class DiffusionTable:
@@ -221,14 +248,20 @@ def pde_step(field: DensityField, table: DiffusionTable, dt: float,
         new_values = new_values + dt * source(t, field)
     if new_values.min() < 0.0 or new_values.max() > 1.0:
         raise InvariantViolation("density left [0, 1]; scheme or table defect")
-    return DensityField(new_values)
+    return DensityField(new_values, field.resolution)
 
 
 @dataclass
 class SolveReport:
+    """What one `solve_to_time` call did; `shape` is the stored array's."""
+
     steps: int = 0
+    dt: float = 0.0
+    stability_limit: float = 0.0
+    shape: tuple = ()
     mass_drift: float = 0.0
     max_overshoot: float = 0.0
+    seconds: float = 0.0
 
 
 def solve_to_time(field: DensityField, table: DiffusionTable, t_final: float,
@@ -242,12 +275,14 @@ def solve_to_time(field: DensityField, table: DiffusionTable, t_final: float,
     """
     if t_final < 0:
         raise ConfigError("final time must be nonnegative")
+    start = time.perf_counter()
     current = field.copy()
     if t_final == 0.0:
         return current
     mass0 = current.mass()
     lo0, hi0 = float(current.values.min()), float(current.values.max())
-    dt = safety * stability_limit(current, table)
+    limit = stability_limit(current, table)
+    dt = safety * limit
     if not np.isfinite(dt):
         dt = t_final
     t = 0.0
@@ -271,4 +306,8 @@ def solve_to_time(field: DensityField, table: DiffusionTable, t_final: float,
                                        current.values.max() - hi0)
     if report is not None:
         report.steps = steps
+        report.dt = float(dt)
+        report.stability_limit = float(limit)
+        report.shape = current.values.shape
+        report.seconds = time.perf_counter() - start
     return current

@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigError, require
+from .errors import ConfigError, as_number, require
 
 
 @dataclass
@@ -44,7 +44,7 @@ class Profile:
             raise ConfigError("points have wrong dimension")
         if self.func is not None:
             return np.asarray(self.func(pts), dtype=np.float64)
-        return _interp_periodic(self.grid, pts)
+        return _interp_periodic(self.grid, pts, self.grid.shape[0])
 
     def sample_grid(self, m: int) -> np.ndarray:
         """Values on the uniform m^d grid with nodes at multiples of 1/m."""
@@ -82,36 +82,45 @@ class Profile:
 
     @classmethod
     def from_spec(cls, dimension: int, spec: dict, delta0: float = 0.0) -> "Profile":
+        def number(cast, key):
+            return as_number(cast, require(spec, key, "profile"), f"profile.{key}")
+
         kind = require(spec, "kind", "profile")
         if kind == "constant":
-            return cls.constant(dimension, float(require(spec, "value", "profile")), delta0)
+            return cls.constant(dimension, number(float, "value"), delta0)
         if kind == "cosine":
-            return cls.cosine(dimension, float(require(spec, "base", "profile")),
-                              float(require(spec, "amplitude", "profile")),
-                              int(require(spec, "axis", "profile")), delta0)
+            return cls.cosine(dimension, number(float, "base"),
+                              number(float, "amplitude"), number(int, "axis"), delta0)
         if kind == "csv":
             return cls.from_grid(
                 load_profile_csv(require(spec, "path", "profile"), dimension), delta0)
         raise ConfigError(f"unknown profile kind {kind!r}")
 
 
-def _interp_periodic(grid: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Multilinear periodic interpolation of a uniform-grid field at points."""
+def _interp_periodic(grid: np.ndarray, pts: np.ndarray, m: int) -> np.ndarray:
+    """Multilinear periodic interpolation of a uniform-grid field at points.
+
+    `m` is the grid's logical resolution; an axis stored with length 1 (the
+    field is constant along it) is indexed modulo 1, so every corner weight
+    and value is the one the full m^d grid gives.
+    """
     d = grid.ndim
-    m = grid.shape[0]
     x = np.mod(pts, 1.0) * m
     i0 = np.floor(x).astype(np.int64) % m
     frac = x - np.floor(x)
+    sizes = np.array(grid.shape)
+    lower = i0 % sizes
+    upper = (i0 + 1) % sizes
     out = np.zeros(len(pts))
     for corner in range(1 << d):
         idx = []
         weight = np.ones(len(pts))
         for ax in range(d):
             if (corner >> ax) & 1:
-                idx.append((i0[:, ax] + 1) % m)
+                idx.append(upper[:, ax])
                 weight *= frac[:, ax]
             else:
-                idx.append(i0[:, ax])
+                idx.append(lower[:, ax])
                 weight *= 1.0 - frac[:, ax]
         out += weight * grid[tuple(idx)]
     return out

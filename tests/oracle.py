@@ -241,7 +241,11 @@ class DenseOracle:
     def resolvent_direct(self, alpha, shift, direction):
         mat = (shift * sp.identity(self.size, format="csc")
                - self.full_matrix(alpha).tocsc())
-        return splu(mat).solve(self.current_vector(direction))
+        # minimum degree on A^T + A factors this nonsymmetric matrix faster
+        # than the default COLAMD (3.4-3.5 s against 4.1-4.4 s for criterion
+        # 3's three solves at d = 3, (2,2)); solutions agree to 1e-15 relative
+        lu = splu(mat, permc_spec="MMD_AT_PLUS_A")
+        return lu.solve(self.current_vector(direction))
 
     def neg_norm_direct(self, b, reg):
         mat = reg * sp.identity(self.size, format="csc") - self.mat_sym.tocsc()

@@ -21,6 +21,7 @@ from torusgas.simulate import RngStream, evolve
 from torusgas.packed import TruncationParams
 
 from oracle import DenseOracle
+from test_pde import reference_solve
 
 
 def record(num: int, name: str, ok: bool, detail: str):
@@ -211,13 +212,20 @@ def test_criterion_8_pde_verification():
     f1 = solve_to_time(f0, tab2, 0.3, report=rep)
     overshoot = max(f0.values.min() - f1.values.min(),
                     f1.values.max() - f0.values.max())
-    drift_var = float(np.abs(f1.values - f1.values[0:1, :]).max())
+    # the solved field stores the drift axis with length 1, so its own
+    # variation is 0 by construction; the full-grid reference solve
+    # measures what the scheme does along that axis
+    kept_axis = f1.values.shape == (1, 64)
+    ref = reference_solve(f0.grid(), tab2, 0.3)
+    drift_var = max(float(np.abs(f1.values - f1.values[0:1, :]).max()),
+                    float(np.abs(ref - ref[0:1, :]).max()))
 
     ok = (3.4 <= ratio <= 4.6 and rep.mass_drift <= 1e-10
-          and overshoot <= 1e-12 and drift_var <= 1e-12)
+          and overshoot <= 1e-12 and drift_var <= 1e-12 and kept_axis)
     record(8, "PDE verification", ok,
            f"order ratio {ratio:.3f} in [3.4, 4.6]; mass drift {rep.mass_drift:.1e}; "
-           f"overshoot {overshoot:.1e}; drift-direction variation {drift_var:.1e}")
+           f"overshoot {overshoot:.1e}; drift-direction variation {drift_var:.1e} "
+           f"(full-grid reference); stored shape {f1.values.shape}")
 
 
 def test_criterion_9_hydrodynamic_limit(heavy_diffusion):

@@ -11,7 +11,7 @@ from torusgas.cli import main as cli_main
 from torusgas.errors import ConfigError
 from torusgas.harness import (MAX_REPLICAS, ExperimentConfig, _replica_job,
                               compare_fields, convergence_study, emit_outputs,
-                              run_experiment)
+                              pde_at_sites, run_experiment)
 from torusgas.pde import DensityField
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -78,17 +78,17 @@ def test_drift_profile_mismatch_rejected():
 
 
 def test_compare_fields_trivials():
-    f = DensityField(np.full((8, 8), 0.4))
+    target = pde_at_sites(DensityField(np.full((8, 8), 0.4)), 8)
     emp = np.full(64, 0.4)
-    out = compare_fields(emp, f, 1, 8)
+    out = compare_fields(emp, target)
     assert out == {"L1": 0.0, "L2": 0.0, "Linf": 0.0}
-    shifted = compare_fields(emp + 0.07, f, 1, 8)
+    shifted = compare_fields(emp + 0.07, target)
     for v in shifted.values():
         assert v == pytest.approx(0.07)
     checker = emp.copy().reshape(8, 8)
     checker[::2, :] += 0.05
     checker[1::2, :] -= 0.05
-    out = compare_fields(checker.reshape(-1), f, 1, 8)
+    out = compare_fields(checker.reshape(-1), target)
     assert out["L1"] == pytest.approx(0.05)
     assert out["L2"] == pytest.approx(0.05)
 
@@ -297,6 +297,45 @@ def test_exact_alpha_outside_unit_interval_is_config_error(tmp_path, capsys, alp
     assert not (tmp_path / "o").exists()
     data["exact"]["alpha"] = 0.15
     assert ExperimentConfig.from_dict(data).exact["alpha"] == 0.15
+
+
+@pytest.mark.parametrize("where, value", [
+    ("exact.alpha", "high"), ("replicas", "many"), ("torus_sizes entry", "big")])
+def test_non_numeric_config_value_is_config_error(tmp_path, capsys, where, value):
+    # a value that does not convert exits 2 naming its key, not with a
+    # traceback and exit code 1
+    data = base_config(output_dir=str(tmp_path / "o"), exact={"side": 3, "replicas": 10})
+    if where == "exact.alpha":
+        data["exact"]["alpha"] = value
+    elif where == "replicas":
+        data["replicas"] = value
+    else:
+        data["torus_sizes"] = [6, value]
+    with pytest.raises(ConfigError, match=where):
+        ExperimentConfig.from_dict(data)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(data))
+    for command in ("exact", "compare"):
+        assert cli_main([command, "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert where in err and repr(value) in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_run_meta_records_pde_solves(tmp_path):
+    data = base_config(output_dir=str(tmp_path / "o"), times=[0.02, 0.05],
+                       profile={"kind": "cosine", "base": 0.5, "amplitude": 0.2,
+                                "axis": 1})
+    cfg = ExperimentConfig.from_dict(data)
+    report = run_experiment(cfg)
+    emit_outputs(report, cfg.output_dir, ["json"])
+    meta = json.loads((tmp_path / "o" / "run_meta.json").read_text())
+    assert [row["t"] for row in meta["pde"]] == [0.02, 0.05]
+    for row in meta["pde"]:
+        assert row["steps"] >= 1 and 0.0 < row["dt"] <= row["stability_limit"]
+        assert row["shape"] == [1, 12]  # constant along axis 0
+        assert row["mass_drift"] <= 1e-10 and row["seconds"] >= 0.0
+    assert "pde" not in json.loads((tmp_path / "o" / "report.json").read_text())
 
 
 def test_simulate_writes_the_replica_job_fields(tmp_path):

@@ -7,7 +7,67 @@ import sympy
 from torusgas.errors import ConfigError, InvariantViolation
 from torusgas.pde import (DensityField, DiffusionTable, SolveReport, pde_step,
                           solve_to_time, stability_limit)
-from torusgas.profiles import Profile
+from torusgas.profiles import Profile, _interp_periodic
+
+
+def reference_step(values, table, dt, h):
+    """One step of the face-flux scheme on a plain full m^d array."""
+    d = values.ndim
+    divergence = np.zeros_like(values)
+    for i in range(d):
+        fwd = np.roll(values, -1, axis=i)
+        face_rho = 0.5 * (values + fwd)
+        flux = np.zeros_like(values)
+        for j in range(d):
+            if table.entry_is_zero(i, j):
+                continue
+            if j == i:
+                grad = (fwd - values) / h
+            else:
+                grad = ((np.roll(values, -1, axis=j) - np.roll(values, 1, axis=j))
+                        + (np.roll(fwd, -1, axis=j) - np.roll(fwd, 1, axis=j))) / (4.0 * h)
+            flux += table.entry(i, j, face_rho) * grad
+        divergence += (flux - np.roll(flux, 1, axis=i)) / h
+    return values + dt * divergence
+
+
+def reference_dt(values, table, safety=0.9):
+    """safety times the explicit stability bound h^2 / (2 d max-eig)."""
+    d, h = values.ndim, 1.0 / values.shape[0]
+    top = table.max_eigenvalue(float(values.min()), float(values.max()))
+    return safety * (h ** 2 / (2.0 * d * top))
+
+
+def reference_solve(values, table, t_final, safety=0.9):
+    """Full-grid solve to t_final with the step rule of `solve_to_time`."""
+    values = np.array(values, dtype=np.float64)
+    dt = reference_dt(values, table, safety)
+    t = 0.0
+    while t < t_final:
+        step = min(dt, t_final - t)
+        values = reference_step(values, table, step, 1.0 / values.shape[0])
+        t += step
+    return values
+
+
+def table_d3():
+    """A density-dependent 3x3 table with live off-diagonal entries."""
+    return DiffusionTable.from_callable(
+        lambda a: np.array([[0.20 + 0.05 * a, 0.02 * a, 0.01],
+                            [0.02 * a, 0.12 + 0.04 * a * a, -0.015 * a],
+                            [0.01, -0.015 * a, 0.15 - 0.03 * a]]), 3, nodes=101)
+
+
+def grid_d3(m, varying):
+    """A smooth m^3 grid that varies exactly along the `varying` axes."""
+    u = np.arange(m) / m
+    out = np.full((m, m, m), 0.5)
+    for k, ax in enumerate(varying):
+        shape = [1, 1, 1]
+        shape[ax] = m
+        wave = np.cos(2 * np.pi * u + k) if k % 2 == 0 else np.sin(4 * np.pi * u)
+        out = out + (0.12 / (k + 1)) * wave.reshape(shape)
+    return out
 
 
 def test_constant_field_fixed_point():
@@ -49,8 +109,13 @@ def test_maximum_principle_and_drift_invariance():
     f1 = solve_to_time(f0, tab, 0.2)
     assert f1.values.min() >= lo0 - 1e-12
     assert f1.values.max() <= hi0 + 1e-12
-    # constant along axis 0 initially, stays constant to rounding
+    # constant along axis 0 initially, stays constant to rounding: the field
+    # keeps axis 0 stored with length 1, and the scheme on the full grid
+    # keeps it constant too
+    assert f1.values.shape == (1, 48)
     assert np.abs(f1.values - f1.values[0:1, :]).max() <= 1e-12
+    ref = reference_solve(f0.grid(), tab, 0.2)
+    assert np.abs(ref - ref[0:1, :]).max() <= 1e-12
 
 
 def test_manufactured_solution_convergence_order():
@@ -163,3 +228,77 @@ def test_max_eigenvalue_matches_per_sample_reference():
                       for i in range(3)])
         ref = max(ref, float(np.abs(np.linalg.eigvalsh(m)).max()))
     assert tab.max_eigenvalue(lo, hi, samples) == pytest.approx(ref, rel=1e-14)
+
+
+@pytest.mark.parametrize("varying", [(0,), (1,), (2,), (0, 2), (1, 2), (0, 1, 2)])
+def test_stored_axes_step_bit_identical_to_full_grid(varying):
+    tab = table_d3()
+    m = 16
+    if len(varying) == 1:
+        full = Profile.cosine(3, 0.5, 0.2, axis=varying[0]).sample_grid(m)
+        fld = DensityField.from_profile(Profile.cosine(3, 0.5, 0.2, axis=varying[0]), m)
+    else:
+        full = grid_d3(m, varying)
+        fld = DensityField(full)
+    assert fld.values.shape == tuple(m if ax in varying else 1 for ax in range(3))
+    assert fld.resolution == m and fld.dimension == 3 and fld.h == 1.0 / m
+    dt = reference_dt(full, tab)
+    assert 0.9 * stability_limit(fld, tab) == dt
+    for _ in range(25):
+        fld = pde_step(fld, tab, dt)
+        full = reference_step(full, tab, dt, 1.0 / m)
+        assert np.array_equal(fld.grid(), full)
+    assert fld.values.shape == tuple(m if ax in varying else 1 for ax in range(3))
+    assert fld.mass() == pytest.approx(full.mean(), rel=1e-14)
+
+
+def test_stored_axes_solve_bit_identical_to_full_grid():
+    tab = table_d3()
+    profile = Profile.cosine(3, 0.5, 0.2, axis=1)
+    full = profile.sample_grid(16)
+    rep = SolveReport()
+    fld = solve_to_time(DensityField.from_profile(profile, 16), tab, 0.06, report=rep)
+    ref = reference_solve(full, tab, 0.06)
+    assert rep.steps >= 20 and rep.shape == (1, 16, 1)
+    assert rep.dt == reference_dt(full, tab)
+    assert np.array_equal(fld.grid(), ref)
+
+
+def test_field_without_constant_axis_keeps_full_shape():
+    values = np.random.default_rng(3).uniform(0.3, 0.7, (16, 16, 16))
+    fld = DensityField(values)
+    assert fld.values.shape == (16, 16, 16)
+    assert np.array_equal(fld.values, values)
+    # one differing entry is enough to keep an axis
+    almost = np.full((16, 16, 16), 0.4)
+    almost[5, 9, 2] = np.nextafter(0.4, 1.0)
+    assert DensityField(almost).values.shape == (16, 16, 16)
+    assert DensityField(np.full((16, 16, 16), 0.4)).values.shape == (1, 1, 1)
+    with pytest.raises(ConfigError):
+        DensityField(np.full((16, 8, 16), 0.4))
+    with pytest.raises(ConfigError):
+        DensityField(np.full((1, 8, 1), 0.4), resolution=16)
+
+
+@pytest.mark.parametrize("varying", [(1,), (0, 2), (0, 1, 2), ()])
+def test_evaluate_off_node_bit_identical_to_full_grid(varying):
+    m = 16
+    full = grid_d3(m, varying)
+    fld = DensityField(full)
+    assert fld.values.ndim == 3 and fld.values.size == m ** len(varying)
+    pts = np.random.default_rng(7).uniform(-1.5, 2.5, (500, 3))
+    pts[:5] = np.arange(15).reshape(5, 3) / m  # grid nodes
+    assert np.array_equal(fld.evaluate(pts), _interp_periodic(full, pts, m))
+
+
+def test_save_writes_full_grid(tmp_path):
+    profile = Profile.cosine(3, 0.5, 0.2, axis=2)
+    fld = DensityField.from_profile(profile, 8)
+    assert fld.values.shape == (1, 1, 8)
+    fld.save_csv(tmp_path / "f.csv", {"m": 8})
+    lines = (tmp_path / "f.csv").read_text().splitlines()
+    assert lines[1] == "# shape 8 8 8"
+    flat = np.loadtxt(tmp_path / "f.csv", delimiter=",")
+    assert np.array_equal(flat.reshape(8, 8, 8), profile.sample_grid(8))
+    fld.save_npy(tmp_path / "f.npy")
+    assert np.array_equal(np.load(tmp_path / "f.npy"), profile.sample_grid(8))
