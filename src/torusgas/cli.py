@@ -15,14 +15,11 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, InvariantViolation
-from .harness import (ExperimentConfig, _load_or_compute_table, convergence_study,
-                      emit_outputs, exact_small_experiment, replica_stream,
-                      replica_trajectory, run_experiment)
-from .kernels import validate_kernel
-from .lattice import TorusGeometry, block_density
+from .harness import (ExperimentConfig, _load_or_compute_table, _replica_job,
+                      convergence_study, emit_outputs, exact_small_experiment,
+                      run_experiment)
 from .pde import DensityField, DiffusionTable, solve_to_time
 from .resolvent import compute_diffusion
-from .profiles import validate_profile
 
 
 def _add_shared(p):
@@ -51,7 +48,7 @@ def _outdir(cfg) -> Path:
 
 def cmd_kernel(args) -> int:
     cfg = _load(args)
-    analysis = validate_kernel(cfg.kernel)
+    analysis = cfg.analysis
     data = {
         "dimension": analysis.dimension,
         "range": analysis.range,
@@ -77,26 +74,19 @@ def cmd_kernel(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = _load(args)
-    analysis = validate_kernel(cfg.kernel)
-    profile = cfg.build_profile()
-    diag = validate_profile(profile, analysis.drift, cfg.delta0, cfg.drift_tol)
-    if not diag["ok"]:
-        raise ConfigError(f"profile fails validation: {diag}")
+    cfg.checked_profile()
     out = _outdir(cfg)
     for size_index, n in enumerate(cfg.torus_sizes):
-        geom = TorusGeometry(cfg.dimension, n)
+        shape = (n,) * cfg.dimension
         for r in range(cfg.replicas):
-            rng = replica_stream(cfg, size_index, r).generator()
-            for t, config in replica_trajectory(geom, profile, cfg.kernel, cfg.times, rng):
-                blocks = block_density(config, cfg.block_radius)
+            for t, blocks in _replica_job(cfg, size_index, r).items():
                 header = {"d": cfg.dimension, "N": n, "K": cfg.block_radius,
                           "t": t, "replica": r, "seed": cfg.master_seed}
                 stem = f"blocks_N{n}_t{t}_r{r}"
                 if "csv" in cfg.formats:
-                    field = DensityField(blocks.reshape(geom.shape))
-                    field.save_csv(out / f"{stem}.csv", header)
+                    DensityField(blocks.reshape(shape)).save_csv(out / f"{stem}.csv", header)
                 if "npy" in cfg.formats or "binary" in cfg.formats:
-                    np.save(out / f"{stem}.npy", blocks.reshape(geom.shape))
+                    np.save(out / f"{stem}.npy", blocks.reshape(shape))
                     (out / f"{stem}.meta.json").write_text(
                         json.dumps(header, sort_keys=True))
     print(out)
@@ -105,14 +95,13 @@ def cmd_simulate(args) -> int:
 
 def cmd_diffusion(args) -> int:
     cfg = _load(args)
-    analysis = validate_kernel(cfg.kernel)
     d = cfg.dimension
     vectors = {"e1": [1.0] + [0.0] * (d - 1)}
     if d >= 2:
         v = np.zeros(d)
         v[0] = v[1] = 1.0 / np.sqrt(2.0)
         vectors["diag12"] = [float(x) for x in v]
-    result = compute_diffusion(analysis, cfg.alpha_grid, cfg.truncation,
+    result = compute_diffusion(cfg.analysis, cfg.alpha_grid, cfg.truncation,
                                mobility_vectors=vectors, with_residuals=True)
     out = _outdir(cfg)
     result.save_json(out / "diffusion.json")
@@ -125,9 +114,8 @@ def cmd_diffusion(args) -> int:
 
 def cmd_pde(args) -> int:
     cfg = _load(args)
-    analysis = validate_kernel(cfg.kernel)
     profile = cfg.build_profile()
-    table = _load_or_compute_table(cfg, analysis)
+    table = _load_or_compute_table(cfg)
     out = _outdir(cfg)
     fld = DensityField.from_profile(profile, cfg.pde_resolution)
     t_prev = 0.0

@@ -20,7 +20,7 @@ from .errors import ConfigError, InvariantViolation, as_number, require
 from .exactsmall import (MAX_SITES, exact_evolution_small, product_distribution,
                          relative_entropy_distributions, relative_entropy_product,
                          total_variation)
-from .kernels import TransitionKernel, validate_kernel
+from .kernels import KernelAnalysis, TransitionKernel, validate_kernel
 from .lattice import TorusGeometry, block_density, sample_product_measure, state_codes
 from .pde import DensityField, DiffusionTable, SolveReport, solve_to_time
 from .profiles import Profile, validate_profile
@@ -40,6 +40,7 @@ _TRUNC_KEYS = {"radius", "max_degree", "solver_tol", "lambda_seq", "reg"}
 _PDE_KEYS = {"resolution", "safety"}
 _PROFILE_KEYS = {"kind", "value", "base", "amplitude", "axis", "path"}
 _EXACT_KEYS = {"side", "replicas", "alpha", "times"}
+_FORMATS = ("json", "csv", "dat", "plot", "npy", "binary")
 
 # Comparison replica substream keys are the one word (size_index << 20) | r,
 # distinct across sizes while r < 2**20; the bound keeps 2**19.  The exact
@@ -94,8 +95,15 @@ class ExperimentConfig:
     drift_tol: float = 1e-10
     exact: dict = field(default_factory=dict)
     label: str = "experiment"
+    # derived once from the fields above; not part of the config's identity
+    analysis: KernelAnalysis = field(init=False, repr=False, compare=False)
+    exact_side: int = field(init=False, repr=False, compare=False)
+    exact_replicas: int = field(init=False, repr=False, compare=False)
+    exact_alpha: float = field(init=False, repr=False, compare=False)
+    exact_times: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        self.analysis = validate_kernel(self.kernel)
         if self.truncation is None:
             r = max(2, self.kernel.range)
             self.truncation = TruncationParams(radius=r, max_degree=2)
@@ -105,14 +113,19 @@ class ExperimentConfig:
             raise ConfigError("need at least one replica")
         if self.replicas > MAX_REPLICAS:
             raise ConfigError(f"replicas must be at most {MAX_REPLICAS}")
-        if as_number(int, self.exact.get("replicas", EXACT_REPLICAS),
-                     "exact.replicas") < 1:
+        if not isinstance(self.formats, list) or any(f not in _FORMATS for f in self.formats):
+            raise ConfigError(f"formats must be a list of names from {list(_FORMATS)}, "
+                              f"got {self.formats!r}")
+        ex = self.exact
+        self.exact_replicas = as_number(int, ex.get("replicas", EXACT_REPLICAS),
+                                        "exact.replicas")
+        if self.exact_replicas < 1:
             raise ConfigError("need at least one exact Monte Carlo replica")
-        as_number(int, self.exact.get("side", 3), "exact.side")
-        _numbers(float, self.exact.get("times", self.times), "exact.times")
-        alpha = as_number(float, self.exact.get("alpha", EXACT_ALPHA), "exact.alpha")
-        if not 0.0 <= alpha <= 1.0:  # also false for nan
-            raise ConfigError(f"exact.alpha must lie in [0, 1], got {alpha!r}")
+        self.exact_side = as_number(int, ex.get("side", 3), "exact.side")
+        self.exact_times = _numbers(float, ex.get("times", self.times), "exact.times")
+        self.exact_alpha = as_number(float, ex.get("alpha", EXACT_ALPHA), "exact.alpha")
+        if not 0.0 <= self.exact_alpha <= 1.0:  # also false for nan
+            raise ConfigError(f"exact.alpha must lie in [0, 1], got {self.exact_alpha!r}")
         for n in self.torus_sizes:
             if 2 * self.block_radius + 1 > n:
                 raise ConfigError(f"block radius {self.block_radius} too large for N={n}")
@@ -126,6 +139,14 @@ class ExperimentConfig:
     def build_profile(self) -> Profile:
         return Profile.from_spec(self.dimension, self.profile_spec, self.delta0)
 
+    def checked_profile(self) -> Profile:
+        """The initial profile, after its drift and boundedness check."""
+        profile = self.build_profile()
+        diag = validate_profile(profile, self.analysis.drift, self.delta0, self.drift_tol)
+        if not diag["ok"]:
+            raise ConfigError(f"initial profile fails validation: {diag}")
+        return profile
+
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         _reject_unknown(data, _TOP_KEYS, "config")
@@ -135,7 +156,6 @@ class ExperimentConfig:
         _reject_unknown(kd, _KERNEL_KEYS, "kernel")
         dimension = as_number(int, require(kd, "dimension", "kernel"), "kernel.dimension")
         kernel = TransitionKernel.from_entries(dimension, require(kd, "entries", "kernel"))
-        validate_kernel(kernel)
         prof = require(data, "profile", "config")
         _reject_unknown(prof, _PROFILE_KEYS, "profile")
         prof = dict(prof)
@@ -175,7 +195,7 @@ class ExperimentConfig:
             pde_safety=as_number(float, pde.get("safety", 0.9), "pde.safety"),
             diffusion_table_path=data.get("diffusion_table"),
             output_dir=data.get("output_dir", "out"),
-            formats=list(data.get("formats", ["json", "csv"])),
+            formats=data.get("formats", ["json", "csv"]),
             threads=as_number(int, data.get("threads", 1), "threads"),
             drift_tol=as_number(float, data.get("drift_tol", 1e-10), "drift_tol"),
             exact=exact,
@@ -248,10 +268,10 @@ def compare_fields(empirical: np.ndarray, target: np.ndarray) -> dict:
     }
 
 
-def _load_or_compute_table(cfg: ExperimentConfig, analysis) -> DiffusionTable:
+def _load_or_compute_table(cfg: ExperimentConfig) -> DiffusionTable:
     if cfg.diffusion_table_path:
         return DiffusionTable.load_json(cfg.diffusion_table_path)
-    result = compute_diffusion(analysis, cfg.alpha_grid, cfg.truncation)
+    result = compute_diffusion(cfg.analysis, cfg.alpha_grid, cfg.truncation)
     return DiffusionTable.from_diffusion_result(result)
 
 
@@ -322,21 +342,17 @@ class ComparisonReport:
         }
 
 
-def run_experiment(cfg: ExperimentConfig, table: DiffusionTable | None = None,
-                   progress=None) -> ComparisonReport:
+def run_experiment(cfg: ExperimentConfig,
+                   table: DiffusionTable | None = None) -> ComparisonReport:
     """Ensemble-vs-PDE comparison over all torus sizes and times.
 
     Every trajectory is continuity-checked against its bond ledger; block
     fields are averaged over replicas before distances are taken, and
     per-replica distances are logged alongside.
     """
-    analysis = validate_kernel(cfg.kernel)
-    profile = cfg.build_profile()
-    diag = validate_profile(profile, analysis.drift, cfg.delta0, cfg.drift_tol)
-    if not diag["ok"]:
-        raise ConfigError(f"initial profile fails validation: {diag}")
+    profile = cfg.checked_profile()
     if table is None:
-        table = _load_or_compute_table(cfg, analysis)
+        table = _load_or_compute_table(cfg)
 
     pde_fields = {}
     pde_solves = []
@@ -370,12 +386,10 @@ def run_experiment(cfg: ExperimentConfig, table: DiffusionTable | None = None,
             else:
                 results = [_replica_job(cfg, size_index, r)
                            for r in range(cfg.replicas)]
-            for r, fields in enumerate(results):
+            for fields in results:
                 for t in cfg.times:
                     sums[t] += fields[t]
                     per_replica[t].append(compare_fields(fields[t], targets[t])["L1"])
-                if progress:
-                    progress(n, r)
             for t in cfg.times:
                 mean_field = sums[t] / cfg.replicas
                 dist = compare_fields(mean_field, targets[t])
@@ -404,10 +418,9 @@ def run_experiment(cfg: ExperimentConfig, table: DiffusionTable | None = None,
     return report
 
 
-def convergence_study(cfg: ExperimentConfig, table: DiffusionTable | None = None,
-                      progress=None) -> dict:
+def convergence_study(cfg: ExperimentConfig) -> dict:
     """Distance-versus-size table with a monotonicity verdict per time."""
-    report = run_experiment(cfg, table=table, progress=progress)
+    report = run_experiment(cfg)
     table_rows = [{k: row[k] for k in ("N", "t", "L1", "L2", "Linf")}
                   for row in report.rows]
     return {
@@ -417,8 +430,7 @@ def convergence_study(cfg: ExperimentConfig, table: DiffusionTable | None = None
     }
 
 
-def exact_small_experiment(cfg: ExperimentConfig,
-                           table: DiffusionTable | None = None) -> dict:
+def exact_small_experiment(cfg: ExperimentConfig) -> dict:
     """Tiny-torus diagnostics against the exact law.
 
     Reports (i) total-variation distance between the Monte Carlo ensemble
@@ -428,19 +440,14 @@ def exact_small_experiment(cfg: ExperimentConfig,
     solution along the run (with a closed-form cross-check at time zero),
     and (iii) exact stationarity of the flat product measure.
     """
-    exact_cfg = cfg.exact or {}
-    n = int(exact_cfg.get("side", 3))
-    mc_replicas = int(exact_cfg.get("replicas", EXACT_REPLICAS))
-    alpha = float(exact_cfg.get("alpha", EXACT_ALPHA))
-    times = [float(t) for t in exact_cfg.get("times", cfg.times)]
+    n = cfg.exact_side
+    mc_replicas = cfg.exact_replicas
+    alpha = cfg.exact_alpha
+    times = cfg.exact_times
     geom = TorusGeometry(cfg.dimension, n)
     if geom.n_sites > MAX_SITES:
         raise ConfigError("exact diagnostics need at most 13 sites")
-    analysis = validate_kernel(cfg.kernel)
-    profile = cfg.build_profile()
-    diag = validate_profile(profile, analysis.drift, cfg.delta0, cfg.drift_tol)
-    if not diag["ok"]:
-        raise ConfigError(f"initial profile fails validation: {diag}")
+    profile = cfg.checked_profile()
 
     pts = geom.all_coords() / n
     marginals0 = profile.values_at(pts)
@@ -455,8 +462,7 @@ def exact_small_experiment(cfg: ExperimentConfig,
     # PDE reference along the run (grid resolution a multiple of the side)
     resolution = max(cfg.pde_resolution, n)
     resolution += (-resolution) % n
-    if table is None:
-        table = _load_or_compute_table(cfg, analysis)
+    table = _load_or_compute_table(cfg)
     fld = DensityField.from_profile(profile, resolution)
 
     # exact law and entropy curve along the run, including the time-zero row

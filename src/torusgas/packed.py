@@ -4,10 +4,12 @@ The solve space is the truncation `TruncationParams`: the finite subsets of
 Z^d minus the origin with at most `max_degree` points whose union with the
 origin has sup-norm diameter at most `radius`.  A degree-n set A shares its
 translation class with the n sets (A u {0}) - z minus the origin, z in A.
-The truncation is closed under this identity, so every class has exactly
-n + 1 members, and each part of the operator (even, odd, raise/lower) maps
-class-constant functions to class-constant functions.  The engine therefore
-keeps one unknown per class and never enumerates the sets themselves.
+The truncation is closed under this identity: B u {0} = (A u {0}) - z is a
+translate of the n + 1 points of A u {0}, so it has their sup-norm diameter.
+Every class therefore has exactly n + 1 members, and each part of the
+operator (even, odd, raise/lower) maps class-constant functions to
+class-constant functions.  The engine therefore keeps one unknown per class
+and never enumerates the sets themselves.
 
 Every class has exactly one canonical member whose points are all
 lexicographically positive: the shift of A u {0} by its lexicographically
@@ -26,14 +28,19 @@ matrix, and the degree-weighted pairing keeps its 1/(n + 1) weights.
 
 Only the canonical row of each class is assembled; its columns are summed
 into classes (scaled by sqrt((n_row + 1) / (n_col + 1)) for the
-degree-changing arrows).  The clipped mass still sums over every set: the
-other n members of each class are generated from the canonical one.  The
-degree-preserving arrows form a CSR pattern with separate even/odd weight
-data, the degree-changing ones a small separate sparse matrix.  The
-operator at any density is two sparse matvecs plus a diagonal, with the
-density entering only through scalar coefficients, so one assembly serves a
-whole density grid.  The on-diagonal occupation coefficients keep their
-full lattice sums, so symmetry/antisymmetry survive the truncation exactly.
+degree-changing arrows).  The clipped mass sums over every set, but the
+canonical member fixes that sum.  The n exchange arrows and the rigid arrow
+of a member B are the n + 1 moves "one point of B u {0} by v", and B u {0}
+is a translate of A u {0}, so they are the same moves as A's.  Whether a
+move exists (no collision) and stays inside (diameter at most `radius`) is
+translation-invariant, so per offset every member clips the canonical
+member's count, n + 1 times in all.  The degree-preserving arrows form a
+CSR pattern with separate even/odd weight data, the degree-changing ones a
+small separate sparse matrix.  The operator at any density is two sparse
+matvecs plus a diagonal, with the density entering only through scalar
+coefficients, so one assembly serves a whole density grid.  The on-diagonal
+occupation coefficients keep their full lattice sums, so
+symmetry/antisymmetry survive the truncation exactly.
 """
 
 from __future__ import annotations
@@ -397,12 +404,6 @@ def assemble(space: PackedSpace, analysis: KernelAnalysis) -> PackedOperator:
         if nn == 0:
             continue
         krow = space.offsets[n] + np.arange(nn, dtype=np.int64)
-        # the n other members of every class, for the clipped mass summed
-        # over every set (membership needs only the cube and `compat`)
-        others = [space._member_shift(sets_n, m) for m in range(n)]
-        if any(np.any(rows < 0) for rows in others):
-            raise InvariantViolation(
-                "truncation not closed under the translation identity")
         # degree-preserving arrows, one column per (offset, member or rigid
         # shift); matrix rows from the canonical members
         cols2d = np.full((nn, len(offsets) * (n + 1)), -1, dtype=np.int32)
@@ -411,13 +412,11 @@ def assemble(space: PackedSpace, analysis: KernelAnalysis) -> PackedOperator:
         for v, sv, av in zip(offsets, svals, avals):
             wsq = (sv * sv + av * av) / (n + 1.0)
             move, back = space.translate(v), space.translate(-v)
+            clipped = np.zeros(nn, dtype=np.int64)
             for m in [*range(n), None]:  # member m moved by v, or the rigid shift
-                clipped = np.zeros(nn, dtype=np.int64)
-                for rows in [*others, sets_n]:  # the canonical member last
-                    exists, inside, hit = (_rigid(rows, back) if m is None
-                                           else _exchange(space, rows, m, move))
-                    clipped += exists & ~inside
-                clip_weight[krow] += wsq * clipped
+                exists, inside, hit = (_rigid(sets_n, back) if m is None
+                                       else _exchange(space, sets_n, m, move))
+                clipped += exists & ~inside
                 diag_even[krow[exists]] -= sv
                 diag_odd[krow[exists]] -= av
                 if m is None:
@@ -428,7 +427,8 @@ def assemble(space: PackedSpace, analysis: KernelAnalysis) -> PackedOperator:
                     rows_new.sort(axis=1)
                 cols2d[inside, f] = _find_all(space, rows_new)
                 f += 1
-        del others
+            # every member of the class clips the same count (module docstring)
+            clip_weight[krow] += wsq * (n + 1) * clipped
         mask = cols2d >= 0
         indptr_counts.append(mask.sum(axis=1))
         indices_parts.append(cols2d[mask])

@@ -322,6 +322,34 @@ def test_non_numeric_config_value_is_config_error(tmp_path, capsys, where, value
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("formats", ["json", ["jsn"], ["json", 1]])
+def test_unknown_output_format_is_config_error(tmp_path, capsys, formats):
+    # a bare string used to parse as its letters and an unknown name was
+    # ignored: `compare` then wrote no report and still exited 0
+    data = base_config(output_dir=str(tmp_path / "o"), formats=formats)
+    with pytest.raises(ConfigError, match="formats"):
+        ExperimentConfig.from_dict(data)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(data))
+    assert cli_main(["compare", "--config", str(cfg_path)]) == 2
+    assert "formats" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+    data["formats"] = ["json", "csv", "dat", "plot", "npy", "binary"]
+    assert ExperimentConfig.from_dict(data).formats == data["formats"]
+
+
+def test_config_keeps_its_validated_values():
+    # the kernel analysis and the typed exact values are derived once, at
+    # parse time; the serialized config keeps the values as written, and
+    # the derived ones survive the pickling a process pool does
+    data = base_config(exact={"side": "3", "replicas": "10", "alpha": "0.2"})
+    cfg = pickle.loads(pickle.dumps(ExperimentConfig.from_dict(data)))
+    assert (cfg.exact_side, cfg.exact_replicas, cfg.exact_alpha) == (3, 10, 0.2)
+    assert cfg.exact_times == cfg.times == [0.05]
+    assert np.array_equal(cfg.analysis.sym_weights, [0.25] * 4)
+    assert cfg.to_dict()["exact"] == data["exact"]
+
+
 def test_run_meta_records_pde_solves(tmp_path):
     data = base_config(output_dir=str(tmp_path / "o"), times=[0.02, 0.05],
                        profile={"kind": "cosine", "base": 0.5, "amplitude": 0.2,

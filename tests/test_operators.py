@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from torusgas.kernels import ssep, validate_kernel
+from torusgas.kernels import TransitionKernel, ssep, validate_kernel
 from torusgas.packed import PackedSpace, TruncationParams, assemble
 
 from oracle import DenseOracle, enumerate_truncation, in_truncation, shift_set
@@ -95,11 +95,14 @@ def test_operator_at_empty_set_is_zero(kernel_d2_asym):
         assert row == pytest.approx(0.0, abs=1e-14)
 
 
-@pytest.mark.parametrize("dim", [2, 3])
-def test_classes_have_degree_plus_one_members(dim):
+@pytest.mark.parametrize("dim,trunc", [pytest.param(2, (2, 2), id="2"),
+                                       pytest.param(3, (2, 2), id="3"),
+                                       pytest.param(2, (3, 3), id="2-3-3")])
+def test_classes_have_degree_plus_one_members(dim, trunc):
     # every class holds exactly the n + 1 member shifts of a degree-n set,
-    # all of them inside the truncation
-    tr = TruncationParams(radius=2, max_degree=2)
+    # all of them inside the truncation (closure, checked in full; the
+    # engine's clipped mass relies on it)
+    tr = TruncationParams(radius=trunc[0], max_degree=trunc[1])
     space = PackedSpace(dim, tr)
     by_degree = enumerate_truncation(dim, tr)
     assert space.n_sets == sum(len(sets) for sets in by_degree.values())
@@ -159,16 +162,29 @@ def test_oracle_parts_preserve_classes(dim, trunc, kernel_d2_asym, kernel_d3_asy
     assert oracle.class_violation(broken.tocsc()) >= 0.5
 
 
-def test_clipped_outflow_sums_over_every_set(kernel_d2_asym):
+def _range_two_kernel():
+    # the offset [2, 0] jumps over a neighbour, [1, 1] moves diagonally
+    k = TransitionKernel(2, np.array([[2, 0], [-1, 0], [0, 1], [0, -1], [1, 1]]),
+                         np.array([0.3, 0.2, 0.2, 0.1, 0.2]))
+    return validate_kernel(k)
+
+
+@pytest.mark.parametrize("dim,trunc,kernel", [
+    pytest.param(2, (2, 3), "kernel_d2_asym", id="d2-2-3"),
+    pytest.param(3, (2, 2), "kernel_d3_asym", id="d3-2-2"),
+    pytest.param(2, (2, 3), "range_two", id="d2-2-3-range2"),
+])
+def test_clipped_outflow_sums_over_every_set(request, dim, trunc, kernel):
     # per-arrow proxy of the dropped image, summed literally over every set
-    # of the space (not over class representatives only)
-    tr = TruncationParams(radius=2, max_degree=3)
-    eng = assemble(PackedSpace(2, tr), kernel_d2_asym)
+    # of the space (not over class representatives only); the engine counts
+    # the canonical member's clipped moves n + 1 times
+    an = _range_two_kernel() if kernel == "range_two" else request.getfixturevalue(kernel)
+    tr = TruncationParams(radius=trunc[0], max_degree=trunc[1])
+    eng = assemble(PackedSpace(dim, tr), an)
     space = eng.space
-    oracle = DenseOracle(kernel_d2_asym, tr)
+    oracle = DenseOracle(an, tr)
     x = np.random.default_rng(4).standard_normal(space.size)
     values = oracle.lift(space)(x)
-    an = kernel_d2_asym
     want = 0.0
     for A, fA in zip(oracle.basis, values):
         for z, s, a in zip(an.sym_offsets, an.sym_weights, an.asym_weights):
