@@ -15,9 +15,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, InvariantViolation
-from .harness import (ExperimentConfig, _load_or_compute_table, _replica_job,
-                      convergence_study, emit_outputs, exact_small_experiment,
-                      run_experiment)
+from .harness import (ExperimentConfig, _load_or_compute_table, convergence_study,
+                      emit_outputs, exact_small_experiment, replica_results,
+                      run_experiment, size_record, write_run_meta)
 from .pde import DensityField, DiffusionTable, solve_to_time
 from .resolvent import compute_diffusion
 
@@ -76,10 +76,13 @@ def cmd_simulate(args) -> int:
     cfg = _load(args)
     cfg.checked_profile()
     out = _outdir(cfg)
+    records = []
     for size_index, n in enumerate(cfg.torus_sizes):
         shape = (n,) * cfg.dimension
-        for r in range(cfg.replicas):
-            for t, blocks in _replica_job(cfg, size_index, r).items():
+        results = replica_results(cfg, size_index)
+        records.append(size_record(n, [rec for _, rec in results]))
+        for r, (fields, _) in enumerate(results):
+            for t, blocks in fields.items():
                 header = {"d": cfg.dimension, "N": n, "K": cfg.block_radius,
                           "t": t, "replica": r, "seed": cfg.master_seed}
                 stem = f"blocks_N{n}_t{t}_r{r}"
@@ -89,6 +92,7 @@ def cmd_simulate(args) -> int:
                     np.save(out / f"{stem}.npy", blocks.reshape(shape))
                     (out / f"{stem}.meta.json").write_text(
                         json.dumps(header, sort_keys=True))
+    write_run_meta(out, simulate=records)
     print(out)
     return 0
 

@@ -42,12 +42,6 @@ _PROFILE_KEYS = {"kind", "value", "base", "amplitude", "axis", "path"}
 _EXACT_KEYS = {"side", "replicas", "alpha", "times"}
 _FORMATS = ("json", "csv", "dat", "plot", "npy", "binary")
 
-# Comparison replica substream keys are the one word (size_index << 20) | r,
-# distinct across sizes while r < 2**20; the bound keeps 2**19.  The exact
-# diagnostics key their batch streams by the two words (1, batch), which
-# differ from every one-word key, so their replica count needs no bound.
-MAX_REPLICAS = 1 << 19
-
 # Replicas per lockstep batch of the exact Monte Carlo ensemble.  Fixed, so
 # the batch streams (and the results) do not depend on anything but the
 # config; 4096 keeps the batch arrays small.
@@ -62,6 +56,14 @@ def _reject_unknown(mapping: dict, allowed: set, where: str):
     unknown = set(mapping) - allowed
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+
+
+def _increasing(times: list, key: str) -> list:
+    """Observation times, checked to start at or after 0 and strictly increase."""
+    if (times and not times[0] >= 0.0) or any(not b > a for a, b in zip(times, times[1:])):
+        raise ConfigError(f"{key} must be nonnegative and strictly increasing, "
+                          f"got {times!r}")
+    return times
 
 
 def _numbers(kind, values, key: str) -> list:
@@ -111,8 +113,7 @@ class ExperimentConfig:
             raise ConfigError("block radius must be nonnegative")
         if self.replicas < 1:
             raise ConfigError("need at least one replica")
-        if self.replicas > MAX_REPLICAS:
-            raise ConfigError(f"replicas must be at most {MAX_REPLICAS}")
+        _increasing(self.times, "times")
         if not isinstance(self.formats, list) or any(f not in _FORMATS for f in self.formats):
             raise ConfigError(f"formats must be a list of names from {list(_FORMATS)}, "
                               f"got {self.formats!r}")
@@ -122,15 +123,14 @@ class ExperimentConfig:
         if self.exact_replicas < 1:
             raise ConfigError("need at least one exact Monte Carlo replica")
         self.exact_side = as_number(int, ex.get("side", 3), "exact.side")
-        self.exact_times = _numbers(float, ex.get("times", self.times), "exact.times")
+        self.exact_times = _increasing(_numbers(float, ex.get("times", self.times),
+                                                "exact.times"), "exact.times")
         self.exact_alpha = as_number(float, ex.get("alpha", EXACT_ALPHA), "exact.alpha")
         if not 0.0 <= self.exact_alpha <= 1.0:  # also false for nan
             raise ConfigError(f"exact.alpha must lie in [0, 1], got {self.exact_alpha!r}")
         for n in self.torus_sizes:
             if 2 * self.block_radius + 1 > n:
                 raise ConfigError(f"block radius {self.block_radius} too large for N={n}")
-        if sorted(self.times) != list(self.times):
-            raise ConfigError("observation times must be ascending")
 
     @property
     def dimension(self) -> int:
@@ -276,7 +276,8 @@ def _load_or_compute_table(cfg: ExperimentConfig) -> DiffusionTable:
 
 
 def replica_stream(cfg: ExperimentConfig, size_index: int, replica: int) -> RngStream:
-    return RngStream(cfg.master_seed, (size_index << 20) | replica)
+    """Random stream of one comparison replica, keyed (2, size_index, replica)."""
+    return RngStream(cfg.master_seed, (2, size_index, replica))
 
 
 def exact_batch_stream(master_seed: int, batch: int) -> np.random.Generator:
@@ -289,10 +290,11 @@ def replica_trajectory(geom: TorusGeometry, profile: Profile, kernel: Transition
                        times, rng):
     """One replica: sample the initial state, then evolve through the times.
 
-    Yields (t, configuration) at every observation time t (macroscopic, so
-    each span runs for (t - t_prev) N^2 microscopic time).  Every span is
-    continuity-checked against its bond ledger and must keep the particle
-    count.  The random draws depend only on `rng` and the arguments.
+    Yields (t, configuration, ledger) at every observation time t
+    (macroscopic, so each span runs for (t - t_prev) N^2 microscopic time).
+    Every span is continuity-checked against its bond ledger and must keep
+    the particle count.  The random draws depend only on `rng` and the
+    arguments.
     """
     n = geom.side
     config = sample_product_measure(geom, profile, rng)
@@ -304,21 +306,57 @@ def replica_trajectory(geom: TorusGeometry, profile: Profile, kernel: Transition
         if config.particle_count != before.particle_count:
             raise InvariantViolation("particle count changed")
         t_prev = t
-        yield t, config
+        yield t, config, ledger
 
 
 def _replica_job(cfg: ExperimentConfig, size_index: int, replica: int):
     """Block fields of one replica trajectory at every observation time.
 
-    Self-contained (the config pickles) so a process pool can run replicas
-    independently; the replica substream makes the result a pure function
-    of (config, indices).
+    Returns ({t: block field}, simulation record).  The record sums, over
+    the spans, the expected events n_sites T, the drawn events, the executed
+    jumps and the wavefront rounds, and holds the seconds spent in the
+    trajectory (sampling, evolution, ledger checks).  Self-contained (the
+    config pickles) so a process pool can run replicas independently; the
+    replica substream makes the fields a pure function of (config, indices).
     """
     geom = TorusGeometry(cfg.dimension, cfg.torus_sizes[size_index])
     rng = replica_stream(cfg, size_index, replica).generator()
-    return {t: block_density(config, cfg.block_radius)
-            for t, config in replica_trajectory(geom, cfg.build_profile(), cfg.kernel,
-                                                cfg.times, rng)}
+    fields = {}
+    record = {"expected_events": 0.0, "events": 0, "jumps": 0, "rounds": 0,
+              "seconds": 0.0}
+    start = time.perf_counter()
+    for t, config, ledger in replica_trajectory(geom, cfg.build_profile(), cfg.kernel,
+                                                cfg.times, rng):
+        record["seconds"] += time.perf_counter() - start
+        record["expected_events"] += geom.n_sites * ledger.elapsed
+        record["events"] += ledger.events
+        record["jumps"] += int(ledger.counts.sum())
+        record["rounds"] += ledger.rounds
+        fields[t] = block_density(config, cfg.block_radius)
+        start = time.perf_counter()
+    return fields, record
+
+
+def size_record(n: int, records: list) -> dict:
+    """One torus size's simulation record: its replicas' records summed."""
+    return {"N": n, "replicas": len(records),
+            **{key: sum(rec[key] for rec in records) for key in records[0]}}
+
+
+def replica_results(cfg: ExperimentConfig, size_index: int) -> list:
+    """`_replica_job` of every replica of one torus size, in replica order.
+
+    With `threads > 1` the replicas run in a process pool; the results are
+    still read back in replica order, so the output does not depend on it.
+    """
+    if cfg.threads > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
+            futures = [pool.submit(_replica_job, cfg, size_index, r)
+                       for r in range(cfg.replicas)]
+            return [f.result() for f in futures]
+    return [_replica_job(cfg, size_index, r) for r in range(cfg.replicas)]
 
 
 @dataclass
@@ -328,9 +366,10 @@ class ComparisonReport:
     monotone_in_size: dict
     table_asymmetry: float
     failure: str | None = None
-    # one SolveReport record per observation time; goes to run_meta.json,
-    # not to the report
+    # one SolveReport record per observation time and one simulation record
+    # per torus size; they go to run_meta.json, not to the report
     pde_solves: list = field(default_factory=list)
+    simulate: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
         return {
@@ -375,18 +414,9 @@ def run_experiment(cfg: ExperimentConfig,
             targets = {t: pde_at_sites(pde_fields[t], n) for t in cfg.times}
             sums = {t: np.zeros(geom.n_sites) for t in cfg.times}
             per_replica = {t: [] for t in cfg.times}
-            if cfg.threads > 1:
-                from concurrent.futures import ProcessPoolExecutor
-
-                with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
-                    futures = [pool.submit(_replica_job, cfg, size_index, r)
-                               for r in range(cfg.replicas)]
-                    # reduce in replica order for a deterministic report
-                    results = [f.result() for f in futures]
-            else:
-                results = [_replica_job(cfg, size_index, r)
-                           for r in range(cfg.replicas)]
-            for fields in results:
+            results = replica_results(cfg, size_index)
+            report.simulate.append(size_record(n, [rec for _, rec in results]))
+            for fields, _ in results:
                 for t in cfg.times:
                     sums[t] += fields[t]
                     per_replica[t].append(compare_fields(fields[t], targets[t])["L1"])
@@ -565,7 +595,11 @@ def emit_outputs(report: ComparisonReport, output_dir, formats) -> list:
                                    row["Linf"])))
         path.write_text("\n".join(lines) + "\n")
         written.append(str(path))
-    meta = out / "run_meta.json"
-    meta.write_text(json.dumps({"wall_time": time.time(), "pde": report.pde_solves},
-                               indent=1))
+    write_run_meta(out, pde=report.pde_solves, simulate=report.simulate)
     return written
+
+
+def write_run_meta(out: Path, **records):
+    """The side file outside the byte-identical contract: write time plus records."""
+    (out / "run_meta.json").write_text(json.dumps({"wall_time": time.time(), **records},
+                                                  indent=1))

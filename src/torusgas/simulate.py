@@ -1,16 +1,33 @@
 """Event-driven simulation of the exclusion process on the torus.
 
-Sampling scheme: the total event rate equals the particle count; each event
-picks a uniformly random particle and a jump offset from the kernel, and the
-jump is executed only if the target is vacant.  Rejected attempts are legal
-self-loops, so exponential waiting times accrue across them, which reproduces
-the generator's law exactly.
+`evolve` uses site-picking uniformization.  The span [0, T] holds
+M ~ Poisson(n_sites T) events.  Each event picks a uniform site x and a
+jump offset z from the kernel, and moves the particle at x to x + z; it is
+rejected when x is empty or x + z is occupied.  Every particle thus
+attempts jumps at rate 1, which is the generator's law exactly.  The
+events are drawn in chunks of `_DRAW` (the random stream, and so the
+trajectory, depends on that constant).
+
+The drawn events are run in conflict-free wavefronts (Lubachevsky,
+J. Comput. Phys. 75, 1988).  A window holds the first `_WINDOW` pending
+events in draw order.  An event that is certainly a no-op at its turn is
+dropped: its site is empty and no earlier event of the window jumps onto
+it, or its target is occupied and no earlier event jumps off it.  Of the
+rest, every event that is the first of the window to touch both of its
+sites commutes with all events before it, so all of them run in one
+vectorized step; the others stay pending, in order, ahead of the next
+draws.  First touches come from `np.maximum.at` on stamps that decrease
+along the window, never from scatter order.  The trajectory is therefore
+exactly that of running the drawn events one by one, for any window size;
+a window of at most `_SHORT` events is run one by one in Python, which is
+cheaper there than the vectorized step.
 
 Because the total event rate does not depend on the state, the number of
 events in a span T is Poisson(k T) whatever the trajectory (uniformization).
-`evolve_replicas` uses this to advance many independent replicas in
-lockstep: the event counts are drawn up front, and each step applies one
-vectorized event to every replica that still has events left.
+`evolve_replicas` uses this to advance many independent replicas of a tiny
+torus in lockstep, with particle picking: the event counts are drawn up
+front, and each step applies one vectorized event to every replica that
+still has events left.
 """
 
 from __future__ import annotations
@@ -23,9 +40,13 @@ from .errors import ConfigError, InvariantViolation
 from .kernels import TransitionKernel
 from .lattice import Configuration, TorusGeometry
 
-_EVENT_BUDGET = 1 << 40  # refuse runs whose expected event count overflows sanity
+# refuse a span whose expected event count is beyond sanity: site events
+# n_sites * T for `evolve`, particle events k * T for `evolve_replicas`
+_EVENT_BUDGET = 1 << 40
 
-_BATCH = 16384
+_DRAW = 1 << 16  # events per pair of random draws; the stream depends on it
+_WINDOW = 1024  # events per wavefront window; the trajectory does not
+_SHORT = 32  # windows up to this length run one event at a time
 
 _neighbor_cache: dict = {}
 
@@ -43,18 +64,20 @@ def _neighbors(geom: TorusGeometry, offsets: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RngStream:
-    """Deterministic per-replica random stream.
+    """Deterministic random stream keyed by (master seed, spawn key).
 
-    Substreams are derived from (master_seed, replica) through a counter-based
-    seed sequence, so equal (seed, replica) always reproduce a trajectory and
-    distinct replicas are independent.
+    `key` is one integer or a tuple of integers, passed as the spawn key of
+    a counter-based seed sequence, so equal (seed, key) always reproduce a
+    trajectory and distinct keys give independent streams.  A comparison
+    replica uses the key (2, size_index, replica).
     """
 
     master_seed: int
-    replica: int = 0
+    key: int | tuple = 0
 
     def generator(self) -> np.random.Generator:
-        seq = np.random.SeedSequence(self.master_seed, spawn_key=(self.replica,))
+        key = self.key if isinstance(self.key, tuple) else (self.key,)
+        seq = np.random.SeedSequence(self.master_seed, spawn_key=key)
         return np.random.Generator(np.random.Philox(seq))
 
 
@@ -65,12 +88,16 @@ class CurrentLedger:
     counts[x, j] is the number of executed jumps from site x along kernel
     offset j.  Discrete continuity holds exactly in integers: the occupancy
     change of a site equals inflow minus outflow read from the counts.
+    `events` is the number of events drawn for the span and `rounds` the
+    number of wavefront windows that ran them.
     """
 
     geometry: TorusGeometry
     offsets: np.ndarray
     counts: np.ndarray
     elapsed: float = 0.0
+    events: int = 0
+    rounds: int = 0
 
     @classmethod
     def zero(cls, geometry: TorusGeometry, kernel: TransitionKernel) -> "CurrentLedger":
@@ -127,52 +154,76 @@ def evolve(config: Configuration, kernel: TransitionKernel, duration: float,
     if duration < 0:
         raise ConfigError("duration must be nonnegative")
     geom = config.geometry
-    ledger = CurrentLedger.zero(geom, kernel)
-    out = config.copy()
-    k = out.particle_count
-    if duration == 0.0 or k == 0:
-        ledger.elapsed = duration
-        return out, ledger
-    if k * duration > _EVENT_BUDGET:
+    n = geom.n_sites
+    if n * duration > _EVENT_BUDGET:
         raise ConfigError("event budget overflow: duration too large for this system")
+    ledger = CurrentLedger.zero(geom, kernel)
+    ledger.elapsed = duration
+    out = config.copy()
+    if duration == 0.0 or out.particle_count in (0, n):
+        return out, ledger  # no jump can happen: nothing is drawn
 
     occ = out.occupancy
-    positions = np.nonzero(occ)[0].astype(np.int64)  # dense particle list
-    neigh = _neighbors(geom, kernel.offsets)
+    n_off = len(kernel.offsets)
+    targets = _neighbors(geom, kernel.offsets).reshape(-1)  # of bond x * J + j
     cumw = np.cumsum(kernel.weights)
     cumw[-1] = 1.0  # guard against round-off at the top
-
-    counts = ledger.counts
-    remaining = duration
-    # batch size tuned to the expected event count so short runs stay cheap
-    batch = int(min(_BATCH, max(64, 1.5 * k * duration + 8 * np.sqrt(k * duration) + 32)))
-    done = False
-    while not done:
-        waits = rng.standard_exponential(batch) / k
-        total = np.cumsum(waits)
-        n_exec = int(np.searchsorted(total, remaining, side="right"))
-        if n_exec < batch:
-            done = True
-            remaining = 0.0
-        else:
-            remaining -= float(total[-1])
-        if n_exec == 0:
+    bond_counts = ledger.counts.reshape(-1)
+    events = int(rng.poisson(n * duration))
+    # stamp of the earliest event of the current window that jumps onto /
+    # off / touches each site; stamps grow from window to window, so older
+    # entries never win a maximum
+    onto = np.zeros(n, dtype=np.int64)
+    off = np.zeros(n, dtype=np.int64)
+    touch = np.zeros(n, dtype=np.int64)
+    stamp = 0
+    queue = np.empty(0, dtype=np.int64)  # pending bonds, in draw order
+    head = drawn = rounds = 0
+    while True:
+        if len(queue) - head < _WINDOW and drawn < events:
+            size = min(_DRAW, events - drawn)
+            sites = rng.integers(0, n, size=size)
+            offs = np.searchsorted(cumw, rng.random(size), side="right")
+            queue = np.concatenate([queue[head:], sites * n_off + offs])
+            head = 0
+            drawn += size
+        window = queue[head:head + _WINDOW]
+        w = len(window)
+        if w == 0:
             break
-        which = rng.integers(0, k, size=n_exec)
-        offs = np.searchsorted(cumw, rng.random(n_exec), side="right")
-        for i in range(n_exec):
-            p = which[i]
-            x = positions[p]
-            j = offs[i]
-            tgt = neigh[x, j]
-            if not occ[tgt]:
-                occ[x] = 0
-                occ[tgt] = 1
-                positions[p] = tgt
-                counts[x, j] += 1
+        rounds += 1
+        if w <= _SHORT:
+            for b in window.tolist():
+                x, y = b // n_off, targets[b]
+                if occ[x] and not occ[y]:
+                    occ[x] = 0
+                    occ[y] = 1
+                    bond_counts[b] += 1
+            head += w
+            continue
+        key = np.arange(stamp + w, stamp, -1)  # larger key = earlier event
+        stamp += w
+        x, y = window // n_off, targets[window]
+        np.maximum.at(onto, y, key)
+        np.maximum.at(off, x, key)
+        full_x = occ[x].view(bool)
+        empty_y = occ[y] == 0
+        live = np.flatnonzero((full_x | (onto[x] > key)) & (empty_y | (off[y] > key)))
+        can = (full_x & empty_y)[live]  # would jump if it ran now
+        window, key, x, y = window[live], key[live], x[live], y[live]
+        np.maximum.at(touch, x, key)
+        np.maximum.at(touch, y, key)
+        first = (touch[x] == key) & (touch[y] == key)
+        jump = np.flatnonzero(first & can)
+        occ[x[jump]] = 0
+        occ[y[jump]] = 1
+        bond_counts[window[jump]] += 1  # distinct sources, so distinct bonds
+        rest = window[~first]
+        head += w - len(rest)
+        queue[head:head + len(rest)] = rest
 
-    ledger.elapsed = duration
-    out.particle_count = k
+    ledger.events = events
+    ledger.rounds = rounds
     return out, ledger
 
 

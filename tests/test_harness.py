@@ -9,9 +9,10 @@ import pytest
 
 from torusgas.cli import main as cli_main
 from torusgas.errors import ConfigError
-from torusgas.harness import (MAX_REPLICAS, ExperimentConfig, _replica_job,
-                              compare_fields, convergence_study, emit_outputs,
-                              pde_at_sites, run_experiment)
+from torusgas.harness import (ExperimentConfig, _replica_job, compare_fields,
+                              convergence_study, emit_outputs, pde_at_sites,
+                              replica_stream, run_experiment)
+from torusgas.simulate import RngStream
 from torusgas.pde import DensityField
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -245,27 +246,47 @@ def test_table_missing_key_is_config_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("key", ["replicas", "exact"])
-def test_replica_count_beyond_stream_keys_is_config_error(tmp_path, key):
-    # comparison keys (size_index << 20) | r stay clear of the next size's
-    # keys only up to 2**19 replicas; the exact ensemble keys its batch
-    # streams (1, batch), so its replica count has no such bound (the
+def test_replica_count_has_no_stream_bound(tmp_path, key):
+    # comparison streams are keyed (2, size_index, replica) and exact batch
+    # streams (1, batch), so no replica count makes two keys collide (the
     # config is parsed, not run)
-    assert MAX_REPLICAS == 2 ** 19
+    count = 2 ** 19 + 1
+    value = count if key == "replicas" else {"side": 3, "replicas": count}
+    cfg = ExperimentConfig.from_dict(base_config(output_dir=str(tmp_path / "o"),
+                                                 **{key: value}))
+    assert (cfg.replicas if key == "replicas" else cfg.exact_replicas) == count
 
-    def with_count(count):
-        value = count if key == "replicas" else {"side": 3, "replicas": count}
-        return base_config(output_dir=str(tmp_path / "o"), **{key: value})
 
-    ExperimentConfig.from_dict(with_count(MAX_REPLICAS))
-    if key == "exact":
-        cfg = ExperimentConfig.from_dict(with_count(MAX_REPLICAS + 1))
-        assert cfg.exact["replicas"] == MAX_REPLICAS + 1
-        return
-    with pytest.raises(ConfigError, match="at most 524288"):
-        ExperimentConfig.from_dict(with_count(MAX_REPLICAS + 1))
+def test_replica_streams_differ_across_sizes_and_replicas():
+    # (0, 2**20) and (1, 0) shared the one-word key (size_index << 20) | r
+    cfg = ExperimentConfig.from_dict(base_config(torus_sizes=[4, 6]))
+    pairs = [(0, 0), (0, 1), (1, 0), (1, 1), (0, 2 ** 20), (1, 2 ** 20)]
+    streams = [replica_stream(cfg, i, r) for i, r in pairs]
+    assert all(isinstance(s, RngStream) for s in streams)
+    draws = {tuple(s.generator().integers(0, 2 ** 62, size=4)) for s in streams}
+    assert len(draws) == len(pairs)
+    again = replica_stream(cfg, 1, 2 ** 20).generator().integers(0, 2 ** 62, size=4)
+    assert tuple(again) in draws
+
+
+@pytest.mark.parametrize("data, key", [
+    ({"times": [0.05, 0.05]}, "times"),
+    ({"times": [0.1, 0.05]}, "times"),
+    ({"times": [-0.05, 0.05]}, "times"),
+    ({"exact": {"times": [0.3, 0.1]}}, "exact.times"),
+    ({"exact": {"times": [0.1, 0.1]}}, "exact.times"),
+])
+def test_observation_times_must_strictly_increase(tmp_path, data, key):
+    # a repeated time used to add each replica's field twice, and descending
+    # exact times failed inside the evolution without naming the key
+    config = base_config(output_dir=str(tmp_path / "o"), **data)
+    with pytest.raises(ConfigError, match=f"^{key} must be nonnegative and strictly"):
+        ExperimentConfig.from_dict(config)
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(with_count(MAX_REPLICAS + 1)))
-    assert cli_main(["kernel", "--config", str(cfg_path)]) == 2
+    cfg_path.write_text(json.dumps(config))
+    command = "exact" if key == "exact.times" else "compare"
+    assert cli_main([command, "--config", str(cfg_path)]) == 2
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("count", [0, -3])
@@ -366,6 +387,53 @@ def test_run_meta_records_pde_solves(tmp_path):
     assert "pde" not in json.loads((tmp_path / "o" / "report.json").read_text())
 
 
+_COUNTS = ("expected_events", "events", "jumps", "rounds")
+
+
+def test_run_meta_records_simulation_per_size(tmp_path):
+    # one record per torus size, summed over the replicas; the counts are
+    # the same whether the replicas run in a pool or in sequence
+    metas = []
+    for threads in (1, 2):
+        data = base_config(output_dir=str(tmp_path / f"o{threads}"), torus_sizes=[4, 6],
+                           replicas=3, times=[0.05, 0.1], threads=threads)
+        cfg = ExperimentConfig.from_dict(data)
+        report = run_experiment(cfg)
+        emit_outputs(report, cfg.output_dir, ["json"])
+        meta = json.loads((tmp_path / f"o{threads}" / "run_meta.json").read_text())
+        assert "simulate" not in json.loads(
+            (tmp_path / f"o{threads}" / "report.json").read_text())
+        metas.append(meta["simulate"])
+    def counts(records):
+        return [{k: rec[k] for k in ("N", "replicas") + _COUNTS} for rec in records]
+
+    assert counts(metas[1]) == counts(metas[0])
+    for rec, n in zip(metas[0], (4, 6)):
+        assert rec["N"] == n and rec["replicas"] == 3
+        # three replicas, each running 0.1 N^2 microscopic time on N^2 sites
+        assert rec["expected_events"] == pytest.approx(3 * 0.1 * n ** 4)
+        assert rec["events"] > 0 and 0 < rec["jumps"] < rec["events"]
+        assert 0 < rec["rounds"] <= rec["events"] and rec["seconds"] > 0.0
+    # the records are the sums of the replicas' own records
+    cfg = ExperimentConfig.from_dict(base_config(torus_sizes=[4, 6], replicas=3,
+                                                 times=[0.05, 0.1]))
+    records = [_replica_job(cfg, 1, r)[1] for r in range(3)]
+    for key in _COUNTS:
+        assert metas[0][1][key] == sum(rec[key] for rec in records)
+
+
+def test_simulate_command_writes_run_meta(tmp_path):
+    data = base_config(output_dir=str(tmp_path / "sim"), torus_sizes=[4],
+                       replicas=2, formats=["csv"])
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(data))
+    assert cli_main(["simulate", "--config", str(cfg_path)]) == 0
+    meta = json.loads((tmp_path / "sim" / "run_meta.json").read_text())
+    rec, = meta["simulate"]
+    assert rec["N"] == 4 and rec["replicas"] == 2
+    assert rec["expected_events"] == pytest.approx(2 * 0.05 * 4 ** 4)
+
+
 def test_simulate_writes_the_replica_job_fields(tmp_path):
     # `torusgas simulate` and the comparison ensemble run the same replica
     # loop on the same substreams
@@ -377,7 +445,7 @@ def test_simulate_writes_the_replica_job_fields(tmp_path):
     cfg = pickle.loads(pickle.dumps(ExperimentConfig.from_dict(data)))
     for size_index, n in enumerate(cfg.torus_sizes):
         for r in range(cfg.replicas):
-            fields = _replica_job(cfg, size_index, r)
+            fields, _ = _replica_job(cfg, size_index, r)
             assert list(fields) == cfg.times
             for t, blocks in fields.items():
                 written = np.load(tmp_path / "sim" / f"blocks_N{n}_t{t}_r{r}.npy")

@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
 
+from torusgas import simulate
 from torusgas.harness import replica_trajectory
 from torusgas.kernels import TransitionKernel, ssep, tasep
 from torusgas.lattice import Configuration, TorusGeometry, sample_product_measure
 from torusgas.simulate import RngStream, evolve, evolve_replicas
+
+D3_KERNEL = TransitionKernel(
+    3, np.array([[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]]),
+    np.array([1 / 2, 1 / 6, 1 / 12, 1 / 12, 1 / 12, 1 / 12]))
 
 
 def test_zero_duration_identity():
@@ -85,10 +90,12 @@ def test_determinism_and_diffusive_equivalence():
     assert np.array_equal(a1.occupancy, a2.occupancy)
     assert np.array_equal(l1.counts, l2.counts)
     # a replica trajectory runs macroscopic time t for t N^2 microscopic time
-    (t, b), = replica_trajectory(geom, 0.5, kernel, [0.25], RngStream(5, 3).generator())
+    (t, b, ledger), = replica_trajectory(geom, 0.5, kernel, [0.25],
+                                         RngStream(5, 3).generator())
     rng = RngStream(5, 3).generator()
-    want, _ = evolve(sample_product_measure(geom, 0.5, rng), kernel, 0.25 * 36, rng)
+    want, want_ledger = evolve(sample_product_measure(geom, 0.5, rng), kernel, 0.25 * 36, rng)
     assert t == 0.25 and np.array_equal(b.occupancy, want.occupancy)
+    assert np.array_equal(ledger.counts, want_ledger.counts)
     # different replica index gives a different trajectory
     c, _ = evolve(c0, kernel, 0.25 * 36, RngStream(5, 2).generator())
     assert not np.array_equal(c.occupancy, a1.occupancy)
@@ -122,3 +129,103 @@ def test_lockstep_replicas_conserve_and_keep_their_input():
     rng.random((300, geom.n_sites))
     again = evolve_replicas(geom, occ0, ssep(2), 1.5, rng)
     assert all(np.array_equal(a, b) for a, b in zip(again, (occ, counts, events)))
+
+
+def replay(config, kernel, duration, rng):
+    """The events `evolve` draws, run one at a time in draw order.
+
+    Returns (occupancy, bond counts, events drawn).  A torus that is empty or
+    full draws nothing, as in `evolve`.
+    """
+    geom = config.geometry
+    n = geom.n_sites
+    occ = config.occupancy.copy()
+    counts = np.zeros((n, len(kernel.offsets)), dtype=np.int64)
+    if duration == 0.0 or occ.sum() in (0, n):
+        return occ, counts, 0
+    neighbor = geom.neighbor_table(kernel.offsets)
+    cumw = np.cumsum(kernel.weights)
+    cumw[-1] = 1.0
+    events = int(rng.poisson(n * duration))
+    drawn = 0
+    while drawn < events:
+        size = min(simulate._DRAW, events - drawn)
+        sites = rng.integers(0, n, size=size)
+        offsets = np.searchsorted(cumw, rng.random(size), side="right")
+        drawn += size
+        for x, j in zip(sites.tolist(), offsets.tolist()):
+            y = neighbor[x, j]
+            if occ[x] == 1 and occ[y] == 0:
+                occ[x], occ[y] = 0, 1
+                counts[x, j] += 1
+    return occ, counts, events
+
+
+def _occupancy(geom, fill, seed=0):
+    """'empty', 'full', 'one' (a particle at the origin) or a density."""
+    if fill == "empty":
+        return Configuration.empty(geom)
+    if fill == "full":
+        return Configuration.full(geom)
+    if fill == "one":
+        occ = np.zeros(geom.n_sites, dtype=np.uint8)
+        occ[0] = 1
+        return Configuration(geom, occ)
+    return sample_product_measure(geom, fill, np.random.default_rng(seed))
+
+
+# (geometry, kernel, fill, duration, lowest and highest expected event count)
+_REPLAY_CASES = {
+    "d1-range2": (TorusGeometry(1, 10), TransitionKernel(
+        1, np.array([[1], [-1], [2]]), np.array([0.5, 0.3, 0.2])), 0.6, 6.0, 33, 1024),
+    "d2-ssep": (TorusGeometry(2, 8), ssep(2), 0.5, 30.0, 1025, 65536),
+    "d3-asym": (TorusGeometry(3, 6), D3_KERNEL, 0.5, 10.0, 1025, 65536),
+    "d2-not-nearest": (TorusGeometry(2, 7), TransitionKernel(
+        2, np.array([[2, 0], [1, 1], [-1, 0], [0, -2]]),
+        np.array([0.4, 0.3, 0.2, 0.1])), 0.35, 20.0, 33, 1024),
+    # offset 2 on a side-2 ring lands on the jumping particle's own site
+    "ring2-offset2": (TorusGeometry(1, 2), TransitionKernel(
+        1, np.array([[1], [2]]), np.array([0.3, 0.7])), "one", 30.0, 33, 1024),
+    "empty": (TorusGeometry(2, 4), ssep(2), "empty", 5.0, 0, 0),
+    "full": (TorusGeometry(2, 4), tasep(2), "full", 5.0, 0, 0),
+    "one-particle": (TorusGeometry(3, 8), tasep(3), "one", 5.0, 1025, 65536),
+    "short": (TorusGeometry(2, 3), ssep(2), 0.4, 1.0, 1, 32),
+    # more events than one draw chunk: pending events cross a chunk boundary
+    "many": (TorusGeometry(2, 16), TransitionKernel(
+        2, np.array([[1, 0], [-1, 0], [0, 1], [0, -1]]),
+        np.array([0.4, 0.2, 0.3, 0.1])), 0.3, 300.0, 65537, 10 ** 6),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REPLAY_CASES))
+def test_wavefronts_equal_the_one_by_one_replay(case):
+    # the vectorized wavefronts run exactly the drawn events in draw order
+    geom, kernel, fill, duration, low, high = _REPLAY_CASES[case]
+    config = _occupancy(geom, fill)
+    rng_a = RngStream(404, 1).generator()
+    rng_b = RngStream(404, 1).generator()
+    out, ledger = evolve(config, kernel, duration, rng_a)
+    occ, counts, events = replay(config, kernel, duration, rng_b)
+    assert low <= events <= high  # the case covers the event range it names
+    assert ledger.events == events
+    assert np.array_equal(out.occupancy, occ)
+    assert np.array_equal(ledger.counts, counts)
+    ledger.check_continuity(config, out)
+    # both consumed the same draws
+    assert rng_a.integers(0, 2 ** 62) == rng_b.integers(0, 2 ** 62)
+
+
+@pytest.mark.parametrize("window, short", [(1, 0), (2, 0), (7, 0), (64, 0), (1024, 0),
+                                           (4096, 32)])
+def test_trajectory_does_not_depend_on_the_window(monkeypatch, window, short):
+    geom, kernel, fill, duration, _, _ = _REPLAY_CASES["d3-asym"]
+    config = _occupancy(geom, fill)
+    want, want_ledger = evolve(config, kernel, duration, RngStream(9).generator())
+    monkeypatch.setattr(simulate, "_WINDOW", window)
+    monkeypatch.setattr(simulate, "_SHORT", short)
+    got, ledger = evolve(config, kernel, duration, RngStream(9).generator())
+    assert np.array_equal(got.occupancy, want.occupancy)
+    assert np.array_equal(ledger.counts, want_ledger.counts)
+    assert ledger.events == want_ledger.events
+    if window == 1:
+        assert ledger.rounds == ledger.events
