@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Subcommands: kernel, simulate, diffusion, pde, compare, study, exact.
+Subcommands: kernel, simulate, diffusion, pde, compare, exact.
 Shared flags: --config, --seed, --out, --threads.  Exit codes: 0 success,
 1 invariant violation, 2 config error.
 """
@@ -15,9 +15,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, InvariantViolation
-from .harness import (ExperimentConfig, _load_or_compute_table, convergence_study,
-                      emit_outputs, exact_small_experiment, replica_results,
-                      run_experiment, size_record, write_run_meta)
+from .harness import (ExperimentConfig, _load_or_compute_table, emit_outputs,
+                      exact_small_experiment, replica_results, run_experiment,
+                      size_record, write_run_meta)
 from .pde import DensityField, DiffusionTable, solve_to_time
 from .resolvent import compute_diffusion
 
@@ -142,16 +142,7 @@ def cmd_compare(args) -> int:
     for row in report.rows:
         print(f"N={row['N']} t={row['t']}: L1={row['L1']:.6g} "
               f"L2={row['L2']:.6g} Linf={row['Linf']:.6g}")
-    return 0
-
-
-def cmd_study(args) -> int:
-    cfg = _load(args)
-    study = convergence_study(cfg)
-    emit_outputs(study["report"], cfg.output_dir, cfg.formats)
-    for row in study["table"]:
-        print(f"N={row['N']} t={row['t']}: L1={row['L1']:.6g}")
-    print("monotone:", study["monotone_in_size"])
+    print("monotone:", report.monotone_in_size)
     return 0
 
 
@@ -174,7 +165,6 @@ _COMMANDS = {
     "diffusion": cmd_diffusion,
     "pde": cmd_pde,
     "compare": cmd_compare,
-    "study": cmd_study,
     "exact": cmd_exact,
 }
 

@@ -22,7 +22,7 @@ from .exactsmall import (MAX_SITES, exact_evolution_small, product_distribution,
                          total_variation)
 from .kernels import KernelAnalysis, TransitionKernel, validate_kernel
 from .lattice import TorusGeometry, block_density, sample_product_measure, state_codes
-from .pde import DensityField, DiffusionTable, SolveReport, solve_to_time
+from .pde import DensityField, DiffusionTable, SolveReport, check_safety, solve_to_time
 from .profiles import Profile, validate_profile
 from .resolvent import TruncationParams, compute_diffusion
 from .simulate import RngStream, check_replica_ledgers, evolve, evolve_replicas
@@ -114,6 +114,7 @@ class ExperimentConfig:
         if self.replicas < 1:
             raise ConfigError("need at least one replica")
         _increasing(self.times, "times")
+        check_safety(self.pde_safety)
         if not isinstance(self.formats, list) or any(f not in _FORMATS for f in self.formats):
             raise ConfigError(f"formats must be a list of names from {list(_FORMATS)}, "
                               f"got {self.formats!r}")
@@ -171,7 +172,9 @@ class ExperimentConfig:
                 solver_tol=as_number(float, td.get("solver_tol", 1e-10),
                                      "truncation.solver_tol"),
                 reg=as_number(float, td.get("reg", 1e-3), "truncation.reg"),
-                lambda_seq=tuple(td.get("lambda_seq", (1e-1, 1e-2, 1e-3, 1e-4))))
+                lambda_seq=tuple(_numbers(
+                    float, td.get("lambda_seq", (1e-1, 1e-2, 1e-3, 1e-4)),
+                    "truncation.lambda_seq")))
         pde = dict(data.get("pde", {}))
         _reject_unknown(pde, _PDE_KEYS, "pde")
         exact = dict(data.get("exact", {}))
@@ -241,10 +244,6 @@ class ExperimentConfig:
     def load_json(cls, path) -> "ExperimentConfig":
         with open(path) as fh:
             return cls.from_dict(json.load(fh))
-
-    def save_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=1, sort_keys=True)
 
 
 def pde_at_sites(pde_field: DensityField, side: int) -> np.ndarray:
@@ -446,18 +445,6 @@ def run_experiment(cfg: ExperimentConfig,
                 print(f"torusgas: {note}", file=sys.stderr)
         raise
     return report
-
-
-def convergence_study(cfg: ExperimentConfig) -> dict:
-    """Distance-versus-size table with a monotonicity verdict per time."""
-    report = run_experiment(cfg)
-    table_rows = [{k: row[k] for k in ("N", "t", "L1", "L2", "Linf")}
-                  for row in report.rows]
-    return {
-        "table": table_rows,
-        "monotone_in_size": report.monotone_in_size,
-        "report": report,
-    }
 
 
 def exact_small_experiment(cfg: ExperimentConfig) -> dict:

@@ -88,10 +88,6 @@ class Configuration:
         return code
 
     @classmethod
-    def empty(cls, geometry: TorusGeometry) -> "Configuration":
-        return cls(geometry, np.zeros(geometry.n_sites, dtype=np.uint8))
-
-    @classmethod
     def full(cls, geometry: TorusGeometry) -> "Configuration":
         return cls(geometry, np.ones(geometry.n_sites, dtype=np.uint8))
 

@@ -72,6 +72,8 @@ class TruncationParams:
     translation identity: each degree-n set lies in a class of n + 1 kept
     sets (A and its member shifts).  The packed engine solves on one
     unknown per class, so solutions satisfy the identity by construction.
+    `lambda_seq` holds the resolvent shifts that are extrapolated to zero:
+    at least two, distinct, positive and finite.
     """
 
     radius: int
@@ -85,6 +87,11 @@ class TruncationParams:
             raise ConfigError("max degree must be at least 2")
         if self.radius < 1:
             raise ConfigError("truncation radius must be positive")
+        seq = self.lambda_seq
+        if (len(seq) < 2 or len(set(seq)) < len(seq)
+                or not all(0.0 < s < np.inf for s in seq)):
+            raise ConfigError("truncation.lambda_seq must hold at least two distinct "
+                              f"positive finite shifts, got {list(seq)!r}")
 
     def check_kernel(self, analysis: KernelAnalysis):
         if self.radius < analysis.range:

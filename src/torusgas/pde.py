@@ -264,6 +264,12 @@ class SolveReport:
     seconds: float = 0.0
 
 
+def check_safety(safety: float):
+    """Reject a step safety factor outside (0, 1]: dt = safety * stability limit."""
+    if not 0.0 < safety <= 1.0:  # also false for nan
+        raise ConfigError(f"pde.safety must lie in (0, 1], got {safety!r}")
+
+
 def solve_to_time(field: DensityField, table: DiffusionTable, t_final: float,
                   safety: float = 0.9, source=None,
                   report: SolveReport | None = None) -> DensityField:
@@ -275,6 +281,7 @@ def solve_to_time(field: DensityField, table: DiffusionTable, t_final: float,
     """
     if t_final < 0:
         raise ConfigError("final time must be nonnegative")
+    check_safety(safety)
     start = time.perf_counter()
     current = field.copy()
     if t_final == 0.0:

@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, bicgstab, cg, lgmres
+from scipy.sparse.linalg import LinearOperator, bicgstab, cg
 
 from .errors import ConfigError, InvariantViolation, require
 from .kernels import KernelAnalysis
@@ -30,47 +30,20 @@ def build_engine(analysis: KernelAnalysis, trunc: TruncationParams) -> PackedOpe
 
 @dataclass
 class SolveInfo:
-    iterations: int          # operator matvecs, residual checks included
+    iterations: int          # operator matvecs, residual check included
     residual: float          # Euclidean residual norm, equal to the lifted one
     clipped_outflow: float
-    residual_history: tuple = ()
-
-
-def _iterate(matvec, size: int, b: np.ndarray, x0, tol: float):
-    """Krylov solve with a residual polish loop.
-
-    Returns (solution, residual, per-attempt residual history).
-    """
-    op = LinearOperator((size, size), matvec=matvec)
-    x = x0
-    history = []
-    for attempt in range(4):
-        x, info = bicgstab(op, b, x0=x, rtol=0.0, atol=tol / 4.0,
-                           maxiter=max(2000, 40 * int(np.sqrt(size))))
-        if info < 0 or not np.all(np.isfinite(x)):
-            x, info = lgmres(op, b, x0=x0 if x0 is not None else None,
-                             rtol=0.0, atol=tol / 4.0, maxiter=2000)
-        resid = float(np.linalg.norm(matvec(x) - b))
-        history.append(resid)
-        if resid <= tol:
-            return x, resid, tuple(history)
-        tol_inner = tol / (10.0 ** (attempt + 1))
-        x, _ = lgmres(op, b, x0=x, rtol=0.0, atol=tol_inner, maxiter=500)
-        resid = float(np.linalg.norm(matvec(x) - b))
-        history.append(resid)
-        if resid <= tol:
-            return x, resid, tuple(history)
-    return x, resid, tuple(history)
 
 
 def resolvent_solve(engine: PackedOperator, alpha: float, shift: float,
                     direction: int, x0: np.ndarray | None = None):
     """Solve (shift - full operator) f = current for one direction.
 
-    Works on class vectors, so the solution satisfies the translation
-    identity by construction; the empty set never enters the space, so its
-    value stays zero.  Returns (vector, SolveInfo) with the true number of
-    operator matvecs and the clipped image outflow.
+    One BiCGSTAB run from `x0`, then one matvec for the true residual, which
+    must not exceed `solver_tol`.  Works on class vectors, so the solution
+    satisfies the translation identity by construction; the empty set never
+    enters the space, so its value stays zero.  Returns (vector, SolveInfo)
+    with the true number of operator matvecs and the clipped image outflow.
     """
     if shift <= 0.0:
         raise ConfigError("resolvent shift must be positive")
@@ -88,12 +61,15 @@ def resolvent_solve(engine: PackedOperator, alpha: float, shift: float,
         matvecs += 1
         return engine.resolvent_matvec(x, alpha, shift)
 
-    x, resid, history = _iterate(matvec, space.size, b, x0, tol)
-    if resid > max(tol, 1e-8):
+    op = LinearOperator((space.size, space.size), matvec=matvec)
+    x, info = bicgstab(op, b, x0=x0, rtol=0.0, atol=tol / 4.0,
+                       maxiter=max(2000, 40 * int(np.sqrt(space.size))))
+    resid = float(np.linalg.norm(matvec(x) - b))
+    if info < 0 or not np.all(np.isfinite(x)) or not resid <= tol:
         raise InvariantViolation(
-            f"resolvent solve stalled: residual {resid:g} above tolerance {tol:g}; "
-            f"history {history}")
-    return x, SolveInfo(matvecs, resid, engine.clipped_outflow(x), history)
+            f"resolvent solve failed: residual {resid:g} against tolerance {tol:g}, "
+            f"bicgstab info {info}")
+    return x, SolveInfo(matvecs, resid, engine.clipped_outflow(x))
 
 
 def h1_form_packed(engine: PackedOperator, x: np.ndarray, y: np.ndarray) -> float:
@@ -132,15 +108,14 @@ def h_minus_one_sq(engine: PackedOperator, b: np.ndarray, reg: float,
 def extrapolate_to_zero(shifts, values):
     """Linear-in-shift extrapolation from the two smallest shifts, plus spread.
 
-    Returns (limit, spread) where the spread is the difference against the
-    extrapolation from the next shift pair (single-pair sequences return
-    their last value with infinite-like spread 0).
+    Needs at least two distinct shifts.  Returns (limit, spread) where the
+    spread is the difference against the extrapolation from the next shift
+    pair, or against the smallest shift's value when there are only two.
     """
     order = np.argsort(shifts)[::-1]  # descending
     s = np.asarray(shifts, dtype=np.float64)[order]
     v = np.asarray(values, dtype=np.float64)[order]
-    if len(s) == 1:
-        return float(v[0]), 0.0
+
     def pair(i, j):
         return float(v[j] - s[j] * (v[i] - v[j]) / (s[i] - s[j]))
     best = pair(len(s) - 2, len(s) - 1)

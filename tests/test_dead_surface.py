@@ -4,9 +4,12 @@ The scan is by name over the syntax trees of `src/torusgas` and
 `perfbench`: a definition counts as used when its name is read (as a name
 or an attribute) somewhere outside its own body.  Reads inside definitions
 that are themselves unused do not count, so a helper that only dead code
-calls is flagged with it.  `perfbench` also looks functions up by string
-(its tracer patches them by name), so string constants there count as reads.
-Dunder methods are called implicitly and are skipped.
+calls is flagged with it.  An attribute of a module bound by a plain
+`import` of another package (`np.empty`, `json.dump`) is that module's, so
+it is not a read of a same-named src definition.  `perfbench` also looks
+functions up by string (its tracer patches them by name), so string
+constants there count as reads.  Dunder methods are called implicitly and
+are skipped.
 """
 
 import ast
@@ -33,6 +36,9 @@ TEST_SURFACE = (
 def _scan(path: Path, strings: bool, defs: list, reads: list):
     """Append (name, qualified name, key) of definitions and (name, enclosing keys) of reads."""
     tree = ast.parse(path.read_text())
+    foreign = {alias.asname or alias.name.split(".")[0]
+               for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names if alias.name.split(".")[0] != "torusgas"}
 
     def visit(node, enclosing, qual):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -43,7 +49,8 @@ def _scan(path: Path, strings: bool, defs: list, reads: list):
         elif isinstance(node, ast.Name):
             reads.append((node.id, enclosing))
         elif isinstance(node, ast.Attribute):
-            reads.append((node.attr, enclosing))
+            if not (isinstance(node.value, ast.Name) and node.value.id in foreign):
+                reads.append((node.attr, enclosing))
         elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
             reads.append((node.value, enclosing))
         for child in ast.iter_child_nodes(node):

@@ -9,6 +9,7 @@ from torusgas.harness import EXACT_BATCH, ExperimentConfig, exact_small_experime
 from torusgas.kernels import TransitionKernel, validate_kernel
 from torusgas.lattice import (Configuration, TorusGeometry, sample_product_measure,
                               state_codes)
+from torusgas import simulate
 from torusgas.simulate import (RngStream, check_replica_ledgers, evolve, evolve_replicas,
                                net_site_change)
 
@@ -85,6 +86,39 @@ def test_mc_matches_exact_law_smoke():
         codes[r] = c.state_code()
     emp = _histogram(codes, 512)
     assert total_variation(emp, exact) <= 0.05
+
+
+# Three particles start at sites 0, 1 and 3 of the 3x3 torus, so the law
+# lives on its 84 three-particle states.  Sampling noise alone gives a
+# 20k-sample TV of about 0.025 on it at T = 4.5 and at T = 5 (0.033 and
+# 0.032 worst of 1000 multinomial draws), so 0.04 leaves room only for the
+# noise.
+@pytest.mark.parametrize("window, short, duration", [(1024, 32, 5.0), (24, 0, 4.5)])
+def test_wavefront_matches_exact_law(monkeypatch, window, short, duration):
+    # About 9 T > 32 events per call, so the vectorized windows run and
+    # carry events over to the next window.  With the production window a
+    # call's draws fit in one window, so carried events only follow each
+    # other; with window 24 they also go ahead of draws not yet run.
+    monkeypatch.setattr(simulate, "_WINDOW", window)
+    monkeypatch.setattr(simulate, "_SHORT", short)
+    geom = TorusGeometry(2, 3)
+    occ = np.zeros(geom.n_sites, dtype=np.uint8)
+    occ[[0, 1, 3]] = 1
+    start = Configuration(geom, occ)
+    law = np.zeros(512)
+    law[start.state_code()] = 1.0
+    exact = exact_evolution_small(geom, D2_KERNEL, law, duration)
+    replicas = 20000
+    codes = np.empty(replicas, dtype=np.int64)
+    events = np.empty(replicas, dtype=np.int64)
+    rounds = np.empty(replicas, dtype=np.int64)
+    for r in range(replicas):
+        c, ledger = evolve(start, D2_KERNEL, duration, RngStream(2025, r).generator())
+        codes[r], events[r], rounds[r] = c.state_code(), ledger.events, ledger.rounds
+    # most calls exceed `_SHORT` and run more than one window: 97 % with
+    # the production window, where a second window holds carried events only
+    assert np.mean(events > 32) > 0.85 and np.mean(rounds > 1) > 0.85
+    assert total_variation(_histogram(codes, 512), exact) <= 0.04
 
 
 # Sampling noise alone gives a 20k-sample TV of about 0.04 on the 3x3 law

@@ -10,10 +10,11 @@ import pytest
 from torusgas.cli import main as cli_main
 from torusgas.errors import ConfigError
 from torusgas.harness import (ExperimentConfig, _replica_job, compare_fields,
-                              convergence_study, emit_outputs, pde_at_sites,
-                              replica_stream, run_experiment)
+                              emit_outputs, pde_at_sites, replica_stream,
+                              run_experiment)
 from torusgas.simulate import RngStream
-from torusgas.pde import DensityField
+from torusgas.pde import DensityField, DiffusionTable, solve_to_time
+from torusgas.profiles import Profile
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -111,11 +112,15 @@ def test_run_and_outputs_deterministic(tmp_path):
     assert data["rows"][0]["L1"] <= 4 * floor
 
 
-def test_study_single_size():
+def test_run_experiment_rows_single_size():
+    # one row per (size, time), with one per-replica distance per replica
     cfg = ExperimentConfig.from_dict(base_config())
-    study = convergence_study(cfg)
-    assert len(study["table"]) == 1
-    assert set(study["table"][0]) == {"N", "t", "L1", "L2", "Linf"}
+    report = run_experiment(cfg)
+    row, = report.rows
+    assert set(row) == {"N", "t", "L1", "L2", "Linf", "per_replica_L1"}
+    assert (row["N"], row["t"]) == (6, 0.05)
+    assert len(row["per_replica_L1"]) == cfg.replicas
+    assert report.monotone_in_size == {"0.05": True}
 
 
 def test_empty_report_files(tmp_path):
@@ -450,6 +455,116 @@ def test_simulate_writes_the_replica_job_fields(tmp_path):
             for t, blocks in fields.items():
                 written = np.load(tmp_path / "sim" / f"blocks_N{n}_t{t}_r{r}.npy")
                 assert np.array_equal(written.reshape(-1), blocks)
+
+
+_COSINE = {"kind": "cosine", "base": 0.5, "amplitude": 0.2, "axis": 1}
+
+
+@pytest.mark.parametrize("safety", [0.0, -0.5, 1.5, float("nan"), float("inf")])
+def test_pde_safety_outside_unit_interval_is_config_error(tmp_path, capsys, safety):
+    # dt is safety times the stability limit: 0 never advanced the PDE time,
+    # a negative value exited 1 as a maximum-principle violation and one
+    # above 1 failed only at the first PDE step
+    data = base_config(output_dir=str(tmp_path / "o"), profile=_COSINE,
+                       pde={"resolution": 12, "safety": safety})
+    with pytest.raises(ConfigError, match="pde.safety"):
+        ExperimentConfig.from_dict(data)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(data))
+    assert cli_main(["pde", "--config", str(cfg_path)]) == 2
+    assert "pde.safety" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+    data["pde"]["safety"] = 1.0
+    assert ExperimentConfig.from_dict(data).pde_safety == 1.0
+
+
+@pytest.mark.parametrize("seq", [["x"], [0.01], [0.01, 0.01], [0.1, 0.0], [0.1, -1e-3],
+                                 [0.1, float("nan")], [0.1, float("inf")], [], 0.1])
+def test_bad_shift_sequence_is_config_error(tmp_path, capsys, seq):
+    # a non-number exited 1 with a TypeError traceback, and one shift (or a
+    # repeated one) exited 0 with an all-zero extrapolation spread
+    data = base_config(output_dir=str(tmp_path / "o"), alpha_grid=[0.3],
+                       truncation={"radius": 2, "max_degree": 2, "lambda_seq": seq})
+    with pytest.raises(ConfigError, match="truncation.lambda_seq"):
+        ExperimentConfig.from_dict(data)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(data))
+    assert cli_main(["diffusion", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert "truncation.lambda_seq" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_diffusion_command_exits_1_when_a_solve_stalls(tmp_path, capsys):
+    # the odd part of this kernel gives every solve a nonzero right side
+    data = base_config(output_dir=str(tmp_path / "o"), alpha_grid=[0.3],
+                       truncation={"radius": 2, "max_degree": 2, "solver_tol": 1e-30},
+                       kernel={"dimension": 2, "entries": [
+                           {"offset": [1, 0], "prob": 0.5}, {"offset": [-1, 0], "prob": 0.25},
+                           {"offset": [0, 1], "prob": 0.125},
+                           {"offset": [0, -1], "prob": 0.125}]})
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(data))
+    assert cli_main(["diffusion", "--config", str(cfg_path)]) == 1
+    assert "invariant violation: resolvent solve failed" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "diffusion.json").exists()
+
+
+def test_cli_flags_override_seed_output_and_threads(tmp_path):
+    # --seed, --out and --threads act exactly as the same config keys
+    data = base_config(output_dir=str(tmp_path / "from_config"), torus_sizes=[4],
+                       replicas=2)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(data))
+    out = tmp_path / "from_flag"
+    assert cli_main(["compare", "--config", str(cfg_path), "--seed", "97",
+                     "--out", str(out), "--threads", "2"]) == 0
+    assert not (tmp_path / "from_config").exists()
+    written = json.loads((out / "report.json").read_text())["config"]
+    assert (written["master_seed"], written["output_dir"], written["threads"]) == (
+        97, str(out), 2)
+    cfg = ExperimentConfig.from_dict({**data, "master_seed": 97, "output_dir": str(out),
+                                      "threads": 2})
+    emit_outputs(run_experiment(cfg), tmp_path / "direct", ["json"])
+    assert (out / "report.json").read_bytes() == (
+        tmp_path / "direct" / "report.json").read_bytes()
+
+
+def test_csv_profile_through_config(tmp_path):
+    grid = Profile.cosine(2, 0.5, 0.2, axis=1).sample_grid(6)
+    path = tmp_path / "profile.csv"
+    np.savetxt(path, grid.reshape(1, -1), delimiter=",")
+    spec = {"kind": "csv", "path": str(path)}
+    cfg = ExperimentConfig.from_dict(base_config(profile=spec))
+    assert np.array_equal(cfg.checked_profile().sample_grid(6), grid)
+    assert cfg.to_dict()["profile"] == spec
+    with pytest.raises(ConfigError, match="'path'"):
+        ExperimentConfig.from_dict(base_config(profile={"kind": "csv"}))
+
+
+def test_pde_command_writes_npy(tmp_path):
+    table_path = tmp_path / "table.json"
+    table = DiffusionTable.from_callable(lambda a: np.diag([0.1, 0.08 + 0.03 * a]), 2)
+    table.save_json(table_path)
+    data = base_config(output_dir=str(tmp_path / "o"), profile=_COSINE,
+                       times=[0.02, 0.05], diffusion_table=str(table_path),
+                       formats=["csv", "npy"])
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(data))
+    assert cli_main(["pde", "--config", str(cfg_path)]) == 0
+    # the npy grid is the full 12 x 12 field the solve reaches, equal to the
+    # csv one
+    fld = DensityField.from_profile(Profile.cosine(2, 0.5, 0.2, axis=1), 12)
+    table = DiffusionTable.load_json(table_path)
+    t_prev = 0.0
+    for t in data["times"]:
+        fld = solve_to_time(fld, table, t - t_prev)
+        t_prev = t
+        written = np.load(tmp_path / "o" / f"pde_t{t}.npy")
+        assert written.shape == (12, 12)
+        assert np.array_equal(written, fld.grid())
+        csv = np.loadtxt(tmp_path / "o" / f"pde_t{t}.csv", delimiter=",")
+        assert np.array_equal(csv.reshape(12, 12), written)
 
 
 _TRACE_SCRIPT = """

@@ -48,7 +48,7 @@ def test_product_sampling_profile_grid_mismatch():
 def test_block_density_trivials():
     geom = TorusGeometry(3, 5)
     assert np.all(block_density(Configuration.full(geom), 1) == 1.0)
-    assert np.all(block_density(Configuration.empty(geom), 2) == 0.0)
+    assert np.all(block_density(Configuration(geom, np.zeros(geom.n_sites)), 2) == 0.0)
 
 
 def test_block_density_single_particle():
@@ -64,7 +64,7 @@ def test_block_density_single_particle():
 def test_block_density_too_large():
     geom = TorusGeometry(2, 4)
     with pytest.raises(ConfigError):
-        block_density(Configuration.empty(geom), 2)
+        block_density(Configuration(geom, np.zeros(geom.n_sites)), 2)
 
 
 def test_state_code_roundtrip():

@@ -302,3 +302,16 @@ def test_save_writes_full_grid(tmp_path):
     assert np.array_equal(flat.reshape(8, 8, 8), profile.sample_grid(8))
     fld.save_npy(tmp_path / "f.npy")
     assert np.array_equal(np.load(tmp_path / "f.npy"), profile.sample_grid(8))
+
+
+def test_safety_outside_unit_interval_is_config_error():
+    # above 1 the first step failed on its stability check without naming
+    # the safety, a negative one was reported as a maximum-principle
+    # violation and 0 never advanced the time (it comes last, so an
+    # unchecked solver fails on the others before it can hang here)
+    tab = DiffusionTable.from_callable(lambda a: np.diag([0.1, 0.08 + 0.03 * a]), 2)
+    f0 = DensityField.from_profile(Profile.cosine(2, 0.5, 0.2, axis=1), 16)
+    for safety in (1.5, -0.5, float("nan"), 0.0):
+        with pytest.raises(ConfigError, match="pde.safety"):
+            solve_to_time(f0, tab, 0.01, safety=safety)
+    assert solve_to_time(f0, tab, 0.01, safety=1.0).values.shape == (1, 16)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from torusgas.errors import ConfigError
+from torusgas.errors import ConfigError, InvariantViolation
 from torusgas.kernels import ssep, validate_kernel
 from torusgas.resolvent import (build_engine, compute_diffusion,
                                 degree_one_seminorm, diffusion_from_solutions,
@@ -306,3 +306,14 @@ def test_iterations_count_operator_matvecs(kernel_d2_asym):
     assert res.solver["iterations"] == len(calls) > 0
     assert res.solver["space_size"] == eng.space.n_sets
     assert res.solver["classes"] == res.truncation["classes"] == eng.space.size
+
+
+def test_unreachable_tolerance_raises(kernel_d2_asym):
+    # a true residual of 1e-30 is far below round-off, so the one BiCGSTAB
+    # run cannot reach it; a residual above `solver_tol` is never accepted,
+    # however small
+    eng = build_engine(kernel_d2_asym,
+                       TruncationParams(radius=2, max_degree=2, solver_tol=1e-30))
+    with pytest.raises(InvariantViolation, match="resolvent solve failed: residual"):
+        resolvent_solve(eng, 0.3, 1e-2, 0)
+

@@ -164,7 +164,7 @@ def replay(config, kernel, duration, rng):
 def _occupancy(geom, fill, seed=0):
     """'empty', 'full', 'one' (a particle at the origin) or a density."""
     if fill == "empty":
-        return Configuration.empty(geom)
+        return Configuration(geom, np.zeros(geom.n_sites, dtype=np.uint8))
     if fill == "full":
         return Configuration.full(geom)
     if fill == "one":
