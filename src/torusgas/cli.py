@@ -10,15 +10,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, InvariantViolation
 from .harness import (ExperimentConfig, _load_or_compute_table, emit_outputs,
-                      exact_small_experiment, replica_results, run_experiment,
-                      size_record, write_run_meta)
-from .pde import DensityField, DiffusionTable, solve_to_time
+                      exact_small_experiment, make_output_dir, pde_through,
+                      replica_results, run_experiment, write_json, write_run_meta)
+from .pde import DensityField, DiffusionTable
 from .resolvent import compute_diffusion
 
 
@@ -38,12 +37,6 @@ def _load(args) -> ExperimentConfig:
     if args.threads is not None:
         cfg.threads = int(args.threads)
     return cfg
-
-
-def _outdir(cfg) -> Path:
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
 
 
 def cmd_kernel(args) -> int:
@@ -66,8 +59,8 @@ def cmd_kernel(args) -> int:
             "dimension below 3: diffusive-limit guarantees are out of range, "
             "provided for testing" if analysis.dimension < 3 else ""),
     }
-    path = _outdir(cfg) / "kernel.json"
-    path.write_text(json.dumps(data, indent=1, sort_keys=True))
+    path = make_output_dir(cfg.output_dir) / "kernel.json"
+    write_json(path, data)
     print(path)
     return 0
 
@@ -75,20 +68,20 @@ def cmd_kernel(args) -> int:
 def cmd_simulate(args) -> int:
     cfg = _load(args)
     cfg.checked_profile()
-    out = _outdir(cfg)
+    out = make_output_dir(cfg.output_dir)
     records = []
     for size_index, n in enumerate(cfg.torus_sizes):
         shape = (n,) * cfg.dimension
-        results = replica_results(cfg, size_index)
-        records.append(size_record(n, [rec for _, rec in results]))
-        for r, (fields, _) in enumerate(results):
+        replica_fields, record = replica_results(cfg, size_index)
+        records.append(record)
+        for r, fields in enumerate(replica_fields):
             for t, blocks in fields.items():
                 header = {"d": cfg.dimension, "N": n, "K": cfg.block_radius,
                           "t": t, "replica": r, "seed": cfg.master_seed}
                 stem = f"blocks_N{n}_t{t}_r{r}"
                 if "csv" in cfg.formats:
                     DensityField(blocks.reshape(shape)).save_csv(out / f"{stem}.csv", header)
-                if "npy" in cfg.formats or "binary" in cfg.formats:
+                if "npy" in cfg.formats:
                     np.save(out / f"{stem}.npy", blocks.reshape(shape))
                     (out / f"{stem}.meta.json").write_text(
                         json.dumps(header, sort_keys=True))
@@ -107,7 +100,7 @@ def cmd_diffusion(args) -> int:
         vectors["diag12"] = [float(x) for x in v]
     result = compute_diffusion(cfg.analysis, cfg.alpha_grid, cfg.truncation,
                                mobility_vectors=vectors, with_residuals=True)
-    out = _outdir(cfg)
+    out = make_output_dir(cfg.output_dir)
     result.save_json(out / "diffusion.json")
     result.save_csv(out / "diffusion.csv")
     table = DiffusionTable.from_diffusion_result(result)
@@ -120,16 +113,13 @@ def cmd_pde(args) -> int:
     cfg = _load(args)
     profile = cfg.build_profile()
     table = _load_or_compute_table(cfg)
-    out = _outdir(cfg)
-    fld = DensityField.from_profile(profile, cfg.pde_resolution)
-    t_prev = 0.0
-    for t in cfg.times:
-        fld = solve_to_time(fld, table, t - t_prev, safety=cfg.pde_safety)
-        t_prev = t
+    out = make_output_dir(cfg.output_dir)
+    for t, fld, _ in pde_through(DensityField.from_profile(profile, cfg.pde_resolution),
+                                 table, cfg.times, cfg.pde_safety):
         header = {"d": cfg.dimension, "m": cfg.pde_resolution, "t": t}
         if "csv" in cfg.formats:
             fld.save_csv(out / f"pde_t{t}.csv", header)
-        if "npy" in cfg.formats or "binary" in cfg.formats:
+        if "npy" in cfg.formats:
             fld.save_npy(out / f"pde_t{t}.npy")
     print(out)
     return 0
@@ -149,9 +139,8 @@ def cmd_compare(args) -> int:
 def cmd_exact(args) -> int:
     cfg = _load(args)
     diag = exact_small_experiment(cfg)
-    out = _outdir(cfg)
-    path = out / "exact_diagnostics.json"
-    path.write_text(json.dumps(diag, indent=1, sort_keys=True))
+    path = make_output_dir(cfg.output_dir) / "exact_diagnostics.json"
+    write_json(path, diag)
     print(json.dumps({k: diag[k] for k in
                       ("stationarity_tv", "entropy_t0_closed_form",
                        "entropy_t0_exact")}, indent=1))

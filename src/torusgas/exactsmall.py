@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import expm_multiply
 
-from .errors import ConfigError
+from .errors import ConfigError, InvariantViolation
 from .kernels import TransitionKernel
 from .lattice import TorusGeometry
 
@@ -67,8 +67,6 @@ def product_distribution(geometry: TorusGeometry, site_probs) -> np.ndarray:
     """Distribution over all states for independent site occupancies."""
     n = geometry.n_sites
     probs = np.asarray(site_probs, dtype=np.float64).reshape(-1)
-    if np.isscalar(site_probs) or probs.size == 1:
-        probs = np.full(n, float(probs.reshape(())))
     if probs.shape != (n,):
         raise ConfigError("need one marginal per site")
     n_states = 1 << n
@@ -102,7 +100,7 @@ def exact_evolution_small(geometry: TorusGeometry, kernel: TransitionKernel,
     out = np.maximum(out, 0.0)
     total = out.sum()
     if abs(total - 1.0) > 1e-9:
-        raise ConfigError("evolved distribution lost mass beyond tolerance")
+        raise InvariantViolation("evolved distribution lost mass beyond tolerance")
     return out / total
 
 

@@ -40,7 +40,7 @@ _TRUNC_KEYS = {"radius", "max_degree", "solver_tol", "lambda_seq", "reg"}
 _PDE_KEYS = {"resolution", "safety"}
 _PROFILE_KEYS = {"kind", "value", "base", "amplitude", "axis", "path"}
 _EXACT_KEYS = {"side", "replicas", "alpha", "times"}
-_FORMATS = ("json", "csv", "dat", "plot", "npy", "binary")
+_FORMATS = ("json", "csv", "dat", "npy")
 
 # Replicas per lockstep batch of the exact Monte Carlo ensemble.  Fixed, so
 # the batch streams (and the results) do not depend on anything but the
@@ -84,19 +84,18 @@ class ExperimentConfig:
     block_radius: int
     replicas: int
     master_seed: int
-    delta0: float = 0.05
-    alpha_grid: list = field(default_factory=lambda: [round(0.1 * i, 10)
-                                                      for i in range(1, 10)])
-    truncation: TruncationParams = None
-    pde_resolution: int = 64
-    pde_safety: float = 0.9
-    diffusion_table_path: str | None = None
-    output_dir: str = "out"
-    formats: list = field(default_factory=lambda: ["json", "csv"])
-    threads: int = 1
-    drift_tol: float = 1e-10
-    exact: dict = field(default_factory=dict)
-    label: str = "experiment"
+    delta0: float
+    alpha_grid: list
+    truncation: TruncationParams | None
+    pde_resolution: int
+    pde_safety: float
+    diffusion_table_path: str | None
+    output_dir: str
+    formats: list
+    threads: int
+    drift_tol: float
+    exact: dict
+    label: str
     # derived once from the fields above; not part of the config's identity
     analysis: KernelAnalysis = field(init=False, repr=False, compare=False)
     exact_side: int = field(init=False, repr=False, compare=False)
@@ -138,7 +137,7 @@ class ExperimentConfig:
         return self.kernel.dimension
 
     def build_profile(self) -> Profile:
-        return Profile.from_spec(self.dimension, self.profile_spec, self.delta0)
+        return Profile.from_spec(self.dimension, self.profile_spec)
 
     def checked_profile(self) -> Profile:
         """The initial profile, after its drift and boundedness check."""
@@ -164,17 +163,15 @@ class ExperimentConfig:
         if "truncation" in data:
             td = data["truncation"]
             _reject_unknown(td, _TRUNC_KEYS, "truncation")
-            trunc = TruncationParams(
-                radius=as_number(int, require(td, "radius", "truncation"),
-                                 "truncation.radius"),
-                max_degree=as_number(int, require(td, "max_degree", "truncation"),
-                                     "truncation.max_degree"),
-                solver_tol=as_number(float, td.get("solver_tol", 1e-10),
-                                     "truncation.solver_tol"),
-                reg=as_number(float, td.get("reg", 1e-3), "truncation.reg"),
-                lambda_seq=tuple(_numbers(
-                    float, td.get("lambda_seq", (1e-1, 1e-2, 1e-3, 1e-4)),
-                    "truncation.lambda_seq")))
+            # only the keys present: the defaults live in TruncationParams
+            given = {key: as_number(int, require(td, key, "truncation"), f"truncation.{key}")
+                     for key in ("radius", "max_degree")}
+            given.update((key, as_number(float, td[key], f"truncation.{key}"))
+                         for key in ("solver_tol", "reg") if key in td)
+            if "lambda_seq" in td:
+                given["lambda_seq"] = tuple(_numbers(float, td["lambda_seq"],
+                                                     "truncation.lambda_seq"))
+            trunc = TruncationParams(**given)
         pde = dict(data.get("pde", {}))
         _reject_unknown(pde, _PDE_KEYS, "pde")
         exact = dict(data.get("exact", {}))
@@ -279,32 +276,46 @@ def replica_stream(cfg: ExperimentConfig, size_index: int, replica: int) -> RngS
     return RngStream(cfg.master_seed, (2, size_index, replica))
 
 
-def exact_batch_stream(master_seed: int, batch: int) -> np.random.Generator:
-    """Random stream of one exact Monte Carlo batch, keyed (1, batch)."""
-    seq = np.random.SeedSequence(master_seed, spawn_key=(1, batch))
-    return np.random.Generator(np.random.Philox(seq))
+def spans(times):
+    """Yield (t, t - previous t) through the observation times, starting at 0.
+
+    The span is macroscopic: on the side-N torus it runs for span N^2
+    microscopic time.
+    """
+    previous = 0.0
+    for t in times:
+        yield t, t - previous
+        previous = t
+
+
+def pde_through(fld: DensityField, table: DiffusionTable, times, safety: float):
+    """Solve the PDE from `fld` through the times.
+
+    Yields (t, field at t, record of that span's SolveReport keyed by t).
+    """
+    for t, span in spans(times):
+        solve = SolveReport()
+        fld = solve_to_time(fld, table, span, safety=safety, report=solve)
+        yield t, fld, {"t": t, **asdict(solve)}
 
 
 def replica_trajectory(geom: TorusGeometry, profile: Profile, kernel: TransitionKernel,
                        times, rng):
     """One replica: sample the initial state, then evolve through the times.
 
-    Yields (t, configuration, ledger) at every observation time t
-    (macroscopic, so each span runs for (t - t_prev) N^2 microscopic time).
-    Every span is continuity-checked against its bond ledger and must keep
-    the particle count.  The random draws depend only on `rng` and the
+    Yields (t, configuration, ledger) at every observation time t.  Every
+    span is continuity-checked against its bond ledger and must keep the
+    particle count.  The random draws depend only on `rng` and the
     arguments.
     """
     n = geom.side
     config = sample_product_measure(geom, profile, rng)
-    t_prev = 0.0
-    for t in times:
+    for t, span in spans(times):
         before = config
-        config, ledger = evolve(config, kernel, (t - t_prev) * n ** 2, rng)
+        config, ledger = evolve(config, kernel, span * n ** 2, rng)
         ledger.check_continuity(before, config)
         if config.particle_count != before.particle_count:
             raise InvariantViolation("particle count changed")
-        t_prev = t
         yield t, config, ledger
 
 
@@ -336,17 +347,13 @@ def _replica_job(cfg: ExperimentConfig, size_index: int, replica: int):
     return fields, record
 
 
-def size_record(n: int, records: list) -> dict:
-    """One torus size's simulation record: its replicas' records summed."""
-    return {"N": n, "replicas": len(records),
-            **{key: sum(rec[key] for rec in records) for key in records[0]}}
+def replica_results(cfg: ExperimentConfig, size_index: int) -> tuple[list, dict]:
+    """`_replica_job` of every replica of one torus size.
 
-
-def replica_results(cfg: ExperimentConfig, size_index: int) -> list:
-    """`_replica_job` of every replica of one torus size, in replica order.
-
-    With `threads > 1` the replicas run in a process pool; the results are
-    still read back in replica order, so the output does not depend on it.
+    Returns the replicas' field maps in replica order and the size's
+    simulation record (its replicas' records summed).  With `threads > 1`
+    the replicas run in a process pool; the results are still read back in
+    replica order, so the output does not depend on it.
     """
     if cfg.threads > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -354,8 +361,13 @@ def replica_results(cfg: ExperimentConfig, size_index: int) -> list:
         with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
             futures = [pool.submit(_replica_job, cfg, size_index, r)
                        for r in range(cfg.replicas)]
-            return [f.result() for f in futures]
-    return [_replica_job(cfg, size_index, r) for r in range(cfg.replicas)]
+            results = [f.result() for f in futures]
+    else:
+        results = [_replica_job(cfg, size_index, r) for r in range(cfg.replicas)]
+    records = [rec for _, rec in results]
+    record = {"N": cfg.torus_sizes[size_index], "replicas": len(records),
+              **{key: sum(rec[key] for rec in records) for key in records[0]}}
+    return [fields for fields, _ in results], record
 
 
 @dataclass
@@ -394,14 +406,10 @@ def run_experiment(cfg: ExperimentConfig,
 
     pde_fields = {}
     pde_solves = []
-    fld = DensityField.from_profile(profile, cfg.pde_resolution)
-    t_prev = 0.0
-    for t in cfg.times:
-        solve = SolveReport()
-        fld = solve_to_time(fld, table, t - t_prev, safety=cfg.pde_safety, report=solve)
+    for t, fld, solve in pde_through(DensityField.from_profile(profile, cfg.pde_resolution),
+                                     table, cfg.times, cfg.pde_safety):
         pde_fields[t] = fld
-        pde_solves.append({"t": t, **asdict(solve)})
-        t_prev = t
+        pde_solves.append(solve)
 
     rows = []
     report = ComparisonReport(config=cfg.to_dict(), rows=rows,
@@ -413,9 +421,9 @@ def run_experiment(cfg: ExperimentConfig,
             targets = {t: pde_at_sites(pde_fields[t], n) for t in cfg.times}
             sums = {t: np.zeros(geom.n_sites) for t in cfg.times}
             per_replica = {t: [] for t in cfg.times}
-            results = replica_results(cfg, size_index)
-            report.simulate.append(size_record(n, [rec for _, rec in results]))
-            for fields, _ in results:
+            replica_fields, record = replica_results(cfg, size_index)
+            report.simulate.append(record)
+            for fields in replica_fields:
                 for t in cfg.times:
                     sums[t] += fields[t]
                     per_replica[t].append(compare_fields(fields[t], targets[t])["L1"])
@@ -480,29 +488,23 @@ def exact_small_experiment(cfg: ExperimentConfig) -> dict:
     resolution = max(cfg.pde_resolution, n)
     resolution += (-resolution) % n
     table = _load_or_compute_table(cfg)
-    fld = DensityField.from_profile(profile, resolution)
+    fld0 = DensityField.from_profile(profile, resolution)
+    references = [(0.0, fld0)] + [(t, fld) for t, fld, _ in
+                                  pde_through(fld0, table, times, cfg.pde_safety)]
 
     # exact law and entropy curve along the run, including the time-zero row
-    entropy_rows = []
-    ref0 = product_distribution(geom, fld.evaluate(pts))
-    entropy_rows.append({
-        "t": 0.0,
-        "entropy_vs_profile_state": float(relative_entropy_distributions(mu, ref0)),
-        "entropy_vs_flat": float(relative_entropy_distributions(mu, nu_alpha)),
-    })
-    exact_laws = {}
-    t_prev = 0.0
-    for t in times:
-        duration = (t - t_prev) * n ** 2
-        mu = exact_evolution_small(geom, cfg.kernel, mu, duration)
-        fld = solve_to_time(fld, table, t - t_prev, safety=cfg.pde_safety)
-        t_prev = t
+    exact_laws = {0.0: mu}
+    for t, span in spans(times):
+        mu = exact_evolution_small(geom, cfg.kernel, mu, span * n ** 2)
         exact_laws[t] = mu
+    entropy_rows = []
+    for t, fld in references:
+        law = exact_laws[t]
         nu_ref = product_distribution(geom, fld.evaluate(pts))
         entropy_rows.append({
             "t": t,
-            "entropy_vs_profile_state": float(relative_entropy_distributions(mu, nu_ref)),
-            "entropy_vs_flat": float(relative_entropy_distributions(mu, nu_alpha)),
+            "entropy_vs_profile_state": float(relative_entropy_distributions(law, nu_ref)),
+            "entropy_vs_flat": float(relative_entropy_distributions(law, nu_alpha)),
         })
 
     # Monte Carlo ensemble through the same times, in lockstep batches
@@ -511,15 +513,12 @@ def exact_small_experiment(cfg: ExperimentConfig) -> dict:
     jumps = {t: 0 for t in times}
     for batch, start in enumerate(range(0, mc_replicas, EXACT_BATCH)):
         size = min(EXACT_BATCH, mc_replicas - start)
-        gen = exact_batch_stream(cfg.master_seed, batch)
+        gen = RngStream(cfg.master_seed, (1, batch)).generator()
         occ = (gen.random((size, geom.n_sites)) < marginals0).astype(np.uint8)
-        t_prev = 0.0
-        for t in times:
+        for t, span in spans(times):
             before = occ
-            occ, ledger, drawn = evolve_replicas(geom, occ, cfg.kernel,
-                                                 (t - t_prev) * n ** 2, gen)
+            occ, ledger, drawn = evolve_replicas(geom, occ, cfg.kernel, span * n ** 2, gen)
             check_replica_ledgers(geom, cfg.kernel.offsets, before, occ, ledger)
-            t_prev = t
             hist[t] += np.bincount(state_codes(occ), minlength=1 << geom.n_sites)
             events[t] += int(drawn.sum())
             jumps[t] += int(ledger.sum())
@@ -533,8 +532,7 @@ def exact_small_experiment(cfg: ExperimentConfig) -> dict:
     closed0 = relative_entropy_product(marginals0, marginals0)
     exact0 = entropy_rows[0]["entropy_vs_profile_state"]
     closed_alpha0 = relative_entropy_product(marginals0, np.full(geom.n_sites, alpha))
-    mu0 = product_distribution(geom, marginals0)
-    exact_alpha0 = relative_entropy_distributions(mu0, nu_alpha)
+    exact_alpha0 = relative_entropy_distributions(exact_laws[0.0], nu_alpha)
 
     return {
         "side": n,
@@ -550,43 +548,42 @@ def exact_small_experiment(cfg: ExperimentConfig) -> dict:
     }
 
 
-def _json_bytes(data: dict) -> bytes:
-    return json.dumps(data, indent=1, sort_keys=True).encode()
+def make_output_dir(path) -> Path:
+    """The output directory, created when missing."""
+    out = Path(path)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
+def write_json(path: Path, data: dict):
+    """A JSON output file, indented, with sorted keys."""
+    path.write_bytes(json.dumps(data, indent=1, sort_keys=True).encode())
+
+
+# distance table files: (format, file name, column separator, header prefix)
+_DISTANCE_FILES = (("csv", "distances.csv", ",", ""), ("dat", "distances.dat", " ", "# "))
+_DISTANCE_COLUMNS = ("N", "t", "L1", "L2", "Linf")
 
 
 def emit_outputs(report: ComparisonReport, output_dir, formats) -> list:
     """Write report files; byte-identical across reruns with equal seeds."""
-    out = Path(output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_output_dir(output_dir)
     written = []
-    data = report.to_dict()
     if "json" in formats:
         path = out / "report.json"
-        path.write_bytes(_json_bytes(data))
+        write_json(path, report.to_dict())
         written.append(str(path))
-    if "csv" in formats:
-        path = out / "distances.csv"
-        lines = ["N,t,L1,L2,Linf"]
-        for row in report.rows:
-            lines.append(",".join(repr(v) for v in
-                                  (row["N"], row["t"], row["L1"], row["L2"],
-                                   row["Linf"])))
-        path.write_text("\n".join(lines) + "\n")
-        written.append(str(path))
-    if "dat" in formats or "plot" in formats:
-        path = out / "distances.dat"
-        lines = ["# N t L1 L2 Linf"]
-        for row in report.rows:
-            lines.append(" ".join(repr(v) for v in
-                                  (row["N"], row["t"], row["L1"], row["L2"],
-                                   row["Linf"])))
-        path.write_text("\n".join(lines) + "\n")
-        written.append(str(path))
+    for fmt, name, sep, prefix in _DISTANCE_FILES:
+        if fmt in formats:
+            path = out / name
+            lines = [prefix + sep.join(_DISTANCE_COLUMNS)]
+            lines += [sep.join(repr(row[c]) for c in _DISTANCE_COLUMNS) for row in report.rows]
+            path.write_text("\n".join(lines) + "\n")
+            written.append(str(path))
     write_run_meta(out, pde=report.pde_solves, simulate=report.simulate)
     return written
 
 
 def write_run_meta(out: Path, **records):
     """The side file outside the byte-identical contract: write time plus records."""
-    (out / "run_meta.json").write_text(json.dumps({"wall_time": time.time(), **records},
-                                                  indent=1))
+    write_json(out / "run_meta.json", {"wall_time": time.time(), **records})

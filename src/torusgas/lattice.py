@@ -87,10 +87,6 @@ class Configuration:
             code |= 1 << int(x)
         return code
 
-    @classmethod
-    def full(cls, geometry: TorusGeometry) -> "Configuration":
-        return cls(geometry, np.ones(geometry.n_sites, dtype=np.uint8))
-
 
 def sample_product_measure(geometry: TorusGeometry, profile, rng) -> Configuration:
     """Independent site occupancies; site x occupied with probability rho(x/N).

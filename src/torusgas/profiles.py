@@ -9,7 +9,7 @@ error; explicit grids are supported for CSV input.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -17,15 +17,17 @@ import numpy as np
 from .errors import ConfigError, as_number, require
 
 
+# side of the evaluation grid `validate_profile` checks a profile on
+CHECK_RESOLUTION = 64
+
+
 @dataclass
 class Profile:
-    """Density profile with a lower bound delta0 away from {0, 1}."""
+    """Density profile on the continuum torus, a closed form or a grid."""
 
     dimension: int
     func: Optional[Callable] = None
     grid: Optional[np.ndarray] = None  # values on a uniform periodic grid
-    delta0: float = 0.0
-    spec: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if (self.func is None) == (self.grid is None):
@@ -52,15 +54,13 @@ class Profile:
         return self.values_at(axes).reshape((m,) * self.dimension)
 
     @classmethod
-    def constant(cls, dimension: int, value: float, delta0: float = 0.0) -> "Profile":
+    def constant(cls, dimension: int, value: float) -> "Profile":
         if not 0.0 <= value <= 1.0:
             raise ConfigError("constant profile value outside [0, 1]")
-        return cls(dimension, func=lambda pts: np.full(len(pts), value), delta0=delta0,
-                   spec={"kind": "constant", "value": value})
+        return cls(dimension, func=lambda pts: np.full(len(pts), value))
 
     @classmethod
-    def cosine(cls, dimension: int, base: float, amplitude: float, axis: int,
-               delta0: float = 0.0) -> "Profile":
+    def cosine(cls, dimension: int, base: float, amplitude: float, axis: int) -> "Profile":
         """base + amplitude * cos(2 pi u_axis)."""
         if not 0 <= axis < dimension:
             raise ConfigError("cosine axis outside dimension")
@@ -71,29 +71,27 @@ class Profile:
         def f(pts, _a=axis, _b=base, _amp=amplitude):
             return _b + _amp * np.cos(2.0 * math.pi * pts[:, _a])
 
-        return cls(dimension, func=f, delta0=delta0,
-                   spec={"kind": "cosine", "base": base, "amplitude": amplitude,
-                         "axis": axis})
+        return cls(dimension, func=f)
 
     @classmethod
-    def from_grid(cls, grid: np.ndarray, delta0: float = 0.0) -> "Profile":
+    def from_grid(cls, grid: np.ndarray) -> "Profile":
         grid = np.asarray(grid, dtype=np.float64)
-        return cls(grid.ndim, grid=grid, delta0=delta0, spec={"kind": "grid"})
+        return cls(grid.ndim, grid=grid)
 
     @classmethod
-    def from_spec(cls, dimension: int, spec: dict, delta0: float = 0.0) -> "Profile":
+    def from_spec(cls, dimension: int, spec: dict) -> "Profile":
         def number(cast, key):
             return as_number(cast, require(spec, key, "profile"), f"profile.{key}")
 
         kind = require(spec, "kind", "profile")
         if kind == "constant":
-            return cls.constant(dimension, number(float, "value"), delta0)
+            return cls.constant(dimension, number(float, "value"))
         if kind == "cosine":
             return cls.cosine(dimension, number(float, "base"),
-                              number(float, "amplitude"), number(int, "axis"), delta0)
+                              number(float, "amplitude"), number(int, "axis"))
         if kind == "csv":
             return cls.from_grid(
-                load_profile_csv(require(spec, "path", "profile"), dimension), delta0)
+                load_profile_csv(require(spec, "path", "profile"), dimension))
         raise ConfigError(f"unknown profile kind {kind!r}")
 
 
@@ -135,17 +133,16 @@ def load_profile_csv(path, dimension: int) -> np.ndarray:
     return values.reshape((m,) * dimension)
 
 
-def validate_profile(profile: Profile, drift, delta0: float, tol: float = 1e-10,
-                     m: int = 64) -> dict:
-    """Drift-constancy and boundedness diagnostics on an m^d evaluation grid.
+def validate_profile(profile: Profile, drift, delta0: float, tol: float = 1e-10) -> dict:
+    """Drift-constancy and boundedness diagnostics on the CHECK_RESOLUTION^d grid.
 
     Reports max |q . grad rho| (centred differences) and the distance of the
     range from {0, 1}; passes when the former is below tol and the latter at
     least delta0.
     """
     q = np.asarray(drift, dtype=np.float64)
-    grid = profile.sample_grid(m)
-    h = 1.0 / m
+    grid = profile.sample_grid(CHECK_RESOLUTION)
+    h = 1.0 / CHECK_RESOLUTION
     dirderiv = np.zeros_like(grid)
     for ax in range(profile.dimension):
         if q[ax] == 0.0:

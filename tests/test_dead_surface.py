@@ -1,15 +1,17 @@
 """Every function, class and method in `src/torusgas` has a caller outside tests.
 
 The scan is by name over the syntax trees of `src/torusgas` and
-`perfbench`: a definition counts as used when its name is read (as a name
-or an attribute) somewhere outside its own body.  Reads inside definitions
-that are themselves unused do not count, so a helper that only dead code
-calls is flagged with it.  An attribute of a module bound by a plain
-`import` of another package (`np.empty`, `json.dump`) is that module's, so
-it is not a read of a same-named src definition.  `perfbench` also looks
-functions up by string (its tracer patches them by name), so string
-constants there count as reads.  Dunder methods are called implicitly and
-are skipped.
+`perfbench`: a definition counts as used when its name is read somewhere
+outside its own body.  Reads inside definitions that are themselves unused
+do not count, so a helper that only dead code calls is flagged with it.  An
+attribute of a module bound by a plain `import` of another package
+(`np.empty`, `json.dump`) is that module's, so it is not a read of a
+same-named src definition.  In `src` a read is a name or an attribute.
+`perfbench` reaches the package only through its modules, so there a read
+is an attribute, or the attribute name its tracer patches by string (the
+second argument of a `_patch_function`/`_patch_method` call); its own local
+names and other strings (a worker mode "full") read nothing of `src`.
+Dunder methods are called implicitly and are skipped.
 """
 
 import ast
@@ -33,8 +35,14 @@ TEST_SURFACE = (
 )
 
 
-def _scan(path: Path, strings: bool, defs: list, reads: list):
-    """Append (name, qualified name, key) of definitions and (name, enclosing keys) of reads."""
+_PATCHERS = {"_patch_function", "_patch_method"}
+
+
+def _scan(path: Path, bench: bool, defs: list, reads: list):
+    """Append (name, qualified name, key) of definitions and (name, enclosing keys) of reads.
+
+    `bench` selects the perfbench rule: attributes and patched names only.
+    """
     tree = ast.parse(path.read_text())
     foreign = {alias.asname or alias.name.split(".")[0]
                for node in ast.walk(tree) if isinstance(node, ast.Import)
@@ -47,12 +55,15 @@ def _scan(path: Path, strings: bool, defs: list, reads: list):
             defs.append((node.name, f"{path.stem}." + ".".join(qual), key))
             enclosing = enclosing | {key}
         elif isinstance(node, ast.Name):
-            reads.append((node.id, enclosing))
+            if not bench:
+                reads.append((node.id, enclosing))
         elif isinstance(node, ast.Attribute):
             if not (isinstance(node.value, ast.Name) and node.value.id in foreign):
                 reads.append((node.attr, enclosing))
-        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
-            reads.append((node.value, enclosing))
+        elif (bench and isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr in _PATCHERS and len(node.args) >= 2
+              and isinstance(node.args[1], ast.Constant)):
+            reads.append((node.args[1].value, enclosing))
         for child in ast.iter_child_nodes(node):
             visit(child, enclosing, qual)
 

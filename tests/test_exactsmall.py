@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -221,6 +223,25 @@ def test_exact_ensemble_is_deterministic_and_counts_every_replica(monkeypatch):
         assert total_variation(emp, law) == pytest.approx(row["tv_mc_vs_exact"], abs=1e-12)
         assert isinstance(row["events"], int) and isinstance(row["jumps"], int)
         assert 0 < row["jumps"] <= row["events"]
+
+
+def test_lost_mass_is_an_invariant_violation(monkeypatch, tmp_path, capsys):
+    # mass lost by the matrix exponential is a numerical failure, not bad
+    # input: it raises InvariantViolation and `torusgas exact` exits 1
+    import torusgas.exactsmall as exactsmall
+    from torusgas.cli import main as cli_main
+
+    monkeypatch.setattr(exactsmall, "expm_multiply", lambda a, v: 0.5 * v)
+    geom = TorusGeometry(2, 3)
+    mu = product_distribution(geom, np.full(9, 0.4))
+    with pytest.raises(InvariantViolation, match="lost mass"):
+        exact_evolution_small(geom, D2_KERNEL, mu, 1.0)
+    data = _exact_config(10).to_dict()
+    data["output_dir"] = str(tmp_path / "o")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(data))
+    assert cli_main(["exact", "--config", str(cfg_path)]) == 1
+    assert "invariant violation: evolved distribution lost mass" in capsys.readouterr().err
 
 
 def test_relative_entropy_product_values():

@@ -12,6 +12,7 @@ from torusgas.errors import ConfigError
 from torusgas.harness import (ExperimentConfig, _replica_job, compare_fields,
                               emit_outputs, pde_at_sites, replica_stream,
                               run_experiment)
+from torusgas.packed import TruncationParams
 from torusgas.simulate import RngStream
 from torusgas.pde import DensityField, DiffusionTable, solve_to_time
 from torusgas.profiles import Profile
@@ -348,20 +349,33 @@ def test_non_numeric_config_value_is_config_error(tmp_path, capsys, where, value
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("formats", ["json", ["jsn"], ["json", 1]])
+@pytest.mark.parametrize("formats", ["json", ["jsn"], ["json", 1], ["json", "plot"],
+                                     ["binary"]])
 def test_unknown_output_format_is_config_error(tmp_path, capsys, formats):
     # a bare string used to parse as its letters and an unknown name was
-    # ignored: `compare` then wrote no report and still exited 0
+    # ignored: `compare` then wrote no report and still exited 0.  Each
+    # format has one name: "plot" and "binary" are no aliases of dat and npy
     data = base_config(output_dir=str(tmp_path / "o"), formats=formats)
     with pytest.raises(ConfigError, match="formats"):
         ExperimentConfig.from_dict(data)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(data))
     assert cli_main(["compare", "--config", str(cfg_path)]) == 2
-    assert "formats" in capsys.readouterr().err
+    assert "formats must be a list of names from ['json', 'csv', 'dat', 'npy']" in (
+        capsys.readouterr().err)
     assert not (tmp_path / "o").exists()
-    data["formats"] = ["json", "csv", "dat", "plot", "npy", "binary"]
+    data["formats"] = ["json", "csv", "dat", "npy"]
     assert ExperimentConfig.from_dict(data).formats == data["formats"]
+
+
+def test_truncation_defaults_live_in_truncation_params():
+    # the config passes only the truncation keys it holds
+    cfg = ExperimentConfig.from_dict(base_config(truncation={"radius": 3, "max_degree": 2}))
+    assert cfg.truncation == TruncationParams(radius=3, max_degree=2)
+    cfg = ExperimentConfig.from_dict(base_config(truncation={
+        "radius": 3, "max_degree": 2, "reg": "0.01", "lambda_seq": [0.2, 0.1]}))
+    assert cfg.truncation == TruncationParams(radius=3, max_degree=2, reg=0.01,
+                                              lambda_seq=(0.2, 0.1))
 
 
 def test_config_keeps_its_validated_values():

@@ -47,7 +47,8 @@ def test_product_sampling_profile_grid_mismatch():
 
 def test_block_density_trivials():
     geom = TorusGeometry(3, 5)
-    assert np.all(block_density(Configuration.full(geom), 1) == 1.0)
+    full = Configuration(geom, np.ones(geom.n_sites, dtype=np.uint8))
+    assert np.all(block_density(full, 1) == 1.0)
     assert np.all(block_density(Configuration(geom, np.zeros(geom.n_sites)), 2) == 0.0)
 
 

@@ -160,9 +160,30 @@ def test_time_zero_and_bad_inputs():
     same = solve_to_time(f0, tab, 0.0)
     assert np.array_equal(same.values, f0.values)
     with pytest.raises(ConfigError):
-        pde_step(f0, tab, 10.0)  # far above the stability bound
-    with pytest.raises(ConfigError):
         solve_to_time(f0, tab, -1.0)
+
+
+def test_step_size_is_chosen_once_per_solve(monkeypatch):
+    # the stability limit is scanned once per solve, over the initial range;
+    # the steps themselves never rescan it
+    from torusgas import pde
+
+    calls = []
+    original = pde.stability_limit
+
+    def counting(field, table):
+        calls.append(field.values.shape)
+        return original(field, table)
+
+    monkeypatch.setattr(pde, "stability_limit", counting)
+    tab = DiffusionTable.constant(np.diag([0.1, 0.1]))
+    f0 = DensityField.from_profile(Profile.cosine(2, 0.5, 0.2, axis=0), 16)
+    rep = SolveReport()
+    solve_to_time(f0, tab, 0.05, report=rep)
+    assert rep.steps > 1 and len(calls) == 1
+    assert rep.dt == 0.9 * original(f0, tab)
+    pde_step(f0, tab, rep.dt)
+    assert len(calls) == 1
 
 
 def test_density_leaving_unit_interval_raises():

@@ -273,6 +273,16 @@ def test_bad_inputs(small_engine):
         h_minus_one_sq(small_engine, np.zeros(small_engine.space.size), 0.0)
 
 
+def test_neg_norm_enforces_solver_tol(kernel_d2_asym):
+    # the negative-norm solve holds `solver_tol` as the resolvent solve
+    # does: a tolerance no CG run reaches raises instead of returning
+    eng = build_engine(kernel_d2_asym,
+                       TruncationParams(radius=2, max_degree=2, solver_tol=1e-30))
+    b = eng.space.current_vector(eng.analysis, 0)
+    with pytest.raises(InvariantViolation, match="against tolerance 1e-30"):
+        h_minus_one_sq(eng, b, 1e-2)
+
+
 def test_truncation_stability_of_diffusion(kernel_d3_asym, heavy_diffusion):
     # half-filling diffusion entry moves by well under 5% between the small
     # truncation and the acceptance-scale one (the larger-step comparison

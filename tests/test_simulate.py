@@ -25,7 +25,7 @@ def test_zero_duration_identity():
 def test_full_lattice_frozen():
     geom = TorusGeometry(2, 4)
     rng = RngStream(2).generator()
-    c = Configuration.full(geom)
+    c = Configuration(geom, np.ones(geom.n_sites, dtype=np.uint8))
     out, ledger = evolve(c, tasep(2), 3.0, rng)
     assert np.array_equal(out.occupancy, c.occupancy)
     assert ledger.counts.sum() == 0
@@ -166,7 +166,7 @@ def _occupancy(geom, fill, seed=0):
     if fill == "empty":
         return Configuration(geom, np.zeros(geom.n_sites, dtype=np.uint8))
     if fill == "full":
-        return Configuration.full(geom)
+        return Configuration(geom, np.ones(geom.n_sites, dtype=np.uint8))
     if fill == "one":
         occ = np.zeros(geom.n_sites, dtype=np.uint8)
         occ[0] = 1
