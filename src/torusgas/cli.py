@@ -29,14 +29,13 @@ def _add_shared(p):
 
 
 def _load(args) -> ExperimentConfig:
-    cfg = ExperimentConfig.load_json(args.config)
-    if args.seed is not None:
-        cfg.master_seed = int(args.seed)
-    if args.out is not None:
-        cfg.output_dir = args.out
-    if args.threads is not None:
-        cfg.threads = int(args.threads)
-    return cfg
+    """The config file with the flags written into it, so both pass one set of checks."""
+    with open(args.config) as fh:
+        data = json.load(fh)
+    flags = {"master_seed": args.seed, "output_dir": args.out, "threads": args.threads}
+    if isinstance(data, dict):  # anything else is rejected by `from_dict`
+        data.update((key, value) for key, value in flags.items() if value is not None)
+    return ExperimentConfig.from_dict(data)
 
 
 def cmd_kernel(args) -> int:

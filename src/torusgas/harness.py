@@ -58,12 +58,18 @@ def _reject_unknown(mapping: dict, allowed: set, where: str):
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
-def _increasing(times: list, key: str) -> list:
-    """Observation times, checked to start at or after 0 and strictly increase."""
-    if (times and not times[0] >= 0.0) or any(not b > a for a, b in zip(times, times[1:])):
+def _increasing(values: list, key: str, upper: float) -> list:
+    """A nonempty list, checked to lie in [0, upper] and strictly increase."""
+    if (not values or not 0.0 <= values[0] or not values[-1] <= upper
+            or any(not b > a for a, b in zip(values, values[1:]))):
         raise ConfigError(f"{key} must be nonnegative and strictly increasing, "
-                          f"got {times!r}")
-    return times
+                          f"nonempty and at most {upper:g}, got {values!r}")
+    return values
+
+
+def _at_least(value: int, low: int, key: str):
+    if value < low:
+        raise ConfigError(f"{key} must be at least {low}, got {value!r}")
 
 
 def _numbers(kind, values, key: str) -> list:
@@ -112,7 +118,13 @@ class ExperimentConfig:
             raise ConfigError("block radius must be nonnegative")
         if self.replicas < 1:
             raise ConfigError("need at least one replica")
-        _increasing(self.times, "times")
+        if not self.torus_sizes:
+            raise ConfigError("torus_sizes must not be empty")
+        _at_least(self.master_seed, 0, "master_seed")
+        _at_least(self.pde_resolution, 1, "pde.resolution")
+        _at_least(self.threads, 1, "threads")
+        _increasing(self.times, "times", np.inf)
+        _increasing(self.alpha_grid, "alpha_grid", 1.0)
         check_safety(self.pde_safety)
         if not isinstance(self.formats, list) or any(f not in _FORMATS for f in self.formats):
             raise ConfigError(f"formats must be a list of names from {list(_FORMATS)}, "
@@ -124,7 +136,7 @@ class ExperimentConfig:
             raise ConfigError("need at least one exact Monte Carlo replica")
         self.exact_side = as_number(int, ex.get("side", 3), "exact.side")
         self.exact_times = _increasing(_numbers(float, ex.get("times", self.times),
-                                                "exact.times"), "exact.times")
+                                                "exact.times"), "exact.times", np.inf)
         self.exact_alpha = as_number(float, ex.get("alpha", EXACT_ALPHA), "exact.alpha")
         if not 0.0 <= self.exact_alpha <= 1.0:  # also false for nan
             raise ConfigError(f"exact.alpha must lie in [0, 1], got {self.exact_alpha!r}")
@@ -236,11 +248,6 @@ class ExperimentConfig:
         if self.exact:
             out["exact"] = dict(self.exact)
         return out
-
-    @classmethod
-    def load_json(cls, path) -> "ExperimentConfig":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
 
 
 def pde_at_sites(pde_field: DensityField, side: int) -> np.ndarray:
@@ -480,8 +487,7 @@ def exact_small_experiment(cfg: ExperimentConfig) -> dict:
 
     # stationarity of the flat product measure
     nu_alpha = product_distribution(geom, np.full(geom.n_sites, alpha))
-    t_max = max(times) if times else 1.0
-    nu_evolved = exact_evolution_small(geom, cfg.kernel, nu_alpha, t_max * n ** 2)
+    nu_evolved = exact_evolution_small(geom, cfg.kernel, nu_alpha, times[-1] * n ** 2)
     stationarity_tv = total_variation(nu_evolved, nu_alpha)
 
     # PDE reference along the run (grid resolution a multiple of the side)

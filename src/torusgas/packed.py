@@ -258,14 +258,6 @@ class PackedSpace:
         """Degree-weighted inner product; equals that of the lifted vectors."""
         return float(np.sum(self.weight * x * y))
 
-    def singleton_coefficients(self, x: np.ndarray) -> dict:
-        """Map single-point sets {z} and {-z} to their lifted values."""
-        start = self.offsets[1]
-        positive = x[start:start + len(self.sets[1])] * (1.0 / np.sqrt(2.0))
-        values = np.concatenate([positive[::-1], positive])  # in pool order
-        return {tuple(int(c) for c in self.pool[j]): float(values[j])
-                for j in np.nonzero(values)[0]}
-
     def current_vector(self, analysis: KernelAnalysis, direction: int) -> np.ndarray:
         """Class coordinates of the dual current -2 z_i a(z) on the sets {z}."""
         x = np.zeros(self.size)

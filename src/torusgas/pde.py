@@ -164,7 +164,6 @@ class DiffusionTable:
         return cls(np.array(alphas), np.stack(mats), floor_matrix=floor)
 
     def entry(self, i: int, j: int, rho: np.ndarray) -> np.ndarray:
-        rho = np.clip(rho, self._grid[0], self._grid[-1])
         return np.interp(rho, self._grid, self._dense[i, j])
 
     def entry_is_zero(self, i: int, j: int) -> bool:
@@ -283,17 +282,22 @@ def solve_to_time(field: DensityField, table: DiffusionTable, t_final: float,
     when either drifts beyond tolerance (1e-10 relative mass, 1e-12 range
     overshoot); the maximum principle keeps every later field inside the
     initial range, so the step stays stable.  A source may push the field
-    out of that range: then only the [0, 1] check of each step guards it.
+    out of that range: then only the [0, 1] check of each step guards it,
+    and densities beyond the table's nodes read its end values.  An initial
+    field outside the table's density range is a `ConfigError`.
     """
     if t_final < 0:
         raise ConfigError("final time must be nonnegative")
     check_safety(safety)
     start = time.perf_counter()
     current = field.copy()
+    lo0, hi0 = float(current.values.min()), float(current.values.max())
+    if not table.alphas[0] <= lo0 <= hi0 <= table.alphas[-1]:  # also raises for nan
+        raise ConfigError(f"densities [{lo0:g}, {hi0:g}] leave the coefficient table's "
+                          f"range [{table.alphas[0]:g}, {table.alphas[-1]:g}]")
     if t_final == 0.0:
         return current
     mass0 = current.mass()
-    lo0, hi0 = float(current.values.min()), float(current.values.max())
     limit = stability_limit(current, table)
     dt = safety * limit
     if not np.isfinite(dt):

@@ -1,13 +1,14 @@
 """Resolvent solves on the truncated subset space and what they yield.
 
-The shifted equation (shift - generator image) f = current is solved per
-(density, direction, shift) on the translation classes of the truncated
-space (one unknown per class, see `packed`); the density-dependent
-diffusion matrix is read off the single-point coefficients and extrapolated
-linearly to zero shift, with the extrapolation spread reported as the
-uncertainty.  Also here: the Dirichlet form, the regularized negative-order
-squared norm, the degree-one seminorm, the residual split, and the bundle
-type serialized for the PDE stage.
+The shifted equation (shift - generator image) f_i = c_i is solved per
+(density, direction i, shift) on the translation classes of the truncated
+space (one unknown per class, see `packed`), c_i being the dual current.
+The diffusion matrix at a shift is one degree-weighted pairing of the
+solutions with the currents, D_ij = alpha sigma_ij + chi <f_i, c_j>, and is
+extrapolated linearly to zero shift entrywise, with the extrapolation
+spread reported as the uncertainty.  Also here: the Dirichlet form, the
+regularized negative-order squared norm, the degree-one seminorm, the
+residual split, and the bundle type serialized for the PDE stage.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ def h1_form_packed(engine: PackedOperator, x: np.ndarray, y: np.ndarray) -> floa
     return engine.space.dot(x, -engine.apply_sym(y))
 
 
-def h_minus_one_sq(engine: PackedOperator, b: np.ndarray, reg: float):
+def h_minus_one_sq(engine: PackedOperator, b: np.ndarray, reg: float) -> float:
     """Regularized squared negative-order norm <b, u>, (reg - sym part) u = b.
 
     The symmetric part is a symmetric matrix in the orthonormal class basis,
@@ -89,7 +90,7 @@ def h_minus_one_sq(engine: PackedOperator, b: np.ndarray, reg: float):
         raise ConfigError("regularization must be positive")
     space = engine.space
     if not np.any(b):
-        return 0.0, np.zeros(space.size)
+        return 0.0
 
     def matvec(x):
         return reg * x - engine.apply_sym(x)
@@ -102,61 +103,27 @@ def h_minus_one_sq(engine: PackedOperator, b: np.ndarray, reg: float):
     if info < 0 or not resid <= tol:
         raise InvariantViolation(f"negative-norm solve stalled at residual {resid:g} "
                                  f"against tolerance {tol:g}")
-    value = space.dot(b, u)
-    return max(value, 0.0), u
+    return max(space.dot(b, u), 0.0)
 
 
 def extrapolate_to_zero(shifts, values):
     """Linear-in-shift extrapolation from the two smallest shifts, plus spread.
 
-    Needs at least two distinct shifts.  Returns (limit, spread) where the
-    spread is the difference against the extrapolation from the next shift
-    pair, or against the smallest shift's value when there are only two.
+    `values` holds one scalar or array per shift; arrays are extrapolated
+    entrywise.  Needs at least two distinct shifts.  Returns (limit, spread)
+    where the spread is the difference against the extrapolation from the
+    next shift pair, or against the smallest shift's value when there are
+    only two.
     """
     order = np.argsort(shifts)[::-1]  # descending
     s = np.asarray(shifts, dtype=np.float64)[order]
     v = np.asarray(values, dtype=np.float64)[order]
 
     def pair(i, j):
-        return float(v[j] - s[j] * (v[i] - v[j]) / (s[i] - s[j]))
-    best = pair(len(s) - 2, len(s) - 1)
-    if len(s) >= 3:
-        prev = pair(len(s) - 3, len(s) - 2)
-        return best, abs(best - prev)
-    return best, abs(best - float(v[-1]))
-
-
-def diffusion_from_solutions(analysis: KernelAnalysis, alpha: float,
-                             singleton_coeffs_by_shift: dict):
-    """Diffusion matrix from the degree-one coefficients of the solutions.
-
-    D_ij(shift) = alpha sigma_ij - chi(alpha) sum_z a(z) z_j f_i(z); the
-    returned matrix is the linear extrapolation to zero shift and the spread
-    matrix tracks the extrapolation uncertainty entrywise.
-    """
-    d = analysis.dimension
-    sigma = analysis.covariance
-    chi = alpha * (1.0 - alpha)
-    shifts = sorted(singleton_coeffs_by_shift.keys(), reverse=True)
-    per_shift = {}
-    for lam in shifts:
-        mat = alpha * sigma.copy()
-        coeffs = singleton_coeffs_by_shift[lam]  # list over directions of dicts
-        for i in range(d):
-            for z, a in zip(analysis.sym_offsets, analysis.asym_weights):
-                if a == 0.0:
-                    continue
-                fz = coeffs[i].get(tuple(int(c) for c in z), 0.0)
-                for j in range(d):
-                    mat[i, j] -= chi * float(a) * float(z[j]) * fz
-        per_shift[lam] = mat
-    limit = np.zeros((d, d))
-    spread = np.zeros((d, d))
-    vals = np.array([per_shift[lam] for lam in shifts])
-    for i in range(d):
-        for j in range(d):
-            limit[i, j], spread[i, j] = extrapolate_to_zero(shifts, vals[:, i, j])
-    return limit, spread, per_shift
+        return v[j] - s[j] * (v[i] - v[j]) / (s[i] - s[j])
+    best = pair(-2, -1)
+    other = pair(-3, -2) if len(s) >= 3 else v[-1]
+    return best, np.abs(best - other)
 
 
 def hydrodynamic_matrix(alpha: float, diffusion: np.ndarray,
@@ -191,34 +158,18 @@ def degree_one_seminorm(c, alpha: float, sigma) -> dict:
 
 
 def residual_triple_norm(engine: PackedOperator, alpha: float, direction: int,
-                         diffusion_row: np.ndarray, h: np.ndarray,
-                         reg: float) -> dict:
+                         leftover: np.ndarray, h: np.ndarray, reg: float) -> dict:
     """Split approximation error of a candidate correction h.
 
     The degree-two-and-up part is chi^2 times the squared negative-order
     norm of (current + full-operator image of h); the degree-one part is the
-    closed-form seminorm of the first-moment vector left over after the
-    diffusion row is subtracted.
+    closed-form seminorm of chi times `leftover`, the first-moment vector
+    left over: the diffusion row minus the row that h reads off.
     """
-    space = engine.space
-    analysis = engine.analysis
     chi = alpha * (1.0 - alpha)
-    b = space.current_vector(analysis, direction)
-    r = b + engine.apply_full(h, alpha)
-    high_sq, _ = h_minus_one_sq(engine, r, reg)
-    high = chi * chi * high_sq
-
-    d = analysis.dimension
-    sigma = analysis.covariance
-    coeffs = space.singleton_coefficients(h)
-    bvec = np.zeros(d)
-    for j in range(d):
-        bvec[j] = diffusion_row[j] - alpha * sigma[direction, j]
-        for z, a in zip(analysis.sym_offsets, analysis.asym_weights):
-            if a != 0.0:
-                bvec[j] += chi * float(a) * float(z[j]) * coeffs.get(
-                    tuple(int(c) for c in z), 0.0)
-    low = degree_one_seminorm(chi * bvec, alpha, sigma)
+    b = engine.space.current_vector(engine.analysis, direction)
+    high = chi * chi * h_minus_one_sq(engine, b + engine.apply_full(h, alpha), reg)
+    low = degree_one_seminorm(chi * np.asarray(leftover), alpha, engine.analysis.covariance)
     return {"degree_two_plus": high, "degree_one": low["value"],
             "degree_one_unbounded": low["unbounded"],
             "total": high + low["value"]}
@@ -240,8 +191,8 @@ def mobility_gap(analysis: KernelAnalysis, alpha: float, v: np.ndarray,
     left_vals = [float(chi * v @ (diffusion_by_shift[lam] - alpha * sigma) @ v)
                  for lam in shifts]
     right_vals = [chi * chi * h1_by_shift[lam] for lam in shifts]
-    left, _ = extrapolate_to_zero(shifts, left_vals)
-    right, _ = extrapolate_to_zero(shifts, right_vals)
+    left = float(extrapolate_to_zero(shifts, left_vals)[0])
+    right = float(extrapolate_to_zero(shifts, right_vals)[0])
     gap = abs(left - right) / max(abs(left), abs(right), 1e-12)
     return {"left": left, "right": right, "gap": gap}
 
@@ -381,35 +332,30 @@ def compute_diffusion(analysis: KernelAnalysis, alphas, trunc: TruncationParams,
     solver_stats = {"iterations": 0, "max_residual": 0.0, "max_clipped_outflow": 0.0,
                     "space_size": space.n_sets, "classes": space.size}
 
+    currents = np.array([space.current_vector(analysis, j) for j in range(d)])
     for alpha in alphas:
         alpha = float(alpha)
         chi = alpha * (1.0 - alpha)
-        coeffs_by_shift = {}
         energy = {lam: [0.0] * d for lam in shifts}
-        h1_by_shift = {lam: 0.0 for lam in shifts}
+        dm_per_shift = {}
         sols = {}
-        x_prev = {i: None for i in range(d)}
+        x_prev = [None] * d
         for lam in shifts:
-            coeffs = []
-            vecs = []
+            X = sols[lam] = np.empty((d, space.size))  # one solution per direction
             for i in range(d):
-                x, info = resolvent_solve(engine, alpha, lam, i, x0=x_prev[i])
-                x_prev[i] = x
-                vecs.append(x)
-                coeffs.append(space.singleton_coefficients(x))
+                X[i], info = resolvent_solve(engine, alpha, lam, i, x0=x_prev[i])
                 solver_stats["iterations"] += info.iterations
                 solver_stats["max_residual"] = max(solver_stats["max_residual"],
                                                    info.residual)
                 solver_stats["max_clipped_outflow"] = max(
                     solver_stats["max_clipped_outflow"], info.clipped_outflow)
-                energy[lam][i] = float(lam * space.dot(x, x)
-                                       + h1_form_packed(engine, x, x))
-            coeffs_by_shift[lam] = coeffs
-            sols[lam] = vecs
-        dmat, dspread, dm_per_shift = diffusion_from_solutions(
-            analysis, alpha, coeffs_by_shift)
+                energy[lam][i] = float(lam * space.dot(X[i], X[i])
+                                       + h1_form_packed(engine, X[i], X[i]))
+            x_prev = X
+            dm_per_shift[lam] = alpha * sigma + chi * ((X * space.weight) @ currents.T)
+        dmat, spread[alpha] = extrapolate_to_zero(
+            shifts, [dm_per_shift[lam] for lam in shifts])
         diffusion[alpha] = dmat
-        spread[alpha] = dspread
         per_shift_all[alpha] = dm_per_shift
         hydro[alpha] = hydrodynamic_matrix(alpha, dmat, sigma)
         coupling[alpha] = j_matrix(alpha, dmat, sigma)
@@ -432,7 +378,8 @@ def compute_diffusion(analysis: KernelAnalysis, alphas, trunc: TruncationParams,
             lam_min = shifts[-1]
             for i in range(d):
                 res[str(i)] = residual_triple_norm(
-                    engine, alpha, i, dmat[i], sols[lam_min][i], reg=trunc.reg)
+                    engine, alpha, i, dmat[i] - dm_per_shift[lam_min][i],
+                    sols[lam_min][i], reg=trunc.reg)
         residuals_all[alpha] = res
 
     return DiffusionResult(

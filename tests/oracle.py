@@ -238,6 +238,10 @@ class DenseOracle:
                 b[self.index[key]] = -2.0 * z[direction] * a
         return b
 
+    def singleton_values(self, vec):
+        """The values of a set vector on the single-point sets, keyed by point."""
+        return {A[0]: float(vec[i]) for A, i in self.index.items() if len(A) == 1}
+
     def resolvent_direct(self, alpha, shift, direction):
         mat = (shift * sp.identity(self.size, format="csc")
                - self.full_matrix(alpha).tocsc())

@@ -105,7 +105,7 @@ def test_criterion_3_dense_oracle_equivalence(kernel_d3_asym):
     worst = max(worst, float(np.abs(lift(b_p) - b_o).max()))
     for reg in (1e-1, 1e-3):
         want = oracle.neg_norm_direct(b_o, reg)
-        got, _ = h_minus_one_sq(engine, b_p, reg)
+        got = h_minus_one_sq(engine, b_p, reg)
         worst = max(worst, abs(got - want))
     record(3, "dense-oracle equivalence", worst <= 1e-8,
            f"max deviation across applications/solves/norms {worst:.2e} (tol 1e-8)")

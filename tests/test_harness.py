@@ -1,5 +1,6 @@
 import json
 import pickle
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -154,11 +155,11 @@ def test_cli_subcommands(tmp_path):
     assert cli_main(["compare", "--config", str(bad)]) == 2
 
 
-def test_cli_diffusion_feeds_pde(tmp_path):
+def test_cli_diffusion_feeds_pde(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(base_config(
         output_dir=str(tmp_path / "dout"),
-        alpha_grid=[0.3, 0.5],
+        alpha_grid=[0.3, 0.7],
         truncation={"radius": 2, "max_degree": 2})))
     assert cli_main(["diffusion", "--config", str(cfg_path)]) == 0
     data = json.loads((tmp_path / "dout" / "diffusion.json").read_text())
@@ -174,6 +175,17 @@ def test_cli_diffusion_feeds_pde(tmp_path):
         profile={"kind": "cosine", "base": 0.5, "amplitude": 0.1, "axis": 1})))
     assert cli_main(["pde", "--config", str(cfg2)]) == 0
     assert (tmp_path / "pout" / "pde_t0.05.csv").exists()
+    # a profile reaching past the table's densities is a config error in
+    # every command that solves the PDE, not a silent clamp to the end nodes
+    cfg3 = tmp_path / "cfg3.json"
+    cfg3.write_text(json.dumps(base_config(
+        output_dir=str(tmp_path / "wide"), diffusion_table=str(table_path), delta0=0.01,
+        profile={"kind": "cosine", "base": 0.5, "amplitude": 0.45, "axis": 1},
+        exact={"side": 3, "replicas": 10})))
+    for command in ("pde", "compare", "exact"):
+        assert cli_main([command, "--config", str(cfg3)]) == 2
+        assert "leave the coefficient table's range [0.3, 0.7]" in capsys.readouterr().err
+    assert not list((tmp_path / "wide").glob("pde_t*"))
 
 
 def test_threads_option_matches_sequential(tmp_path):
@@ -522,6 +534,36 @@ def test_diffusion_command_exits_1_when_a_solve_stalls(tmp_path, capsys):
     assert cli_main(["diffusion", "--config", str(cfg_path)]) == 1
     assert "invariant violation: resolvent solve failed" in capsys.readouterr().err
     assert not (tmp_path / "o" / "diffusion.json").exists()
+
+
+@pytest.mark.parametrize("command, data, flags, key", [
+    ("compare", {"master_seed": -1}, [], "master_seed"),
+    ("compare", {}, ["--seed", "-1"], "master_seed"),
+    ("pde", {"pde": {"resolution": 0}}, [], "pde.resolution"),
+    ("pde", {"pde": {"resolution": -4}}, [], "pde.resolution"),
+    ("diffusion", {"alpha_grid": []}, [], "alpha_grid"),
+    ("diffusion", {"alpha_grid": [0.3, 0.3, 0.5]}, [], "alpha_grid"),
+    ("diffusion", {"alpha_grid": [0.3, 1.5]}, [], "alpha_grid"),
+    ("compare", {"threads": 0}, [], "threads"),
+    ("compare", {}, ["--threads", "0"], "threads"),
+    ("compare", {"torus_sizes": []}, [], "torus_sizes"),
+    ("compare", {"times": []}, [], "times"),
+    ("exact", {"exact": {"times": []}}, [], "exact.times"),
+])
+def test_out_of_domain_value_is_config_error(tmp_path, capsys, command, data, flags, key):
+    # each used to crash inside the run (exit 1), name the wrong cause, or
+    # run on with an empty or sequential result; the flags pass the same
+    # checks as the config keys they override
+    config = base_config(output_dir=str(tmp_path / "o"), **data)
+    if not flags:
+        with pytest.raises(ConfigError, match=f"^{re.escape(key)} must"):
+            ExperimentConfig.from_dict(config)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    assert cli_main([command, "--config", str(cfg_path), *flags]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {key} must" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_flags_override_seed_output_and_threads(tmp_path):

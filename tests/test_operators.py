@@ -84,13 +84,16 @@ def test_operator_at_empty_set_is_zero(kernel_d2_asym):
     # lowering row it would have reads the singletons, -2 sum_y a(y) f({y}),
     # which cancels on every lift because f({y}) = f({-y}) and a is odd
     an = kernel_d2_asym
-    eng = assemble(PackedSpace(2, TruncationParams(radius=2, max_degree=2)), an)
+    trunc = TruncationParams(radius=2, max_degree=2)
+    eng = assemble(PackedSpace(2, trunc), an)
     space = eng.space
+    oracle = DenseOracle(an, trunc)
+    lift = oracle.lift(space)
     assert space.index_of_subset(()) == -1
     x = np.random.default_rng(12).standard_normal(space.size)
     for vec in (x, eng.apply_full(x, 0.3)):
-        coeffs = space.singleton_coefficients(vec)
-        row = -2.0 * sum(float(a) * coeffs.get(tuple(int(c) for c in z), 0.0)
+        values = oracle.singleton_values(lift(vec))
+        row = -2.0 * sum(float(a) * values[tuple(int(c) for c in z)]
                          for z, a in zip(an.sym_offsets, an.asym_weights))
         assert row == pytest.approx(0.0, abs=1e-14)
 

@@ -4,10 +4,9 @@ import pytest
 from torusgas.errors import ConfigError, InvariantViolation
 from torusgas.kernels import ssep, validate_kernel
 from torusgas.resolvent import (build_engine, compute_diffusion,
-                                degree_one_seminorm, diffusion_from_solutions,
-                                extrapolate_to_zero, h1_form_packed,
-                                h_minus_one_sq, hydrodynamic_matrix, j_matrix,
-                                residual_triple_norm, resolvent_solve)
+                                degree_one_seminorm, extrapolate_to_zero,
+                                h1_form_packed, h_minus_one_sq, hydrodynamic_matrix,
+                                j_matrix, residual_triple_norm, resolvent_solve)
 from torusgas.packed import TruncationParams
 
 from oracle import DenseOracle
@@ -39,12 +38,10 @@ def test_residual_and_identity(small_engine, small_oracle):
     lifted = small_oracle.lift(space)(x)
     assert small_oracle.translation_violation(lifted) <= 1e-12
     # empty set pinned: nothing to check there; degree-one parity instead
-    coeffs = space.singleton_coefficients(x)
-    assert coeffs
-    for z, v in coeffs.items():
-        neg = tuple(-c for c in z)
-        assert neg in coeffs
-        assert coeffs[neg] == pytest.approx(v, abs=1e-10)
+    values = small_oracle.singleton_values(lifted)
+    assert any(values.values())
+    for z, v in values.items():
+        assert values[tuple(-c for c in z)] == pytest.approx(v, abs=1e-10)
 
 
 def test_large_shift_asymptotics(small_engine):
@@ -96,9 +93,9 @@ def test_neg_norm_matches_oracle(small_engine, small_oracle):
     assert np.abs(small_oracle.lift(space)(b_p) - b_o).max() <= 1e-15
     for reg in (1e-1, 1e-2, 1e-3):
         want = small_oracle.neg_norm_direct(b_o, reg)
-        got, _ = h_minus_one_sq(small_engine, b_p, reg)
+        got = h_minus_one_sq(small_engine, b_p, reg)
         assert got == pytest.approx(want, abs=1e-8)
-    val, _ = h_minus_one_sq(small_engine, np.zeros(space.size), 1e-2)
+    val = h_minus_one_sq(small_engine, np.zeros(space.size), 1e-2)
     assert val == 0.0
 
 
@@ -132,7 +129,7 @@ def test_regularized_cauchy_schwarz(small_engine):
         f = rng.standard_normal(space.size)
         g = rng.standard_normal(space.size)
         pair = space.dot(f, g)
-        fsq, _ = h_minus_one_sq(small_engine, f, reg)
+        fsq = h_minus_one_sq(small_engine, f, reg)
         gh1 = h1_form_packed(small_engine, g, g) + reg * space.dot(g, g)
         assert pair ** 2 <= fsq * gh1 * (1 + 1e-8) + 1e-12
 
@@ -199,40 +196,67 @@ def test_mobility_consistency_small(kernel_d2_asym):
     assert rec["gap"] == 0.0
 
 
-def test_residual_triple_norm_behaviour(kernel_d2_asym, small_engine):
+def literal_row(analysis, alpha, i, f):
+    """alpha sigma_ij - chi sum_z a(z) z_j f({z}) over j, f keyed by point."""
+    chi = alpha * (1.0 - alpha)
+    row = alpha * analysis.covariance[i]
+    for z, a in zip(analysis.sym_offsets, analysis.asym_weights):
+        row = row - chi * float(a) * z.astype(float) * f[tuple(int(c) for c in z)]
+    return row
+
+
+def test_per_shift_is_the_literal_singleton_sum(kernel_d2_asym):
+    # the engine's pairing <f_i, c_j> against the literal sum over the
+    # single-point sets of the oracle's direct solve; the odd part lies on
+    # e1 and e2, so every entry, the off-diagonal ones included, is live
+    an = kernel_d2_asym
+    tr = TruncationParams(radius=2, max_degree=3)
+    oracle = DenseOracle(an, tr)
+    alpha = 0.35
+    res = compute_diffusion(an, [alpha], tr)
+    for lam, got in res.per_shift[alpha].items():
+        want = np.array([literal_row(an, alpha, i, oracle.singleton_values(
+            oracle.resolvent_direct(alpha, lam, i))) for i in range(2)])
+        assert np.abs(want - alpha * an.covariance).min() > 1e-4
+        assert np.abs(got - want).max() <= 1e-10
+
+
+def test_residual_triple_norm_behaviour(small_engine, small_oracle):
     # the resolvent solution's leftover shrinks along the shift sequence and
     # a noisy perturbation strictly increases it
     alpha = 0.5
+    lift = small_oracle.lift(small_engine.space)
+
+    def row(x):
+        return literal_row(small_engine.analysis, alpha, 0,
+                           small_oracle.singleton_values(lift(x)))
+
     shifts = [1e-1, 1e-2, 1e-3]
-    coeffs_by_shift = {}
     sols = {}
     x = None
     for lam in shifts:
         x, _ = resolvent_solve(small_engine, alpha, lam, 0, x0=x)
         sols[lam] = x
-        coeffs_by_shift[lam] = [
-            small_engine.space.singleton_coefficients(x),
-            {z: 0.0 for z in small_engine.space.singleton_coefficients(x)}]
-    D, _, _ = diffusion_from_solutions(small_engine.analysis, alpha,
-                                       coeffs_by_shift)
+    D0, _ = extrapolate_to_zero(shifts, [row(sols[lam]) for lam in shifts])
     totals = []
     for lam in shifts:
-        r = residual_triple_norm(small_engine, alpha, 0, D[0], sols[lam],
-                                 reg=1e-4)
+        r = residual_triple_norm(small_engine, alpha, 0, D0 - row(sols[lam]),
+                                 sols[lam], reg=1e-4)
         totals.append(r["total"])
         assert r["degree_two_plus"] >= 0.0 and r["degree_one"] >= 0.0
     assert totals[2] < totals[0]
     rng = np.random.default_rng(9)
     noisy = sols[shifts[-1]] + 0.5 * rng.standard_normal(small_engine.space.size)
-    r_noisy = residual_triple_norm(small_engine, alpha, 0, D[0], noisy, reg=1e-4)
+    r_noisy = residual_triple_norm(small_engine, alpha, 0, D0 - row(noisy), noisy,
+                                   reg=1e-4)
     assert r_noisy["total"] > totals[2]
 
 
 def test_symmetric_zero_candidate_residual():
     an = validate_kernel(ssep(2))
     eng = build_engine(an, TruncationParams(radius=2, max_degree=2))
-    r = residual_triple_norm(eng, 0.4, 0, 0.4 * an.covariance[0],
-                             np.zeros(eng.space.size), reg=1e-3)
+    r = residual_triple_norm(eng, 0.4, 0, np.zeros(2), np.zeros(eng.space.size),
+                             reg=1e-3)
     assert r["degree_two_plus"] == pytest.approx(0.0, abs=1e-14)
     assert r["degree_one"] == pytest.approx(0.0, abs=1e-14)
 
@@ -243,6 +267,14 @@ def test_extrapolation_helper():
     limit, spread = extrapolate_to_zero(shifts, values)
     assert limit == pytest.approx(3.0, abs=1e-12)
     assert spread <= 1e-12
+    # a stack of matrices is extrapolated entrywise, bit for bit
+    rng = np.random.default_rng(5)
+    for count in (2, 4):
+        mats = rng.standard_normal((count, 2, 3))
+        limit, spread = extrapolate_to_zero(shifts[:count], mats)
+        for i, j in np.ndindex(2, 3):
+            assert (limit[i, j], spread[i, j]) == extrapolate_to_zero(
+                shifts[:count], mats[:, i, j])
 
 
 def test_result_serialization_roundtrip(kernel_d2_asym, tmp_path):
