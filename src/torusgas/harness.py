@@ -118,8 +118,9 @@ class ExperimentConfig:
             raise ConfigError("block radius must be nonnegative")
         if self.replicas < 1:
             raise ConfigError("need at least one replica")
-        if not self.torus_sizes:
-            raise ConfigError("torus_sizes must not be empty")
+        _increasing(self.torus_sizes, "torus_sizes", np.inf)
+        if not 0.0 < self.delta0 <= 0.5:  # also false for nan
+            raise ConfigError(f"delta0 must lie in (0, 0.5], got {self.delta0!r}")
         _at_least(self.master_seed, 0, "master_seed")
         _at_least(self.pde_resolution, 1, "pde.resolution")
         _at_least(self.threads, 1, "threads")

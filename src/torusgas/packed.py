@@ -34,13 +34,20 @@ of a member B are the n + 1 moves "one point of B u {0} by v", and B u {0}
 is a translate of A u {0}, so they are the same moves as A's.  Whether a
 move exists (no collision) and stays inside (diameter at most `radius`) is
 translation-invariant, so per offset every member clips the canonical
-member's count, n + 1 times in all.  The degree-preserving arrows form a
-CSR pattern with separate even/odd weight data, the degree-changing ones a
-small separate sparse matrix.  The operator at any density is two sparse
+member's count, n + 1 times in all.
+
+Assembled are the degree-preserving arrows, one CSR pattern with separate
+even/odd weight data, the even diagonal, and the degree-raising arrows R.
+The rest follows from the odd part being antisymmetric in the
+degree-weighted pairing (the product-measure inner product of the dual
+space): the lowering arrows are minus the weighted adjoint of the raising
+ones, -W^-1 R^T W with W = diag(1 / (n + 1)), and the odd part has no
+occupation diagonal, since that coefficient sums the odd weights over
+ordered pairs of points of A u {0}, which cancel.  The on-diagonal
+occupation coefficients keep their full lattice sums, so both identities
+hold on the truncation exactly.  The operator at any density is two sparse
 matvecs plus a diagonal, with the density entering only through scalar
-coefficients, so one assembly serves a whole density grid.  The on-diagonal
-occupation coefficients keep their full lattice sums, so
-symmetry/antisymmetry survive the truncation exactly.
+coefficients, so one assembly serves a whole density grid.
 """
 
 from __future__ import annotations
@@ -280,7 +287,6 @@ class PackedOperator:
     keep: sp.csr_matrix      # degree-preserving arrows, data = even weights
     keep_odd: np.ndarray     # odd-weight data on the same pattern
     diag_even: np.ndarray
-    diag_odd: np.ndarray
     updown: sp.csr_matrix    # degree-changing arrows (shared density scalar)
     clip_weight: np.ndarray  # per-class clipped-arrow weight, see clipped_outflow
 
@@ -297,18 +303,13 @@ class PackedOperator:
             self._buf += self.keep.data
             self._cd = cd
 
-    def apply(self, x: np.ndarray, cd: float = 0.0, cp: float = 0.0) -> np.ndarray:
-        """Apply (even part) + cd*(odd part) + cp*(raise+lower)."""
-        self._compose(cd)
-        y = self._composed.dot(x)
-        y += (self.diag_even + cd * self.diag_odd) * x
-        if cp != 0.0:
-            y += cp * self.updown.dot(x)
-        return y
-
     def apply_full(self, x: np.ndarray, alpha: float) -> np.ndarray:
-        chi = alpha * (1.0 - alpha)
-        return self.apply(x, 1.0 - 2.0 * alpha, np.sqrt(chi))
+        """Apply (even part) + (1 - 2 alpha)(odd part) + sqrt(chi)(raise+lower)."""
+        self._compose(1.0 - 2.0 * alpha)
+        y = self._composed.dot(x)
+        y += self.diag_even * x
+        y += np.sqrt(alpha * (1.0 - alpha)) * self.updown.dot(x)
+        return y
 
     def apply_sym(self, x: np.ndarray) -> np.ndarray:
         return self.keep.dot(x) + self.diag_even * x
@@ -374,7 +375,6 @@ def assemble(space: PackedSpace, analysis: KernelAnalysis) -> PackedOperator:
     offsets = analysis.sym_offsets.astype(np.int64)
     svals = analysis.sym_weights
     avals = analysis.asym_weights
-    asym_sel = np.nonzero(avals != 0.0)[0]
 
     # pairwise odd weights between pool points, and at the points themselves
     diffs = pool[:, None, :] - pool[None, :, :]
@@ -388,14 +388,13 @@ def assemble(space: PackedSpace, analysis: KernelAnalysis) -> PackedOperator:
 
     indices_parts, offset_parts, indptr_counts = [], [], []
     diag_even = np.zeros(size)
-    diag_odd = np.zeros(size)
-    ud_rows, ud_cols, ud_vals = [], [], []
+    up_rows, up_cols, up_vals = [], [], []
     clip_weight = np.zeros(size)
 
-    def degree_change(krow, tgt, vals, scale):
-        ud_rows.append(krow)
-        ud_cols.append(tgt)
-        ud_vals.append(vals * scale)
+    def raising(krow, tgt, vals, scale):
+        up_rows.append(krow)
+        up_cols.append(tgt)
+        up_vals.append(vals * scale)
 
     for n in range(1, trunc.max_degree + 1):
         sets_n = space.sets[n]  # canonical members
@@ -417,7 +416,6 @@ def assemble(space: PackedSpace, analysis: KernelAnalysis) -> PackedOperator:
                                        else _exchange(space, sets_n, m, move))
                 clipped += exists & ~inside
                 diag_even[krow[exists]] -= sv
-                diag_odd[krow[exists]] -= av
                 if m is None:
                     rows_new = hit[inside]
                 else:
@@ -444,34 +442,15 @@ def assemble(space: PackedSpace, analysis: KernelAnalysis) -> PackedOperator:
                 for j in keep_slots[m]:
                     coeff += a_pp[sets_n[:, m], sets_n[:, j]]
                 sel = coeff != 0.0
-                degree_change(krow[sel], tgt[sel], 2.0 * coeff[sel], scale)
+                raising(krow[sel], tgt[sel], 2.0 * coeff[sel], scale)
                 am = a_pt[sets_n[:, m]]
                 sel = am != 0.0
                 if sel.any():
-                    degree_change(krow[sel], tgt[sel], 2.0 * am[sel], scale)
+                    raising(krow[sel], tgt[sel], 2.0 * am[sel], scale)
                     ridx = space.diff[sets_n[sel, m][:, None], sets_n[sel][:, keep_slots[m]]]
                     if np.any(ridx < 0):
                         raise InvariantViolation("rebased subset left the cube")
-                    degree_change(krow[sel], _find_all(space, ridx),
-                                  -2.0 * am[sel], scale)
-
-        # degree-lowering arrows (rows below the cap read one extra point)
-        if n < trunc.max_degree:
-            scale = np.sqrt((n + 1.0) / (n + 2.0))
-            for j in asym_sel:
-                move = space.translate(offsets[j])
-                for anchor in range(n + 1):
-                    y = move[sets_n[:, anchor]] if anchor < n else np.full(
-                        nn, space.lookup_points(offsets[j]))
-                    exists = y >= 0
-                    for slot in range(n):
-                        exists &= y != sets_n[:, slot]
-                    grown = np.sort(np.concatenate([sets_n, y[:, None]], axis=1), axis=1)
-                    tgt = space.find(grown)
-                    found = exists & (tgt >= 0)
-                    if found.any():
-                        degree_change(krow[found], tgt[found],
-                                      np.full(found.sum(), -2.0 * avals[j]), scale)
+                    raising(krow[sel], _find_all(space, ridx), -2.0 * am[sel], scale)
 
     # rows are the classes in order
     indptr = np.concatenate([[0]] + indptr_counts).cumsum()
@@ -480,14 +459,15 @@ def assemble(space: PackedSpace, analysis: KernelAnalysis) -> PackedOperator:
                          shape=(size, size))
     odd = avals[offset_of]
 
-    if ud_rows:
-        updown = sp.coo_matrix(
-            (np.concatenate(ud_vals),
-             (np.concatenate(ud_rows), np.concatenate(ud_cols))),
-            shape=(size, size)).tocsr()
-    else:
-        updown = sp.csr_matrix((size, size))
+    up = sp.coo_matrix(
+        (np.concatenate(up_vals), (np.concatenate(up_rows), np.concatenate(up_cols)))
+        if up_rows else ([], ([], [])), shape=(size, size)).tocsr().tocoo()
+    # lowering = minus the weighted adjoint of raising: L_ij = -R_ji w_j / w_i
+    w = space.weight
+    down = sp.coo_matrix((-up.data * w[up.row] / w[up.col], (up.col, up.row)),
+                         shape=(size, size))
+    updown = (up + down).tocsr()
 
     # clipped mass in the degree-weighted norm of the lift: f(A)^2 = x_K^2/(n+1)
-    return PackedOperator(space, analysis, keep, odd, diag_even, diag_odd,
-                          updown, clip_weight * space.weight)
+    return PackedOperator(space, analysis, keep, odd, diag_even, updown,
+                          clip_weight * space.weight)

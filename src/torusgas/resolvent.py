@@ -6,9 +6,10 @@ space (one unknown per class, see `packed`), c_i being the dual current.
 The diffusion matrix at a shift is one degree-weighted pairing of the
 solutions with the currents, D_ij = alpha sigma_ij + chi <f_i, c_j>, and is
 extrapolated linearly to zero shift entrywise, with the extrapolation
-spread reported as the uncertainty.  Also here: the Dirichlet form, the
-regularized negative-order squared norm, the degree-one seminorm, the
-residual split, and the bundle type serialized for the PDE stage.
+spread reported as the uncertainty.  Also here: the Dirichlet Gram
+matrix, the regularized negative-order squared norm, the degree-one
+seminorm, the residual split, and the bundle type serialized for the PDE
+stage.
 """
 
 from __future__ import annotations
@@ -73,9 +74,17 @@ def resolvent_solve(engine: PackedOperator, alpha: float, shift: float,
     return x, SolveInfo(matvecs, resid, engine.clipped_outflow(x))
 
 
-def h1_form_packed(engine: PackedOperator, x: np.ndarray, y: np.ndarray) -> float:
-    """Dirichlet form <x, (-sym part) y> in the degree-weighted product."""
-    return engine.space.dot(x, -engine.apply_sym(y))
+def dirichlet_gram(engine: PackedOperator, X: np.ndarray) -> np.ndarray:
+    """Dirichlet Gram matrix H_ij = <X_i, (-sym part) X_j> of a vector stack.
+
+    Degree-weighted pairing; built one column (one symmetric-part matvec) at
+    a time, so no second stack is held.
+    """
+    H = np.empty((len(X), len(X)))
+    for j, x in enumerate(X):
+        sx = -engine.apply_sym(x)
+        H[:, j] = [engine.space.dot(y, sx) for y in X]
+    return H
 
 
 def h_minus_one_sq(engine: PackedOperator, b: np.ndarray, reg: float) -> float:
@@ -316,7 +325,10 @@ def compute_diffusion(analysis: KernelAnalysis, alphas, trunc: TruncationParams,
 
     Warm starts chain along the shift sequence per (density, direction);
     the per-shift energies, mobility gaps and (optionally) residual splits
-    are derived from the same solutions.
+    are derived from the same solutions.  Energies and mobility right sides
+    read one d x d Dirichlet Gram matrix H per shift: the energy of
+    direction i is shift |X_i|^2 + H_ii, and that of the combination
+    sum_i v_i X_i is v.H v.
     """
     if engine is None:
         engine = build_engine(analysis, trunc)
@@ -336,8 +348,9 @@ def compute_diffusion(analysis: KernelAnalysis, alphas, trunc: TruncationParams,
     for alpha in alphas:
         alpha = float(alpha)
         chi = alpha * (1.0 - alpha)
-        energy = {lam: [0.0] * d for lam in shifts}
+        energy = {}
         dm_per_shift = {}
+        grams = {}
         sols = {}
         x_prev = [None] * d
         for lam in shifts:
@@ -349,9 +362,9 @@ def compute_diffusion(analysis: KernelAnalysis, alphas, trunc: TruncationParams,
                                                    info.residual)
                 solver_stats["max_clipped_outflow"] = max(
                     solver_stats["max_clipped_outflow"], info.clipped_outflow)
-                energy[lam][i] = float(lam * space.dot(X[i], X[i])
-                                       + h1_form_packed(engine, X[i], X[i]))
             x_prev = X
+            H = grams[lam] = dirichlet_gram(engine, X)
+            energy[lam] = [float(lam * space.dot(X[i], X[i]) + H[i, i]) for i in range(d)]
             dm_per_shift[lam] = alpha * sigma + chi * ((X * space.weight) @ currents.T)
         dmat, spread[alpha] = extrapolate_to_zero(
             shifts, [dm_per_shift[lam] for lam in shifts])
@@ -364,12 +377,7 @@ def compute_diffusion(analysis: KernelAnalysis, alphas, trunc: TruncationParams,
         mob = {}
         for label, v in mobility_vectors.items():
             v = np.asarray(v, dtype=np.float64)
-            h1v = {}
-            for lam in shifts:
-                combo = np.zeros(space.size)
-                for i in range(d):
-                    combo += v[i] * sols[lam][i]
-                h1v[lam] = h1_form_packed(engine, combo, combo)
+            h1v = {lam: float(v @ grams[lam] @ v) for lam in shifts}
             mob[label] = mobility_gap(analysis, alpha, v, h1v, dm_per_shift)
         mobility_all[alpha] = mob
 

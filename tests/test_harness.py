@@ -549,6 +549,12 @@ def test_diffusion_command_exits_1_when_a_solve_stalls(tmp_path, capsys):
     ("compare", {"torus_sizes": []}, [], "torus_sizes"),
     ("compare", {"times": []}, [], "times"),
     ("exact", {"exact": {"times": []}}, [], "exact.times"),
+    ("compare", {"torus_sizes": [6, 6]}, [], "torus_sizes"),
+    ("compare", {"torus_sizes": [16, 8]}, [], "torus_sizes"),
+    ("compare", {"delta0": -0.1}, [], "delta0"),
+    ("compare", {"delta0": 0}, [], "delta0"),
+    ("compare", {"delta0": float("nan")}, [], "delta0"),
+    ("compare", {"delta0": 0.6}, [], "delta0"),
 ])
 def test_out_of_domain_value_is_config_error(tmp_path, capsys, command, data, flags, key):
     # each used to crash inside the run (exit 1), name the wrong cause, or
@@ -639,8 +645,9 @@ print(json.dumps({"missing": tracer.missing, "called": called,
 
 def test_benchmark_tracer_finds_every_layer_boundary(tmp_path):
     # the benchmark's tracer wraps the package's layer boundaries by name;
-    # the only one it may miss is the sampled identity check that the class
-    # basis made unnecessary
+    # the only ones it may miss are the sampled identity check that the class
+    # basis made unnecessary and the pairwise Dirichlet form that one Gram
+    # matrix per shift (`dirichlet_gram`) replaced
     data = base_config(output_dir=str(tmp_path / "o"), alpha_grid=[0.3, 0.6],
                        truncation={"radius": 2, "max_degree": 2},
                        kernel={"dimension": 2, "entries": [
@@ -650,7 +657,8 @@ def test_benchmark_tracer_finds_every_layer_boundary(tmp_path):
     out = subprocess.run([sys.executable, "-c", _TRACE_SCRIPT, str(ROOT), json.dumps(data)],
                          capture_output=True, text=True, check=True)
     seen = json.loads(out.stdout.splitlines()[-1])
-    assert set(seen["missing"]) <= {"torusgas.resolvent.translation_violation_packed"}
+    assert set(seen["missing"]) <= {"torusgas.resolvent.translation_violation_packed",
+                                    "torusgas.resolvent.h1_form_packed"}
     assert seen["engines"] == 1
     for name in ("packed.enumerate", "packed.assemble", "packed.matvec",
                  "resolvent.solve", "simulate.evolve", "simulate.rng_setup",

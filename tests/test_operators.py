@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from torusgas.kernels import TransitionKernel, ssep, validate_kernel
 from torusgas.packed import PackedSpace, TruncationParams, assemble
@@ -48,7 +49,6 @@ def test_symmetric_kernel_kills_odd_parts():
         assert not np.any(mat.data)
     eng = assemble(PackedSpace(2, tr), an)
     assert not np.any(eng.keep_odd)
-    assert not np.any(eng.diag_odd)
     assert not np.any(eng.updown.data)
 
 
@@ -163,6 +163,31 @@ def test_oracle_parts_preserve_classes(dim, trunc, kernel_d2_asym, kernel_d3_asy
     broken = oracle.mat_sym.tolil()
     broken[0, 0] += 1.0
     assert oracle.class_violation(broken.tocsc()) >= 0.5
+
+
+@pytest.mark.parametrize("trunc,kernel", [
+    pytest.param((2, 3), "kernel_d2_asym", id="d2-2-3"),
+    pytest.param((2, 2), "kernel_d3_asym", id="d3-2-2"),
+    pytest.param((3, 3), "range_two_d1", id="d1-3-3-range2"),
+])
+def test_odd_part_is_antisymmetric(request, trunc, kernel):
+    # what `assemble` relies on instead of assembling it: on the classes the
+    # lowering part is minus the weighted adjoint of the raising part,
+    # L = -W^-1 R^T W with W = diag(1 / (n + 1)), and the drift has no
+    # diagonal (its odd weights cancel over ordered pairs); both checked on
+    # the oracle's literal sums, lifted by P (value 1/sqrt(n + 1) on every
+    # member of a class)
+    an = (validate_kernel(TransitionKernel(1, np.array([[1], [-1], [2]]),
+                                           np.array([0.5, 0.3, 0.2])))
+          if kernel == "range_two_d1" else request.getfixturevalue(kernel))
+    oracle = DenseOracle(an, TruncationParams(radius=trunc[0], max_degree=trunc[1]))
+    lift = oracle.classes @ sp.diags(1.0 / np.sqrt(oracle.class_size))
+    w = 1.0 / oracle.class_size
+    lower = (lift.T @ oracle.mat_lower @ lift).toarray()
+    up = (lift.T @ oracle.mat_raise @ lift).toarray()
+    assert np.abs(up).max() > 0.1
+    assert np.abs(lower + up.T * w[None, :] / w[:, None]).max() <= 1e-14
+    assert np.abs(oracle.mat_drift.diagonal()).max() <= 1e-14
 
 
 def _range_two_kernel():

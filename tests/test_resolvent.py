@@ -4,8 +4,8 @@ import pytest
 from torusgas.errors import ConfigError, InvariantViolation
 from torusgas.kernels import ssep, validate_kernel
 from torusgas.resolvent import (build_engine, compute_diffusion,
-                                degree_one_seminorm, extrapolate_to_zero,
-                                h1_form_packed, h_minus_one_sq, hydrodynamic_matrix,
+                                degree_one_seminorm, dirichlet_gram, extrapolate_to_zero,
+                                h_minus_one_sq, hydrodynamic_matrix,
                                 j_matrix, residual_triple_norm, resolvent_solve)
 from torusgas.packed import TruncationParams
 
@@ -105,11 +105,10 @@ def test_h1_symmetry_and_positivity(small_engine):
     for _ in range(5):
         x = rng.standard_normal(space.size)
         y = rng.standard_normal(space.size)
-        assert h1_form_packed(small_engine, x, y) == pytest.approx(
-            h1_form_packed(small_engine, y, x), abs=1e-10)
-        assert h1_form_packed(small_engine, x, x) >= -1e-10
-    assert h1_form_packed(small_engine, np.zeros(space.size),
-                          np.zeros(space.size)) == 0.0
+        gram = dirichlet_gram(small_engine, np.array([x, y]))
+        assert gram[0, 1] == pytest.approx(gram[1, 0], abs=1e-10)
+        assert gram[0, 0] >= -1e-10
+    assert np.all(dirichlet_gram(small_engine, np.zeros((2, space.size))) == 0.0)
 
 
 def test_h1_hand_value(kernel_d1_nn):
@@ -118,7 +117,7 @@ def test_h1_hand_value(kernel_d1_nn):
     x[eng.space.index_of_subset(((1,),))] = 1.0
     # unit class vector of {{1}, {-1}}: value 1/sqrt(2) on both sets; from
     # the hand application of the symmetric part, 2 * (1/2) * (1/sqrt(2))^2
-    assert h1_form_packed(eng, x, x) == pytest.approx(0.5, abs=1e-14)
+    assert dirichlet_gram(eng, x[None, :])[0, 0] == pytest.approx(0.5, abs=1e-14)
 
 
 def test_regularized_cauchy_schwarz(small_engine):
@@ -130,7 +129,7 @@ def test_regularized_cauchy_schwarz(small_engine):
         g = rng.standard_normal(space.size)
         pair = space.dot(f, g)
         fsq = h_minus_one_sq(small_engine, f, reg)
-        gh1 = h1_form_packed(small_engine, g, g) + reg * space.dot(g, g)
+        gh1 = dirichlet_gram(small_engine, g[None, :])[0, 0] + reg * space.dot(g, g)
         assert pair ** 2 <= fsq * gh1 * (1 + 1e-8) + 1e-12
 
 
@@ -140,7 +139,8 @@ def test_energy_boundedness_small(kernel_d2_asym, small_engine):
     x = None
     for lam in (1e-1, 1e-2, 1e-3, 1e-4):
         x, _ = resolvent_solve(small_engine, 0.5, lam, 0, x0=x)
-        energies.append(lam * space.dot(x, x) + h1_form_packed(small_engine, x, x))
+        energies.append(lam * space.dot(x, x)
+                        + dirichlet_gram(small_engine, x[None, :])[0, 0])
     top, bottom = max(energies), min(energies)
     assert top <= 2.0 * bottom
 
