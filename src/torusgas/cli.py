@@ -13,10 +13,10 @@ import sys
 
 import numpy as np
 
-from .errors import ConfigError, InvariantViolation
+from .errors import ConfigError, InvariantViolation, write_json
 from .harness import (ExperimentConfig, _load_or_compute_table, emit_outputs,
                       exact_small_experiment, make_output_dir, pde_through,
-                      replica_results, run_experiment, write_json, write_run_meta)
+                      replica_results, run_experiment, write_run_meta)
 from .pde import DensityField, DiffusionTable
 from .resolvent import compute_diffusion
 
@@ -44,14 +44,12 @@ def cmd_kernel(args) -> int:
     data = {
         "dimension": analysis.dimension,
         "range": analysis.range,
-        "drift": [float(x) for x in analysis.drift],
-        "covariance": [[float(x) for x in row] for row in analysis.covariance],
-        "symmetric_part": [
-            {"offset": [int(c) for c in z], "value": float(s)}
-            for z, s in zip(analysis.sym_offsets, analysis.sym_weights)],
-        "antisymmetric_part": [
-            {"offset": [int(c) for c in z], "value": float(a)}
-            for z, a in zip(analysis.sym_offsets, analysis.asym_weights)],
+        "drift": analysis.drift,
+        "covariance": analysis.covariance,
+        "symmetric_part": [{"offset": z, "value": s} for z, s in
+                           zip(analysis.sym_offsets, analysis.sym_weights)],
+        "antisymmetric_part": [{"offset": z, "value": a} for z, a in
+                               zip(analysis.sym_offsets, analysis.asym_weights)],
         "adjoint_entries": analysis.adjoint.to_entries(),
         "is_symmetric": analysis.is_symmetric,
         "low_dimension_note": (

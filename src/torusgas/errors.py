@@ -1,8 +1,15 @@
-"""Error types shared across the package.
+"""Error types, config readers and the JSON writer shared across the package.
 
 The CLI maps ConfigError to exit code 2 and InvariantViolation to exit
-code 1; everything else is a plain bug.
+code 1; everything else is a plain bug.  The readers of parsed user input
+raise ConfigError naming the key.  `write_json` writes every JSON file of
+the package; it lives here, where every writer can import it.
 """
+
+import json
+from pathlib import Path
+
+import numpy as np
 
 
 class ConfigError(ValueError):
@@ -30,3 +37,40 @@ def as_number(kind, value, key: str):
     except (TypeError, ValueError, OverflowError):
         noun = "an integer" if kind is int else "a number"
         raise ConfigError(f"{key} must be {noun}, got {value!r}") from None
+
+
+def as_list(values, key: str) -> list:
+    """A list (or tuple) from parsed user input, as a ConfigError naming `key` otherwise."""
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(f"{key} must be a list, got {values!r}")
+    return values
+
+
+def as_numbers(kind, values, key: str) -> list:
+    """A config list converted entry by entry with `as_number`."""
+    return [as_number(kind, v, f"{key} entry") for v in as_list(values, key)]
+
+
+def as_string(value, key: str) -> str:
+    """A string from parsed user input; anything else is a ConfigError naming `key`."""
+    if not isinstance(value, str):
+        raise ConfigError(f"{key} must be a string, got {value!r}")
+    return value
+
+
+def _plain(data):
+    """`data` with non-string dict keys as repr(float(key)), tuples as lists,
+    and numpy arrays and scalars as Python lists and numbers."""
+    if isinstance(data, dict):
+        return {key if isinstance(key, str) else repr(float(key)): _plain(value)
+                for key, value in data.items()}
+    if isinstance(data, (list, tuple)):
+        return [_plain(item) for item in data]
+    if isinstance(data, (np.ndarray, np.generic)):
+        return data.tolist()
+    return data
+
+
+def write_json(path, data):
+    """A JSON output file: `data` made plain, indent 1, keys sorted as strings."""
+    Path(path).write_text(json.dumps(_plain(data), indent=1, sort_keys=True))

@@ -8,7 +8,6 @@ a separate side file excluded from that contract).
 
 from __future__ import annotations
 
-import json
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -16,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, InvariantViolation, as_number, require
+from .errors import ConfigError, as_number, as_numbers, as_string, require, write_json
 from .exactsmall import (MAX_SITES, exact_evolution_small, product_distribution,
                          relative_entropy_distributions, relative_entropy_product,
                          total_variation)
@@ -70,13 +69,6 @@ def _increasing(values: list, key: str, upper: float) -> list:
 def _at_least(value: int, low: int, key: str):
     if value < low:
         raise ConfigError(f"{key} must be at least {low}, got {value!r}")
-
-
-def _numbers(kind, values, key: str) -> list:
-    """A config list converted entry by entry with `as_number`."""
-    if not isinstance(values, (list, tuple)):
-        raise ConfigError(f"{key} must be a list, got {values!r}")
-    return [as_number(kind, v, f"{key} entry") for v in values]
 
 
 @dataclass
@@ -136,8 +128,8 @@ class ExperimentConfig:
         if self.exact_replicas < 1:
             raise ConfigError("need at least one exact Monte Carlo replica")
         self.exact_side = as_number(int, ex.get("side", 3), "exact.side")
-        self.exact_times = _increasing(_numbers(float, ex.get("times", self.times),
-                                                "exact.times"), "exact.times", np.inf)
+        self.exact_times = _increasing(as_numbers(float, ex.get("times", self.times),
+                                                   "exact.times"), "exact.times", np.inf)
         self.exact_alpha = as_number(float, ex.get("alpha", EXACT_ALPHA), "exact.alpha")
         if not 0.0 <= self.exact_alpha <= 1.0:  # also false for nan
             raise ConfigError(f"exact.alpha must lie in [0, 1], got {self.exact_alpha!r}")
@@ -182,36 +174,38 @@ class ExperimentConfig:
             given.update((key, as_number(float, td[key], f"truncation.{key}"))
                          for key in ("solver_tol", "reg") if key in td)
             if "lambda_seq" in td:
-                given["lambda_seq"] = tuple(_numbers(float, td["lambda_seq"],
-                                                     "truncation.lambda_seq"))
+                given["lambda_seq"] = tuple(as_numbers(float, td["lambda_seq"],
+                                                        "truncation.lambda_seq"))
             trunc = TruncationParams(**given)
-        pde = dict(data.get("pde", {}))
+        pde = data.get("pde", {})
         _reject_unknown(pde, _PDE_KEYS, "pde")
-        exact = dict(data.get("exact", {}))
+        exact = data.get("exact", {})
         _reject_unknown(exact, _EXACT_KEYS, "exact")
+        table_path = data.get("diffusion_table")
         cfg = cls(
             kernel=kernel,
-            torus_sizes=_numbers(int, require(data, "torus_sizes", "config"),
-                                 "torus_sizes"),
+            torus_sizes=as_numbers(int, require(data, "torus_sizes", "config"),
+                                    "torus_sizes"),
             profile_spec=prof,
-            times=_numbers(float, require(data, "times", "config"), "times"),
+            times=as_numbers(float, require(data, "times", "config"), "times"),
             block_radius=as_number(int, require(data, "block_radius", "config"),
                                    "block_radius"),
             replicas=as_number(int, require(data, "replicas", "config"), "replicas"),
             master_seed=as_number(int, require(data, "master_seed", "config"),
                                   "master_seed"),
             delta0=as_number(float, data.get("delta0", 0.05), "delta0"),
-            alpha_grid=_numbers(float, data.get(
+            alpha_grid=as_numbers(float, data.get(
                 "alpha_grid", [round(0.1 * i, 10) for i in range(1, 10)]), "alpha_grid"),
             truncation=trunc,
             pde_resolution=as_number(int, pde.get("resolution", 64), "pde.resolution"),
             pde_safety=as_number(float, pde.get("safety", 0.9), "pde.safety"),
-            diffusion_table_path=data.get("diffusion_table"),
-            output_dir=data.get("output_dir", "out"),
+            diffusion_table_path=(None if table_path is None
+                                  else as_string(table_path, "diffusion_table")),
+            output_dir=as_string(data.get("output_dir", "out"), "output_dir"),
             formats=data.get("formats", ["json", "csv"]),
             threads=as_number(int, data.get("threads", 1), "threads"),
             drift_tol=as_number(float, data.get("drift_tol", 1e-10), "drift_tol"),
-            exact=exact,
+            exact=dict(exact),
             label=str(data.get("label", "experiment")),
         )
         cfg.build_profile()  # rejects a malformed profile at parse time
@@ -230,13 +224,7 @@ class ExperimentConfig:
             "master_seed": self.master_seed,
             "delta0": self.delta0,
             "alpha_grid": list(self.alpha_grid),
-            "truncation": {
-                "radius": self.truncation.radius,
-                "max_degree": self.truncation.max_degree,
-                "solver_tol": self.truncation.solver_tol,
-                "reg": self.truncation.reg,
-                "lambda_seq": list(self.truncation.lambda_seq),
-            },
+            "truncation": asdict(self.truncation),
             "pde": {"resolution": self.pde_resolution, "safety": self.pde_safety},
             "output_dir": self.output_dir,
             "formats": list(self.formats),
@@ -312,8 +300,8 @@ def replica_trajectory(geom: TorusGeometry, profile: Profile, kernel: Transition
     """One replica: sample the initial state, then evolve through the times.
 
     Yields (t, configuration, ledger) at every observation time t.  Every
-    span is continuity-checked against its bond ledger and must keep the
-    particle count.  The random draws depend only on `rng` and the
+    span is checked by its ledger: continuity against the bond counts and
+    a kept particle count.  The random draws depend only on `rng` and the
     arguments.
     """
     n = geom.side
@@ -322,8 +310,6 @@ def replica_trajectory(geom: TorusGeometry, profile: Profile, kernel: Transition
         before = config
         config, ledger = evolve(config, kernel, span * n ** 2, rng)
         ledger.check_continuity(before, config)
-        if config.particle_count != before.particle_count:
-            raise InvariantViolation("particle count changed")
         yield t, config, ledger
 
 
@@ -441,7 +427,7 @@ def run_experiment(cfg: ExperimentConfig,
                 rows.append({
                     "N": n, "t": t,
                     "L1": dist["L1"], "L2": dist["L2"], "Linf": dist["Linf"],
-                    "per_replica_L1": [float(x) for x in per_replica[t]],
+                    "per_replica_L1": per_replica[t],
                 })
         for t in cfg.times:
             vals = [row["L1"] for row in rows if row["t"] == t]
@@ -560,11 +546,6 @@ def make_output_dir(path) -> Path:
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
     return out
-
-
-def write_json(path: Path, data: dict):
-    """A JSON output file, indented, with sorted keys."""
-    path.write_bytes(json.dumps(data, indent=1, sort_keys=True).encode())
 
 
 # distance table files: (format, file name, column separator, header prefix)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, require
+from .errors import ConfigError, as_list, as_number, as_numbers, require
 
 WEIGHT_SUM_TOL = 1e-12
 
@@ -43,10 +43,13 @@ class TransitionKernel:
     @classmethod
     def from_entries(cls, dimension, entries) -> "TransitionKernel":
         """Build from [{"offset": [...], "prob": p}, ...] records."""
-        offsets = np.array([require(e, "offset", "kernel entry") for e in entries],
-                           dtype=np.int64)
-        weights = np.array([require(e, "prob", "kernel entry") for e in entries],
-                           dtype=np.float64)
+        offsets = [as_numbers(int, require(e, "offset", "kernel entry"), "kernel offset")
+                   for e in as_list(entries, "kernel.entries")]
+        for z in offsets:
+            if len(z) != dimension:
+                raise ConfigError(f"kernel offset must have {dimension} entries, got {z!r}")
+        weights = [as_number(float, require(e, "prob", "kernel entry"), "kernel prob")
+                   for e in entries]
         return cls(dimension, offsets, weights)
 
     def to_entries(self):

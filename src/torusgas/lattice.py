@@ -1,13 +1,12 @@
 """Discrete torus geometry and occupancy configurations.
 
 Sites of the side-N torus in d dimensions are indexed row-major by the flat
-index of their coordinate tuple; occupancy is one byte per site with a
-cached particle count.
+index of their coordinate tuple; occupancy is one byte per site.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,11 +57,10 @@ class TorusGeometry:
 
 @dataclass
 class Configuration:
-    """0/1 occupancy of the torus plus a cached particle count."""
+    """0/1 occupancy of the torus."""
 
     geometry: TorusGeometry
     occupancy: np.ndarray
-    particle_count: int = field(default=-1)
 
     def __post_init__(self):
         occ = np.ascontiguousarray(self.occupancy, dtype=np.uint8)
@@ -71,11 +69,14 @@ class Configuration:
         if np.any(occ > 1):
             raise ConfigError("occupancy values must be 0 or 1")
         self.occupancy = occ
-        if self.particle_count < 0:
-            self.particle_count = int(occ.sum())
+
+    @property
+    def particle_count(self) -> int:
+        """Occupied sites, counted from the occupancy at every read."""
+        return int(self.occupancy.sum())
 
     def copy(self) -> "Configuration":
-        return Configuration(self.geometry, self.occupancy.copy(), self.particle_count)
+        return Configuration(self.geometry, self.occupancy.copy())
 
     def as_grid(self) -> np.ndarray:
         return self.occupancy.reshape(self.geometry.shape)

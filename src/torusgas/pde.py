@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from .errors import ConfigError, InvariantViolation, require
+from .errors import ConfigError, InvariantViolation, as_number, require, write_json
 from .profiles import _interp_periodic
 
 DENSE_NODES = 4097  # nodes of the uniform lookup grid a DiffusionTable resamples onto
@@ -120,7 +120,7 @@ class DiffusionTable:
         mats = 0.5 * (mats + np.transpose(mats, (0, 2, 1)))
         self.matrices = mats
         self.dimension = mats.shape[1]
-        self.floor_matrix = None if floor_matrix is None else np.asarray(floor_matrix)
+        self.floor_matrix = None if floor_matrix is None else np.asarray(floor_matrix, float)
         if self.floor_matrix is not None:
             for beta, m in zip(self.alphas, mats):
                 gap = np.linalg.eigvalsh(m - self.floor_matrix).min()
@@ -180,24 +180,24 @@ class DiffusionTable:
         return float(np.abs(np.linalg.eigvalsh(mats)).max())
 
     def save_json(self, path):
-        data = {
-            "alphas": [float(a) for a in self.alphas],
-            "matrices": [[[float(x) for x in row] for row in m] for m in self.matrices],
-            "asymmetry": self.asymmetry,
-        }
+        data = {"alphas": self.alphas, "matrices": self.matrices,
+                "asymmetry": self.asymmetry}
         if self.floor_matrix is not None:
-            data["floor_matrix"] = [[float(x) for x in row] for row in self.floor_matrix]
-        with open(path, "w") as fh:
-            json.dump(data, fh, indent=1, sort_keys=True)
+            data["floor_matrix"] = self.floor_matrix
+        write_json(path, data)
 
     @classmethod
     def load_json(cls, path) -> "DiffusionTable":
+        """A table from JSON.  One that `save_json` wrote keeps the asymmetry
+        it records: its matrices are symmetrized, so they would give 0."""
         with open(path) as fh:
             data = json.load(fh)
-        floor = data.get("floor_matrix")
-        return cls(np.array(require(data, "alphas", "diffusion table")),
-                   np.array(require(data, "matrices", "diffusion table")),
-                   floor_matrix=None if floor is None else np.array(floor))
+        table = cls(np.array(require(data, "alphas", "diffusion table")),
+                    np.array(require(data, "matrices", "diffusion table")),
+                    floor_matrix=data.get("floor_matrix"))
+        if "asymmetry" in data:
+            table.asymmetry = as_number(float, data["asymmetry"], "diffusion table asymmetry")
+        return table
 
 
 def stability_limit(field: DensityField, table: DiffusionTable) -> float:

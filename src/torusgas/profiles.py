@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigError, as_number, require
+from .errors import ConfigError, as_number, as_string, require
 
 
 # side of the evaluation grid `validate_profile` checks a profile on
@@ -90,8 +90,8 @@ class Profile:
             return cls.cosine(dimension, number(float, "base"),
                               number(float, "amplitude"), number(int, "axis"))
         if kind == "csv":
-            return cls.from_grid(
-                load_profile_csv(require(spec, "path", "profile"), dimension))
+            path = as_string(require(spec, "path", "profile"), "profile.path")
+            return cls.from_grid(load_profile_csv(path, dimension))
         raise ConfigError(f"unknown profile kind {kind!r}")
 
 

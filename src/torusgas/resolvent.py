@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, bicgstab, cg
 
-from .errors import ConfigError, InvariantViolation, require
+from .errors import ConfigError, InvariantViolation, require, write_json
 from .kernels import KernelAnalysis
 from .packed import PackedOperator, PackedSpace, TruncationParams, assemble
 
@@ -241,38 +241,14 @@ class DiffusionResult:
             worst = min(worst, float(np.linalg.eigvalsh(m).min()))
         return worst
 
-    def to_json_dict(self) -> dict:
-        def mat(m):
-            return [[float(x) for x in row] for row in np.asarray(m)]
-
-        return {
-            "dimension": self.dimension,
-            "alphas": [float(a) for a in self.alphas],
-            "sigma": mat(self.sigma),
-            "diffusion": {repr(float(a)): mat(self.diffusion[a]) for a in self.alphas},
-            "hydro": {repr(float(a)): mat(self.hydro[a]) for a in self.alphas},
-            "coupling": {repr(float(a)): mat(self.coupling[a]) for a in self.alphas},
-            "spread": {repr(float(a)): mat(self.spread[a]) for a in self.alphas},
-            "per_shift": {repr(float(a)): {repr(float(s)): mat(m)
-                                           for s, m in self.per_shift[a].items()}
-                          for a in self.alphas},
-            "energy": {repr(float(a)): {repr(float(s)): list(map(float, e))
-                                        for s, e in self.energy[a].items()}
-                       for a in self.alphas},
-            "mobility": {repr(float(a)): self.mobility[a] for a in self.alphas},
-            "residuals": {repr(float(a)): self.residuals[a] for a in self.alphas},
-            "solver": self.solver,
-            "truncation": self.truncation,
-            "kernel_entries": self.kernel_entries,
-            "notes": self.notes,
-        }
-
     def save_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=1, sort_keys=True)
+        write_json(path, vars(self))
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "DiffusionResult":
+    def load_json(cls, path) -> "DiffusionResult":
+        with open(path) as fh:
+            data = json.load(fh)
+
         def get(key):
             return require(data, key, "diffusion result")
 
@@ -297,11 +273,6 @@ class DiffusionResult:
             kernel_entries=data.get("kernel_entries", []),
             notes=data.get("notes", []),
         )
-
-    @classmethod
-    def load_json(cls, path) -> "DiffusionResult":
-        with open(path) as fh:
-            return cls.from_json_dict(json.load(fh))
 
     def save_csv(self, path):
         d = self.dimension

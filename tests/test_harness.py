@@ -555,12 +555,28 @@ def test_diffusion_command_exits_1_when_a_solve_stalls(tmp_path, capsys):
     ("compare", {"delta0": 0}, [], "delta0"),
     ("compare", {"delta0": float("nan")}, [], "delta0"),
     ("compare", {"delta0": 0.6}, [], "delta0"),
+    ("compare", {"output_dir": 5}, [], "output_dir"),
+    ("compare", {"profile": {"kind": "csv", "path": 3}}, [], "profile.path"),
+    ("pde", {"pde": 5}, [], "pde"),
+    ("exact", {"exact": 5}, [], "exact"),
+    ("compare", {"kernel": {"dimension": 2, "entries": [
+        {"offset": [1, 0], "prob": "a"}, {"offset": [-1, 0], "prob": 0.5}]}},
+     [], "kernel prob"),
+    ("compare", {"kernel": {"dimension": 2, "entries": [
+        {"offset": ["a", 0], "prob": 0.5}, {"offset": [-1, 0], "prob": 0.5}]}},
+     [], "kernel offset entry"),
+    ("compare", {"diffusion_table": 7}, [], "diffusion_table"),
+    ("compare", {"diffusion_table": True}, [], "diffusion_table"),
+    ("compare", {"kernel": {"dimension": 2, "entries": 5}}, [], "kernel.entries"),
+    ("compare", {"kernel": {"dimension": 2, "entries": [
+        {"offset": [1], "prob": 0.5}, {"offset": [-1, 0], "prob": 0.5}]}},
+     [], "kernel offset"),
 ])
 def test_out_of_domain_value_is_config_error(tmp_path, capsys, command, data, flags, key):
     # each used to crash inside the run (exit 1), name the wrong cause, or
     # run on with an empty or sequential result; the flags pass the same
     # checks as the config keys they override
-    config = base_config(output_dir=str(tmp_path / "o"), **data)
+    config = base_config(**{"output_dir": str(tmp_path / "o"), **data})
     if not flags:
         with pytest.raises(ConfigError, match=f"^{re.escape(key)} must"):
             ExperimentConfig.from_dict(config)

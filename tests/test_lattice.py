@@ -26,6 +26,17 @@ def test_product_sampling_degenerate():
     assert empty.particle_count == 0
 
 
+def test_particle_count_follows_the_occupancy():
+    # the count was cached at construction and carried through copies, so
+    # a later occupancy change left it stale
+    geom = TorusGeometry(2, 4)
+    config = Configuration(geom, np.zeros(geom.n_sites, dtype=np.uint8))
+    copy = config.copy()
+    config.occupancy[[1, 5, 6]] = 1
+    copy.occupancy[3] = 1
+    assert (config.particle_count, copy.particle_count) == (3, 1)
+
+
 def test_product_sampling_density():
     geom = TorusGeometry(3, 32)
     draws = 100

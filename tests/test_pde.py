@@ -220,6 +220,28 @@ def test_table_io_roundtrip(tmp_path):
         assert np.abs(tab.entry(i, i, rho) - tab2.entry(i, i, rho)).max() < 1e-12
 
 
+def test_table_io_keeps_recorded_asymmetry(tmp_path):
+    # the stored matrices are symmetrized, so recomputing the asymmetry from
+    # them gave 0.0 on every reload
+    alphas = np.linspace(0.1, 0.9, 5)
+    mats = np.stack([[[0.3 + 0.1 * a, 0.02 * a], [-0.01, 0.2]] for a in alphas])
+    tab = DiffusionTable(alphas, mats, floor_matrix=np.diag([0.1, 0.1]))
+    assert tab.asymmetry > 0.0
+    path = tmp_path / "table.json"
+    tab.save_json(path)
+    back = DiffusionTable.load_json(path)
+    assert back.asymmetry == tab.asymmetry
+    assert np.array_equal(back.alphas, tab.alphas)
+    assert np.array_equal(back.matrices, tab.matrices)
+    assert np.array_equal(back.floor_matrix, tab.floor_matrix)
+    # a table written without the record is measured from its matrices
+    data = json.loads(path.read_text())
+    del data["asymmetry"]
+    data["matrices"] = mats.tolist()
+    path.write_text(json.dumps(data))
+    assert DiffusionTable.load_json(path).asymmetry == tab.asymmetry
+
+
 def test_field_io_roundtrip(tmp_path):
     f = DensityField(np.random.default_rng(0).uniform(0.2, 0.8, (6, 6)))
     p_csv = tmp_path / "f.csv"

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -277,20 +279,38 @@ def test_extrapolation_helper():
                 shifts[:count], mats[:, i, j])
 
 
+def _same(a, b) -> bool:
+    """Exact equality of nested dicts, lists and arrays with the same layout."""
+    if isinstance(a, np.ndarray):
+        return (isinstance(b, np.ndarray) and a.dtype == b.dtype
+                and a.shape == b.shape and np.array_equal(a, b))
+    if isinstance(a, dict):
+        return isinstance(b, dict) and a.keys() == b.keys() and all(
+            _same(a[k], b[k]) for k in a)
+    if isinstance(a, list):
+        return isinstance(b, list) and len(a) == len(b) and all(map(_same, a, b))
+    return a == b
+
+
 def test_result_serialization_roundtrip(kernel_d2_asym, tmp_path):
+    from dataclasses import fields
+
     from torusgas.resolvent import DiffusionResult
 
-    tr = TruncationParams(radius=2, max_degree=2)
+    # the shift key "1e-05" sorts after "0.001" as a string, before it as a number
+    tr = TruncationParams(radius=2, max_degree=2, lambda_seq=(0.1, 1e-3, 1e-5))
     res = compute_diffusion(kernel_d2_asym, [0.3, 0.6], tr,
                             mobility_vectors={"e1": [1.0, 0.0]},
                             with_residuals=True)
     path = tmp_path / "res.json"
     res.save_json(path)
     back = DiffusionResult.load_json(path)
-    for a in res.alphas:
-        assert np.abs(back.diffusion[a] - res.diffusion[a]).max() < 1e-15
-        assert np.abs(back.hydro[a] - res.hydro[a]).max() < 1e-15
-    assert back.truncation == res.truncation
+    for f in fields(DiffusionResult):
+        assert _same(getattr(back, f.name), getattr(res, f.name)), f.name
+    # every key of the file is sorted as a string
+    text = path.read_text()
+    assert text == json.dumps(json.loads(text), indent=1, sort_keys=True)
+    assert list(json.loads(text)["per_shift"]["0.3"]) == ["0.001", "0.1", "1e-05"]
     csv_path = tmp_path / "res.csv"
     res.save_csv(csv_path)
     lines = csv_path.read_text().strip().splitlines()
