@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 
 import numpy as np
 
@@ -17,6 +18,7 @@ from .errors import ConfigError, InvariantViolation, write_json
 from .harness import (ExperimentConfig, _load_or_compute_table, emit_outputs,
                       exact_small_experiment, make_output_dir, pde_through,
                       replica_results, run_experiment, write_run_meta)
+from .packed import PackedSpace, assemble
 from .pde import DensityField, DiffusionTable
 from .resolvent import compute_diffusion
 
@@ -52,6 +54,7 @@ def cmd_kernel(args) -> int:
                                zip(analysis.sym_offsets, analysis.asym_weights)],
         "adjoint_entries": analysis.adjoint.to_entries(),
         "is_symmetric": analysis.is_symmetric,
+        "group": analysis.group,
         "low_dimension_note": (
             "dimension below 3: diffusive-limit guarantees are out of range, "
             "provided for testing" if analysis.dimension < 3 else ""),
@@ -95,13 +98,24 @@ def cmd_diffusion(args) -> int:
         v = np.zeros(d)
         v[0] = v[1] = 1.0 / np.sqrt(2.0)
         vectors["diag12"] = [float(x) for x in v]
+    start = time.perf_counter()
+    space = PackedSpace(d, cfg.truncation)
+    enumerated = time.perf_counter()
+    engine = assemble(space, cfg.analysis)
+    assembled = time.perf_counter()
+    stages = {}
     result = compute_diffusion(cfg.analysis, cfg.alpha_grid, cfg.truncation,
-                               mobility_vectors=vectors, with_residuals=True)
+                               mobility_vectors=vectors, with_residuals=True,
+                               engine=engine, stages=stages)
     out = make_output_dir(cfg.output_dir)
     result.save_json(out / "diffusion.json")
     result.save_csv(out / "diffusion.csv")
     table = DiffusionTable.from_diffusion_result(result)
     table.save_json(out / "table.json")
+    write_run_meta(out, diffusion={
+        "enumerate_s": enumerated - start, "assemble_s": assembled - enumerated,
+        "classes": space.size, "orbits": engine.space.size,
+        "nnz": engine.keep.nnz + engine.updown.nnz, "densities": stages})
     print(out / "diffusion.json")
     return 0
 

@@ -31,8 +31,13 @@ def require(mapping, key: str, where: str):
 
 def as_number(kind, value, key: str):
     """kind(value), with kind int or float, from parsed user input; a value
-    that does not convert is a ConfigError naming `key`."""
+    that does not convert is a ConfigError naming `key`.  A boolean is no
+    number, and an integer must be integral (2, 2.0 or "2", not 2.7), so
+    nothing is truncated."""
     try:
+        if isinstance(value, bool) or (kind is int and not isinstance(value, str)
+                                       and value != int(value)):
+            raise ValueError
         return kind(value)
     except (TypeError, ValueError, OverflowError):
         noun = "an integer" if kind is int else "a number"

@@ -8,6 +8,7 @@ a separate side file excluded from that contract).
 
 from __future__ import annotations
 
+import resource
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -573,5 +574,8 @@ def emit_outputs(report: ComparisonReport, output_dir, formats) -> list:
 
 
 def write_run_meta(out: Path, **records):
-    """The side file outside the byte-identical contract: write time plus records."""
-    write_json(out / "run_meta.json", {"wall_time": time.time(), **records})
+    """The side file outside the byte-identical contract: write time, peak
+    resident memory of this process (Linux reports kilobytes) plus records."""
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    write_json(out / "run_meta.json",
+               {"wall_time": time.time(), "peak_rss_mb": peak_mb, **records})

@@ -2,12 +2,13 @@
 
 A kernel is a short list of (offset, probability) pairs.  Everything the
 rest of the package needs from it is computed here once: mean drift,
-covariance matrix, the even/odd split of the weights, and the reversed
-kernel.
+covariance matrix, the even/odd split of the weights, the reversed kernel,
+and the point group the dual solve is reduced by.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,7 +66,9 @@ class KernelAnalysis:
 
     drift q = sum z p(z); covariance sigma_ij = sum p(z) z_i z_j;
     even/odd parts s, a of the weights over the symmetrized support;
-    adjoint = kernel with reflected offsets.
+    adjoint = kernel with reflected offsets; group = the signed axis
+    permutations (d x d matrices, identity first) that preserve p and fix
+    every point of the odd support, see `point_group`.
     """
 
     kernel: TransitionKernel
@@ -75,6 +78,7 @@ class KernelAnalysis:
     sym_weights: np.ndarray  # s on the symmetrized support
     asym_weights: np.ndarray  # a on the symmetrized support
     adjoint: TransitionKernel
+    group: np.ndarray  # (order, d, d) signed permutation matrices
 
     @property
     def dimension(self) -> int:
@@ -99,6 +103,33 @@ def _lookup(offsets, values, offset) -> float:
     hit = (offsets == np.asarray(offset, dtype=np.int64)).all(axis=1)
     idx = np.nonzero(hit)[0]
     return float(values[idx[0]]) if len(idx) else 0.0
+
+
+def point_group(kernel: TransitionKernel, odd_support: np.ndarray) -> np.ndarray:
+    """Signed axis permutations g with p(gz) = p(z) and gz = z on the odd support.
+
+    Such a g commutes with every part of the dual operator (its even and
+    odd weights are g-invariant) and maps the truncation to itself, and
+    every dual current -2 z_i a(z) is g-invariant: it is 0 off the odd
+    support, which g fixes pointwise.  The resolvent solutions of every
+    direction are therefore g-invariant, which is what lets one orbit basis
+    serve all directions.  Returned as an (order, d, d) integer array,
+    identity first; a kernel without symmetry gives the identity alone.
+    """
+    d = kernel.dimension
+    table = {tuple(int(c) for c in z): float(p)
+             for z, p in zip(kernel.offsets, kernel.weights)}
+    group = []
+    for perm in itertools.permutations(range(d)):
+        for signs in itertools.product((1, -1), repeat=d):
+            g = np.zeros((d, d), dtype=np.int64)
+            g[np.arange(d), perm] = signs
+            images = kernel.offsets @ g.T
+            if (all(table.get(tuple(int(c) for c in gz)) == p
+                    for gz, p in zip(images, kernel.weights))
+                    and np.array_equal(odd_support @ g.T, odd_support)):
+                group.append(g)
+    return np.array(group)
 
 
 def validate_kernel(kernel: TransitionKernel) -> KernelAnalysis:
@@ -139,6 +170,7 @@ def validate_kernel(kernel: TransitionKernel) -> KernelAnalysis:
     asym_weights = 0.5 * (p_plus - p_minus)
 
     adjoint = TransitionKernel(k.dimension, -k.offsets, k.weights.copy())
+    group = point_group(k, sym_offsets[asym_weights != 0.0])
 
     eig = np.linalg.eigvalsh(covariance)
     if eig.min() < -1e-12:
@@ -152,6 +184,7 @@ def validate_kernel(kernel: TransitionKernel) -> KernelAnalysis:
         sym_weights=sym_weights,
         asym_weights=asym_weights,
         adjoint=adjoint,
+        group=group,
     )
 
 

@@ -1,4 +1,5 @@
-"""Array-backed engine for the graded operators on the translation classes.
+"""Array-backed engine for the graded operators on the symmetry orbits of
+the translation classes.
 
 The solve space is the truncation `TruncationParams`: the finite subsets of
 Z^d minus the origin with at most `max_degree` points whose union with the
@@ -8,8 +9,8 @@ The truncation is closed under this identity: B u {0} = (A u {0}) - z is a
 translate of the n + 1 points of A u {0}, so it has their sup-norm diameter.
 Every class therefore has exactly n + 1 members, and each part of the
 operator (even, odd, raise/lower) maps class-constant functions to
-class-constant functions.  The engine therefore keeps one unknown per class
-and never enumerates the sets themselves.
+class-constant functions.  `PackedSpace` keeps one entry per class and
+never enumerates the sets themselves.
 
 Every class has exactly one canonical member whose points are all
 lexicographically positive: the shift of A u {0} by its lexicographically
@@ -20,21 +21,38 @@ upper half of the pool, and the space enumerates exactly those
 smallest point is negative is looked up through one member shift, by that
 point.
 
-Class vectors are coordinates in the orthonormal class basis: the value of
-class K is f(A) * sqrt(n + 1) for any member A, so the lift x -> f is an
-isometry into the plain (counting) norm of set vectors.  Euclidean norms of
-class vectors are the full-space norms, the symmetric part stays a symmetric
-matrix, and the degree-weighted pairing keeps its 1/(n + 1) weights.
+The kernel's point group (`KernelAnalysis.group`: the signed axis
+permutations g with p(gz) = p(z) that fix every point of the odd support)
+maps classes to classes, commutes with every operator part and leaves
+every dual current invariant, so the solutions of every direction are
+constant on the group orbits of the classes.  `OrbitSpace` keeps one
+unknown per orbit: the group's generators act on the canonical members
+(looked up with `find`), and the orbits are the connected components of
+that action, each represented by its smallest class index and ordered by
+it.  A kernel without symmetry has one class per orbit, and the engine is
+then the class engine exactly.
 
-Only the canonical row of each class is assembled; its columns are summed
-into classes (scaled by sqrt((n_row + 1) / (n_col + 1)) for the
-degree-changing arrows).  The clipped mass sums over every set, but the
-canonical member fixes that sum.  The n exchange arrows and the rigid arrow
-of a member B are the n + 1 moves "one point of B u {0} by v", and B u {0}
-is a translate of A u {0}, so they are the same moves as A's.  Whether a
-move exists (no collision) and stays inside (diameter at most `radius`) is
-translation-invariant, so per offset every member clips the canonical
-member's count, n + 1 times in all.
+Vectors are coordinates in the orthonormal orbit basis: the value of orbit
+O is f(A) * sqrt((n + 1) |O|) for any member A of any of its classes, so the
+lift x -> f is an isometry into the plain (counting) norm of set vectors.
+Euclidean norms of orbit vectors are the full-space norms, the symmetric
+part stays a symmetric matrix, and the degree-weighted pairing keeps its
+1/(n + 1) weights, since all sets of an orbit share one degree.
+
+Only the canonical member of each orbit's representative is assembled.  Its
+columns are summed into orbits, each entry scaled by
+sqrt(|O_row| / |O_col|) (and by sqrt((n_row + 1) / (n_col + 1)) for the
+degree-changing arrows): by the group's commutation, the row of the
+representative stands for the |O_row| rows of its orbit.  The clipped mass
+sums over every set, but the representative's canonical member fixes that
+sum.  The n exchange arrows and the rigid arrow of a member B are the
+n + 1 moves "one point of B u {0} by v", and B u {0} is a translate of
+A u {0}, so they are the same moves as A's.  Whether a move exists (no
+collision) and stays inside (diameter at most `radius`) is invariant under
+translations and signed axis permutations, so per offset every set of the
+orbit clips the representative's count: n + 1 times per class, and a unit
+orbit vector spreads its mass evenly over its classes, so the orbit's clip
+weight is the representative's own.
 
 Assembled are the degree-preserving arrows, one CSR pattern with separate
 even/odd weight data, the even diagonal, and the degree-raising arrows R.
@@ -43,11 +61,12 @@ degree-weighted pairing (the product-measure inner product of the dual
 space): the lowering arrows are minus the weighted adjoint of the raising
 ones, -W^-1 R^T W with W = diag(1 / (n + 1)), and the odd part has no
 occupation diagonal, since that coefficient sums the odd weights over
-ordered pairs of points of A u {0}, which cancel.  The on-diagonal
-occupation coefficients keep their full lattice sums, so both identities
-hold on the truncation exactly.  The operator at any density is two sparse
-matvecs plus a diagonal, with the density entering only through scalar
-coefficients, so one assembly serves a whole density grid.
+ordered pairs of points of A u {0}, which cancel.  Both identities carry
+over to the orbit basis, whose weights are again 1 / (n + 1).  The
+on-diagonal occupation coefficients keep their full lattice sums, so both
+identities hold on the truncation exactly.  The operator at any density is
+two sparse matvecs plus a diagonal, with the density entering only through
+scalar coefficients, so one assembly serves a whole density grid.
 """
 
 from __future__ import annotations
@@ -78,7 +97,8 @@ class TruncationParams:
     confined to the radius-`radius` cube that is closed under the
     translation identity: each degree-n set lies in a class of n + 1 kept
     sets (A and its member shifts).  The packed engine solves on one
-    unknown per class, so solutions satisfy the identity by construction.
+    unknown per orbit of classes, so solutions satisfy the identity by
+    construction.
     `lambda_seq` holds the resolvent shifts that are extrapolated to zero:
     at least two, distinct, positive and finite.
     """
@@ -278,17 +298,98 @@ class PackedSpace:
         return x
 
 
+class OrbitSpace:
+    """The orbits of the translation classes under a kernel's point group.
+
+    `classes` is the enumerated class space.  `orbit` maps a class to its
+    orbit, `rep` an orbit to its representative (its smallest class index)
+    and `orbit_size` counts the classes of an orbit.  Orbits are ordered by
+    representative, hence by degree; `size` counts them, and `degree` and
+    `weight` (1 / (n + 1)) are per orbit.  `n_sets` counts the sets of the
+    space and `symmetry_order` the group elements.
+    """
+
+    def __init__(self, classes: PackedSpace, group: np.ndarray):
+        self.classes = classes
+        self.trunc = classes.trunc
+        self.n_sets = classes.n_sets
+        self.symmetry_order = len(group)
+        # label propagation along each generator's class permutation; a
+        # permutation of finite order closes its cycles, so the fixed point
+        # labels every class with the smallest class index of its orbit
+        label = np.arange(classes.size)
+        images = [_class_image(classes, g) for g in _generators(group)]
+        changed = bool(images)
+        while changed:
+            new = label
+            for image in images:
+                new = np.minimum(new, new[image])
+            changed = not np.array_equal(new, label)
+            label = new
+        self.rep = np.unique(label)
+        self.orbit = np.searchsorted(self.rep, label)
+        self.orbit_size = np.bincount(self.orbit)
+        self.size = len(self.rep)
+        self.degree = classes.degree[self.rep]
+        self.weight = classes.weight[self.rep]
+
+    dot = PackedSpace.dot
+
+    def index_of_subset(self, A) -> int:
+        """Orbit index of a subset; -1 outside the truncated space."""
+        k = self.classes.index_of_subset(A)
+        return int(self.orbit[k]) if k >= 0 else -1
+
+    def current_vector(self, analysis: KernelAnalysis, direction: int) -> np.ndarray:
+        """Orbit coordinates of the dual current: its class coordinates summed
+        over each orbit, over sqrt(orbit size)."""
+        x = self.classes.current_vector(analysis, direction)
+        return np.bincount(self.orbit, weights=x, minlength=self.size) / np.sqrt(
+            self.orbit_size)
+
+
+def _generators(group: np.ndarray) -> list:
+    """A generating subset of a finite matrix group, without the identity."""
+    gens = []
+    reached = {group[0].tobytes(): group[0]}  # the identity
+    for g in group:
+        if g.tobytes() in reached:
+            continue
+        gens.append(g)
+        frontier = list(reached.values())
+        while frontier:
+            fresh = {}
+            for a in frontier:
+                for h in gens:
+                    b = a @ h
+                    if b.tobytes() not in reached:
+                        fresh[b.tobytes()] = b
+            reached.update(fresh)
+            frontier = list(fresh.values())
+    return gens
+
+
+def _class_image(space: PackedSpace, g: np.ndarray) -> np.ndarray:
+    """Class index of g K for every class K, from the canonical members."""
+    moved = space.lookup_points(space.pool @ g.T)
+    image = np.concatenate([space.find(np.sort(moved[space.sets[n]], axis=1))
+                            for n in range(1, space.trunc.max_degree + 1)])
+    if np.any(image < 0):
+        raise InvariantViolation("a point-group image left the truncated space")
+    return image
+
+
 @dataclass
 class PackedOperator:
-    """Assembled class-level arrow data for one kernel on one packed space."""
+    """Assembled orbit-level arrow data for one kernel on one packed space."""
 
-    space: PackedSpace
+    space: OrbitSpace
     analysis: KernelAnalysis
     keep: sp.csr_matrix      # degree-preserving arrows, data = even weights
     keep_odd: np.ndarray     # odd-weight data on the same pattern
     diag_even: np.ndarray
     updown: sp.csr_matrix    # degree-changing arrows (shared density scalar)
-    clip_weight: np.ndarray  # per-class clipped-arrow weight, see clipped_outflow
+    clip_weight: np.ndarray  # per-orbit clipped-arrow weight, see clipped_outflow
 
     def __post_init__(self):
         self._buf = np.empty_like(self.keep.data)
@@ -320,10 +421,10 @@ class PackedOperator:
     def clipped_outflow(self, x: np.ndarray) -> float:
         """Per-arrow squared mass the operator sends outside the space.
 
-        Sum over every set of the space (every member of every class) of the
-        squared single-arrow contributions at clipped targets, in the
-        degree-weighted norm: an upper-bound proxy for the squared norm of
-        the dropped image.
+        Sum over every set of the space (every member of every class of
+        every orbit) of the squared single-arrow contributions at clipped
+        targets, in the degree-weighted norm: an upper-bound proxy for the
+        squared norm of the dropped image.
         """
         return float(np.dot(self.clip_weight, x * x))
 
@@ -365,12 +466,18 @@ def _find_all(space: PackedSpace, rows: np.ndarray) -> np.ndarray:
 
 
 def assemble(space: PackedSpace, analysis: KernelAnalysis) -> PackedOperator:
-    """Build the class-level arrow matrices for a kernel on an enumerated space."""
+    """Build the orbit-level arrow matrices for a kernel on an enumerated space.
+
+    The engine's `space` is the `OrbitSpace` of `space` under the kernel's
+    point group; rows are read from the orbit representatives only.
+    """
     trunc = space.trunc
     trunc.check_kernel(analysis)
+    orbits = OrbitSpace(space, analysis.group)
+    orbit, orbit_size = orbits.orbit, orbits.orbit_size
     pool = space.pool
     p = len(pool)
-    size = space.size
+    size = orbits.size
 
     offsets = analysis.sym_offsets.astype(np.int64)
     svals = analysis.sym_weights
@@ -386,24 +493,28 @@ def assemble(space: PackedSpace, analysis: KernelAnalysis) -> PackedOperator:
         a_pp[(diffs == z).all(axis=2)] = a
         a_pt[(pool == z).all(axis=1)] = a
 
+    def ratio(rows, cols):
+        return np.sqrt(orbit_size[rows] / orbit_size[cols])
+
     indices_parts, offset_parts, indptr_counts = [], [], []
     diag_even = np.zeros(size)
     up_rows, up_cols, up_vals = [], [], []
     clip_weight = np.zeros(size)
 
     def raising(krow, tgt, vals, scale):
+        cols = orbit[tgt]
         up_rows.append(krow)
-        up_cols.append(tgt)
-        up_vals.append(vals * scale)
+        up_cols.append(cols)
+        up_vals.append(vals * scale * ratio(krow, cols))
 
     for n in range(1, trunc.max_degree + 1):
-        sets_n = space.sets[n]  # canonical members
-        nn = len(sets_n)
+        krow = np.nonzero(orbits.degree == n)[0]  # contiguous: orbits follow degree
+        nn = len(krow)
         if nn == 0:
             continue
-        krow = space.offsets[n] + np.arange(nn, dtype=np.int64)
+        sets_n = space.sets[n][orbits.rep[krow] - space.offsets[n]]  # representatives
         # degree-preserving arrows, one column per (offset, member or rigid
-        # shift); matrix rows from the canonical members
+        # shift); matrix rows from the representatives' canonical members
         cols2d = np.full((nn, len(offsets) * (n + 1)), -1, dtype=np.int32)
         col_offset = np.repeat(np.arange(len(offsets), dtype=np.int32), n + 1)
         f = 0
@@ -422,7 +533,7 @@ def assemble(space: PackedSpace, analysis: KernelAnalysis) -> PackedOperator:
                     rows_new = sets_n[inside].copy()
                     rows_new[:, m] = hit[inside]
                     rows_new.sort(axis=1)
-                cols2d[inside, f] = _find_all(space, rows_new)
+                cols2d[inside, f] = orbit[_find_all(space, rows_new)]
                 f += 1
             # every member of the class clips the same count (module docstring)
             clip_weight[krow] += wsq * (n + 1) * clipped
@@ -452,22 +563,25 @@ def assemble(space: PackedSpace, analysis: KernelAnalysis) -> PackedOperator:
                         raise InvariantViolation("rebased subset left the cube")
                     raising(krow[sel], _find_all(space, ridx), -2.0 * am[sel], scale)
 
-    # rows are the classes in order
-    indptr = np.concatenate([[0]] + indptr_counts).cumsum()
+    # rows are the orbits in order; columns keep one entry per arrow
+    counts = np.concatenate(indptr_counts)
+    indptr = np.concatenate([[0], counts]).cumsum()
+    indices = np.concatenate(indices_parts)
     offset_of = np.concatenate(offset_parts)
-    keep = sp.csr_matrix((svals[offset_of], np.concatenate(indices_parts), indptr),
-                         shape=(size, size))
-    odd = avals[offset_of]
+    scale = ratio(np.repeat(np.arange(size), counts), indices)
+    keep = sp.csr_matrix((svals[offset_of] * scale, indices, indptr), shape=(size, size))
+    odd = avals[offset_of] * scale
 
     up = sp.coo_matrix(
         (np.concatenate(up_vals), (np.concatenate(up_rows), np.concatenate(up_cols)))
         if up_rows else ([], ([], [])), shape=(size, size)).tocsr().tocoo()
     # lowering = minus the weighted adjoint of raising: L_ij = -R_ji w_j / w_i
-    w = space.weight
+    w = orbits.weight
     down = sp.coo_matrix((-up.data * w[up.row] / w[up.col], (up.col, up.row)),
                          shape=(size, size))
     updown = (up + down).tocsr()
 
-    # clipped mass in the degree-weighted norm of the lift: f(A)^2 = x_K^2/(n+1)
-    return PackedOperator(space, analysis, keep, odd, diag_even, updown,
-                          clip_weight * space.weight)
+    # clipped mass in the degree-weighted norm of the lift:
+    # f(A)^2 = x_O^2 / ((n + 1) |O|) on each of the |O| (n + 1) sets of O
+    return PackedOperator(orbits, analysis, keep, odd, diag_even, updown,
+                          clip_weight * orbits.weight)

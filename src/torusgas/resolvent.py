@@ -1,8 +1,9 @@
 """Resolvent solves on the truncated subset space and what they yield.
 
 The shifted equation (shift - generator image) f_i = c_i is solved per
-(density, direction i, shift) on the translation classes of the truncated
-space (one unknown per class, see `packed`), c_i being the dual current.
+(density, direction i, shift) on the point-symmetry orbits of the
+translation classes of the truncated space (one unknown per orbit, see
+`packed`), c_i being the dual current.
 The diffusion matrix at a shift is one degree-weighted pairing of the
 solutions with the currents, D_ij = alpha sigma_ij + chi <f_i, c_j>, and is
 extrapolated linearly to zero shift entrywise, with the extrapolation
@@ -15,6 +16,7 @@ stage.
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,8 +44,9 @@ def resolvent_solve(engine: PackedOperator, alpha: float, shift: float,
     """Solve (shift - full operator) f = current for one direction.
 
     One BiCGSTAB run from `x0`, then one matvec for the true residual, which
-    must not exceed `solver_tol`.  Works on class vectors, so the solution
-    satisfies the translation identity by construction; the empty set never
+    must not exceed `solver_tol`.  Works on orbit vectors, so the solution
+    satisfies the translation identity and is invariant under the kernel's
+    point group by construction; the empty set never
     enters the space, so its value stays zero.  Returns (vector, SolveInfo)
     with the true number of operator matvecs and the clipped image outflow.
     """
@@ -90,7 +93,7 @@ def dirichlet_gram(engine: PackedOperator, X: np.ndarray) -> np.ndarray:
 def h_minus_one_sq(engine: PackedOperator, b: np.ndarray, reg: float) -> float:
     """Regularized squared negative-order norm <b, u>, (reg - sym part) u = b.
 
-    The symmetric part is a symmetric matrix in the orthonormal class basis,
+    The symmetric part is a symmetric matrix in the orthonormal orbit basis,
     so conjugate gradients apply directly and the residual is the lifted
     one, which must not exceed `solver_tol`; the degree weights only enter
     the final pairing.
@@ -255,6 +258,11 @@ class DiffusionResult:
         def parse(entry):
             return {float(k): np.array(v) for k, v in entry.items()}
 
+        solver = dict(get("solver"))
+        if "clipped_outflow" in solver:  # absent from files of earlier versions
+            solver["clipped_outflow"] = {float(k): v
+                                         for k, v in solver["clipped_outflow"].items()}
+
         return cls(
             dimension=int(get("dimension")),
             alphas=[float(a) for a in get("alphas")],
@@ -268,7 +276,7 @@ class DiffusionResult:
                     for k, v in get("energy").items()},
             mobility={float(k): v for k, v in get("mobility").items()},
             residuals={float(k): v for k, v in get("residuals").items()},
-            solver=get("solver"),
+            solver=solver,
             truncation=get("truncation"),
             kernel_entries=data.get("kernel_entries", []),
             notes=data.get("notes", []),
@@ -291,7 +299,8 @@ class DiffusionResult:
 
 def compute_diffusion(analysis: KernelAnalysis, alphas, trunc: TruncationParams,
                       mobility_vectors=None, with_residuals: bool = False,
-                      engine: PackedOperator | None = None) -> DiffusionResult:
+                      engine: PackedOperator | None = None,
+                      stages: dict | None = None) -> DiffusionResult:
     """Full pipeline: solve over the density grid and shift sequence.
 
     Warm starts chain along the shift sequence per (density, direction);
@@ -299,7 +308,9 @@ def compute_diffusion(analysis: KernelAnalysis, alphas, trunc: TruncationParams,
     are derived from the same solutions.  Energies and mobility right sides
     read one d x d Dirichlet Gram matrix H per shift: the energy of
     direction i is shift |X_i|^2 + H_ii, and that of the combination
-    sum_i v_i X_i is v.H v.
+    sum_i v_i X_i is v.H v.  A `stages` dict receives, per density, the
+    solve seconds and, per shift, the matvecs and the worst true residual,
+    for the run side file.
     """
     if engine is None:
         engine = build_engine(analysis, trunc)
@@ -312,27 +323,37 @@ def compute_diffusion(analysis: KernelAnalysis, alphas, trunc: TruncationParams,
 
     diffusion, hydro, coupling, spread = {}, {}, {}, {}
     per_shift_all, energy_all, mobility_all, residuals_all = {}, {}, {}, {}
+    sizes = {"space_size": space.n_sets, "classes": space.classes.size,
+             "orbits": space.size, "symmetry_order": space.symmetry_order}
     solver_stats = {"iterations": 0, "max_residual": 0.0, "max_clipped_outflow": 0.0,
-                    "space_size": space.n_sets, "classes": space.size}
+                    "clipped_outflow": {}, **sizes}
+    if stages is None:
+        stages = {}
 
     currents = np.array([space.current_vector(analysis, j) for j in range(d)])
     for alpha in alphas:
         alpha = float(alpha)
         chi = alpha * (1.0 - alpha)
+        start = time.perf_counter()
         energy = {}
         dm_per_shift = {}
         grams = {}
         sols = {}
         x_prev = [None] * d
+        clipped = 0.0
+        per_shift = {}
         for lam in shifts:
             X = sols[lam] = np.empty((d, space.size))  # one solution per direction
+            infos = []
             for i in range(d):
                 X[i], info = resolvent_solve(engine, alpha, lam, i, x0=x_prev[i])
-                solver_stats["iterations"] += info.iterations
-                solver_stats["max_residual"] = max(solver_stats["max_residual"],
-                                                   info.residual)
-                solver_stats["max_clipped_outflow"] = max(
-                    solver_stats["max_clipped_outflow"], info.clipped_outflow)
+                infos.append(info)
+            per_shift[lam] = {"matvecs": sum(info.iterations for info in infos),
+                              "residual": max(info.residual for info in infos)}
+            solver_stats["iterations"] += per_shift[lam]["matvecs"]
+            solver_stats["max_residual"] = max(solver_stats["max_residual"],
+                                               per_shift[lam]["residual"])
+            clipped = max([clipped] + [info.clipped_outflow for info in infos])
             x_prev = X
             H = grams[lam] = dirichlet_gram(engine, X)
             energy[lam] = [float(lam * space.dot(X[i], X[i]) + H[i, i]) for i in range(d)]
@@ -360,6 +381,10 @@ def compute_diffusion(analysis: KernelAnalysis, alphas, trunc: TruncationParams,
                     engine, alpha, i, dmat[i] - dm_per_shift[lam_min][i],
                     sols[lam_min][i], reg=trunc.reg)
         residuals_all[alpha] = res
+        solver_stats["clipped_outflow"][alpha] = clipped
+        solver_stats["max_clipped_outflow"] = max(solver_stats["max_clipped_outflow"],
+                                                  clipped)
+        stages[alpha] = {"seconds": time.perf_counter() - start, "shifts": per_shift}
 
     return DiffusionResult(
         dimension=d,
@@ -376,7 +401,6 @@ def compute_diffusion(analysis: KernelAnalysis, alphas, trunc: TruncationParams,
         solver=solver_stats,
         truncation={"radius": trunc.radius, "max_degree": trunc.max_degree,
                     "solver_tol": trunc.solver_tol,
-                    "lambda_seq": list(trunc.lambda_seq),
-                    "space_size": space.n_sets, "classes": space.size},
+                    "lambda_seq": list(trunc.lambda_seq), **sizes},
         kernel_entries=analysis.kernel.to_entries(),
     )

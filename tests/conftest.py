@@ -41,6 +41,15 @@ def kernel_d2_spec():
 
 
 @pytest.fixture(scope="session")
+def kernel_d3_diag_tasep():
+    """Diagonal TASEP: p(1, +-1, 0) = p(0, 0, +-1) = 1/4; drift (1/2, 0, 0),
+    and the currents of directions 1 and 2 are both live."""
+    k = TransitionKernel(3, np.array([[1, 1, 0], [1, -1, 0], [0, 0, 1], [0, 0, -1]]),
+                         np.array([0.25] * 4))
+    return validate_kernel(k)
+
+
+@pytest.fixture(scope="session")
 def heavy_diffusion(kernel_d3_asym):
     """Shared criterion-2/4/5 computation at truncation (3, 3).
 

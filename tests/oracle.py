@@ -6,10 +6,12 @@ sums (including the half-weighted double sum over ordered pairs, and the
 raw outside-pair double sum of the degree-lowering part), and solves use a
 direct sparse factorization.  The set space is enumerated here
 (`enumerate_truncation`), the translation classes are built from
-`shift_set`, and the class checks below are full (every set, every class
-indicator), not sampled.  Nothing here is shared with the package's packed
-engine beyond the space definition itself; `lift` reads the engine's class
-vectors as set vectors, through `index_of_subset`.
+`shift_set`, the kernel's point group acts on the sets point by point, and
+the class and orbit checks below are full (every set, every class
+indicator, every group element), not sampled.  Nothing here is shared with
+the package's packed engine beyond the space definition and the group
+itself; `lift` reads the engine's orbit vectors as set vectors, orbit ->
+class -> set, through `index_of_subset` and the engine's orbit map.
 """
 
 import itertools
@@ -103,6 +105,9 @@ class DenseOracle:
         self.mat_lower = self._assemble_lowering()
         self.set_class, self.classes = self._classes()
         self.class_size = np.asarray(self.classes.sum(axis=0)).ravel()
+        # basis index of g A for every set A, one row per group element
+        self.moves = np.array([[self.index[canonical(np.asarray(A) @ g.T)]
+                                for A in self.basis] for g in analysis.group])
 
     def _classes(self):
         """Class label of every set and the set-by-class indicator matrix.
@@ -242,14 +247,26 @@ class DenseOracle:
         """The values of a set vector on the single-point sets, keyed by point."""
         return {A[0]: float(vec[i]) for A, i in self.index.items() if len(A) == 1}
 
-    def resolvent_direct(self, alpha, shift, direction):
+    def _resolvent_lu(self, alpha, shift):
         mat = (shift * sp.identity(self.size, format="csc")
                - self.full_matrix(alpha).tocsc())
         # minimum degree on A^T + A factors this nonsymmetric matrix faster
         # than the default COLAMD (3.4-3.5 s against 4.1-4.4 s for criterion
         # 3's three solves at d = 3, (2,2)); solutions agree to 1e-15 relative
-        lu = splu(mat, permc_spec="MMD_AT_PLUS_A")
-        return lu.solve(self.current_vector(direction))
+        return splu(mat, permc_spec="MMD_AT_PLUS_A")
+
+    def resolvent_direct(self, alpha, shift, direction):
+        return self._resolvent_lu(alpha, shift).solve(self.current_vector(direction))
+
+    def diffusion_direct(self, alpha, shift):
+        """D(shift) = alpha sigma + chi <f_i, c_j>, the degree-weighted pairing
+        of the direct solutions with the currents, all directions from one
+        factorization."""
+        currents = np.array([self.current_vector(i)
+                             for i in range(self.analysis.dimension)])
+        sols = self._resolvent_lu(alpha, shift).solve(currents.T).T
+        chi = alpha * (1.0 - alpha)
+        return alpha * self.analysis.covariance + chi * (sols * self.weights) @ currents.T
 
     def neg_norm_direct(self, b, reg):
         mat = reg * sp.identity(self.size, format="csc") - self.mat_sym.tocsc()
@@ -290,9 +307,32 @@ class DenseOracle:
         assert len(pairs) == space.size == self.classes.shape[1]
         return cls
 
-    def lift(self, space):
-        """The lift of the engine's class vectors to set vectors in basis
-        order: x_K / sqrt(n + 1) on every member of class K."""
-        cls = self.engine_classes(space)
+    def class_lift(self, classes):
+        """The lift of class vectors of a `PackedSpace` to set vectors in
+        basis order: x_K / sqrt(n + 1) on every member of class K."""
+        cls = self.engine_classes(classes)
         root = np.sqrt(np.array([len(A) for A in self.basis]) + 1.0)
         return lambda x: np.asarray(x)[cls] / root
+
+    def lift(self, space):
+        """The lift of the engine's orbit vectors to set vectors, orbit ->
+        class -> set: x_O / sqrt(|O|) on every class of orbit O, then the
+        class lift.  Checks first, on every set and group element, that the
+        engine's orbit of a set's class is the set of classes its images
+        g A lie in."""
+        cls = self.engine_classes(space.classes)
+        orbit = space.orbit[cls]
+        assert np.array_equal(space.orbit[cls[self.moves]], np.broadcast_to(
+            orbit, self.moves.shape))
+        reached = np.sort(self.set_class[self.moves], axis=0)
+        assert np.array_equal(space.orbit_size[orbit],
+                              1 + (np.diff(reached, axis=0) != 0).sum(axis=0))
+        assert space.symmetry_order == len(self.moves)
+        to_sets = self.class_lift(space.classes)
+        root = np.sqrt(space.orbit_size)
+        return lambda x: to_sets(np.asarray(x)[space.orbit] / root[space.orbit])
+
+    def group_violation(self, x):
+        """Largest change of a set vector under any group element."""
+        x = np.asarray(x, dtype=np.float64)
+        return float(np.abs(x[self.moves] - x).max())

@@ -94,11 +94,14 @@ def test_criterion_3_dense_oracle_equivalence(kernel_d3_asym):
         want = oracle.full_matrix(alpha).dot(x_o)
         got = lift(engine.apply_full(x, alpha))
         worst = max(worst, float(np.abs(got - want).max()))
-    # iterative resolvent solves against the direct factorization
+    # iterative resolvent solves against the direct factorization; both
+    # solutions are invariant under every element of the point group, on
+    # every set of the space
     for alpha, lam in [(0.3, 1e-1), (0.5, 1e-3), (0.7, 1e-4)]:
         want = oracle.resolvent_direct(alpha, lam, 0)
         got, _ = resolvent_solve(engine, alpha, lam, 0)
-        worst = max(worst, float(np.abs(lift(got) - want).max()))
+        worst = max(worst, float(np.abs(lift(got) - want).max()),
+                    oracle.group_violation(want), oracle.group_violation(lift(got)))
     # regularized negative-order norm
     b_o = oracle.current_vector(0)
     b_p = space.current_vector(an, 0)
@@ -108,7 +111,8 @@ def test_criterion_3_dense_oracle_equivalence(kernel_d3_asym):
         got = h_minus_one_sq(engine, b_p, reg)
         worst = max(worst, abs(got - want))
     record(3, "dense-oracle equivalence", worst <= 1e-8,
-           f"max deviation across applications/solves/norms {worst:.2e} (tol 1e-8)")
+           f"max deviation across applications/solves/norms and group images of the "
+           f"solutions ({space.symmetry_order} elements) {worst:.2e} (tol 1e-8)")
 
 
 def test_criterion_4_mobility_consistency(heavy_diffusion):

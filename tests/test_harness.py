@@ -188,6 +188,43 @@ def test_cli_diffusion_feeds_pde(tmp_path, capsys):
     assert not list((tmp_path / "wide").glob("pde_t*"))
 
 
+def test_diffusion_reports_orbits_and_writes_run_meta(tmp_path):
+    # the exact-tiny kernel: y -> -y preserves it and fixes its odd support
+    kernel = {"dimension": 2, "entries": [
+        {"offset": [1, 0], "prob": 0.5}, {"offset": [-1, 0], "prob": 0.25},
+        {"offset": [0, 1], "prob": 0.125}, {"offset": [0, -1], "prob": 0.125}]}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(base_config(
+        output_dir=str(tmp_path / "d"), kernel=kernel, alpha_grid=[0.3, 0.7],
+        truncation={"radius": 2, "max_degree": 3})))
+    assert cli_main(["kernel", "--config", str(cfg_path)]) == 0
+    group = json.loads((tmp_path / "d" / "kernel.json").read_text())["group"]
+    assert group == [[[1, 0], [0, 1]], [[1, 0], [0, -1]]]
+    assert cli_main(["diffusion", "--config", str(cfg_path)]) == 0
+    data = json.loads((tmp_path / "d" / "diffusion.json").read_text())
+    solver = data["solver"]
+    for rec in (solver, data["truncation"]):
+        assert rec["symmetry_order"] == 2
+        assert rec["classes"] < 2 * rec["orbits"] and rec["orbits"] < rec["classes"]
+        assert rec["classes"] < rec["space_size"]
+    assert sorted(solver["clipped_outflow"]) == ["0.3", "0.7"]
+    assert solver["max_clipped_outflow"] == max(solver["clipped_outflow"].values()) > 0.0
+    meta = json.loads((tmp_path / "d" / "run_meta.json").read_text())
+    rec = meta["diffusion"]
+    assert (rec["classes"], rec["orbits"]) == (solver["classes"], solver["orbits"])
+    assert rec["nnz"] > rec["orbits"] and meta["peak_rss_mb"] > 0.0
+    assert rec["enumerate_s"] >= 0.0 and rec["assemble_s"] >= 0.0
+    assert sorted(rec["densities"]) == ["0.3", "0.7"]
+    matvecs = 0
+    for density in rec["densities"].values():
+        assert density["seconds"] > 0.0 and len(density["shifts"]) == 4
+        for shift in density["shifts"].values():
+            assert shift["matvecs"] > 0 and 0.0 < shift["residual"] <= 1e-10
+            matvecs += shift["matvecs"]
+    assert matvecs == solver["iterations"]
+    assert "wall_time" not in data and "peak_rss_mb" not in solver
+
+
 def test_threads_option_matches_sequential(tmp_path):
     cfg1 = ExperimentConfig.from_dict(base_config(torus_sizes=[4], replicas=2))
     cfg2 = ExperimentConfig.from_dict(base_config(torus_sizes=[4], replicas=2,
@@ -571,6 +608,13 @@ def test_diffusion_command_exits_1_when_a_solve_stalls(tmp_path, capsys):
     ("compare", {"kernel": {"dimension": 2, "entries": [
         {"offset": [1], "prob": 0.5}, {"offset": [-1, 0], "prob": 0.5}]}},
      [], "kernel offset"),
+    ("compare", {"replicas": 2.7}, [], "replicas"),
+    ("compare", {"block_radius": 1.9}, [], "block_radius"),
+    ("compare", {"master_seed": True}, [], "master_seed"),
+    ("compare", {"kernel": {"dimension": 2, "entries": [
+        {"offset": [1.5, 0], "prob": 0.5}, {"offset": [-1, 0], "prob": 0.5}]}},
+     [], "kernel offset entry"),
+    ("pde", {"pde": {"safety": True}}, [], "pde.safety"),
 ])
 def test_out_of_domain_value_is_config_error(tmp_path, capsys, command, data, flags, key):
     # each used to crash inside the run (exit 1), name the wrong cause, or

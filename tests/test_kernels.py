@@ -64,6 +64,13 @@ def test_adjoint_of_symmetric_is_itself():
         assert np.array_equal(got, want)
 
 
+def test_from_entries_rejects_a_fractional_offset():
+    # an offset entry 1.5 used to be truncated to the jump (1, 0)
+    with pytest.raises(ConfigError, match="^kernel offset entry must be an integer, got 1.5"):
+        TransitionKernel.from_entries(2, [{"offset": [1.5, 0], "prob": 0.5},
+                                          {"offset": [-1, 0], "prob": 0.5}])
+
+
 def test_validation_errors():
     with pytest.raises(ConfigError):
         validate_kernel(TransitionKernel(2, np.array([[0, 0]]), np.array([1.0])))
@@ -96,3 +103,36 @@ def test_covariance_psd_random_kernels():
             neg = tuple(-c for c in z)
             assert an.sym_of(z) == pytest.approx(an.sym_of(neg), abs=1e-15)
             assert an.asym_of(z) == pytest.approx(-an.asym_of(neg), abs=1e-15)
+
+
+def _signed_permutation(perm, signs):
+    """The matrix g with (g z)_i = signs[i] z[perm[i]]."""
+    g = np.zeros((len(perm), len(perm)), dtype=np.int64)
+    g[np.arange(len(perm)), perm] = signs
+    return g
+
+
+def test_point_group(kernel_d3_asym, kernel_d3_diag_tasep, kernel_d2_spec):
+    # the signed axis permutations that preserve p and fix the odd support
+    # pointwise, identity first
+    def elements(an):
+        assert np.array_equal(an.group[0], np.eye(an.dimension, dtype=np.int64))
+        return {g.tobytes() for g in an.group}
+
+    # acceptance kernel: y -> +-y, z -> +-z and y <-> z, with e1 fixed
+    want = {_signed_permutation(perm, (1, sy, sz)).tobytes()
+            for perm in ((0, 1, 2), (0, 2, 1)) for sy in (1, -1) for sz in (1, -1)}
+    assert len(kernel_d3_asym.group) == 8 and elements(kernel_d3_asym) == want
+    # diagonal TASEP: its odd support (1, +-1, 0) pins x and y, so z -> -z only
+    want = {_signed_permutation((0, 1, 2), (1, 1, s)).tobytes() for s in (1, -1)}
+    assert elements(kernel_d3_diag_tasep) == want
+    # p(1, 0) = 1/2, p(0, 1) = p(-1, 0) = 1/4 and no p(0, -1): no symmetry
+    assert elements(kernel_d2_spec) == {np.eye(2, dtype=np.int64).tobytes()}
+    # d = 3 SSEP: no odd support, so the whole hyperoctahedral group
+    full = validate_kernel(ssep(3)).group
+    assert len(full) == len(elements(validate_kernel(ssep(3)))) == 48
+    for an in (kernel_d3_asym, kernel_d3_diag_tasep, kernel_d2_spec):
+        for g in an.group:
+            for z, s, a in zip(an.sym_offsets, an.sym_weights, an.asym_weights):
+                assert an.sym_of(g @ z) == s and an.asym_of(g @ z) == a
+                assert a == 0.0 or np.array_equal(g @ z, z)

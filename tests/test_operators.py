@@ -190,6 +190,43 @@ def test_odd_part_is_antisymmetric(request, trunc, kernel):
     assert np.abs(oracle.mat_drift.diagonal()).max() <= 1e-14
 
 
+@pytest.mark.parametrize("kernel", ["kernel_d3_asym", "kernel_d3_diag_tasep"])
+def test_oracle_parts_commute_with_the_point_group(request, kernel):
+    # full check on the literal sums: every part of the operator commutes
+    # with every element of the derived group, and every current is
+    # invariant; a signed permutation outside the group does not commute
+    an = request.getfixturevalue(kernel)
+    oracle = DenseOracle(an, TruncationParams(radius=2, max_degree=2))
+    parts = (oracle.mat_sym, oracle.mat_drift, oracle.mat_raise, oracle.mat_lower)
+    assert len(oracle.moves) == len(an.group) > 1
+    for move in oracle.moves:
+        for mat in parts:
+            assert abs(mat[move][:, move] - mat).max() <= 1e-14
+        for i in range(3):
+            b = oracle.current_vector(i)
+            assert np.array_equal(b[move], b)
+    # x -> -x preserves the even part but reverses the drift
+    flip = np.array([oracle.index[tuple(sorted((-p[0],) + p[1:] for p in A))]
+                     for A in oracle.basis])
+    assert abs(oracle.mat_sym[flip][:, flip] - oracle.mat_sym).max() <= 1e-14
+    assert abs(oracle.mat_drift[flip][:, flip] - oracle.mat_drift).max() >= 0.1
+
+
+def test_bench_space_has_the_acceptance_orbit_count(kernel_d3_asym):
+    # the benchmark's call path at the acceptance truncation: 219,243
+    # translation classes (868,359 sets) in 28,645 orbits of the order-8 group
+    eng = assemble(PackedSpace(3, TruncationParams(radius=3, max_degree=3)),
+                   kernel_d3_asym)
+    space = eng.space
+    assert (space.size, space.classes.size, space.n_sets) == (28645, 219243, 868359)
+    assert space.symmetry_order == 8
+    assert np.array_equal(np.bincount(space.orbit), space.orbit_size)
+    assert set(np.unique(space.orbit_size)) <= {1, 2, 4, 8}
+    assert np.array_equal(space.orbit[space.rep], np.arange(space.size))
+    assert np.all(np.diff(space.rep) > 0) and np.all(np.diff(space.degree) >= 0)
+    assert eng.keep.shape == eng.updown.shape == (space.size, space.size)
+
+
 def _range_two_kernel():
     # the offset [2, 0] jumps over a neighbour, [1, 1] moves diagonally
     k = TransitionKernel(2, np.array([[2, 0], [-1, 0], [0, 1], [0, -1], [1, 1]]),

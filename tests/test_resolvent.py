@@ -5,7 +5,7 @@ import pytest
 
 from torusgas.errors import ConfigError, InvariantViolation
 from torusgas.kernels import ssep, validate_kernel
-from torusgas.resolvent import (build_engine, compute_diffusion,
+from torusgas.resolvent import (build_engine, compute_diffusion, extrapolate_to_zero,
                                 degree_one_seminorm, dirichlet_gram, extrapolate_to_zero,
                                 h_minus_one_sq, hydrodynamic_matrix,
                                 j_matrix, residual_triple_norm, resolvent_solve)
@@ -367,7 +367,8 @@ def test_iterations_count_operator_matvecs(kernel_d2_asym):
     res = compute_diffusion(kernel_d2_asym, [0.3], eng.space.trunc, engine=eng)
     assert res.solver["iterations"] == len(calls) > 0
     assert res.solver["space_size"] == eng.space.n_sets
-    assert res.solver["classes"] == res.truncation["classes"] == eng.space.size
+    assert res.solver["classes"] == res.truncation["classes"] == eng.space.classes.size
+    assert res.solver["orbits"] == res.truncation["orbits"] == eng.space.size
 
 
 def test_unreachable_tolerance_raises(kernel_d2_asym):
@@ -379,3 +380,48 @@ def test_unreachable_tolerance_raises(kernel_d2_asym):
     with pytest.raises(InvariantViolation, match="resolvent solve failed: residual"):
         resolvent_solve(eng, 0.3, 1e-2, 0)
 
+
+
+def test_diag_tasep_diffusion_matches_oracle(kernel_d3_diag_tasep):
+    # two live directions on the orbits of the order-2 group: the whole D
+    # matrix, per shift and extrapolated, against the oracle's direct solves
+    # on every set
+    an = kernel_d3_diag_tasep
+    trunc = TruncationParams(radius=2, max_degree=2)
+    res = compute_diffusion(an, [0.3], trunc)
+    assert res.solver["symmetry_order"] == 2
+    assert res.solver["orbits"] < res.solver["classes"]
+    oracle = DenseOracle(an, trunc)
+    shifts = sorted(trunc.lambda_seq, reverse=True)
+    direct = [oracle.diffusion_direct(0.3, lam) for lam in shifts]
+    for lam, want in zip(shifts, direct):
+        assert np.abs(res.per_shift[0.3][lam] - want).max() <= 1e-10
+    want, _ = extrapolate_to_zero(shifts, direct)
+    assert np.abs(res.diffusion[0.3] - want).max() <= 1e-10
+    # both transverse-coupled directions move away from alpha sigma
+    excess = np.diag(res.diffusion[0.3] - 0.3 * an.covariance)
+    assert excess[0] > 1e-3 and excess[1] > 1e-3 and excess[2] == 0.0
+
+
+def test_orbit_engine_matches_class_engine(kernel_d3_asym):
+    # the same kernel with the trivial group is the class engine; the orbit
+    # engine gives its D and, since an orbit's clip weight is its
+    # representative's, its clipped outflow per density, to rounding
+    from dataclasses import replace
+
+    trunc = TruncationParams(radius=2, max_degree=3)
+    alphas = [0.3, 0.6]
+    vectors = {"e1": [1.0, 0.0, 0.0]}
+    orbit = compute_diffusion(kernel_d3_asym, alphas, trunc, mobility_vectors=vectors)
+    plain = compute_diffusion(replace(kernel_d3_asym, group=kernel_d3_asym.group[:1]),
+                              alphas, trunc, mobility_vectors=vectors)
+    assert plain.solver["orbits"] == plain.solver["classes"] == orbit.solver["classes"]
+    assert orbit.solver["symmetry_order"] == 8
+    assert orbit.solver["orbits"] * 6 < orbit.solver["classes"]
+    for a in alphas:
+        assert np.abs(orbit.diffusion[a] - plain.diffusion[a]).max() <= 1e-12
+        assert orbit.solver["clipped_outflow"][a] == pytest.approx(
+            plain.solver["clipped_outflow"][a], rel=1e-12)
+        assert orbit.mobility[a]["e1"]["gap"] == pytest.approx(
+            plain.mobility[a]["e1"]["gap"], abs=1e-9)
+    assert orbit.solver["max_clipped_outflow"] == max(orbit.solver["clipped_outflow"].values())

@@ -3,7 +3,7 @@ import pytest
 
 from torusgas.errors import ConfigError
 from torusgas.kernels import ssep, tasep, validate_kernel
-from torusgas.packed import PackedSpace, TruncationParams, canonical
+from torusgas.packed import PackedSpace, TruncationParams, assemble, canonical
 
 from oracle import DenseOracle, in_truncation, shift_set
 
@@ -51,9 +51,17 @@ def test_inner_product_weights():
     assert space.dot(one, two) == 0.0  # disjoint supports
     rng = np.random.default_rng(7)
     x, y = rng.standard_normal((2, space.size))
-    oracle = DenseOracle(validate_kernel(ssep(2)), tr)
-    lift = oracle.lift(space)
+    an = validate_kernel(ssep(2))
+    oracle = DenseOracle(an, tr)
+    lift = oracle.class_lift(space)
     assert space.dot(x, y) == pytest.approx(
+        np.sum(oracle.weights * lift(x) * lift(y)), abs=1e-12)
+    # and an orbit vector (order-8 group) pairs like its lift as well
+    orbits = assemble(space, an).space
+    assert orbits.symmetry_order == 8 and orbits.size < space.size
+    x, y = rng.standard_normal((2, orbits.size))
+    lift = oracle.lift(orbits)
+    assert orbits.dot(x, y) == pytest.approx(
         np.sum(oracle.weights * lift(x) * lift(y)), abs=1e-12)
 
 
@@ -68,10 +76,11 @@ def test_translation_identity_checker():
 
 
 def test_current_dual_values(kernel_d2_spec):
-    # the dual current, -2 z_i a(z) on single points, read back through the lift
+    # the dual current, -2 z_i a(z) on single points, read back through the
+    # orbit -> class -> set lift
     def coefficients(analysis, direction):
         trunc = TruncationParams(radius=1, max_degree=2)
-        space = PackedSpace(analysis.dimension, trunc)
+        space = assemble(PackedSpace(analysis.dimension, trunc), analysis).space
         oracle = DenseOracle(analysis, trunc)
         return oracle.singleton_values(
             oracle.lift(space)(space.current_vector(analysis, direction)))
