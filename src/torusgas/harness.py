@@ -17,14 +17,10 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, as_number, as_numbers, as_string, require, write_json
-from .exactsmall import (MAX_SITES, exact_evolution_small, product_distribution,
-                         relative_entropy_distributions, relative_entropy_product,
-                         total_variation)
-from .kernels import KernelAnalysis, TransitionKernel, validate_kernel
+from .kernels import KernelAnalysis, TransitionKernel, TruncationParams, validate_kernel
 from .lattice import TorusGeometry, block_density, sample_product_measure, state_codes
 from .pde import DensityField, DiffusionTable, SolveReport, check_safety, solve_to_time
 from .profiles import Profile, validate_profile
-from .resolvent import TruncationParams, compute_diffusion
 from .simulate import RngStream, check_replica_ledgers, evolve, evolve_replicas
 
 SCHEMA_VERSION = 1
@@ -264,6 +260,8 @@ def compare_fields(empirical: np.ndarray, target: np.ndarray) -> dict:
 def _load_or_compute_table(cfg: ExperimentConfig) -> DiffusionTable:
     if cfg.diffusion_table_path:
         return DiffusionTable.load_json(cfg.diffusion_table_path)
+    from .resolvent import compute_diffusion  # scipy; only for a computed table
+
     result = compute_diffusion(cfg.analysis, cfg.alpha_grid, cfg.truncation)
     return DiffusionTable.from_diffusion_result(result)
 
@@ -460,6 +458,11 @@ def exact_small_experiment(cfg: ExperimentConfig) -> dict:
     solution along the run (with a closed-form cross-check at time zero),
     and (iii) exact stationarity of the flat product measure.
     """
+    # scipy-backed, so imported here and not by `compare`
+    from .exactsmall import (MAX_SITES, exact_evolution_small, product_distribution,
+                             relative_entropy_distributions, relative_entropy_product,
+                             total_variation)
+
     n = cfg.exact_side
     mc_replicas = cfg.exact_replicas
     alpha = cfg.exact_alpha

@@ -3,7 +3,9 @@
 A kernel is a short list of (offset, probability) pairs.  Everything the
 rest of the package needs from it is computed here once: mean drift,
 covariance matrix, the even/odd split of the weights, the reversed kernel,
-and the point group the dual solve is reduced by.
+and the point group the dual solve is reduced by.  The dual solve's
+truncation (`TruncationParams`) lives here too, so parsing a config needs
+no sparse algebra.
 """
 
 from __future__ import annotations
@@ -97,6 +99,43 @@ class KernelAnalysis:
 
     def asym_of(self, offset) -> float:
         return _lookup(self.sym_offsets, self.asym_weights, offset)
+
+
+@dataclass(frozen=True)
+class TruncationParams:
+    """Finite solve space: degree cap plus a spatial diameter cap.
+
+    A set A is kept when |A| <= max_degree and the sup-norm diameter of
+    A u {0} is at most `radius`.  This is the largest family of sets
+    confined to the radius-`radius` cube that is closed under the
+    translation identity: each degree-n set lies in a class of n + 1 kept
+    sets (A and its member shifts).  The packed engine solves on one
+    unknown per orbit of classes, so solutions satisfy the identity by
+    construction.
+    `lambda_seq` holds the resolvent shifts that are extrapolated to zero:
+    at least two, distinct, positive and finite.
+    """
+
+    radius: int
+    max_degree: int
+    solver_tol: float = 1e-10
+    reg: float = 1e-3
+    lambda_seq: tuple = (1e-1, 1e-2, 1e-3, 1e-4)
+
+    def __post_init__(self):
+        if self.max_degree < 2:
+            raise ConfigError("max degree must be at least 2")
+        if self.radius < 1:
+            raise ConfigError("truncation radius must be positive")
+        seq = self.lambda_seq
+        if (len(seq) < 2 or len(set(seq)) < len(seq)
+                or not all(0.0 < s < np.inf for s in seq)):
+            raise ConfigError("truncation.lambda_seq must hold at least two distinct "
+                              f"positive finite shifts, got {list(seq)!r}")
+
+    def check_kernel(self, analysis: KernelAnalysis):
+        if self.radius < analysis.range:
+            raise ConfigError("truncation radius below kernel range")
 
 
 def _lookup(offsets, values, offset) -> float:

@@ -23,7 +23,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import ConfigError, InvariantViolation, as_number, require, write_json
 from .profiles import _interp_periodic
@@ -99,12 +98,57 @@ class DensityField:
         np.save(path, np.ascontiguousarray(self.grid()))
 
 
+def _pchip_edge(h0, h1, m0, m1):
+    """One-sided three-point end slope, kept monotone (scipy's `_edge_case`)."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    flip = np.sign(d) != np.sign(m0)
+    steep = (np.sign(m0) != np.sign(m1)) & (np.abs(d) > 3.0 * np.abs(m0))
+    return np.where(flip, 0.0, np.where(steep, 3.0 * m0, d))
+
+
+def _pchip(x, y, points):
+    """Monotone piecewise-cubic (PCHIP) interpolant of y[k] at x[k], at `points`.
+
+    `x` is strictly increasing, `y` has shape (len(x), ...) and the result
+    (len(points), ...).  Every trailing entry is interpolated on its own, and
+    every operation is the one scipy's `PchipInterpolator` makes, in its
+    order: the Fritsch-Butland node slopes (zero at a sign change or a flat
+    segment, else a weighted harmonic mean) with one-sided ends, the
+    `CubicHermiteSpline` coefficients, and `PPoly`'s power-ascending
+    evaluation on the half-open interval [x_k, x_k+1) (the last one closed;
+    points beyond the ends extrapolate the end cubics).  So the values are
+    scipy's bit for bit.
+    """
+    y = np.asarray(y, dtype=np.float64)
+    hk = np.diff(x).reshape((-1,) + (1,) * (y.ndim - 1))
+    mk = (y[1:] - y[:-1]) / hk
+    if len(x) == 2:
+        dk = np.concatenate([mk, mk])
+    else:
+        smk = np.sign(mk)
+        zero = (smk[1:] != smk[:-1]) | (mk[1:] == 0) | (mk[:-1] == 0)
+        w1 = 2 * hk[1:] + hk[:-1]
+        w2 = hk[1:] + 2 * hk[:-1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            whmean = (w1 / mk[:-1] + w2 / mk[1:]) / (w1 + w2)
+            inner = np.where(zero, 0.0, 1.0 / whmean)
+        dk = np.concatenate([_pchip_edge(hk[:1], hk[1:2], mk[:1], mk[1:2]), inner,
+                             _pchip_edge(hk[-1:], hk[-2:-1], mk[-1:], mk[-2:-1])])
+    t = (dk[:-1] + dk[1:] - 2 * mk) / hk
+    c0, c1, c2, c3 = t / hk, (mk - dk[:-1]) / hk - t, dk[:-1], y[:-1]
+    points = np.asarray(points, dtype=np.float64)
+    k = np.clip(np.searchsorted(x, points, side="right") - 1, 0, len(x) - 2)
+    s = (points - x[k]).reshape((-1,) + (1,) * (y.ndim - 1))
+    s2 = s * s
+    return ((0.0 + c3[k] + c2[k] * s) + c1[k] * s2) + c0[k] * (s2 * s)
+
+
 class DiffusionTable:
     """Density-dependent coefficient matrix sampled on a density grid.
 
-    Monotone-cubic interpolation per entry, resampled onto a dense uniform
-    grid for fast lookup inside the solver; symmetrized with the asymmetry
-    recorded.  `floor_matrix`, when given (half the jump covariance), is
+    Monotone-cubic interpolation per entry (`_pchip`, scipy's PCHIP bit for
+    bit), resampled onto a dense uniform grid for fast lookup inside the
+    solver; symmetrized with the asymmetry recorded.  `floor_matrix`, when given (half the jump covariance), is
     checked to stay below the table in the matrix order at every node.
     """
 
@@ -128,14 +172,10 @@ class DiffusionTable:
                     raise ConfigError(
                         f"coefficient table dips below the mobility floor at "
                         f"density {beta:g} by {-gap:g}")
-        d = self.dimension
         if len(self.alphas) >= 2:
             self._grid = np.linspace(self.alphas[0], self.alphas[-1], DENSE_NODES)
-            self._dense = np.empty((d, d, DENSE_NODES))
-            for i in range(d):
-                for j in range(d):
-                    interp = PchipInterpolator(self.alphas, mats[:, i, j])
-                    self._dense[i, j] = interp(self._grid)
+            self._dense = np.ascontiguousarray(
+                _pchip(self.alphas, mats, self._grid).transpose(1, 2, 0))
         else:
             self._grid = self.alphas
             self._dense = mats.transpose(1, 2, 0)

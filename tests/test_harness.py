@@ -725,3 +725,31 @@ def test_benchmark_tracer_finds_every_layer_boundary(tmp_path):
                  "simulate.continuity", "lattice.sample", "lattice.block_density",
                  "pde.solve", "harness.run_experiment", "harness.config_parse"):
         assert name in seen["called"]
+
+
+_IMPORT_SCRIPT = """
+import json, sys
+sys.path.insert(0, sys.argv[1] + "/src")
+from torusgas.cli import main
+codes = [main([command, "--config", sys.argv[2]]) for command in ("compare", "pde")]
+print(json.dumps({"codes": codes, "scipy": sorted(
+    name for name in sys.modules if name == "scipy" or name.startswith("scipy."))}))
+"""
+
+
+def test_compare_and_pde_on_a_stored_table_import_no_scipy(tmp_path):
+    # scipy's import is most of the start-up cost; with a stored table these
+    # subcommands need numpy alone, so a module-level import of a
+    # scipy-backed module anywhere on their path fails this test
+    table_path = tmp_path / "table.json"
+    DiffusionTable.constant(0.25 * np.eye(2)).save_json(table_path)
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps(base_config(
+        output_dir=str(tmp_path / "o"), diffusion_table=str(table_path),
+        profile={"kind": "cosine", "base": 0.5, "amplitude": 0.2, "axis": 1})))
+    out = subprocess.run([sys.executable, "-c", _IMPORT_SCRIPT, str(ROOT), str(config_path)],
+                         capture_output=True, text=True, check=True)
+    seen = json.loads(out.stdout.splitlines()[-1])
+    assert seen == {"codes": [0, 0], "scipy": []}
+    assert (tmp_path / "o" / "report.json").exists()
+    assert (tmp_path / "o" / "pde_t0.05.csv").exists()

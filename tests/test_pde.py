@@ -1,12 +1,13 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 import sympy
 
 from torusgas.errors import ConfigError, InvariantViolation
-from torusgas.pde import (DensityField, DiffusionTable, SolveReport, pde_step,
-                          solve_to_time, stability_limit)
+from torusgas.pde import (DENSE_NODES, DensityField, DiffusionTable, SolveReport, _pchip,
+                          pde_step, solve_to_time, stability_limit)
 from torusgas.profiles import Profile, _interp_periodic
 
 
@@ -358,3 +359,64 @@ def test_safety_outside_unit_interval_is_config_error():
         with pytest.raises(ConfigError, match="pde.safety"):
             solve_to_time(f0, tab, 0.01, safety=safety)
     assert solve_to_time(f0, tab, 0.01, safety=1.0).values.shape == (1, 16)
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a, np.float64), np.asarray(b, np.float64)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def test_stored_table_resamples_as_scipy_pchip_bit_for_bit():
+    from scipy.interpolate import PchipInterpolator
+
+    root = Path(__file__).resolve().parents[1]
+    table = DiffusionTable.load_json(root / "perfbench" / "data" / "hydro_table.json")
+    assert len(table._grid) == DENSE_NODES
+    d = table.dimension
+    for i in range(d):
+        for j in range(d):
+            ref = PchipInterpolator(table.alphas, table.matrices[:, i, j])(table._grid)
+            assert np.array_equal(table._dense[i, j], ref)
+            assert _same_bits(table._dense[i, j], ref)
+
+
+def test_pchip_matches_scipy_on_random_node_sets():
+    # node sets with uneven spacing; the kinds make sure every branch of the
+    # slope rule is met: two nodes, flat segments, slope sign changes, and
+    # both end-slope corrections (zeroed and limited to 3 m_0)
+    from scipy.interpolate import PchipInterpolator
+
+    rng = np.random.default_rng(20261018)
+    seen = {"two nodes": 0, "flat": 0, "sign change": 0, "end zeroed": 0,
+            "end limited": 0}
+    for case in range(300):
+        n = 2 if case % 10 == 0 else int(rng.integers(3, 12))
+        x = np.cumsum(rng.exponential(size=n) + 1e-3)
+        x = (x - x[0]) / (x[-1] - x[0]) * rng.uniform(0.2, 1.0) + rng.uniform(0.0, 0.5)
+        kind = case % 4
+        if kind == 0:
+            y = rng.normal(size=n)
+        elif kind == 1:
+            y = rng.integers(0, 3, size=n).astype(float)
+        elif kind == 2:
+            y = np.cumsum(rng.exponential(size=n) * rng.choice([0.01, 1.0, 30.0], size=n))
+        else:
+            y = rng.normal(size=n)
+            y[1] = y[0] + rng.choice([-1.0, 1.0]) * rng.uniform(1e-3, 1e-1)
+        points = np.linspace(x[0], x[-1], DENSE_NODES)
+        ref = PchipInterpolator(x, y)
+        assert _same_bits(_pchip(x, y, points), ref(points))
+        stacked = np.stack([y, -y, y[::-1]], axis=1).reshape(n, 3, 1)
+        together = _pchip(x, stacked, points)
+        for k in range(3):
+            column = PchipInterpolator(x, stacked[:, k, 0])(points)
+            assert _same_bits(together[:, k, 0], column)
+
+        slopes = np.diff(y) / np.diff(x)
+        end = ref.c[2, 0]  # the slope scipy chose at x[0]
+        seen["two nodes"] += n == 2
+        seen["flat"] += bool((slopes == 0).any())
+        seen["sign change"] += bool((np.sign(slopes[1:]) != np.sign(slopes[:-1])).any())
+        seen["end zeroed"] += n > 2 and slopes[0] != 0 and end == 0.0
+        seen["end limited"] += n > 2 and slopes[0] != 0 and end == 3.0 * slopes[0]
+    assert all(count > 0 for count in seen.values()), seen
