@@ -152,9 +152,12 @@ def cmd_compare(args) -> int:
 
 def cmd_exact(args) -> int:
     cfg = _load(args)
-    diag = exact_small_experiment(cfg)
-    path = make_output_dir(cfg.output_dir) / "exact_diagnostics.json"
+    stages = {}
+    diag = exact_small_experiment(cfg, stages=stages)
+    out = make_output_dir(cfg.output_dir)
+    path = out / "exact_diagnostics.json"
     write_json(path, diag)
+    write_run_meta(out, exact=stages)
     print(json.dumps({k: diag[k] for k in
                       ("stationarity_tv", "entropy_t0_closed_form",
                        "entropy_t0_exact")}, indent=1))

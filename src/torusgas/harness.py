@@ -448,7 +448,7 @@ def run_experiment(cfg: ExperimentConfig,
     return report
 
 
-def exact_small_experiment(cfg: ExperimentConfig) -> dict:
+def exact_small_experiment(cfg: ExperimentConfig, stages: dict | None = None) -> dict:
     """Tiny-torus diagnostics against the exact law.
 
     Reports (i) total-variation distance between the Monte Carlo ensemble
@@ -456,8 +456,24 @@ def exact_small_experiment(cfg: ExperimentConfig) -> dict:
     of drawn events and executed jumps per span, (ii) the exact relative
     entropy of the evolving law against the product state of the PDE
     solution along the run (with a closed-form cross-check at time zero),
-    and (iii) exact stationarity of the flat product measure.
+    and (iii) exact stationarity of the flat product measure.  A `stages`
+    dict receives the call's seconds by stage, for the run side file:
+    `table_s` (the coefficient table), `pde_s` (the PDE references),
+    `mc_s` (the Monte Carlo ensemble) and `exact_s` (the rest: the exact
+    laws, their entropies and the set-up).
     """
+    if stages is None:
+        stages = {}
+    stages.update(exact_s=0.0, table_s=0.0, pde_s=0.0, mc_s=0.0)
+    clock = time.perf_counter()
+
+    def lap(stage: str):
+        """Book the seconds since the last lap to `stage`."""
+        nonlocal clock
+        now = time.perf_counter()
+        stages[stage] += now - clock
+        clock = now
+
     # scipy-backed, so imported here and not by `compare`
     from .exactsmall import (MAX_SITES, exact_evolution_small, product_distribution,
                              relative_entropy_distributions, relative_entropy_product,
@@ -480,14 +496,17 @@ def exact_small_experiment(cfg: ExperimentConfig) -> dict:
     nu_alpha = product_distribution(geom, np.full(geom.n_sites, alpha))
     nu_evolved = exact_evolution_small(geom, cfg.kernel, nu_alpha, times[-1] * n ** 2)
     stationarity_tv = total_variation(nu_evolved, nu_alpha)
+    lap("exact_s")
 
     # PDE reference along the run (grid resolution a multiple of the side)
     resolution = max(cfg.pde_resolution, n)
     resolution += (-resolution) % n
     table = _load_or_compute_table(cfg)
+    lap("table_s")
     fld0 = DensityField.from_profile(profile, resolution)
     references = [(0.0, fld0)] + [(t, fld) for t, fld, _ in
                                   pde_through(fld0, table, times, cfg.pde_safety)]
+    lap("pde_s")
 
     # exact law and entropy curve along the run, including the time-zero row
     exact_laws = {0.0: mu}
@@ -503,6 +522,7 @@ def exact_small_experiment(cfg: ExperimentConfig) -> dict:
             "entropy_vs_profile_state": float(relative_entropy_distributions(law, nu_ref)),
             "entropy_vs_flat": float(relative_entropy_distributions(law, nu_alpha)),
         })
+    lap("exact_s")
 
     # Monte Carlo ensemble through the same times, in lockstep batches
     hist = {t: np.zeros(1 << geom.n_sites, dtype=np.int64) for t in times}
@@ -524,12 +544,14 @@ def exact_small_experiment(cfg: ExperimentConfig) -> dict:
         emp = hist[t] / hist[t].sum()
         mc_rows.append({"t": t, "tv_mc_vs_exact": total_variation(emp, exact_laws[t]),
                         "events": events[t], "jumps": jumps[t]})
+    lap("mc_s")
 
     # time-zero closed form: product-vs-product entropy from per-site marginals
     closed0 = relative_entropy_product(marginals0, marginals0)
     exact0 = entropy_rows[0]["entropy_vs_profile_state"]
     closed_alpha0 = relative_entropy_product(marginals0, np.full(geom.n_sites, alpha))
     exact_alpha0 = relative_entropy_distributions(exact_laws[0.0], nu_alpha)
+    lap("exact_s")
 
     return {
         "side": n,

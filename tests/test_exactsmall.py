@@ -225,6 +225,33 @@ def test_exact_ensemble_is_deterministic_and_counts_every_replica(monkeypatch):
         assert 0 < row["jumps"] <= row["events"]
 
 
+def test_exact_records_stage_seconds_in_run_meta(tmp_path):
+    import time
+
+    from torusgas.cli import main as cli_main
+
+    cfg = _exact_config(5000)
+    data = cfg.to_dict()
+    data["output_dir"] = str(tmp_path / "o")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(data))
+    assert cli_main(["exact", "--config", str(cfg_path)]) == 0
+    meta = json.loads((tmp_path / "o" / "run_meta.json").read_text())
+    assert set(meta["exact"]) == {"table_s", "pde_s", "exact_s", "mc_s"}
+    assert all(seconds >= 0.0 for seconds in meta["exact"].values())
+    assert meta["peak_rss_mb"] > 0.0
+
+    # the stages cover the call, and recording them leaves the report alone
+    stages = {}
+    start = time.perf_counter()
+    diag = exact_small_experiment(cfg, stages=stages)
+    wall = time.perf_counter() - start
+    assert sum(stages.values()) >= 0.9 * wall
+    assert min(stages.values()) >= 0.0
+    written = json.loads((tmp_path / "o" / "exact_diagnostics.json").read_text())
+    assert written == json.loads(json.dumps(diag))
+
+
 def test_lost_mass_is_an_invariant_violation(monkeypatch, tmp_path, capsys):
     # mass lost by the matrix exponential is a numerical failure, not bad
     # input: it raises InvariantViolation and `torusgas exact` exits 1
