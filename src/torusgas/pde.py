@@ -197,11 +197,18 @@ class DiffusionTable:
 
     @classmethod
     def from_diffusion_result(cls, result) -> "DiffusionTable":
-        """Hydrodynamic coefficient table a(alpha) from a solver bundle."""
-        alphas = list(result.alphas)
-        mats = [result.hydro[a] for a in alphas]
-        floor = 0.5 * np.asarray(result.sigma)
-        return cls(np.array(alphas), np.stack(mats), floor_matrix=floor)
+        """Hydrodynamic coefficient table a(alpha) from a solver bundle.
+
+        D(0) = 0 and D(1) = sigma, so a(0) = a(1) = sigma / 2: those end
+        nodes are added where the density grid lacks them, and the table
+        covers every density.
+        """
+        floor = 0.5 * np.asarray(result.sigma, dtype=np.float64)
+        nodes = {0.0: floor, 1.0: floor}
+        nodes.update((float(a), np.asarray(result.hydro[a])) for a in result.alphas)
+        alphas = sorted(nodes)
+        return cls(np.array(alphas), np.stack([nodes[a] for a in alphas]),
+                   floor_matrix=floor)
 
     def entry(self, i: int, j: int, rho: np.ndarray) -> np.ndarray:
         return np.interp(rho, self._grid, self._dense[i, j])

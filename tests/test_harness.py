@@ -10,8 +10,8 @@ import pytest
 
 from torusgas.cli import main as cli_main
 from torusgas.errors import ConfigError
-from torusgas.harness import (ExperimentConfig, _replica_job, compare_fields,
-                              emit_outputs, pde_at_sites, replica_stream,
+from torusgas.harness import (ExperimentConfig, _load_or_compute_table, _replica_job,
+                              compare_fields, emit_outputs, pde_at_sites, replica_stream,
                               run_experiment)
 from torusgas.packed import TruncationParams
 from torusgas.simulate import RngStream
@@ -175,17 +175,48 @@ def test_cli_diffusion_feeds_pde(tmp_path, capsys):
         profile={"kind": "cosine", "base": 0.5, "amplitude": 0.1, "axis": 1})))
     assert cli_main(["pde", "--config", str(cfg2)]) == 0
     assert (tmp_path / "pout" / "pde_t0.05.csv").exists()
-    # a profile reaching past the table's densities is a config error in
-    # every command that solves the PDE, not a silent clamp to the end nodes
+    # the computed table carries the end nodes a(0) = a(1) = sigma / 2; a
+    # stored table keeps the densities it holds, and a profile reaching past
+    # them is a config error in every command that solves the PDE, not a
+    # silent clamp to the end nodes
+    table = json.loads(table_path.read_text())
+    assert table["alphas"] == [0.0, 0.3, 0.7, 1.0]
+    assert table["matrices"][0] == table["matrices"][-1] == table["floor_matrix"]
+    narrow_path = tmp_path / "narrow.json"
+    narrow_path.write_text(json.dumps(dict(table, alphas=table["alphas"][1:-1],
+                                           matrices=table["matrices"][1:-1])))
     cfg3 = tmp_path / "cfg3.json"
     cfg3.write_text(json.dumps(base_config(
-        output_dir=str(tmp_path / "wide"), diffusion_table=str(table_path), delta0=0.01,
+        output_dir=str(tmp_path / "wide"), diffusion_table=str(narrow_path), delta0=0.01,
         profile={"kind": "cosine", "base": 0.5, "amplitude": 0.45, "axis": 1},
         exact={"side": 3, "replicas": 10})))
     for command in ("pde", "compare", "exact"):
         assert cli_main([command, "--config", str(cfg3)]) == 2
         assert "leave the coefficient table's range [0.3, 0.7]" in capsys.readouterr().err
     assert not list((tmp_path / "wide").glob("pde_t*"))
+
+
+def test_computed_table_reaches_both_end_densities(tmp_path):
+    # D(0) = 0 and D(1) = sigma, so a computed table adds the nodes
+    # a(0) = a(1) = sigma / 2; a profile from 0.1 to 0.9 then stays inside it
+    # although rounding takes its minimum below the grid's first density 0.1
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(base_config(
+        output_dir=str(tmp_path / "o"), times=[0.01],
+        kernel={"dimension": 2, "entries": [
+            {"offset": [1, 0], "prob": 0.5}, {"offset": [-1, 0], "prob": 0.25},
+            {"offset": [0, 1], "prob": 0.125}, {"offset": [0, -1], "prob": 0.125}]},
+        profile={"kind": "cosine", "base": 0.5, "amplitude": 0.4, "axis": 1})))
+    for command in ("pde", "compare"):
+        assert cli_main([command, "--config", str(cfg_path)]) == 0
+    cfg = ExperimentConfig.from_dict(json.loads(cfg_path.read_text()))
+    assert cfg.checked_profile().sample_grid(cfg.pde_resolution).min() < 0.1
+    table = _load_or_compute_table(cfg)
+    assert table.alphas[0] == 0.0 and table.alphas[-1] == 1.0
+    assert np.array_equal(table.alphas[1:-1], cfg.alpha_grid)
+    half_sigma = 0.5 * cfg.analysis.covariance
+    assert np.array_equal(table.matrices[0], half_sigma)
+    assert np.array_equal(table.matrices[-1], half_sigma)
 
 
 def test_diffusion_reports_orbits_and_writes_run_meta(tmp_path):
