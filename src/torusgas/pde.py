@@ -140,6 +140,7 @@ def _pchip(x, y, points):
     k = np.clip(np.searchsorted(x, points, side="right") - 1, 0, len(x) - 2)
     s = (points - x[k]).reshape((-1,) + (1,) * (y.ndim - 1))
     s2 = s * s
+    # PPoly's sum starts from 0.0, which turns a -0.0 value into 0.0
     return ((0.0 + c3[k] + c2[k] * s) + c1[k] * s2) + c0[k] * (s2 * s)
 
 
@@ -148,8 +149,9 @@ class DiffusionTable:
 
     Monotone-cubic interpolation per entry (`_pchip`, scipy's PCHIP bit for
     bit), resampled onto a dense uniform grid for fast lookup inside the
-    solver; symmetrized with the asymmetry recorded.  `floor_matrix`, when given (half the jump covariance), is
-    checked to stay below the table in the matrix order at every node.
+    solver; symmetrized with the asymmetry recorded.  `floor_matrix`, when
+    given (half the jump covariance), is checked to stay below the table in
+    the matrix order at every node.
     """
 
     def __init__(self, alphas, matrices, floor_matrix=None):

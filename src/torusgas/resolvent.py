@@ -23,8 +23,8 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator, bicgstab, cg
 
 from .errors import ConfigError, InvariantViolation, require, write_json
-from .kernels import KernelAnalysis
-from .packed import PackedOperator, PackedSpace, TruncationParams, assemble
+from .kernels import KernelAnalysis, TruncationParams
+from .packed import PackedOperator, PackedSpace, assemble
 
 
 def build_engine(analysis: KernelAnalysis, trunc: TruncationParams) -> PackedOperator:
