@@ -18,10 +18,12 @@ import numpy as np
 
 from .errors import ConfigError, as_number, as_numbers, as_string, require, write_json
 from .kernels import KernelAnalysis, TransitionKernel, TruncationParams, validate_kernel
-from .lattice import TorusGeometry, block_density, sample_product_measure, state_codes
+from .lattice import (TorusGeometry, block_density, sample_product_measure, site_probabilities,
+                      state_codes)
 from .pde import DensityField, DiffusionTable, SolveReport, check_safety, solve_to_time
 from .profiles import Profile, validate_profile
-from .simulate import RngStream, check_replica_ledgers, evolve, evolve_replicas
+from .simulate import (RngStream, check_replica_ledgers, evolve, evolve_replicas,
+                       wavefront_window)
 
 SCHEMA_VERSION = 1
 
@@ -294,13 +296,13 @@ def pde_through(fld: DensityField, table: DiffusionTable, times, safety: float):
         yield t, fld, {"t": t, **asdict(solve)}
 
 
-def replica_trajectory(geom: TorusGeometry, profile: Profile, kernel: TransitionKernel,
-                       times, rng):
+def replica_trajectory(geom: TorusGeometry, profile, kernel: TransitionKernel, times, rng):
     """One replica: sample the initial state, then evolve through the times.
 
-    Yields (t, configuration, ledger) at every observation time t.  Every
-    span is checked by its ledger: continuity against the bond counts and
-    a kept particle count.  The random draws depend only on `rng` and the
+    `profile` is any input of `site_probabilities`.  Yields (t,
+    configuration, ledger) at every observation time t.  Every span is
+    checked by its ledger: continuity against the bond counts and a kept
+    particle count.  The random draws depend only on `rng` and the
     arguments.
     """
     n = geom.side
@@ -312,8 +314,11 @@ def replica_trajectory(geom: TorusGeometry, profile: Profile, kernel: Transition
         yield t, config, ledger
 
 
-def _replica_job(cfg: ExperimentConfig, size_index: int, replica: int):
+def _replica_job(cfg: ExperimentConfig, size_index: int, replica: int, probs: np.ndarray):
     """Block fields of one replica trajectory at every observation time.
+
+    `probs` holds the initial profile's per-site probabilities on the
+    size's torus, which every replica of the size shares.
 
     Returns ({t: block field}, simulation record).  The record sums, over
     the spans, the expected events n_sites T, the drawn events, the executed
@@ -328,8 +333,7 @@ def _replica_job(cfg: ExperimentConfig, size_index: int, replica: int):
     record = {"expected_events": 0.0, "events": 0, "jumps": 0, "rounds": 0,
               "seconds": 0.0}
     start = time.perf_counter()
-    for t, config, ledger in replica_trajectory(geom, cfg.build_profile(), cfg.kernel,
-                                                cfg.times, rng):
+    for t, config, ledger in replica_trajectory(geom, probs, cfg.kernel, cfg.times, rng):
         record["seconds"] += time.perf_counter() - start
         record["expected_events"] += geom.n_sites * ledger.elapsed
         record["events"] += ledger.events
@@ -344,21 +348,26 @@ def replica_results(cfg: ExperimentConfig, size_index: int) -> tuple[list, dict]
     """`_replica_job` of every replica of one torus size.
 
     Returns the replicas' field maps in replica order and the size's
-    simulation record (its replicas' records summed).  With `threads > 1`
-    the replicas run in a process pool; the results are still read back in
-    replica order, so the output does not depend on it.
+    simulation record: its replicas' records summed, plus the wavefront
+    window of the size's torus.  The initial profile is evaluated here, once
+    per size.  With `threads > 1` the replicas run in a process pool; the
+    results are still read back in replica order, so the output does not
+    depend on it.
     """
+    geom = TorusGeometry(cfg.dimension, cfg.torus_sizes[size_index])
+    probs = site_probabilities(geom, cfg.build_profile())
     if cfg.threads > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
-            futures = [pool.submit(_replica_job, cfg, size_index, r)
+            futures = [pool.submit(_replica_job, cfg, size_index, r, probs)
                        for r in range(cfg.replicas)]
             results = [f.result() for f in futures]
     else:
-        results = [_replica_job(cfg, size_index, r) for r in range(cfg.replicas)]
+        results = [_replica_job(cfg, size_index, r, probs) for r in range(cfg.replicas)]
     records = [rec for _, rec in results]
-    record = {"N": cfg.torus_sizes[size_index], "replicas": len(records),
+    record = {"N": geom.side, "replicas": len(records),
+              "window": wavefront_window(geom.n_sites),
               **{key: sum(rec[key] for rec in records) for key in records[0]}}
     return [fields for fields, _ in results], record
 

@@ -89,11 +89,11 @@ class Configuration:
         return code
 
 
-def sample_product_measure(geometry: TorusGeometry, profile, rng) -> Configuration:
-    """Independent site occupancies; site x occupied with probability rho(x/N).
+def site_probabilities(geometry: TorusGeometry, profile) -> np.ndarray:
+    """Flat per-site probabilities rho(x/N), checked to lie in [0, 1].
 
-    `profile` is a constant in [0, 1], a flat array of per-site probabilities,
-    or an object with `values_at(points)` evaluating on [0,1)^d points.
+    `profile` is a constant, a flat array of per-site probabilities, or an
+    object with `values_at(points)` evaluating on [0,1)^d points.
     """
     n = geometry.n_sites
     if np.isscalar(profile):
@@ -107,7 +107,16 @@ def sample_product_measure(geometry: TorusGeometry, profile, rng) -> Configurati
             raise ConfigError("profile grid incompatible with torus size")
     if probs.min() < 0.0 or probs.max() > 1.0:
         raise ConfigError("profile values must lie in [0, 1]")
-    occ = (rng.random(n) < probs).astype(np.uint8)
+    return probs
+
+
+def sample_product_measure(geometry: TorusGeometry, profile, rng) -> Configuration:
+    """Independent site occupancies; site x occupied with probability rho(x/N).
+
+    `profile` is any input of `site_probabilities`.
+    """
+    probs = site_probabilities(geometry, profile)
+    occ = (rng.random(geometry.n_sites) < probs).astype(np.uint8)
     return Configuration(geometry, occ)
 
 

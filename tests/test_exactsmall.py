@@ -104,6 +104,7 @@ def test_wavefront_matches_exact_law(monkeypatch, window, short, duration):
     monkeypatch.setattr(simulate, "_WINDOW", window)
     monkeypatch.setattr(simulate, "_SHORT", short)
     geom = TorusGeometry(2, 3)
+    assert simulate.wavefront_window(geom.n_sites) == window
     occ = np.zeros(geom.n_sites, dtype=np.uint8)
     occ[[0, 1, 3]] = 1
     start = Configuration(geom, occ)

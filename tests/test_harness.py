@@ -13,6 +13,7 @@ from torusgas.errors import ConfigError
 from torusgas.harness import (ExperimentConfig, _load_or_compute_table, _replica_job,
                               compare_fields, emit_outputs, pde_at_sites, replica_stream,
                               run_experiment)
+from torusgas.lattice import TorusGeometry, site_probabilities
 from torusgas.packed import TruncationParams
 from torusgas.simulate import RngStream
 from torusgas.pde import DensityField, DiffusionTable, solve_to_time
@@ -516,7 +517,8 @@ def test_run_meta_records_simulation_per_size(tmp_path):
     # the records are the sums of the replicas' own records
     cfg = ExperimentConfig.from_dict(base_config(torus_sizes=[4, 6], replicas=3,
                                                  times=[0.05, 0.1]))
-    records = [_replica_job(cfg, 1, r)[1] for r in range(3)]
+    probs = site_probabilities(TorusGeometry(2, 6), cfg.build_profile())
+    records = [_replica_job(cfg, 1, r, probs)[1] for r in range(3)]
     for key in _COUNTS:
         assert metas[0][1][key] == sum(rec[key] for rec in records)
 
@@ -533,6 +535,19 @@ def test_simulate_command_writes_run_meta(tmp_path):
     assert rec["expected_events"] == pytest.approx(2 * 0.05 * 4 ** 4)
 
 
+def test_run_meta_records_the_wavefront_window(tmp_path):
+    # each size's record names the window its trajectories ran in: the
+    # smallest on the 4 x 4 torus, half the sites on the 48 x 48 one
+    data = base_config(output_dir=str(tmp_path / "sim"), torus_sizes=[4, 48],
+                       replicas=1, times=[0.01], formats=["csv"])
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(data))
+    assert cli_main(["simulate", "--config", str(cfg_path)]) == 0
+    small, big = json.loads((tmp_path / "sim" / "run_meta.json").read_text())["simulate"]
+    assert small["window"] == 1024 and big["window"] == 48 * 48 // 2
+    assert big["rounds"] >= big["events"] / big["window"]
+
+
 def test_simulate_writes_the_replica_job_fields(tmp_path):
     # `torusgas simulate` and the comparison ensemble run the same replica
     # loop on the same substreams
@@ -543,8 +558,9 @@ def test_simulate_writes_the_replica_job_fields(tmp_path):
     assert cli_main(["simulate", "--config", str(cfg_path)]) == 0
     cfg = pickle.loads(pickle.dumps(ExperimentConfig.from_dict(data)))
     for size_index, n in enumerate(cfg.torus_sizes):
+        probs = site_probabilities(TorusGeometry(cfg.dimension, n), cfg.build_profile())
         for r in range(cfg.replicas):
-            fields, _ = _replica_job(cfg, size_index, r)
+            fields, _ = _replica_job(cfg, size_index, r, probs)
             assert list(fields) == cfg.times
             for t, blocks in fields.items():
                 written = np.load(tmp_path / "sim" / f"blocks_N{n}_t{t}_r{r}.npy")

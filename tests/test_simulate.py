@@ -194,6 +194,9 @@ _REPLAY_CASES = {
     "many": (TorusGeometry(2, 16), TransitionKernel(
         2, np.array([[1, 0], [-1, 0], [0, 1], [0, -1]]),
         np.array([0.4, 0.2, 0.3, 0.1])), 0.3, 300.0, 65537, 10 ** 6),
+    # the acceptance kernel on a half-filled 16^3 torus, whose window is sized
+    # above `_WINDOW`, over more than one draw chunk
+    "d3-16-half": (TorusGeometry(3, 16), D3_KERNEL, 0.5, 20.0, 65537, 10 ** 6),
 }
 
 
@@ -215,17 +218,54 @@ def test_wavefronts_equal_the_one_by_one_replay(case):
     assert rng_a.integers(0, 2 ** 62) == rng_b.integers(0, 2 ** 62)
 
 
+def test_bench_scale_torus_runs_the_sized_window():
+    # the 16^3 replay case runs windows of 2048 events: fewer rounds than
+    # windows of `_WINDOW` events could take
+    geom, kernel, fill, duration, _, _ = _REPLAY_CASES["d3-16-half"]
+    window = simulate.wavefront_window(geom.n_sites)
+    assert window == 2048 > simulate._WINDOW
+    _, ledger = evolve(_occupancy(geom, fill), kernel, duration,
+                       RngStream(404, 1).generator())
+    assert ledger.events > simulate._DRAW
+    assert ledger.events / window <= ledger.rounds < ledger.events / simulate._WINDOW
+
+
+@pytest.mark.parametrize("side, dimension, window", [(3, 2, 1024), (8, 3, 1024),
+                                                     (16, 3, 2048), (24, 3, 6912),
+                                                     (32, 3, 8192), (64, 3, 8192)])
+def test_window_is_sized_to_the_torus(side, dimension, window):
+    # half the sites, clipped to [_WINDOW, _WINDOW_MAX]
+    assert simulate.wavefront_window(TorusGeometry(dimension, side).n_sites) == window
+
+
+def test_offset_index_is_the_binary_search():
+    rng = np.random.default_rng(17)
+    # 1, 4 and 6 offsets, and more offsets than a byte can count
+    for weights in ([1.0], [0.4, 0.2, 0.3, 0.1], D3_KERNEL.weights, np.full(300, 1 / 300)):
+        cumw = np.cumsum(weights)
+        cumw[-1] = 1.0
+        # random draws, every node below the top (the draws lie in [0, 1))
+        # and the largest draw below 1
+        for u in (rng.random(10000), cumw[:-1], np.array([np.nextafter(1.0, 0.0)])):
+            assert np.array_equal(simulate.offset_index(cumw, u),
+                                  np.searchsorted(cumw, u, side="right"))
+
+
 @pytest.mark.parametrize("window, short", [(1, 0), (2, 0), (7, 0), (64, 0), (1024, 0),
                                            (4096, 32)])
 def test_trajectory_does_not_depend_on_the_window(monkeypatch, window, short):
     geom, kernel, fill, duration, _, _ = _REPLAY_CASES["d3-asym"]
     config = _occupancy(geom, fill)
     want, want_ledger = evolve(config, kernel, duration, RngStream(9).generator())
+    # equal bounds force the window whatever the torus size
     monkeypatch.setattr(simulate, "_WINDOW", window)
+    monkeypatch.setattr(simulate, "_WINDOW_MAX", window)
     monkeypatch.setattr(simulate, "_SHORT", short)
+    assert simulate.wavefront_window(geom.n_sites) == window
     got, ledger = evolve(config, kernel, duration, RngStream(9).generator())
     assert np.array_equal(got.occupancy, want.occupancy)
     assert np.array_equal(ledger.counts, want_ledger.counts)
     assert ledger.events == want_ledger.events
+    assert ledger.rounds >= ledger.events / window
     if window == 1:
         assert ledger.rounds == ledger.events
