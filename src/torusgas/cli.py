@@ -125,7 +125,7 @@ def cmd_diffusion(args) -> int:
 
 def cmd_pde(args) -> int:
     cfg = _load(args)
-    profile = cfg.build_profile()
+    profile = cfg.checked_profile()
     table = _load_or_compute_table(cfg)
     out = make_output_dir(cfg.output_dir)
     for t, fld, _ in pde_through(DensityField.from_profile(profile, cfg.pde_resolution),

@@ -20,8 +20,9 @@ from .errors import ConfigError, as_number, as_numbers, as_string, require, writ
 from .kernels import KernelAnalysis, TransitionKernel, TruncationParams, validate_kernel
 from .lattice import (TorusGeometry, block_density, sample_product_measure, site_probabilities,
                       state_codes)
-from .pde import DensityField, DiffusionTable, SolveReport, check_safety, solve_to_time
-from .profiles import Profile, validate_profile
+from .pde import (SAFETY, DensityField, DiffusionTable, SolveReport, check_safety,
+                  solve_to_time)
+from .profiles import DRIFT_TOL, Profile, validate_profile
 from .simulate import (RngStream, check_replica_ledgers, evolve, evolve_replicas,
                        wavefront_window)
 
@@ -197,13 +198,13 @@ class ExperimentConfig:
                 "alpha_grid", [round(0.1 * i, 10) for i in range(1, 10)]), "alpha_grid"),
             truncation=trunc,
             pde_resolution=as_number(int, pde.get("resolution", 64), "pde.resolution"),
-            pde_safety=as_number(float, pde.get("safety", 0.9), "pde.safety"),
+            pde_safety=as_number(float, pde.get("safety", SAFETY), "pde.safety"),
             diffusion_table_path=(None if table_path is None
                                   else as_string(table_path, "diffusion_table")),
             output_dir=as_string(data.get("output_dir", "out"), "output_dir"),
             formats=data.get("formats", ["json", "csv"]),
             threads=as_number(int, data.get("threads", 1), "threads"),
-            drift_tol=as_number(float, data.get("drift_tol", 1e-10), "drift_tol"),
+            drift_tol=as_number(float, data.get("drift_tol", DRIFT_TOL), "drift_tol"),
             exact=dict(exact),
             label=str(data.get("label", "experiment")),
         )

@@ -66,7 +66,9 @@ over to the orbit basis, whose weights are again 1 / (n + 1).  The
 on-diagonal occupation coefficients keep their full lattice sums, so both
 identities hold on the truncation exactly.  The operator at any density is
 two sparse matvecs plus a diagonal, with the density entering only through
-scalar coefficients, so one assembly serves a whole density grid.
+scalar coefficients, so one assembly serves a whole density grid.  So does
+the stack of dual currents, one orbit vector per direction, which
+`assemble` builds once per engine.
 """
 
 from __future__ import annotations
@@ -248,18 +250,6 @@ class PackedSpace:
         """Degree-weighted inner product; equals that of the lifted vectors."""
         return float(np.sum(self.weight * x * y))
 
-    def current_vector(self, analysis: KernelAnalysis, direction: int) -> np.ndarray:
-        """Class coordinates of the dual current -2 z_i a(z) on the sets {z}."""
-        x = np.zeros(self.size)
-        for z, a in zip(analysis.sym_offsets, analysis.asym_weights):
-            if a == 0.0:
-                continue
-            k = self.index_of_subset((z,))
-            if k < 0:
-                raise ConfigError("kernel range exceeds truncation radius")
-            x[k] += -2.0 * float(z[direction]) * float(a) * (1.0 / np.sqrt(2.0))
-        return x
-
 
 class OrbitSpace:
     """The orbits of the translation classes under a kernel's point group.
@@ -297,18 +287,6 @@ class OrbitSpace:
         self.weight = classes.weight[self.rep]
 
     dot = PackedSpace.dot
-
-    def index_of_subset(self, A) -> int:
-        """Orbit index of a subset; -1 outside the truncated space."""
-        k = self.classes.index_of_subset(A)
-        return int(self.orbit[k]) if k >= 0 else -1
-
-    def current_vector(self, analysis: KernelAnalysis, direction: int) -> np.ndarray:
-        """Orbit coordinates of the dual current: its class coordinates summed
-        over each orbit, over sqrt(orbit size)."""
-        x = self.classes.current_vector(analysis, direction)
-        return np.bincount(self.orbit, weights=x, minlength=self.size) / np.sqrt(
-            self.orbit_size)
 
 
 def _generators(group: np.ndarray) -> list:
@@ -353,6 +331,7 @@ class PackedOperator:
     diag_even: np.ndarray
     updown: sp.csr_matrix    # degree-changing arrows (shared density scalar)
     clip_weight: np.ndarray  # per-orbit clipped-arrow weight, see clipped_outflow
+    currents: np.ndarray     # (d, orbits): the dual current of each direction
 
     def __post_init__(self):
         self._buf = np.empty_like(self.keep.data)
@@ -432,7 +411,11 @@ def assemble(space: PackedSpace, analysis: KernelAnalysis) -> PackedOperator:
     """Build the orbit-level arrow matrices for a kernel on an enumerated space.
 
     The engine's `space` is the `OrbitSpace` of `space` under the kernel's
-    point group; rows are read from the orbit representatives only.
+    point group; rows are read from the orbit representatives only.  The
+    dual currents -2 z_i a(z) on the singletons {z} are built here once, as
+    the engine's `currents`: class coordinates, summed over each orbit and
+    divided by the square root of its size.  `check_kernel` puts every
+    singleton of the kernel's support inside the space.
     """
     trunc = space.trunc
     trunc.check_kernel(analysis)
@@ -544,7 +527,15 @@ def assemble(space: PackedSpace, analysis: KernelAnalysis) -> PackedOperator:
                          shape=(size, size))
     updown = (up + down).tocsr()
 
+    class_currents = np.zeros((analysis.dimension, space.size))
+    for z, a in zip(offsets, avals):
+        if a != 0.0:
+            k = space.index_of_subset((z,))
+            class_currents[:, k] += -2.0 * z * a * (1.0 / np.sqrt(2.0))
+    currents = np.stack([np.bincount(orbit, weights=x, minlength=size)
+                         for x in class_currents]) / np.sqrt(orbit_size)
+
     # clipped mass in the degree-weighted norm of the lift:
     # f(A)^2 = x_O^2 / ((n + 1) |O|) on each of the |O| (n + 1) sets of O
     return PackedOperator(orbits, analysis, keep, odd, diag_even, updown,
-                          clip_weight * orbits.weight)
+                          clip_weight * orbits.weight, currents)

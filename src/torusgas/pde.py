@@ -1,12 +1,15 @@
 """Conservative explicit solver for the limiting nonlinear diffusion equation.
 
 The density field lives on a uniform periodic grid over [0,1)^d and evolves
-by d_t rho = sum_ij d_i(a_ij(rho) d_j rho).  Fluxes sit on cell faces with
-the coefficient matrix evaluated at the arithmetic face average, so constant
-fields are exact fixed points and total mass telescopes to rounding error.
-Densities leaving [0, 1] raise instead of being clamped: under the maximum
-principle that only happens when the scheme or the coefficient table is
-broken.
+by d_t rho = sum_ij d_i(a_ij(rho) d_j rho), with no forcing term.  Fluxes
+sit on cell faces with the coefficient matrix evaluated at the arithmetic
+face average, so constant fields are exact fixed points and total mass
+telescopes to rounding error.  The coefficient table has at least two
+density nodes and must cover the initial field's range.  Every solve
+monitors mass conservation and the discrete maximum principle, which keeps
+each field inside the initial range, hence inside the table's.  Densities
+leaving [0, 1] raise instead of being clamped: under the maximum principle
+that only happens when the scheme or the coefficient table is broken.
 
 The scheme keeps an exactly constant axis exactly constant: the face
 average there is 0.5 * (v + v) == v and every difference along it is 0.
@@ -28,6 +31,7 @@ from .errors import ConfigError, InvariantViolation, as_number, require, write_j
 from .profiles import _interp_periodic
 
 DENSE_NODES = 4097  # nodes of the uniform lookup grid a DiffusionTable resamples onto
+SAFETY = 0.9  # default `pde.safety`: the step is this fraction of the stability limit
 
 
 @dataclass
@@ -149,9 +153,10 @@ class DiffusionTable:
 
     Monotone-cubic interpolation per entry (`_pchip`, scipy's PCHIP bit for
     bit), resampled onto a dense uniform grid for fast lookup inside the
-    solver; symmetrized with the asymmetry recorded.  `floor_matrix`, when
-    given (half the jump covariance), is checked to stay below the table in
-    the matrix order at every node.
+    solver; symmetrized with the asymmetry recorded.  A table needs at least
+    two density nodes.  `floor_matrix`, when given (half the jump
+    covariance), is checked to stay below the table in the matrix order at
+    every node.
     """
 
     def __init__(self, alphas, matrices, floor_matrix=None):
@@ -159,6 +164,9 @@ class DiffusionTable:
         matrices = np.asarray(matrices, dtype=np.float64)
         if matrices.ndim != 3 or matrices.shape[0] != len(alphas):
             raise ConfigError("need one matrix per density node")
+        if len(alphas) < 2:
+            raise ConfigError(f"a coefficient table needs at least two density nodes, "
+                              f"got {len(alphas)}")
         order = np.argsort(alphas)
         self.alphas = alphas[order]
         mats = matrices[order]
@@ -174,19 +182,10 @@ class DiffusionTable:
                     raise ConfigError(
                         f"coefficient table dips below the mobility floor at "
                         f"density {beta:g} by {-gap:g}")
-        if len(self.alphas) >= 2:
-            self._grid = np.linspace(self.alphas[0], self.alphas[-1], DENSE_NODES)
-            self._dense = np.ascontiguousarray(
-                _pchip(self.alphas, mats, self._grid).transpose(1, 2, 0))
-        else:
-            self._grid = self.alphas
-            self._dense = mats.transpose(1, 2, 0)
+        self._grid = np.linspace(self.alphas[0], self.alphas[-1], DENSE_NODES)
+        self._dense = np.ascontiguousarray(
+            _pchip(self.alphas, mats, self._grid).transpose(1, 2, 0))
         self._zero_entry = np.all(self._dense == 0.0, axis=2)
-
-    @classmethod
-    def constant(cls, matrix) -> "DiffusionTable":
-        matrix = np.asarray(matrix, dtype=np.float64)
-        return cls(np.array([0.0, 1.0]), np.stack([matrix, matrix]))
 
     @classmethod
     def from_callable(cls, func, dimension: int, nodes: int = 401,
@@ -274,8 +273,7 @@ def _face_gradients(values: np.ndarray, axis: int, h: float) -> dict:
     return grads
 
 
-def pde_step(field: DensityField, table: DiffusionTable, dt: float,
-             source=None, t: float = 0.0) -> DensityField:
+def pde_step(field: DensityField, table: DiffusionTable, dt: float) -> DensityField:
     """One conservative explicit step of size dt.
 
     dt is not checked here: `solve_to_time` keeps it within `stability_limit`.
@@ -294,8 +292,6 @@ def pde_step(field: DensityField, table: DiffusionTable, dt: float,
             flux += table.entry(i, j, face_rho) * grads[j]
         divergence += (flux - np.roll(flux, 1, axis=i)) / h
     new_values = values + dt * divergence
-    if source is not None:
-        new_values = new_values + dt * source(t, field)
     if new_values.min() < 0.0 or new_values.max() > 1.0:
         raise InvariantViolation("density left [0, 1]; scheme or table defect")
     return DensityField(new_values, field.resolution)
@@ -321,19 +317,18 @@ def check_safety(safety: float):
 
 
 def solve_to_time(field: DensityField, table: DiffusionTable, t_final: float,
-                  safety: float = 0.9, source=None,
+                  safety: float = SAFETY,
                   report: SolveReport | None = None) -> DensityField:
     """Advance to t_final with automatic steps.
 
     The step is chosen once per call, as `safety` times the stability limit
-    over the initial field's range.  Without a source, tracks mass
-    conservation and the discrete maximum principle along the run and raises
-    when either drifts beyond tolerance (1e-10 relative mass, 1e-12 range
-    overshoot); the maximum principle keeps every later field inside the
-    initial range, so the step stays stable.  A source may push the field
-    out of that range: then only the [0, 1] check of each step guards it,
-    and densities beyond the table's nodes read its end values.  An initial
-    field outside the table's density range is a `ConfigError`.
+    over the initial field's range.  Every run tracks mass conservation and
+    the discrete maximum principle and raises when either drifts beyond
+    tolerance (1e-10 relative mass, 1e-12 range overshoot); the maximum
+    principle keeps every later field inside the initial range, so the step
+    stays stable.  An initial field outside the table's density range is a
+    `ConfigError`.  `report`, when given, receives every field of
+    `SolveReport`, also for t_final = 0 (no step).
     """
     if t_final < 0:
         raise ConfigError("final time must be nonnegative")
@@ -344,8 +339,6 @@ def solve_to_time(field: DensityField, table: DiffusionTable, t_final: float,
     if not table.alphas[0] <= lo0 <= hi0 <= table.alphas[-1]:  # also raises for nan
         raise ConfigError(f"densities [{lo0:g}, {hi0:g}] leave the coefficient table's "
                           f"range [{table.alphas[0]:g}, {table.alphas[-1]:g}]")
-    if t_final == 0.0:
-        return current
     mass0 = current.mass()
     limit = stability_limit(current, table)
     dt = safety * limit
@@ -353,27 +346,24 @@ def solve_to_time(field: DensityField, table: DiffusionTable, t_final: float,
         dt = t_final
     t = 0.0
     steps = 0
+    overshoot = 0.0
     while t < t_final:
         step = min(dt, t_final - t)
-        current = pde_step(current, table, step, source=source, t=t)
+        current = pde_step(current, table, step)
         t += step
         steps += 1
-        if source is None:
-            overshoot = max(lo0 - current.values.min(), current.values.max() - hi0)
-            if overshoot > 1e-12:
-                raise InvariantViolation(f"maximum principle violated by {overshoot:g}")
-    if source is None:
-        drift = abs(current.mass() - mass0) / max(abs(mass0), 1e-300)
-        if drift > 1e-10:
-            raise InvariantViolation(f"mass drifted by {drift:g}")
-        if report is not None:
-            report.mass_drift = drift
-            report.max_overshoot = max(lo0 - current.values.min(),
-                                       current.values.max() - hi0)
+        overshoot = max(lo0 - current.values.min(), current.values.max() - hi0)
+        if overshoot > 1e-12:
+            raise InvariantViolation(f"maximum principle violated by {overshoot:g}")
+    drift = abs(current.mass() - mass0) / max(abs(mass0), 1e-300)
+    if drift > 1e-10:
+        raise InvariantViolation(f"mass drifted by {drift:g}")
     if report is not None:
         report.steps = steps
         report.dt = float(dt)
         report.stability_limit = float(limit)
         report.shape = current.values.shape
+        report.mass_drift = drift
+        report.max_overshoot = overshoot
         report.seconds = time.perf_counter() - start
     return current

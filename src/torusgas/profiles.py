@@ -19,6 +19,7 @@ from .errors import ConfigError, as_number, as_string, require
 
 # side of the evaluation grid `validate_profile` checks a profile on
 CHECK_RESOLUTION = 64
+DRIFT_TOL = 1e-10  # default `drift_tol`: largest |q . grad rho| a profile may have
 
 
 @dataclass
@@ -133,7 +134,8 @@ def load_profile_csv(path, dimension: int) -> np.ndarray:
     return values.reshape((m,) * dimension)
 
 
-def validate_profile(profile: Profile, drift, delta0: float, tol: float = 1e-10) -> dict:
+def validate_profile(profile: Profile, drift, delta0: float,
+                     tol: float = DRIFT_TOL) -> dict:
     """Drift-constancy and boundedness diagnostics on the CHECK_RESOLUTION^d grid.
 
     Reports max |q . grad rho| (centred differences) and the distance of the

@@ -53,7 +53,7 @@ def resolvent_solve(engine: PackedOperator, alpha: float, shift: float,
     if shift <= 0.0:
         raise ConfigError("resolvent shift must be positive")
     space = engine.space
-    b = space.current_vector(engine.analysis, direction)
+    b = engine.currents[direction]
     tol = space.trunc.solver_tol
     if not np.any(b):
         zero = np.zeros(space.size)
@@ -179,7 +179,7 @@ def residual_triple_norm(engine: PackedOperator, alpha: float, direction: int,
     left over: the diffusion row minus the row that h reads off.
     """
     chi = alpha * (1.0 - alpha)
-    b = engine.space.current_vector(engine.analysis, direction)
+    b = engine.currents[direction]
     high = chi * chi * h_minus_one_sq(engine, b + engine.apply_full(h, alpha), reg)
     low = degree_one_seminorm(chi * np.asarray(leftover), alpha, engine.analysis.covariance)
     return {"degree_two_plus": high, "degree_one": low["value"],
@@ -330,7 +330,6 @@ def compute_diffusion(analysis: KernelAnalysis, alphas, trunc: TruncationParams,
     if stages is None:
         stages = {}
 
-    currents = np.array([space.current_vector(analysis, j) for j in range(d)])
     for alpha in alphas:
         alpha = float(alpha)
         chi = alpha * (1.0 - alpha)
@@ -357,7 +356,7 @@ def compute_diffusion(analysis: KernelAnalysis, alphas, trunc: TruncationParams,
             x_prev = X
             H = grams[lam] = dirichlet_gram(engine, X)
             energy[lam] = [float(lam * space.dot(X[i], X[i]) + H[i, i]) for i in range(d)]
-            dm_per_shift[lam] = alpha * sigma + chi * ((X * space.weight) @ currents.T)
+            dm_per_shift[lam] = alpha * sigma + chi * ((X * space.weight) @ engine.currents.T)
         dmat, spread[alpha] = extrapolate_to_zero(
             shifts, [dm_per_shift[lam] for lam in shifts])
         diffusion[alpha] = dmat

@@ -132,10 +132,6 @@ class CurrentLedger:
         counts = np.zeros((geometry.n_sites, len(kernel.offsets)), dtype=np.int64)
         return cls(geometry, kernel.offsets.copy(), counts)
 
-    def net_site_change(self) -> np.ndarray:
-        """Inflow minus outflow per site, as exact integers."""
-        return net_site_change(self.geometry, self.offsets, self.counts)
-
     def check_continuity(self, before: Configuration, after: Configuration):
         """The span's checks of `check_replica_ledgers`, on one replica."""
         check_replica_ledgers(self.geometry, self.offsets, before.occupancy[None],

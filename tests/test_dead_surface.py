@@ -2,11 +2,16 @@
 
 The scan is by name over the syntax trees of `src/torusgas` and
 `perfbench`: a definition counts as used when its name is read somewhere
-outside its own body.  Reads inside definitions that are themselves unused
-do not count, so a helper that only dead code calls is flagged with it.  An
-attribute of a module bound by a plain `import` of another package
-(`np.empty`, `json.dump`) is that module's, so it is not a read of a
-same-named src definition.  In `src` a read is a name or an attribute.
+outside its own body by a read that can reach it.  A bare name reaches the
+module-level definitions and those nested in its enclosing functions, not
+methods; `self.x` and `cls.x` inside class C, and `C.x` for a class C,
+reach only C's own members; any other attribute reaches every definition
+of its name.  So a test-only method cannot hide behind a production
+function or method of the same name.  Reads inside definitions that are
+themselves unused do not count, so a helper that only dead code calls is
+flagged with it.  An attribute of a module bound by a plain `import` of
+another package (`np.empty`, `json.dump`) is that module's, so it is not a
+read of a same-named src definition.  In `src` a read is a name or an attribute.
 `perfbench` reaches the package only through its modules, so there a read
 is an attribute, or the attribute name its tracer patches by string (the
 second argument of a `_patch_function`/`_patch_method` call); its own local
@@ -23,7 +28,7 @@ ROOT = Path(__file__).resolve().parents[1]
 # check production outputs.
 TEST_SURFACE = (
     ("pde.DiffusionTable.from_callable",
-     "builds the analytic coefficient tables of the criterion-8 PDE checks"),
+     "builds the analytic and constant coefficient tables of the PDE checks"),
     ("resolvent.DiffusionResult.symmetry_gap",
      "criterion 1 reads the asymmetry of the computed diffusion matrices"),
     ("kernels.ssep", "symmetric reference kernel of the simulation and dual tests"),
@@ -36,38 +41,56 @@ TEST_SURFACE = (
 
 
 _PATCHERS = {"_patch_function", "_patch_method"}
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
-def _scan(path: Path, bench: bool, defs: list, reads: list):
-    """Append (name, qualified name, key) of definitions and (name, enclosing keys) of reads.
+def _scan(path: Path, bench: bool, defs: list, reads: list, classes: dict) -> list:
+    """Append the definitions and name reads of one file; return its attribute reads.
 
-    `bench` selects the perfbench rule: attributes and patched names only.
+    A definition is (name, qualified name, key, owner), the owner being the
+    key of the enclosing class or function, None at module level.  A read is
+    (name, enclosing keys, owners it can reach), None for every owner.  An
+    attribute read is (name, enclosing keys, name of its base or None, key
+    of the innermost enclosing class or None); it is resolved once
+    `classes`, class name -> keys, holds every file's classes.  `bench`
+    selects the perfbench rule: attributes and patched names only.
     """
     tree = ast.parse(path.read_text())
     foreign = {alias.asname or alias.name.split(".")[0]
                for node in ast.walk(tree) if isinstance(node, ast.Import)
                for alias in node.names if alias.name.split(".")[0] != "torusgas"}
+    attr_reads = []
 
-    def visit(node, enclosing, qual):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+    def visit(node, enclosing, qual, owner, scope, in_class):
+        # scope: the owners a bare name reaches (module level and the
+        # enclosing functions)
+        if isinstance(node, (*_FUNCTIONS, ast.ClassDef)):
             qual = qual + (node.name,)
             key = (path, node.lineno, node.col_offset)
-            defs.append((node.name, f"{path.stem}." + ".".join(qual), key))
+            defs.append((node.name, f"{path.stem}." + ".".join(qual), key, owner))
             enclosing = enclosing | {key}
+            owner = key
+            if isinstance(node, _FUNCTIONS):
+                scope = scope | {key}
+            else:
+                in_class = key
+                classes.setdefault(node.name, set()).add(key)
         elif isinstance(node, ast.Name):
             if not bench:
-                reads.append((node.id, enclosing))
+                reads.append((node.id, enclosing, scope))
         elif isinstance(node, ast.Attribute):
-            if not (isinstance(node.value, ast.Name) and node.value.id in foreign):
-                reads.append((node.attr, enclosing))
+            base = node.value.id if isinstance(node.value, ast.Name) else None
+            if base not in foreign:
+                attr_reads.append((node.attr, enclosing, base, in_class))
         elif (bench and isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
               and node.func.attr in _PATCHERS and len(node.args) >= 2
               and isinstance(node.args[1], ast.Constant)):
-            reads.append((node.args[1].value, enclosing))
+            reads.append((node.args[1].value, enclosing, None))
         for child in ast.iter_child_nodes(node):
-            visit(child, enclosing, qual)
+            visit(child, enclosing, qual, owner, scope, in_class)
 
-    visit(tree, frozenset(), ())
+    visit(tree, frozenset(), (), None, frozenset({None}), None)
+    return attr_reads
 
 
 def unused_definitions(exempt=()) -> list:
@@ -75,24 +98,31 @@ def unused_definitions(exempt=()) -> list:
 
     `exempt` names count as used, so their bodies keep their callees alive.
     """
-    defs, reads, bench_defs = [], [], []
+    defs, reads, bench_defs, classes, attr_reads = [], [], [], {}, []
     for path in sorted((ROOT / "src" / "torusgas").glob("*.py")):
-        _scan(path, False, defs, reads)
+        attr_reads += _scan(path, False, defs, reads, classes)
     for path in sorted((ROOT / "perfbench").glob("*.py")):
-        _scan(path, True, bench_defs, reads)
+        attr_reads += _scan(path, True, bench_defs, reads, classes)
+    for name, where, base, in_class in attr_reads:
+        if base in ("self", "cls") and in_class is not None:
+            reads.append((name, where, {in_class}))
+        else:
+            reads.append((name, where, classes.get(base)))  # C.x, or any owner
     readers = {}
-    for name, where in reads:
-        readers.setdefault(name, []).append(where)
-    candidates = [(name, qual, key) for name, qual, key in defs
-                  if not (name.startswith("__") and name.endswith("__"))
-                  and qual not in exempt]
+    for name, where, owners in reads:
+        readers.setdefault(name, []).append((where, owners))
+    candidates = [d for d in defs
+                  if not (d[0].startswith("__") and d[0].endswith("__"))
+                  and d[1] not in exempt]
     dead = set()
     while True:
-        newly = {key for name, qual, key in candidates if key not in dead
+        newly = {key for name, qual, key, owner in candidates
+                 if key not in dead
                  and not any(key not in where and not where & dead
-                             for where in readers.get(name, ()))}
+                             and (owners is None or owner in owners)
+                             for where, owners in readers.get(name, ()))}
         if not newly:
-            return [qual for _, qual, key in candidates if key in dead]
+            return [d[1] for d in candidates if d[2] in dead]
         dead |= newly
 
 

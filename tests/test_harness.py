@@ -1,3 +1,4 @@
+import inspect
 import json
 import pickle
 import re
@@ -16,8 +17,8 @@ from torusgas.harness import (ExperimentConfig, _load_or_compute_table, _replica
 from torusgas.lattice import TorusGeometry, site_probabilities
 from torusgas.packed import TruncationParams
 from torusgas.simulate import RngStream
-from torusgas.pde import DensityField, DiffusionTable, solve_to_time
-from torusgas.profiles import Profile
+from torusgas.pde import SAFETY, DensityField, DiffusionTable, solve_to_time
+from torusgas.profiles import DRIFT_TOL, Profile, validate_profile
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -459,6 +460,15 @@ def test_truncation_defaults_live_in_truncation_params():
                                               lambda_seq=(0.2, 0.1))
 
 
+def test_pde_and_profile_defaults_have_one_owner():
+    cfg = ExperimentConfig.from_dict(base_config())
+    assert (cfg.pde_safety, cfg.drift_tol) == (SAFETY, DRIFT_TOL) == (0.9, 1e-10)
+    assert inspect.signature(solve_to_time).parameters["safety"].default is SAFETY
+    assert inspect.signature(validate_profile).parameters["tol"].default is DRIFT_TOL
+    echo = cfg.to_dict()
+    assert (echo["pde"]["safety"], echo["drift_tol"]) == (0.9, 1e-10)
+
+
 def test_config_keeps_its_validated_values():
     # the kernel analysis and the typed exact values are derived once, at
     # parse time; the serialized config keeps the values as written, and
@@ -711,6 +721,44 @@ def test_csv_profile_through_config(tmp_path):
         ExperimentConfig.from_dict(base_config(profile={"kind": "csv"}))
 
 
+_DRIFT_X = {"dimension": 2, "entries": [
+    {"offset": [1, 0], "prob": 0.5}, {"offset": [-1, 0], "prob": 0.25},
+    {"offset": [0, 1], "prob": 0.125}, {"offset": [0, -1], "prob": 0.125}]}
+
+
+@pytest.mark.parametrize("overrides, failed", [
+    ({"kernel": _DRIFT_X, "profile": dict(_COSINE, axis=0)}, "'drift_constant': False"),
+    ({"delta0": 0.4, "profile": _COSINE}, "'bounded_away': False"),
+])
+def test_every_run_checks_the_initial_profile(tmp_path, capsys, overrides, failed):
+    # `pde` solved a profile that varies along the drift, or comes closer
+    # to 0 or 1 than delta0, and exited 0 where `compare` and `simulate`
+    # exit 2; now all three refuse it before making the output directory
+    table_path = tmp_path / "table.json"
+    DiffusionTable.from_callable(lambda a: 0.25 * np.eye(2), 2, nodes=2).save_json(table_path)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(base_config(
+        output_dir=str(tmp_path / "o"), diffusion_table=str(table_path), **overrides)))
+    for command in ("pde", "compare", "simulate"):
+        assert cli_main([command, "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "initial profile fails validation" in err and failed in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_pde_command_refuses_a_one_node_table(tmp_path, capsys):
+    # a one-node table was read as a constant; it is a config error now
+    table_path = tmp_path / "table.json"
+    table_path.write_text(json.dumps({"alphas": [0.5],
+                                      "matrices": [(0.25 * np.eye(2)).tolist()]}))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(base_config(output_dir=str(tmp_path / "o"),
+                                               diffusion_table=str(table_path))))
+    assert cli_main(["pde", "--config", str(cfg_path)]) == 2
+    assert "at least two density nodes, got 1" in capsys.readouterr().err
+    assert not list((tmp_path / "o").glob("pde_t*"))
+
+
 def test_pde_command_writes_npy(tmp_path):
     table_path = tmp_path / "table.json"
     table = DiffusionTable.from_callable(lambda a: np.diag([0.1, 0.08 + 0.03 * a]), 2)
@@ -789,7 +837,7 @@ def test_compare_and_pde_on_a_stored_table_import_no_scipy(tmp_path):
     # subcommands need numpy alone, so a module-level import of a
     # scipy-backed module anywhere on their path fails this test
     table_path = tmp_path / "table.json"
-    DiffusionTable.constant(0.25 * np.eye(2)).save_json(table_path)
+    DiffusionTable.from_callable(lambda a: 0.25 * np.eye(2), 2, nodes=2).save_json(table_path)
     config_path = tmp_path / "cfg.json"
     config_path.write_text(json.dumps(base_config(
         output_dir=str(tmp_path / "o"), diffusion_table=str(table_path),

@@ -89,7 +89,7 @@ def test_operator_at_empty_set_is_zero(kernel_d2_asym):
     space = eng.space
     oracle = DenseOracle(an, trunc)
     lift = oracle.lift(space)
-    assert space.index_of_subset(()) == -1
+    assert space.classes.index_of_subset(()) == -1
     x = np.random.default_rng(12).standard_normal(space.size)
     for vec in (x, eng.apply_full(x, 0.3)):
         values = oracle.singleton_values(lift(vec))

@@ -6,8 +6,8 @@ import pytest
 import sympy
 
 from torusgas.errors import ConfigError, InvariantViolation
-from torusgas.pde import (DENSE_NODES, DensityField, DiffusionTable, SolveReport, _pchip,
-                          pde_step, solve_to_time, stability_limit)
+from torusgas.pde import (DENSE_NODES, SAFETY, DensityField, DiffusionTable, SolveReport,
+                          _pchip, pde_step, solve_to_time, stability_limit)
 from torusgas.profiles import Profile, _interp_periodic
 
 
@@ -51,6 +51,51 @@ def reference_solve(values, table, t_final, safety=0.9):
     return values
 
 
+def manufactured_errors() -> dict:
+    """Max error at t = 0.05 of the forced scheme on a manufactured solution, m = 32 and 64.
+
+    rho = 1/2 + e^-t cos(2 pi x) / 5 + e^-2t sin(2 pi y) / 10 solves the
+    equation with the table a(rho) below plus the source
+    S = d_t rho - div(a(rho) grad rho).  The solver has no forcing term, so
+    each step is one `pde_step` followed by the source's step * S(t), with
+    the step rule of `solve_to_time`: SAFETY times the initial field's
+    stability limit, the last step cut to end at t = 0.05.
+    """
+    t_s, x_s, y_s = sympy.symbols("t x y")
+    rho_s = (sympy.Rational(1, 2)
+             + sympy.Rational(1, 5) * sympy.exp(-t_s) * sympy.cos(2 * sympy.pi * x_s)
+             + sympy.Rational(1, 10) * sympy.exp(-2 * t_s) * sympy.sin(2 * sympy.pi * y_s))
+    a11 = 0.10 + 0.05 * rho_s
+    a22 = 0.08 + 0.03 * rho_s ** 2
+    a12 = 0.01 * rho_s
+    flux_x = a11 * sympy.diff(rho_s, x_s) + a12 * sympy.diff(rho_s, y_s)
+    flux_y = a12 * sympy.diff(rho_s, x_s) + a22 * sympy.diff(rho_s, y_s)
+    source_s = sympy.diff(rho_s, t_s) - (sympy.diff(flux_x, x_s)
+                                         + sympy.diff(flux_y, y_s))
+    source_fn = sympy.lambdify((t_s, x_s, y_s), source_s, "numpy")
+    rho_fn = sympy.lambdify((t_s, x_s, y_s), rho_s, "numpy")
+
+    def a_of(alpha):
+        return np.array([[0.10 + 0.05 * alpha, 0.01 * alpha],
+                         [0.01 * alpha, 0.08 + 0.03 * alpha ** 2]])
+
+    tab = DiffusionTable.from_callable(a_of, 2, nodes=401)
+    horizon = 0.05
+    errors = {}
+    for m in (32, 64):
+        xs = np.arange(m) / m
+        X, Y = np.meshgrid(xs, xs, indexing="ij")
+        fld = DensityField(rho_fn(0.0, X, Y))
+        dt = SAFETY * stability_limit(fld, tab)
+        t = 0.0
+        while t < horizon:
+            step = min(dt, horizon - t)
+            fld = DensityField(pde_step(fld, tab, step).values + step * source_fn(t, X, Y))
+            t += step
+        errors[m] = float(np.abs(fld.values - rho_fn(horizon, X, Y)).max())
+    return errors
+
+
 def table_d3():
     """A density-dependent 3x3 table with live off-diagonal entries."""
     return DiffusionTable.from_callable(
@@ -72,14 +117,14 @@ def grid_d3(m, varying):
 
 
 def test_constant_field_fixed_point():
-    tab = DiffusionTable.constant(np.diag([0.1, 0.2]))
+    tab = DiffusionTable.from_callable(lambda a: np.diag([0.1, 0.2]), 2, nodes=2)
     f0 = DensityField(np.full((16, 16), 0.37))
     f1 = solve_to_time(f0, tab, 0.1)
     assert np.abs(f1.values - 0.37).max() == 0.0
 
 
 def test_single_step_mass_exact():
-    tab = DiffusionTable.constant(np.diag([0.05, 0.08]))
+    tab = DiffusionTable.from_callable(lambda a: np.diag([0.05, 0.08]), 2, nodes=2)
     f0 = DensityField.from_profile(Profile.cosine(2, 0.5, 0.2, axis=1), 32)
     dt = 0.5 * stability_limit(f0, tab)
     f1 = pde_step(f0, tab, dt)
@@ -88,7 +133,7 @@ def test_single_step_mass_exact():
 
 def test_heat_mode_decay_rate():
     sigma_half = np.diag([0.05, 0.08])
-    tab = DiffusionTable.constant(sigma_half)
+    tab = DiffusionTable.from_callable(lambda a: sigma_half, 2, nodes=2)
     m = 64
     f0 = DensityField.from_profile(Profile.cosine(2, 0.5, 0.2, axis=1), m)
     t = 0.5
@@ -120,46 +165,20 @@ def test_maximum_principle_and_drift_invariance():
 
 
 def test_manufactured_solution_convergence_order():
-    t_s, x_s, y_s = sympy.symbols("t x y")
-    rho_s = (sympy.Rational(1, 2)
-             + sympy.Rational(1, 5) * sympy.exp(-t_s) * sympy.cos(2 * sympy.pi * x_s)
-             + sympy.Rational(1, 10) * sympy.exp(-2 * t_s) * sympy.sin(2 * sympy.pi * y_s))
-    a11 = 0.10 + 0.05 * rho_s
-    a22 = 0.08 + 0.03 * rho_s ** 2
-    a12 = 0.01 * rho_s
-    flux_x = a11 * sympy.diff(rho_s, x_s) + a12 * sympy.diff(rho_s, y_s)
-    flux_y = a12 * sympy.diff(rho_s, x_s) + a22 * sympy.diff(rho_s, y_s)
-    source_s = sympy.diff(rho_s, t_s) - (sympy.diff(flux_x, x_s)
-                                         + sympy.diff(flux_y, y_s))
-    source_fn = sympy.lambdify((t_s, x_s, y_s), source_s, "numpy")
-    rho_fn = sympy.lambdify((t_s, x_s, y_s), rho_s, "numpy")
-
-    def a_of(alpha):
-        return np.array([[0.10 + 0.05 * alpha, 0.01 * alpha],
-                         [0.01 * alpha, 0.08 + 0.03 * alpha ** 2]])
-
-    tab = DiffusionTable.from_callable(a_of, 2, nodes=401)
-    horizon = 0.05
-    errors = {}
-    for m in (32, 64):
-        xs = np.arange(m) / m
-        X, Y = np.meshgrid(xs, xs, indexing="ij")
-
-        def src(t, fld, X=X, Y=Y):
-            return source_fn(t, X, Y)
-
-        f0 = DensityField(rho_fn(0.0, X, Y))
-        f1 = solve_to_time(f0, tab, horizon, source=src)
-        errors[m] = float(np.abs(f1.values - rho_fn(horizon, X, Y)).max())
+    errors = manufactured_errors()
     ratio = errors[32] / errors[64]
     assert 3.4 <= ratio <= 4.6
 
 
 def test_time_zero_and_bad_inputs():
-    tab = DiffusionTable.constant(np.diag([0.1, 0.1]))
+    tab = DiffusionTable.from_callable(lambda a: np.diag([0.1, 0.1]), 2, nodes=2)
     f0 = DensityField.from_profile(Profile.cosine(2, 0.5, 0.2, axis=0), 16)
-    same = solve_to_time(f0, tab, 0.0)
+    rep = SolveReport()
+    same = solve_to_time(f0, tab, 0.0, report=rep)
     assert np.array_equal(same.values, f0.values)
+    # a solve that takes no step reports so, with the field it kept
+    assert (rep.steps, rep.shape, rep.mass_drift, rep.max_overshoot) == (0, (16, 1), 0.0, 0.0)
+    assert rep.stability_limit == stability_limit(f0, tab)
     with pytest.raises(ConfigError):
         solve_to_time(f0, tab, -1.0)
 
@@ -177,7 +196,7 @@ def test_step_size_is_chosen_once_per_solve(monkeypatch):
         return original(field, table)
 
     monkeypatch.setattr(pde, "stability_limit", counting)
-    tab = DiffusionTable.constant(np.diag([0.1, 0.1]))
+    tab = DiffusionTable.from_callable(lambda a: np.diag([0.1, 0.1]), 2, nodes=2)
     f0 = DensityField.from_profile(Profile.cosine(2, 0.5, 0.2, axis=0), 16)
     rep = SolveReport()
     solve_to_time(f0, tab, 0.05, report=rep)
@@ -188,15 +207,13 @@ def test_step_size_is_chosen_once_per_solve(monkeypatch):
 
 
 def test_density_leaving_unit_interval_raises():
-    tab = DiffusionTable.constant(np.diag([0.1, 0.1]))
-    f0 = DensityField(np.full((8, 8), 0.99))
-
-    def bad_source(t, fld):
-        return np.full((8, 8), 10.0)
-
-    dt = 0.5 * stability_limit(f0, tab)
-    with pytest.raises(InvariantViolation):
-        pde_step(f0, tab, dt, source=bad_source)
+    # a step 50 times the stability limit drives a one-site spike below 0
+    tab = DiffusionTable.from_callable(lambda a: np.diag([0.1, 0.1]), 2, nodes=2)
+    values = np.full((8, 8), 0.1)
+    values[3, 4] = 0.9
+    f0 = DensityField(values)
+    with pytest.raises(InvariantViolation, match=r"left \[0, 1\]"):
+        pde_step(f0, tab, 50.0 * stability_limit(f0, tab))
 
 
 def test_table_floor_check(kernel_d2_asym):
@@ -207,6 +224,17 @@ def test_table_floor_check(kernel_d2_asym):
     bad = np.stack([0.5 * sigma - 0.05 * np.eye(2) for _ in alphas])
     with pytest.raises(ConfigError):
         DiffusionTable(alphas, bad, floor_matrix=0.5 * sigma)
+
+
+def test_table_needs_two_density_nodes(tmp_path):
+    # a one-node table had no interpolant: it was read as a constant
+    one = np.diag([0.1, 0.2])[None]
+    with pytest.raises(ConfigError, match="at least two density nodes"):
+        DiffusionTable(np.array([0.5]), one)
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({"alphas": [0.5], "matrices": one.tolist()}))
+    with pytest.raises(ConfigError, match="at least two density nodes"):
+        DiffusionTable.load_json(path)
 
 
 def test_table_io_roundtrip(tmp_path):

@@ -49,7 +49,7 @@ def test_residual_and_identity(small_engine, small_oracle):
 def test_large_shift_asymptotics(small_engine):
     lam = 1e6
     x, _ = resolvent_solve(small_engine, 0.5, lam, 0)
-    b = small_engine.space.current_vector(small_engine.analysis, 0)
+    b = small_engine.currents[0]
     rel = np.abs(lam * x - b).max() / np.abs(b).max()
     assert rel < 1e-3
 
@@ -90,9 +90,13 @@ def test_operator_application_matches_oracle(kernel_d2_asym, small_engine, small
 
 def test_neg_norm_matches_oracle(small_engine, small_oracle):
     space = small_engine.space
+    lift = small_oracle.lift(space)
+    # every row of the engine's current stack is the oracle's current
+    assert small_engine.currents.shape == (2, space.size)
+    for i, b in enumerate(small_engine.currents):
+        assert np.abs(lift(b) - small_oracle.current_vector(i)).max() <= 1e-15
     b_o = small_oracle.current_vector(0)
-    b_p = space.current_vector(small_engine.analysis, 0)
-    assert np.abs(small_oracle.lift(space)(b_p) - b_o).max() <= 1e-15
+    b_p = small_engine.currents[0]
     for reg in (1e-1, 1e-2, 1e-3):
         want = small_oracle.neg_norm_direct(b_o, reg)
         got = h_minus_one_sq(small_engine, b_p, reg)
@@ -116,7 +120,7 @@ def test_h1_symmetry_and_positivity(small_engine):
 def test_h1_hand_value(kernel_d1_nn):
     eng = build_engine(kernel_d1_nn, TruncationParams(radius=2, max_degree=2))
     x = np.zeros(eng.space.size)
-    x[eng.space.index_of_subset(((1,),))] = 1.0
+    x[eng.space.orbit[eng.space.classes.index_of_subset(((1,),))]] = 1.0
     # unit class vector of {{1}, {-1}}: value 1/sqrt(2) on both sets; from
     # the hand application of the symmetric part, 2 * (1/2) * (1/sqrt(2))^2
     assert dirichlet_gram(eng, x[None, :])[0, 0] == pytest.approx(0.5, abs=1e-14)
@@ -330,7 +334,7 @@ def test_neg_norm_enforces_solver_tol(kernel_d2_asym):
     # does: a tolerance no CG run reaches raises instead of returning
     eng = build_engine(kernel_d2_asym,
                        TruncationParams(radius=2, max_degree=2, solver_tol=1e-30))
-    b = eng.space.current_vector(eng.analysis, 0)
+    b = eng.currents[0]
     with pytest.raises(InvariantViolation, match="against tolerance 1e-30"):
         h_minus_one_sq(eng, b, 1e-2)
 

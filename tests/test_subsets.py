@@ -80,10 +80,9 @@ def test_current_dual_values(kernel_d2_spec):
     # orbit -> class -> set lift
     def coefficients(analysis, direction):
         trunc = TruncationParams(radius=1, max_degree=2)
-        space = assemble(PackedSpace(analysis.dimension, trunc), analysis).space
+        engine = assemble(PackedSpace(analysis.dimension, trunc), analysis)
         oracle = DenseOracle(analysis, trunc)
-        return oracle.singleton_values(
-            oracle.lift(space)(space.current_vector(analysis, direction)))
+        return oracle.singleton_values(oracle.lift(engine.space)(engine.currents[direction]))
 
     w3 = coefficients(validate_kernel(tasep(3)), 0)
     assert w3[(1, 0, 0)] == pytest.approx(-1.0)
