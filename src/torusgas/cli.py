@@ -129,7 +129,7 @@ def cmd_pde(args) -> int:
     table = _load_or_compute_table(cfg)
     out = make_output_dir(cfg.output_dir)
     for t, fld, _ in pde_through(DensityField.from_profile(profile, cfg.pde_resolution),
-                                 table, cfg.times, cfg.pde_safety):
+                                 table, cfg.times):
         header = {"d": cfg.dimension, "m": cfg.pde_resolution, "t": t}
         if "csv" in cfg.formats:
             fld.save_csv(out / f"pde_t{t}.csv", header)

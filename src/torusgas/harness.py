@@ -20,9 +20,8 @@ from .errors import ConfigError, as_number, as_numbers, as_string, require, writ
 from .kernels import KernelAnalysis, TransitionKernel, TruncationParams, validate_kernel
 from .lattice import (TorusGeometry, block_density, sample_product_measure, site_probabilities,
                       state_codes)
-from .pde import (SAFETY, DensityField, DiffusionTable, SolveReport, check_safety,
-                  solve_to_time)
-from .profiles import DRIFT_TOL, Profile, validate_profile
+from .pde import DensityField, DiffusionTable, SolveReport, solve_to_time
+from .profiles import Profile, validate_profile
 from .simulate import (RngStream, check_replica_ledgers, evolve, evolve_replicas,
                        wavefront_window)
 
@@ -31,12 +30,11 @@ SCHEMA_VERSION = 1
 _TOP_KEYS = {
     "schema_version", "kernel", "torus_sizes", "profile", "delta0", "times",
     "block_radius", "replicas", "master_seed", "alpha_grid", "truncation",
-    "pde", "diffusion_table", "output_dir", "formats", "threads", "drift_tol",
-    "exact", "label",
+    "pde", "diffusion_table", "output_dir", "formats", "threads", "exact", "label",
 }
 _KERNEL_KEYS = {"dimension", "entries"}
-_TRUNC_KEYS = {"radius", "max_degree", "solver_tol", "lambda_seq", "reg"}
-_PDE_KEYS = {"resolution", "safety"}
+_TRUNC_KEYS = {"radius", "max_degree", "solver_tol", "lambda_seq"}
+_PDE_KEYS = {"resolution"}
 _PROFILE_KEYS = {"kind", "value", "base", "amplitude", "axis", "path"}
 _EXACT_KEYS = {"side", "replicas", "alpha", "times"}
 _FORMATS = ("json", "csv", "dat", "npy")
@@ -86,12 +84,10 @@ class ExperimentConfig:
     alpha_grid: list
     truncation: TruncationParams | None
     pde_resolution: int
-    pde_safety: float
     diffusion_table_path: str | None
     output_dir: str
     formats: list
     threads: int
-    drift_tol: float
     exact: dict
     label: str
     # derived once from the fields above; not part of the config's identity
@@ -118,7 +114,6 @@ class ExperimentConfig:
         _at_least(self.threads, 1, "threads")
         _increasing(self.times, "times", np.inf)
         _increasing(self.alpha_grid, "alpha_grid", 1.0)
-        check_safety(self.pde_safety)
         if not isinstance(self.formats, list) or any(f not in _FORMATS for f in self.formats):
             raise ConfigError(f"formats must be a list of names from {list(_FORMATS)}, "
                               f"got {self.formats!r}")
@@ -147,7 +142,7 @@ class ExperimentConfig:
     def checked_profile(self) -> Profile:
         """The initial profile, after its drift and boundedness check."""
         profile = self.build_profile()
-        diag = validate_profile(profile, self.analysis.drift, self.delta0, self.drift_tol)
+        diag = validate_profile(profile, self.analysis.drift, self.delta0)
         if not diag["ok"]:
             raise ConfigError(f"initial profile fails validation: {diag}")
         return profile
@@ -171,8 +166,8 @@ class ExperimentConfig:
             # only the keys present: the defaults live in TruncationParams
             given = {key: as_number(int, require(td, key, "truncation"), f"truncation.{key}")
                      for key in ("radius", "max_degree")}
-            given.update((key, as_number(float, td[key], f"truncation.{key}"))
-                         for key in ("solver_tol", "reg") if key in td)
+            if "solver_tol" in td:
+                given["solver_tol"] = as_number(float, td["solver_tol"], "truncation.solver_tol")
             if "lambda_seq" in td:
                 given["lambda_seq"] = tuple(as_numbers(float, td["lambda_seq"],
                                                         "truncation.lambda_seq"))
@@ -198,13 +193,11 @@ class ExperimentConfig:
                 "alpha_grid", [round(0.1 * i, 10) for i in range(1, 10)]), "alpha_grid"),
             truncation=trunc,
             pde_resolution=as_number(int, pde.get("resolution", 64), "pde.resolution"),
-            pde_safety=as_number(float, pde.get("safety", SAFETY), "pde.safety"),
             diffusion_table_path=(None if table_path is None
                                   else as_string(table_path, "diffusion_table")),
             output_dir=as_string(data.get("output_dir", "out"), "output_dir"),
             formats=data.get("formats", ["json", "csv"]),
             threads=as_number(int, data.get("threads", 1), "threads"),
-            drift_tol=as_number(float, data.get("drift_tol", DRIFT_TOL), "drift_tol"),
             exact=dict(exact),
             label=str(data.get("label", "experiment")),
         )
@@ -225,11 +218,10 @@ class ExperimentConfig:
             "delta0": self.delta0,
             "alpha_grid": list(self.alpha_grid),
             "truncation": asdict(self.truncation),
-            "pde": {"resolution": self.pde_resolution, "safety": self.pde_safety},
+            "pde": {"resolution": self.pde_resolution},
             "output_dir": self.output_dir,
             "formats": list(self.formats),
             "threads": self.threads,
-            "drift_tol": self.drift_tol,
             "label": self.label,
         }
         if self.diffusion_table_path:
@@ -286,14 +278,14 @@ def spans(times):
         previous = t
 
 
-def pde_through(fld: DensityField, table: DiffusionTable, times, safety: float):
+def pde_through(fld: DensityField, table: DiffusionTable, times):
     """Solve the PDE from `fld` through the times.
 
     Yields (t, field at t, record of that span's SolveReport keyed by t).
     """
     for t, span in spans(times):
         solve = SolveReport()
-        fld = solve_to_time(fld, table, span, safety=safety, report=solve)
+        fld = solve_to_time(fld, table, span, report=solve)
         yield t, fld, {"t": t, **asdict(solve)}
 
 
@@ -410,7 +402,7 @@ def run_experiment(cfg: ExperimentConfig,
     pde_fields = {}
     pde_solves = []
     for t, fld, solve in pde_through(DensityField.from_profile(profile, cfg.pde_resolution),
-                                     table, cfg.times, cfg.pde_safety):
+                                     table, cfg.times):
         pde_fields[t] = fld
         pde_solves.append(solve)
 
@@ -498,8 +490,7 @@ def exact_small_experiment(cfg: ExperimentConfig, stages: dict | None = None) ->
         raise ConfigError("exact diagnostics need at most 13 sites")
     profile = cfg.checked_profile()
 
-    pts = geom.all_coords() / n
-    marginals0 = profile.values_at(pts)
+    marginals0 = site_probabilities(geom, profile)
     mu = product_distribution(geom, marginals0)
 
     # stationarity of the flat product measure
@@ -515,7 +506,7 @@ def exact_small_experiment(cfg: ExperimentConfig, stages: dict | None = None) ->
     lap("table_s")
     fld0 = DensityField.from_profile(profile, resolution)
     references = [(0.0, fld0)] + [(t, fld) for t, fld, _ in
-                                  pde_through(fld0, table, times, cfg.pde_safety)]
+                                  pde_through(fld0, table, times)]
     lap("pde_s")
 
     # exact law and entropy curve along the run, including the time-zero row
@@ -526,7 +517,7 @@ def exact_small_experiment(cfg: ExperimentConfig, stages: dict | None = None) ->
     entropy_rows = []
     for t, fld in references:
         law = exact_laws[t]
-        nu_ref = product_distribution(geom, fld.evaluate(pts))
+        nu_ref = product_distribution(geom, pde_at_sites(fld, n))
         entropy_rows.append({
             "t": t,
             "entropy_vs_profile_state": float(relative_entropy_distributions(law, nu_ref)),

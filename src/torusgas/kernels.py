@@ -113,13 +113,12 @@ class TruncationParams:
     unknown per orbit of classes, so solutions satisfy the identity by
     construction.
     `lambda_seq` holds the resolvent shifts that are extrapolated to zero:
-    at least two, distinct, positive and finite.
+    at least two, distinct, positive and finite.  Each field is a `truncation` key.
     """
 
     radius: int
     max_degree: int
     solver_tol: float = 1e-10
-    reg: float = 1e-3
     lambda_seq: tuple = (1e-1, 1e-2, 1e-3, 1e-4)
 
     def __post_init__(self):

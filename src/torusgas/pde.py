@@ -31,7 +31,7 @@ from .errors import ConfigError, InvariantViolation, as_number, require, write_j
 from .profiles import _interp_periodic
 
 DENSE_NODES = 4097  # nodes of the uniform lookup grid a DiffusionTable resamples onto
-SAFETY = 0.9  # default `pde.safety`: the step is this fraction of the stability limit
+SAFETY = 0.9  # the step of `solve_to_time` as a fraction of the stability limit
 
 
 @dataclass
@@ -154,7 +154,7 @@ class DiffusionTable:
     Monotone-cubic interpolation per entry (`_pchip`, scipy's PCHIP bit for
     bit), resampled onto a dense uniform grid for fast lookup inside the
     solver; symmetrized with the asymmetry recorded.  A table needs at least
-    two density nodes.  `floor_matrix`, when given (half the jump
+    two density nodes, all distinct.  `floor_matrix`, when given (half the jump
     covariance), is checked to stay below the table in the matrix order at
     every node.
     """
@@ -169,6 +169,9 @@ class DiffusionTable:
                               f"got {len(alphas)}")
         order = np.argsort(alphas)
         self.alphas = alphas[order]
+        repeated = self.alphas[1:][np.diff(self.alphas) == 0.0]
+        if len(repeated):
+            raise ConfigError(f"coefficient table repeats the density node {repeated[0]:g}")
         mats = matrices[order]
         self.asymmetry = float(np.abs(mats - np.transpose(mats, (0, 2, 1))).max())
         mats = 0.5 * (mats + np.transpose(mats, (0, 2, 1)))
@@ -299,7 +302,8 @@ def pde_step(field: DensityField, table: DiffusionTable, dt: float) -> DensityFi
 
 @dataclass
 class SolveReport:
-    """What one `solve_to_time` call did; `shape` is the stored array's."""
+    """What one `solve_to_time` call did; `shape` is the stored array's and
+    `max_overshoot` the largest range overshoot over the steps (0 without one)."""
 
     steps: int = 0
     dt: float = 0.0
@@ -310,18 +314,11 @@ class SolveReport:
     seconds: float = 0.0
 
 
-def check_safety(safety: float):
-    """Reject a step safety factor outside (0, 1]: dt = safety * stability limit."""
-    if not 0.0 < safety <= 1.0:  # also false for nan
-        raise ConfigError(f"pde.safety must lie in (0, 1], got {safety!r}")
-
-
 def solve_to_time(field: DensityField, table: DiffusionTable, t_final: float,
-                  safety: float = SAFETY,
                   report: SolveReport | None = None) -> DensityField:
     """Advance to t_final with automatic steps.
 
-    The step is chosen once per call, as `safety` times the stability limit
+    The step is chosen once per call, as `SAFETY` (0.9) times the stability limit
     over the initial field's range.  Every run tracks mass conservation and
     the discrete maximum principle and raises when either drifts beyond
     tolerance (1e-10 relative mass, 1e-12 range overshoot); the maximum
@@ -332,7 +329,6 @@ def solve_to_time(field: DensityField, table: DiffusionTable, t_final: float,
     """
     if t_final < 0:
         raise ConfigError("final time must be nonnegative")
-    check_safety(safety)
     start = time.perf_counter()
     current = field.copy()
     lo0, hi0 = float(current.values.min()), float(current.values.max())
@@ -341,12 +337,12 @@ def solve_to_time(field: DensityField, table: DiffusionTable, t_final: float,
                           f"range [{table.alphas[0]:g}, {table.alphas[-1]:g}]")
     mass0 = current.mass()
     limit = stability_limit(current, table)
-    dt = safety * limit
+    dt = SAFETY * limit
     if not np.isfinite(dt):
         dt = t_final
     t = 0.0
     steps = 0
-    overshoot = 0.0
+    worst = -np.inf
     while t < t_final:
         step = min(dt, t_final - t)
         current = pde_step(current, table, step)
@@ -355,6 +351,7 @@ def solve_to_time(field: DensityField, table: DiffusionTable, t_final: float,
         overshoot = max(lo0 - current.values.min(), current.values.max() - hi0)
         if overshoot > 1e-12:
             raise InvariantViolation(f"maximum principle violated by {overshoot:g}")
+        worst = max(worst, overshoot)
     drift = abs(current.mass() - mass0) / max(abs(mass0), 1e-300)
     if drift > 1e-10:
         raise InvariantViolation(f"mass drifted by {drift:g}")
@@ -364,6 +361,6 @@ def solve_to_time(field: DensityField, table: DiffusionTable, t_final: float,
         report.stability_limit = float(limit)
         report.shape = current.values.shape
         report.mass_drift = drift
-        report.max_overshoot = overshoot
+        report.max_overshoot = float(worst) if steps else 0.0
         report.seconds = time.perf_counter() - start
     return current

@@ -19,7 +19,7 @@ from .errors import ConfigError, as_number, as_string, require
 
 # side of the evaluation grid `validate_profile` checks a profile on
 CHECK_RESOLUTION = 64
-DRIFT_TOL = 1e-10  # default `drift_tol`: largest |q . grad rho| a profile may have
+DRIFT_TOL = 1e-10  # largest |q . grad rho| a profile may have
 
 
 @dataclass
@@ -134,13 +134,12 @@ def load_profile_csv(path, dimension: int) -> np.ndarray:
     return values.reshape((m,) * dimension)
 
 
-def validate_profile(profile: Profile, drift, delta0: float,
-                     tol: float = DRIFT_TOL) -> dict:
+def validate_profile(profile: Profile, drift, delta0: float) -> dict:
     """Drift-constancy and boundedness diagnostics on the CHECK_RESOLUTION^d grid.
 
     Reports max |q . grad rho| (centred differences) and the distance of the
-    range from {0, 1}; passes when the former is below tol and the latter at
-    least delta0.
+    range from {0, 1}; passes when the former is at most DRIFT_TOL and the
+    latter at least delta0.
     """
     q = np.asarray(drift, dtype=np.float64)
     grid = profile.sample_grid(CHECK_RESOLUTION)
@@ -155,7 +154,7 @@ def validate_profile(profile: Profile, drift, delta0: float,
     return {
         "max_drift_derivative": max_violation,
         "distance_to_boundary": margin,
-        "drift_constant": max_violation <= tol,
+        "drift_constant": max_violation <= DRIFT_TOL,
         "bounded_away": margin >= delta0,
-        "ok": max_violation <= tol and margin >= delta0,
+        "ok": max_violation <= DRIFT_TOL and margin >= delta0,
     }

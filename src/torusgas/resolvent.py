@@ -26,6 +26,13 @@ from .errors import ConfigError, InvariantViolation, require, write_json
 from .kernels import KernelAnalysis, TruncationParams
 from .packed import PackedOperator, PackedSpace, assemble
 
+RESIDUAL_REG = 1e-3  # `reg` of the residual splits that `compute_diffusion` reports
+
+
+def _krylov_maxiter(size: int) -> int:
+    """Iteration cap of a Krylov solve on a space of `size` unknowns."""
+    return max(2000, 40 * int(np.sqrt(size)))
+
 
 def build_engine(analysis: KernelAnalysis, trunc: TruncationParams) -> PackedOperator:
     space = PackedSpace(analysis.dimension, trunc)
@@ -68,7 +75,7 @@ def resolvent_solve(engine: PackedOperator, alpha: float, shift: float,
 
     op = LinearOperator((space.size, space.size), matvec=matvec)
     x, info = bicgstab(op, b, x0=x0, rtol=0.0, atol=tol / 4.0,
-                       maxiter=max(2000, 40 * int(np.sqrt(space.size))))
+                       maxiter=_krylov_maxiter(space.size))
     resid = float(np.linalg.norm(matvec(x) - b))
     if info < 0 or not np.all(np.isfinite(x)) or not resid <= tol:
         raise InvariantViolation(
@@ -109,8 +116,7 @@ def h_minus_one_sq(engine: PackedOperator, b: np.ndarray, reg: float) -> float:
 
     op = LinearOperator((space.size, space.size), matvec=matvec)
     tol = space.trunc.solver_tol
-    u, info = cg(op, b, rtol=0.0, atol=tol,
-                 maxiter=max(2000, 40 * int(np.sqrt(space.size))))
+    u, info = cg(op, b, rtol=0.0, atol=tol, maxiter=_krylov_maxiter(space.size))
     resid = float(np.linalg.norm(matvec(u) - b))
     if info < 0 or not resid <= tol:
         raise InvariantViolation(f"negative-norm solve stalled at residual {resid:g} "
@@ -378,7 +384,7 @@ def compute_diffusion(analysis: KernelAnalysis, alphas, trunc: TruncationParams,
             for i in range(d):
                 res[str(i)] = residual_triple_norm(
                     engine, alpha, i, dmat[i] - dm_per_shift[lam_min][i],
-                    sols[lam_min][i], reg=trunc.reg)
+                    sols[lam_min][i], reg=RESIDUAL_REG)
         residuals_all[alpha] = res
         solver_stats["clipped_outflow"][alpha] = clipped
         solver_stats["max_clipped_outflow"] = max(solver_stats["max_clipped_outflow"],

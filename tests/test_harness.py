@@ -11,14 +11,15 @@ import pytest
 
 from torusgas.cli import main as cli_main
 from torusgas.errors import ConfigError
-from torusgas.harness import (ExperimentConfig, _load_or_compute_table, _replica_job,
-                              compare_fields, emit_outputs, pde_at_sites, replica_stream,
-                              run_experiment)
+from torusgas.harness import (_PDE_KEYS, _TOP_KEYS, _TRUNC_KEYS, ExperimentConfig,
+                              _load_or_compute_table, _replica_job, compare_fields, emit_outputs,
+                              pde_at_sites, replica_stream, run_experiment)
 from torusgas.lattice import TorusGeometry, site_probabilities
 from torusgas.packed import TruncationParams
 from torusgas.simulate import RngStream
-from torusgas.pde import SAFETY, DensityField, DiffusionTable, solve_to_time
+from torusgas.pde import SAFETY, DensityField, DiffusionTable, SolveReport, solve_to_time
 from torusgas.profiles import DRIFT_TOL, Profile, validate_profile
+from torusgas.resolvent import RESIDUAL_REG
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -455,18 +456,68 @@ def test_truncation_defaults_live_in_truncation_params():
     cfg = ExperimentConfig.from_dict(base_config(truncation={"radius": 3, "max_degree": 2}))
     assert cfg.truncation == TruncationParams(radius=3, max_degree=2)
     cfg = ExperimentConfig.from_dict(base_config(truncation={
-        "radius": 3, "max_degree": 2, "reg": "0.01", "lambda_seq": [0.2, 0.1]}))
-    assert cfg.truncation == TruncationParams(radius=3, max_degree=2, reg=0.01,
+        "radius": 3, "max_degree": 2, "solver_tol": "1e-9", "lambda_seq": [0.2, 0.1]}))
+    assert cfg.truncation == TruncationParams(radius=3, max_degree=2, solver_tol=1e-9,
                                               lambda_seq=(0.2, 0.1))
 
 
 def test_pde_and_profile_defaults_have_one_owner():
-    cfg = ExperimentConfig.from_dict(base_config())
-    assert (cfg.pde_safety, cfg.drift_tol) == (SAFETY, DRIFT_TOL) == (0.9, 1e-10)
-    assert inspect.signature(solve_to_time).parameters["safety"].default is SAFETY
-    assert inspect.signature(validate_profile).parameters["tol"].default is DRIFT_TOL
+    # the step fraction, the drift tolerance and the residual regularization
+    # are module constants, read where they act; no parameter carries them
+    assert (SAFETY, DRIFT_TOL, RESIDUAL_REG) == (0.9, 1e-10, 1e-3)
+    assert list(inspect.signature(solve_to_time).parameters) == [
+        "field", "table", "t_final", "report"]
+    assert list(inspect.signature(validate_profile).parameters) == [
+        "profile", "drift", "delta0"]
+    rep = SolveReport()
+    f0 = DensityField.from_profile(Profile.cosine(2, 0.5, 0.2, axis=1), 12)
+    solve_to_time(f0, DiffusionTable.from_callable(lambda a: 0.25 * np.eye(2), 2, nodes=2),
+                  0.05, report=rep)
+    assert rep.steps > 1 and rep.dt == SAFETY * rep.stability_limit
+    # |q . grad rho| of a cosine with amplitude a along the drift is about 6.3 a
+    for amplitude, constant in ((1e-12, True), (1e-10, False)):
+        diag = validate_profile(Profile.cosine(2, 0.5, amplitude, axis=0), [1.0, 0.0], 0.1)
+        assert diag["drift_constant"] is constant
+
+
+def test_parser_and_echo_list_the_same_keys():
+    # every accepted key set: the echo holds exactly the accepted keys, and
+    # parsing the echo gives the same config
+    data = base_config(
+        profile=_COSINE, delta0=0.1, alpha_grid=[0.3, 0.6], diffusion_table="table.json",
+        truncation={"radius": 3, "max_degree": 2, "solver_tol": 1e-9,
+                    "lambda_seq": [0.2, 0.1]},
+        formats=["json"], threads=2, exact={"side": 3, "replicas": 10, "alpha": 0.4,
+                                            "times": [0.05]}, label="all-keys")
+    assert set(data) == _TOP_KEYS
+    cfg = ExperimentConfig.from_dict(data)
     echo = cfg.to_dict()
-    assert (echo["pde"]["safety"], echo["drift_tol"]) == (0.9, 1e-10)
+    assert set(echo) == _TOP_KEYS
+    assert set(echo["truncation"]) == _TRUNC_KEYS
+    assert set(echo["pde"]) == _PDE_KEYS
+    assert ExperimentConfig.from_dict(echo).to_dict() == echo
+    assert echo["truncation"] == {"radius": 3, "max_degree": 2, "solver_tol": 1e-9,
+                                  "lambda_seq": (0.2, 0.1)}
+
+
+@pytest.mark.parametrize("command, data, key", [
+    ("pde", {"pde": {"resolution": 12, "safety": 0.9}}, "safety"),
+    ("compare", {"drift_tol": 1e-10}, "drift_tol"),
+    ("diffusion", {"truncation": {"radius": 2, "max_degree": 2, "reg": 1e-3}}, "reg"),
+])
+def test_removed_key_is_config_error(tmp_path, capsys, command, data, key):
+    # the step fraction, the drift tolerance and the residual regularization
+    # are constants; a config that still sets one is refused, not obeyed
+    config = base_config(output_dir=str(tmp_path / "o"), alpha_grid=[0.3], **data)
+    with pytest.raises(ConfigError, match=f"unknown keys in .*'{key}'"):
+        ExperimentConfig.from_dict(config)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    assert cli_main([command, "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: unknown keys in" in err and f"'{key}'" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_config_keeps_its_validated_values():
@@ -580,24 +631,6 @@ def test_simulate_writes_the_replica_job_fields(tmp_path):
 _COSINE = {"kind": "cosine", "base": 0.5, "amplitude": 0.2, "axis": 1}
 
 
-@pytest.mark.parametrize("safety", [0.0, -0.5, 1.5, float("nan"), float("inf")])
-def test_pde_safety_outside_unit_interval_is_config_error(tmp_path, capsys, safety):
-    # dt is safety times the stability limit: 0 never advanced the PDE time,
-    # a negative value exited 1 as a maximum-principle violation and one
-    # above 1 failed only at the first PDE step
-    data = base_config(output_dir=str(tmp_path / "o"), profile=_COSINE,
-                       pde={"resolution": 12, "safety": safety})
-    with pytest.raises(ConfigError, match="pde.safety"):
-        ExperimentConfig.from_dict(data)
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(data))
-    assert cli_main(["pde", "--config", str(cfg_path)]) == 2
-    assert "pde.safety" in capsys.readouterr().err
-    assert not (tmp_path / "o").exists()
-    data["pde"]["safety"] = 1.0
-    assert ExperimentConfig.from_dict(data).pde_safety == 1.0
-
-
 @pytest.mark.parametrize("seq", [["x"], [0.01], [0.01, 0.01], [0.1, 0.0], [0.1, -1e-3],
                                  [0.1, float("nan")], [0.1, float("inf")], [], 0.1])
 def test_bad_shift_sequence_is_config_error(tmp_path, capsys, seq):
@@ -671,7 +704,6 @@ def test_diffusion_command_exits_1_when_a_solve_stalls(tmp_path, capsys):
     ("compare", {"kernel": {"dimension": 2, "entries": [
         {"offset": [1.5, 0], "prob": 0.5}, {"offset": [-1, 0], "prob": 0.5}]}},
      [], "kernel offset entry"),
-    ("pde", {"pde": {"safety": True}}, [], "pde.safety"),
 ])
 def test_out_of_domain_value_is_config_error(tmp_path, capsys, command, data, flags, key):
     # each used to crash inside the run (exit 1), name the wrong cause, or
@@ -756,6 +788,20 @@ def test_pde_command_refuses_a_one_node_table(tmp_path, capsys):
                                                diffusion_table=str(table_path))))
     assert cli_main(["pde", "--config", str(cfg_path)]) == 2
     assert "at least two density nodes, got 1" in capsys.readouterr().err
+    assert not list((tmp_path / "o").glob("pde_t*"))
+
+
+def test_pde_command_refuses_repeated_density_nodes(tmp_path, capsys):
+    # two matrices at one density: the table silently read one of them
+    table_path = tmp_path / "table.json"
+    table_path.write_text(json.dumps({"alphas": [0.3, 0.3, 0.7], "matrices": [
+        (0.2 * np.eye(2)).tolist(), (0.3 * np.eye(2)).tolist(), (0.25 * np.eye(2)).tolist()]}))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(base_config(output_dir=str(tmp_path / "o"),
+                                               diffusion_table=str(table_path))))
+    assert cli_main(["pde", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: coefficient table repeats the density node 0.3" in err
     assert not list((tmp_path / "o").glob("pde_t*"))
 
 

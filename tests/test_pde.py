@@ -32,17 +32,17 @@ def reference_step(values, table, dt, h):
     return values + dt * divergence
 
 
-def reference_dt(values, table, safety=0.9):
-    """safety times the explicit stability bound h^2 / (2 d max-eig)."""
+def reference_dt(values, table):
+    """0.9 times the explicit stability bound h^2 / (2 d max-eig)."""
     d, h = values.ndim, 1.0 / values.shape[0]
     top = table.max_eigenvalue(float(values.min()), float(values.max()))
-    return safety * (h ** 2 / (2.0 * d * top))
+    return 0.9 * (h ** 2 / (2.0 * d * top))
 
 
-def reference_solve(values, table, t_final, safety=0.9):
+def reference_solve(values, table, t_final):
     """Full-grid solve to t_final with the step rule of `solve_to_time`."""
     values = np.array(values, dtype=np.float64)
-    dt = reference_dt(values, table, safety)
+    dt = reference_dt(values, table)
     t = 0.0
     while t < t_final:
         step = min(dt, t_final - t)
@@ -237,6 +237,18 @@ def test_table_needs_two_density_nodes(tmp_path):
         DiffusionTable.load_json(path)
 
 
+def test_table_rejects_repeated_density_nodes(tmp_path, recwarn):
+    # two matrices at 0.3 built with divide-by-zero warnings and read one of them
+    mats = np.stack([0.2 * np.eye(2), 0.3 * np.eye(2), 0.25 * np.eye(2)])
+    with pytest.raises(ConfigError, match="repeats the density node 0.3"):
+        DiffusionTable(np.array([0.7, 0.3, 0.3]), mats)
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({"alphas": [0.3, 0.3, 0.7], "matrices": mats.tolist()}))
+    with pytest.raises(ConfigError, match="repeats the density node 0.3"):
+        DiffusionTable.load_json(path)
+    assert not recwarn.list
+
+
 def test_table_io_roundtrip(tmp_path):
     alphas = np.linspace(0.1, 0.9, 9)
     mats = np.stack([np.diag([0.1 + 0.2 * a, 0.3 - 0.1 * a]) for a in alphas])
@@ -376,17 +388,22 @@ def test_save_writes_full_grid(tmp_path):
     assert np.array_equal(np.load(tmp_path / "f.npy"), profile.sample_grid(8))
 
 
-def test_safety_outside_unit_interval_is_config_error():
-    # above 1 the first step failed on its stability check without naming
-    # the safety, a negative one was reported as a maximum-principle
-    # violation and 0 never advanced the time (it comes last, so an
-    # unchecked solver fails on the others before it can hang here)
+def test_max_overshoot_is_the_largest_over_the_run():
+    # the report held the last step's overshoot, which the shrinking range
+    # makes the most negative one
     tab = DiffusionTable.from_callable(lambda a: np.diag([0.1, 0.08 + 0.03 * a]), 2)
     f0 = DensityField.from_profile(Profile.cosine(2, 0.5, 0.2, axis=1), 16)
-    for safety in (1.5, -0.5, float("nan"), 0.0):
-        with pytest.raises(ConfigError, match="pde.safety"):
-            solve_to_time(f0, tab, 0.01, safety=safety)
-    assert solve_to_time(f0, tab, 0.01, safety=1.0).values.shape == (1, 16)
+    rep = SolveReport()
+    solve_to_time(f0, tab, 0.05, report=rep)
+    lo0, hi0 = f0.values.min(), f0.values.max()
+    fld, t, overshoots = f0, 0.0, []
+    while t < 0.05:
+        step = min(rep.dt, 0.05 - t)
+        fld = pde_step(fld, tab, step)
+        t += step
+        overshoots.append(max(lo0 - fld.values.min(), fld.values.max() - hi0))
+    assert rep.steps == len(overshoots) > 1
+    assert rep.max_overshoot == max(overshoots) > overshoots[-1]
 
 
 def _same_bits(a, b) -> bool:
