@@ -128,13 +128,16 @@ def cmd_pde(args) -> int:
     profile = cfg.checked_profile()
     table = _load_or_compute_table(cfg)
     out = make_output_dir(cfg.output_dir)
-    for t, fld, _ in pde_through(DensityField.from_profile(profile, cfg.pde_resolution),
-                                 table, cfg.times):
+    solves = []
+    for t, fld, solve in pde_through(DensityField.from_profile(profile, cfg.pde_resolution),
+                                     table, cfg.times):
+        solves.append(solve)
         header = {"d": cfg.dimension, "m": cfg.pde_resolution, "t": t}
         if "csv" in cfg.formats:
             fld.save_csv(out / f"pde_t{t}.csv", header)
         if "npy" in cfg.formats:
             fld.save_npy(out / f"pde_t{t}.npy")
+    write_run_meta(out, pde=solves)
     print(out)
     return 0
 

@@ -32,15 +32,19 @@ def require(mapping, key: str, where: str):
 def as_number(kind, value, key: str):
     """kind(value), with kind int or float, from parsed user input; a value
     that does not convert is a ConfigError naming `key`.  A boolean is no
-    number, and an integer must be integral (2, 2.0 or "2", not 2.7), so
-    nothing is truncated."""
+    number, an integer must be integral (2, 2.0 or "2", not 2.7), so
+    nothing is truncated, and a float must be finite (JSON readers accept
+    NaN and Infinity)."""
     try:
         if isinstance(value, bool) or (kind is int and not isinstance(value, str)
                                        and value != int(value)):
             raise ValueError
-        return kind(value)
+        number = kind(value)
+        if kind is float and not np.isfinite(number):
+            raise ValueError
+        return number
     except (TypeError, ValueError, OverflowError):
-        noun = "an integer" if kind is int else "a number"
+        noun = "an integer" if kind is int else "a finite number"
         raise ConfigError(f"{key} must be {noun}, got {value!r}") from None
 
 

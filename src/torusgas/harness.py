@@ -33,7 +33,7 @@ _TOP_KEYS = {
     "pde", "diffusion_table", "output_dir", "formats", "threads", "exact", "label",
 }
 _KERNEL_KEYS = {"dimension", "entries"}
-_TRUNC_KEYS = {"radius", "max_degree", "solver_tol", "lambda_seq"}
+_TRUNC_KEYS = {"radius", "max_degree"}
 _PDE_KEYS = {"resolution"}
 _PROFILE_KEYS = {"kind", "value", "base", "amplitude", "axis", "path"}
 _EXACT_KEYS = {"side", "replicas", "alpha", "times"}
@@ -163,15 +163,9 @@ class ExperimentConfig:
         if "truncation" in data:
             td = data["truncation"]
             _reject_unknown(td, _TRUNC_KEYS, "truncation")
-            # only the keys present: the defaults live in TruncationParams
-            given = {key: as_number(int, require(td, key, "truncation"), f"truncation.{key}")
-                     for key in ("radius", "max_degree")}
-            if "solver_tol" in td:
-                given["solver_tol"] = as_number(float, td["solver_tol"], "truncation.solver_tol")
-            if "lambda_seq" in td:
-                given["lambda_seq"] = tuple(as_numbers(float, td["lambda_seq"],
-                                                        "truncation.lambda_seq"))
-            trunc = TruncationParams(**given)
+            trunc = TruncationParams(**{
+                key: as_number(int, require(td, key, "truncation"), f"truncation.{key}")
+                for key in ("radius", "max_degree")})
         pde = data.get("pde", {})
         _reject_unknown(pde, _PDE_KEYS, "pde")
         exact = data.get("exact", {})
@@ -387,17 +381,17 @@ class ComparisonReport:
         }
 
 
-def run_experiment(cfg: ExperimentConfig,
-                   table: DiffusionTable | None = None) -> ComparisonReport:
+def run_experiment(cfg: ExperimentConfig) -> ComparisonReport:
     """Ensemble-vs-PDE comparison over all torus sizes and times.
 
+    The coefficient table is the stored `diffusion_table` when the config
+    names one, else computed on the config's density grid and truncation.
     Every trajectory is continuity-checked against its bond ledger; block
     fields are averaged over replicas before distances are taken, and
     per-replica distances are logged alongside.
     """
     profile = cfg.checked_profile()
-    if table is None:
-        table = _load_or_compute_table(cfg)
+    table = _load_or_compute_table(cfg)
 
     pde_fields = {}
     pde_solves = []

@@ -111,26 +111,23 @@ class TruncationParams:
     translation identity: each degree-n set lies in a class of n + 1 kept
     sets (A and its member shifts).  The packed engine solves on one
     unknown per orbit of classes, so solutions satisfy the identity by
-    construction.
-    `lambda_seq` holds the resolvent shifts that are extrapolated to zero:
-    at least two, distinct, positive and finite.  Each field is a `truncation` key.
+    construction.  Each field is a `truncation` key.
+
+    The Krylov residual tolerance `solver_tol` and the resolvent shifts
+    `lambda_seq` that are extrapolated to zero are class constants, the
+    same for every truncation.
     """
 
     radius: int
     max_degree: int
-    solver_tol: float = 1e-10
-    lambda_seq: tuple = (1e-1, 1e-2, 1e-3, 1e-4)
+    solver_tol = 1e-10
+    lambda_seq = (1e-1, 1e-2, 1e-3, 1e-4)
 
     def __post_init__(self):
         if self.max_degree < 2:
             raise ConfigError("max degree must be at least 2")
         if self.radius < 1:
             raise ConfigError("truncation radius must be positive")
-        seq = self.lambda_seq
-        if (len(seq) < 2 or len(set(seq)) < len(seq)
-                or not all(0.0 < s < np.inf for s in seq)):
-            raise ConfigError("truncation.lambda_seq must hold at least two distinct "
-                              f"positive finite shifts, got {list(seq)!r}")
 
     def check_kernel(self, analysis: KernelAnalysis):
         if self.radius < analysis.range:
@@ -183,7 +180,7 @@ def validate_kernel(kernel: TransitionKernel) -> KernelAnalysis:
         raise ConfigError(f"dimension must be 1, 2 or 3, got {k.dimension}")
     if len(k.weights) == 0:
         raise ConfigError("kernel has no entries")
-    if np.any(k.weights <= 0.0) or np.any(k.weights > 1.0):
+    if not np.all((k.weights > 0.0) & (k.weights <= 1.0)):  # also false for nan
         raise ConfigError("kernel weights must lie in (0, 1]")
     total = float(k.weights.sum())
     if abs(total - 1.0) > WEIGHT_SUM_TOL:

@@ -31,6 +31,7 @@ from .errors import ConfigError, InvariantViolation, as_number, require, write_j
 from .profiles import _interp_periodic
 
 DENSE_NODES = 4097  # nodes of the uniform lookup grid a DiffusionTable resamples onto
+EIGEN_SAMPLES = 201  # densities at which `max_eigenvalue` reads the table
 SAFETY = 0.9  # the step of `solve_to_time` as a fraction of the stability limit
 
 
@@ -220,11 +221,11 @@ class DiffusionTable:
     def entry_is_zero(self, i: int, j: int) -> bool:
         return bool(self._zero_entry[i, j])
 
-    def max_eigenvalue(self, lo: float, hi: float, samples: int = 201) -> float:
-        """Largest |eigenvalue| of the table over `samples` densities in [lo, hi]."""
-        rhos = np.linspace(lo, hi, samples)
+    def max_eigenvalue(self, lo: float, hi: float) -> float:
+        """Largest |eigenvalue| of the table over `EIGEN_SAMPLES` densities in [lo, hi]."""
+        rhos = np.linspace(lo, hi, EIGEN_SAMPLES)
         d = self.dimension
-        mats = np.empty((samples, d, d))
+        mats = np.empty((EIGEN_SAMPLES, d, d))
         for i in range(d):
             for j in range(d):
                 mats[:, i, j] = self.entry(i, j, rhos)
@@ -243,9 +244,21 @@ class DiffusionTable:
         it records: its matrices are symmetrized, so they would give 0."""
         with open(path) as fh:
             data = json.load(fh)
-        table = cls(np.array(require(data, "alphas", "diffusion table")),
-                    np.array(require(data, "matrices", "diffusion table")),
-                    floor_matrix=data.get("floor_matrix"))
+
+        def array(key):
+            value = require(data, key, "diffusion table")
+            try:
+                values = np.array(value, dtype=np.float64)
+                if np.all(np.isfinite(values)):  # null reads as nan
+                    return values
+            except (TypeError, ValueError):  # an entry that is no number, or ragged rows
+                pass
+            raise ConfigError(f"diffusion table {key} must be a rectangular array "
+                              "of finite numbers")
+
+        floor = data.get("floor_matrix")
+        table = cls(array("alphas"), array("matrices"),
+                    floor_matrix=None if floor is None else array("floor_matrix"))
         if "asymmetry" in data:
             table.asymmetry = as_number(float, data["asymmetry"], "diffusion table asymmetry")
         return table

@@ -127,7 +127,10 @@ def _interp_periodic(grid: np.ndarray, pts: np.ndarray, m: int) -> np.ndarray:
 
 def load_profile_csv(path, dimension: int) -> np.ndarray:
     """Load a grid profile from CSV (flat values, side inferred)."""
-    values = np.loadtxt(path, delimiter=",").reshape(-1)
+    try:
+        values = np.loadtxt(path, delimiter=",").reshape(-1)
+    except ValueError as exc:  # an entry that is no number, or ragged rows
+        raise ConfigError(f"profile.path {path}: {exc}") from None
     m = round(len(values) ** (1.0 / dimension))
     if m ** dimension != len(values):
         raise ConfigError("CSV profile length is not a perfect d-th power")

@@ -128,10 +128,10 @@ def extrapolate_to_zero(shifts, values):
     """Linear-in-shift extrapolation from the two smallest shifts, plus spread.
 
     `values` holds one scalar or array per shift; arrays are extrapolated
-    entrywise.  Needs at least two distinct shifts.  Returns (limit, spread)
-    where the spread is the difference against the extrapolation from the
-    next shift pair, or against the smallest shift's value when there are
-    only two.
+    entrywise.  Needs at least three distinct shifts, as the ladder
+    `TruncationParams.lambda_seq` has.  Returns (limit, spread) where the
+    spread is the difference against the extrapolation from the next shift
+    pair.
     """
     order = np.argsort(shifts)[::-1]  # descending
     s = np.asarray(shifts, dtype=np.float64)[order]
@@ -140,8 +140,7 @@ def extrapolate_to_zero(shifts, values):
     def pair(i, j):
         return v[j] - s[j] * (v[i] - v[j]) / (s[i] - s[j])
     best = pair(-2, -1)
-    other = pair(-3, -2) if len(s) >= 3 else v[-1]
-    return best, np.abs(best - other)
+    return best, np.abs(best - pair(-3, -2))
 
 
 def hydrodynamic_matrix(alpha: float, diffusion: np.ndarray,

@@ -201,8 +201,10 @@ def test_criterion_8_pde_verification():
            f"(full-grid reference); stored shape {f1.values.shape}")
 
 
-def test_criterion_9_hydrodynamic_limit(heavy_diffusion):
-    table = DiffusionTable.from_diffusion_result(heavy_diffusion)
+def test_criterion_9_hydrodynamic_limit(heavy_diffusion, tmp_path):
+    # the stored-table path of `torusgas compare`
+    table_path = tmp_path / "table.json"
+    DiffusionTable.from_diffusion_result(heavy_diffusion).save_json(table_path)
     cfg = ExperimentConfig.from_dict({
         "schema_version": 1,
         "kernel": {"dimension": 3, "entries": D3_ENTRIES},
@@ -214,8 +216,9 @@ def test_criterion_9_hydrodynamic_limit(heavy_diffusion):
         "master_seed": 777,
         "delta0": 0.1,
         "pde": {"resolution": 64},
+        "diffusion_table": str(table_path),
     })
-    report = run_experiment(cfg, table=table)
+    report = run_experiment(cfg)
     l1 = {row["N"]: row["L1"] for row in report.rows}
     decreasing = l1[8] > l1[16] > l1[32]
     ok = decreasing and l1[32] <= 0.05

@@ -4,6 +4,7 @@ import pickle
 import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from torusgas.cli import main as cli_main
 from torusgas.errors import ConfigError
 from torusgas.harness import (_PDE_KEYS, _TOP_KEYS, _TRUNC_KEYS, ExperimentConfig,
                               _load_or_compute_table, _replica_job, compare_fields, emit_outputs,
-                              pde_at_sites, replica_stream, run_experiment)
+                              pde_at_sites, pde_through, replica_stream, run_experiment)
 from torusgas.lattice import TorusGeometry, site_probabilities
 from torusgas.packed import TruncationParams
 from torusgas.simulate import RngStream
@@ -452,13 +453,19 @@ def test_unknown_output_format_is_config_error(tmp_path, capsys, formats):
 
 
 def test_truncation_defaults_live_in_truncation_params():
-    # the config passes only the truncation keys it holds
-    cfg = ExperimentConfig.from_dict(base_config(truncation={"radius": 3, "max_degree": 2}))
+    # the residual tolerance and the shift ladder are class constants, read
+    # through every instance; radius and degree are the only fields
+    cfg = ExperimentConfig.from_dict(base_config(truncation={"radius": 3, "max_degree": "2"}))
     assert cfg.truncation == TruncationParams(radius=3, max_degree=2)
-    cfg = ExperimentConfig.from_dict(base_config(truncation={
-        "radius": 3, "max_degree": 2, "solver_tol": "1e-9", "lambda_seq": [0.2, 0.1]}))
-    assert cfg.truncation == TruncationParams(radius=3, max_degree=2, solver_tol=1e-9,
-                                              lambda_seq=(0.2, 0.1))
+    assert [f.name for f in fields(TruncationParams)] == ["radius", "max_degree"]
+    assert (TruncationParams.solver_tol, TruncationParams.lambda_seq) == (
+        1e-10, (1e-1, 1e-2, 1e-3, 1e-4))
+    assert (cfg.truncation.solver_tol, cfg.truncation.lambda_seq) == (
+        TruncationParams.solver_tol, TruncationParams.lambda_seq)
+    # the run path takes the config alone, and the eigenvalue scan its range
+    assert list(inspect.signature(run_experiment).parameters) == ["cfg"]
+    assert list(inspect.signature(DiffusionTable.max_eigenvalue).parameters) == [
+        "self", "lo", "hi"]
 
 
 def test_pde_and_profile_defaults_have_one_owner():
@@ -485,8 +492,7 @@ def test_parser_and_echo_list_the_same_keys():
     # parsing the echo gives the same config
     data = base_config(
         profile=_COSINE, delta0=0.1, alpha_grid=[0.3, 0.6], diffusion_table="table.json",
-        truncation={"radius": 3, "max_degree": 2, "solver_tol": 1e-9,
-                    "lambda_seq": [0.2, 0.1]},
+        truncation={"radius": 3, "max_degree": 2},
         formats=["json"], threads=2, exact={"side": 3, "replicas": 10, "alpha": 0.4,
                                             "times": [0.05]}, label="all-keys")
     assert set(data) == _TOP_KEYS
@@ -496,18 +502,22 @@ def test_parser_and_echo_list_the_same_keys():
     assert set(echo["truncation"]) == _TRUNC_KEYS
     assert set(echo["pde"]) == _PDE_KEYS
     assert ExperimentConfig.from_dict(echo).to_dict() == echo
-    assert echo["truncation"] == {"radius": 3, "max_degree": 2, "solver_tol": 1e-9,
-                                  "lambda_seq": (0.2, 0.1)}
+    assert echo["truncation"] == {"radius": 3, "max_degree": 2}
 
 
 @pytest.mark.parametrize("command, data, key", [
     ("pde", {"pde": {"resolution": 12, "safety": 0.9}}, "safety"),
     ("compare", {"drift_tol": 1e-10}, "drift_tol"),
     ("diffusion", {"truncation": {"radius": 2, "max_degree": 2, "reg": 1e-3}}, "reg"),
+    ("diffusion", {"truncation": {"radius": 2, "max_degree": 2, "solver_tol": 1e-9}},
+     "solver_tol"),
+    ("diffusion", {"truncation": {"radius": 2, "max_degree": 2,
+                                  "lambda_seq": [0.1, 0.01, 0.001]}}, "lambda_seq"),
 ])
 def test_removed_key_is_config_error(tmp_path, capsys, command, data, key):
-    # the step fraction, the drift tolerance and the residual regularization
-    # are constants; a config that still sets one is refused, not obeyed
+    # the step fraction, the drift tolerance, the residual regularization,
+    # the solver tolerance and the shift ladder are constants; a config that
+    # still sets one is refused, not obeyed
     config = base_config(output_dir=str(tmp_path / "o"), alpha_grid=[0.3], **data)
     with pytest.raises(ConfigError, match=f"unknown keys in .*'{key}'"):
         ExperimentConfig.from_dict(config)
@@ -634,24 +644,27 @@ _COSINE = {"kind": "cosine", "base": 0.5, "amplitude": 0.2, "axis": 1}
 @pytest.mark.parametrize("seq", [["x"], [0.01], [0.01, 0.01], [0.1, 0.0], [0.1, -1e-3],
                                  [0.1, float("nan")], [0.1, float("inf")], [], 0.1])
 def test_bad_shift_sequence_is_config_error(tmp_path, capsys, seq):
-    # a non-number exited 1 with a TypeError traceback, and one shift (or a
-    # repeated one) exited 0 with an all-zero extrapolation spread
+    # these once exited 1 with a traceback, or 0 with an all-zero spread;
+    # the shift ladder is now a constant, so a config carrying any sequence
+    # is refused as an unknown key before its entries are read
     data = base_config(output_dir=str(tmp_path / "o"), alpha_grid=[0.3],
                        truncation={"radius": 2, "max_degree": 2, "lambda_seq": seq})
-    with pytest.raises(ConfigError, match="truncation.lambda_seq"):
+    with pytest.raises(ConfigError, match=r"unknown keys in truncation: \['lambda_seq'\]"):
         ExperimentConfig.from_dict(data)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(data))
     assert cli_main(["diffusion", "--config", str(cfg_path)]) == 2
     err = capsys.readouterr().err
-    assert "truncation.lambda_seq" in err and "Traceback" not in err
+    assert "unknown keys in truncation: ['lambda_seq']" in err and "Traceback" not in err
     assert not (tmp_path / "o").exists()
 
 
-def test_diffusion_command_exits_1_when_a_solve_stalls(tmp_path, capsys):
-    # the odd part of this kernel gives every solve a nonzero right side
+def test_diffusion_command_exits_1_when_a_solve_stalls(tmp_path, capsys, monkeypatch):
+    # a tolerance no Krylov run reaches; the odd part of this kernel gives
+    # every solve a nonzero right side
+    monkeypatch.setattr(TruncationParams, "solver_tol", 1e-30)
     data = base_config(output_dir=str(tmp_path / "o"), alpha_grid=[0.3],
-                       truncation={"radius": 2, "max_degree": 2, "solver_tol": 1e-30},
+                       truncation={"radius": 2, "max_degree": 2},
                        kernel={"dimension": 2, "entries": [
                            {"offset": [1, 0], "prob": 0.5}, {"offset": [-1, 0], "prob": 0.25},
                            {"offset": [0, 1], "prob": 0.125},
@@ -661,6 +674,10 @@ def test_diffusion_command_exits_1_when_a_solve_stalls(tmp_path, capsys):
     assert cli_main(["diffusion", "--config", str(cfg_path)]) == 1
     assert "invariant violation: resolvent solve failed" in capsys.readouterr().err
     assert not (tmp_path / "o" / "diffusion.json").exists()
+
+
+_NAN_PROB = {"dimension": 2, "entries": [
+    {"offset": [1, 0], "prob": float("nan")}, {"offset": [-1, 0], "prob": 1.0}]}
 
 
 @pytest.mark.parametrize("command, data, flags, key", [
@@ -704,6 +721,13 @@ def test_diffusion_command_exits_1_when_a_solve_stalls(tmp_path, capsys):
     ("compare", {"kernel": {"dimension": 2, "entries": [
         {"offset": [1.5, 0], "prob": 0.5}, {"offset": [-1, 0], "prob": 0.5}]}},
      [], "kernel offset entry"),
+    # JSON readers accept NaN and Infinity: a NaN weight passed the kernel
+    # check (`kernel` exited 0 with a NaN drift, `diffusion` 1), and an
+    # infinite time made `pde` step forever
+    ("kernel", {"kernel": _NAN_PROB}, [], "kernel prob"),
+    ("diffusion", {"kernel": _NAN_PROB}, [], "kernel prob"),
+    ("pde", {"times": [0.02, float("inf")]}, [], "times entry"),
+    ("exact", {"exact": {"times": [float("inf")]}}, [], "exact.times entry"),
 ])
 def test_out_of_domain_value_is_config_error(tmp_path, capsys, command, data, flags, key):
     # each used to crash inside the run (exit 1), name the wrong cause, or
@@ -828,6 +852,55 @@ def test_pde_command_writes_npy(tmp_path):
         assert np.array_equal(written, fld.grid())
         csv = np.loadtxt(tmp_path / "o" / f"pde_t{t}.csv", delimiter=",")
         assert np.array_equal(csv.reshape(12, 12), written)
+
+
+def test_pde_command_writes_run_meta(tmp_path):
+    # one SolveReport record per observation time, as `compare` writes them
+    table_path = tmp_path / "table.json"
+    DiffusionTable.from_callable(lambda a: np.diag([0.1, 0.08 + 0.03 * a]), 2).save_json(
+        table_path)
+    data = base_config(output_dir=str(tmp_path / "o"), profile=_COSINE,
+                       times=[0.02, 0.05], diffusion_table=str(table_path))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(data))
+    assert cli_main(["pde", "--config", str(cfg_path)]) == 0
+    meta = json.loads((tmp_path / "o" / "run_meta.json").read_text())
+    fld = DensityField.from_profile(Profile.cosine(2, 0.5, 0.2, axis=1), 12)
+    replay = [solve for _, _, solve in pde_through(fld, DiffusionTable.load_json(table_path),
+                                                    data["times"])]
+    assert len(meta["pde"]) == len(replay) == 2
+    for row, want in zip(meta["pde"], replay):
+        assert row.keys() == want.keys() and row["seconds"] >= 0.0
+        assert row["shape"] == list(want["shape"]) == [1, 12]
+        for key in ("t", "steps", "dt", "stability_limit", "mass_drift", "max_overshoot"):
+            assert row[key] == want[key], key
+
+
+_GRID_2X2 = [(0.25 * np.eye(2)).tolist()] * 2
+
+
+@pytest.mark.parametrize("csv_text, table, key", [
+    ("0.5,0.5\n0.5,x\n", None, "profile.path"),
+    (None, {"alphas": ["x", 0.7], "matrices": _GRID_2X2}, "diffusion table alphas"),
+    (None, {"alphas": [None, 0.7], "matrices": _GRID_2X2}, "diffusion table alphas"),
+    (None, {"alphas": [0.3, 0.7], "matrices": [_GRID_2X2[0], [[0.25, 0.0]]]},
+     "diffusion table matrices"),
+])
+def test_malformed_input_file_is_config_error(tmp_path, capsys, csv_text, table, key):
+    # each ended in a ValueError traceback and exit 1
+    table_path = tmp_path / "table.json"
+    table_path.write_text(json.dumps(table or {"alphas": [0.3, 0.7], "matrices": _GRID_2X2}))
+    profile = {"kind": "constant", "value": 0.5}
+    if csv_text is not None:
+        (tmp_path / "p.csv").write_text(csv_text)
+        profile = {"kind": "csv", "path": str(tmp_path / "p.csv")}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(base_config(
+        output_dir=str(tmp_path / "o"), profile=profile, diffusion_table=str(table_path))))
+    assert cli_main(["pde", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {key}" in err and "Traceback" not in err
+    assert not list((tmp_path / "o").glob("pde_t*"))
 
 
 _TRACE_SCRIPT = """

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,10 @@ def test_validation_errors():
     with pytest.raises(ConfigError):
         validate_kernel(TransitionKernel(2, np.array([[1, 0], [1, 0]]),
                                          np.array([0.5, 0.5])))
+    # a NaN weight fails the (0, 1] check; the weight sum check lets it by
+    with pytest.raises(ConfigError, match=re.escape("kernel weights must lie in (0, 1]")):
+        validate_kernel(TransitionKernel(2, np.array([[1, 0], [-1, 0]]),
+                                         np.array([np.nan, 1.0])))
 
 
 def test_covariance_psd_random_kernels():

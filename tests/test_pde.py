@@ -6,8 +6,8 @@ import pytest
 import sympy
 
 from torusgas.errors import ConfigError, InvariantViolation
-from torusgas.pde import (DENSE_NODES, SAFETY, DensityField, DiffusionTable, SolveReport,
-                          _pchip, pde_step, solve_to_time, stability_limit)
+from torusgas.pde import (DENSE_NODES, EIGEN_SAMPLES, SAFETY, DensityField, DiffusionTable,
+                          SolveReport, _pchip, pde_step, solve_to_time, stability_limit)
 from torusgas.profiles import Profile, _interp_periodic
 
 
@@ -305,13 +305,13 @@ def test_max_eigenvalue_matches_per_sample_reference():
                          [-0.03, 0.02 * a, 0.15 - 0.1 * a]])
 
     tab = DiffusionTable.from_callable(coeff, 3, nodes=11)
-    lo, hi, samples = 0.12, 0.83, 201
+    lo, hi = 0.12, 0.83
     ref = 0.0
-    for r in np.linspace(lo, hi, samples):
+    for r in np.linspace(lo, hi, EIGEN_SAMPLES):
         m = np.array([[tab.entry(i, j, np.array([r]))[0] for j in range(3)]
                       for i in range(3)])
         ref = max(ref, float(np.abs(np.linalg.eigvalsh(m)).max()))
-    assert tab.max_eigenvalue(lo, hi, samples) == pytest.approx(ref, rel=1e-14)
+    assert tab.max_eigenvalue(lo, hi) == pytest.approx(ref, rel=1e-14)
 
 
 @pytest.mark.parametrize("varying", [(0,), (1,), (2,), (0, 2), (1, 2), (0, 1, 2)])

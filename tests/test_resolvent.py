@@ -275,12 +275,10 @@ def test_extrapolation_helper():
     assert spread <= 1e-12
     # a stack of matrices is extrapolated entrywise, bit for bit
     rng = np.random.default_rng(5)
-    for count in (2, 4):
-        mats = rng.standard_normal((count, 2, 3))
-        limit, spread = extrapolate_to_zero(shifts[:count], mats)
-        for i, j in np.ndindex(2, 3):
-            assert (limit[i, j], spread[i, j]) == extrapolate_to_zero(
-                shifts[:count], mats[:, i, j])
+    mats = rng.standard_normal((4, 2, 3))
+    limit, spread = extrapolate_to_zero(shifts, mats)
+    for i, j in np.ndindex(2, 3):
+        assert (limit[i, j], spread[i, j]) == extrapolate_to_zero(shifts, mats[:, i, j])
 
 
 def _same(a, b) -> bool:
@@ -296,13 +294,14 @@ def _same(a, b) -> bool:
     return a == b
 
 
-def test_result_serialization_roundtrip(kernel_d2_asym, tmp_path):
+def test_result_serialization_roundtrip(kernel_d2_asym, tmp_path, monkeypatch):
     from dataclasses import fields
 
     from torusgas.resolvent import DiffusionResult
 
     # the shift key "1e-05" sorts after "0.001" as a string, before it as a number
-    tr = TruncationParams(radius=2, max_degree=2, lambda_seq=(0.1, 1e-3, 1e-5))
+    monkeypatch.setattr(TruncationParams, "lambda_seq", (0.1, 1e-3, 1e-5))
+    tr = TruncationParams(radius=2, max_degree=2)
     res = compute_diffusion(kernel_d2_asym, [0.3, 0.6], tr,
                             mobility_vectors={"e1": [1.0, 0.0]},
                             with_residuals=True)
@@ -329,11 +328,11 @@ def test_bad_inputs(small_engine):
         h_minus_one_sq(small_engine, np.zeros(small_engine.space.size), 0.0)
 
 
-def test_neg_norm_enforces_solver_tol(kernel_d2_asym):
+def test_neg_norm_enforces_solver_tol(kernel_d2_asym, monkeypatch):
     # the negative-norm solve holds `solver_tol` as the resolvent solve
     # does: a tolerance no CG run reaches raises instead of returning
-    eng = build_engine(kernel_d2_asym,
-                       TruncationParams(radius=2, max_degree=2, solver_tol=1e-30))
+    monkeypatch.setattr(TruncationParams, "solver_tol", 1e-30)
+    eng = build_engine(kernel_d2_asym, TruncationParams(radius=2, max_degree=2))
     b = eng.currents[0]
     with pytest.raises(InvariantViolation, match="against tolerance 1e-30"):
         h_minus_one_sq(eng, b, 1e-2)
@@ -375,12 +374,12 @@ def test_iterations_count_operator_matvecs(kernel_d2_asym):
     assert res.solver["orbits"] == res.truncation["orbits"] == eng.space.size
 
 
-def test_unreachable_tolerance_raises(kernel_d2_asym):
+def test_unreachable_tolerance_raises(kernel_d2_asym, monkeypatch):
     # a true residual of 1e-30 is far below round-off, so the one BiCGSTAB
     # run cannot reach it; a residual above `solver_tol` is never accepted,
     # however small
-    eng = build_engine(kernel_d2_asym,
-                       TruncationParams(radius=2, max_degree=2, solver_tol=1e-30))
+    monkeypatch.setattr(TruncationParams, "solver_tol", 1e-30)
+    eng = build_engine(kernel_d2_asym, TruncationParams(radius=2, max_degree=2))
     with pytest.raises(InvariantViolation, match="resolvent solve failed: residual"):
         resolvent_solve(eng, 0.3, 1e-2, 0)
 
