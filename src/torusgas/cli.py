@@ -2,9 +2,8 @@
 
 Subcommands: kernel, simulate, diffusion, pde, compare, exact.
 Shared flags: --config, --seed, --out, --threads.  Exit codes: 0 success,
-1 invariant violation, 2 config error.  The scipy-backed modules (`packed`,
-`resolvent`, `exactsmall`) are imported only by the code that uses them, so
-`pde` and `compare` on a stored coefficient table run on numpy alone.
+1 invariant violation, 2 config error.  Every subcommand runs on numpy
+alone.
 """
 
 from __future__ import annotations
@@ -20,7 +19,9 @@ from .errors import ConfigError, InvariantViolation, write_json
 from .harness import (ExperimentConfig, _load_or_compute_table, emit_outputs,
                       exact_small_experiment, make_output_dir, pde_through,
                       replica_results, run_experiment, write_run_meta)
+from .packed import PackedSpace, assemble
 from .pde import DensityField, DiffusionTable
+from .resolvent import compute_diffusion
 
 
 def _add_shared(p):
@@ -91,9 +92,6 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_diffusion(args) -> int:
-    from .packed import PackedSpace, assemble
-    from .resolvent import compute_diffusion
-
     cfg = _load(args)
     d = cfg.dimension
     vectors = {"e1": [1.0] + [0.0] * (d - 1)}
@@ -118,7 +116,7 @@ def cmd_diffusion(args) -> int:
     write_run_meta(out, diffusion={
         "enumerate_s": enumerated - start, "assemble_s": assembled - enumerated,
         "classes": space.size, "orbits": engine.space.size,
-        "nnz": engine.keep.nnz + engine.updown.nnz, "densities": stages})
+        "nnz": engine.nnz, "densities": stages})
     print(out / "diffusion.json")
     return 0
 

@@ -1,8 +1,9 @@
 """Exact distribution evolution for tiny tori.
 
 For systems with at most 13 sites the full 2^n state space is enumerated,
-the jump-rate matrix is assembled sparsely, and distributions are evolved
-with an exact (machine-precision) matrix-exponential action.  Laws are
+the jump-rate matrix is assembled as coordinate arrays, and distributions
+are evolved by uniformization, a sum of nonnegative terms that reaches
+machine precision.  Laws are
 compared by total variation and by relative entropy, the latter both
 exhaustively over the state list and in closed form for product measures.
 """
@@ -12,8 +13,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import expm_multiply
 
 from .errors import ConfigError, InvariantViolation
 from .kernels import TransitionKernel
@@ -23,12 +22,20 @@ MAX_SITES = 13
 
 PROB_SUM_TOL = 1e-12
 
+# Uniformization: the span is cut into pieces whose Poisson mean is at most
+# _PIECE_MEAN, so exp(-mean) (about 1e-87 at the bound) is far from
+# underflow, and a piece's sum stops once the Poisson mass not yet added is
+# below _TAIL_MASS.
+_PIECE_MEAN = 200.0
+_TAIL_MASS = 1e-18
 
-def generator_matrix(geometry: TorusGeometry, kernel: TransitionKernel) -> sp.csr_matrix:
-    """Sparse rate matrix L with L[s, s'] the jump rate from state s to s'.
 
-    Row sums are exactly zero: the diagonal is assembled as the negated
-    off-diagonal total.
+def generator_matrix(geometry: TorusGeometry, kernel: TransitionKernel):
+    """Rate matrix L as coordinate arrays (rows, cols, rates): L[s, s'] is the
+    jump rate from state s to s', repeated entries adding up.
+
+    The diagonal comes last, one entry per state, assembled as the negated
+    off-diagonal total, so every row sums to exactly zero.
     """
     n = geometry.n_sites
     if n > MAX_SITES:
@@ -56,11 +63,7 @@ def generator_matrix(geometry: TorusGeometry, kernel: TransitionKernel) -> sp.cs
     rows.append(states)
     cols.append(states)
     vals.append(diag)
-    mat = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n_states, n_states),
-    )
-    return mat.tocsr()
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
 
 
 def product_distribution(geometry: TorusGeometry, site_probs) -> np.ndarray:
@@ -95,9 +98,29 @@ def exact_evolution_small(geometry: TorusGeometry, kernel: TransitionKernel,
         raise ConfigError("initial distribution does not sum to 1")
     if duration == 0.0:
         return initial.copy()
-    gen = generator_matrix(geometry, kernel)
-    out = expm_multiply(gen.T.tocsr() * duration, initial)
-    out = np.maximum(out, 0.0)
+    rows, cols, rates = generator_matrix(geometry, kernel)
+    # uniformization: with lam the largest exit rate, P = I + L / lam is
+    # stochastic and exp(t L) = sum_k Pois(k; lam t) P^k
+    diag = rows == cols
+    lam = float(-rates[diag].min())
+    if lam == 0.0:  # no move leaves its site: every offset wraps around the torus
+        return initial.copy()
+    probs = rates / lam
+    probs[diag] += 1.0
+    pieces = math.ceil(lam * duration / _PIECE_MEAN)
+    mean = lam * duration / pieces
+    out = initial
+    for _ in range(pieces):
+        weight = math.exp(-mean)
+        term = out
+        out = weight * term
+        k = 0
+        # the mass after term k is at most weight * q / (1 - q), q = mean / (k + 1)
+        while not (k + 1 > mean and weight * mean / (k + 1 - mean) <= _TAIL_MASS):
+            k += 1
+            term = np.bincount(cols, weights=probs * term[rows], minlength=n_states)
+            weight *= mean / k
+            out += weight * term
     total = out.sum()
     if abs(total - 1.0) > 1e-9:
         raise InvariantViolation("evolved distribution lost mass beyond tolerance")

@@ -17,11 +17,15 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, as_number, as_numbers, as_string, require, write_json
+from .exactsmall import (MAX_SITES, exact_evolution_small, product_distribution,
+                         relative_entropy_distributions, relative_entropy_product,
+                         total_variation)
 from .kernels import KernelAnalysis, TransitionKernel, TruncationParams, validate_kernel
 from .lattice import (TorusGeometry, block_density, sample_product_measure, site_probabilities,
                       state_codes)
 from .pde import DensityField, DiffusionTable, SolveReport, solve_to_time
 from .profiles import Profile, validate_profile
+from .resolvent import compute_diffusion
 from .simulate import (RngStream, check_replica_ledgers, evolve, evolve_replicas,
                        wavefront_window)
 
@@ -249,8 +253,6 @@ def compare_fields(empirical: np.ndarray, target: np.ndarray) -> dict:
 def _load_or_compute_table(cfg: ExperimentConfig) -> DiffusionTable:
     if cfg.diffusion_table_path:
         return DiffusionTable.load_json(cfg.diffusion_table_path)
-    from .resolvent import compute_diffusion  # scipy; only for a computed table
-
     result = compute_diffusion(cfg.analysis, cfg.alpha_grid, cfg.truncation)
     return DiffusionTable.from_diffusion_result(result)
 
@@ -469,11 +471,6 @@ def exact_small_experiment(cfg: ExperimentConfig, stages: dict | None = None) ->
         now = time.perf_counter()
         stages[stage] += now - clock
         clock = now
-
-    # scipy-backed, so imported here and not by `compare`
-    from .exactsmall import (MAX_SITES, exact_evolution_small, product_distribution,
-                             relative_entropy_distributions, relative_entropy_product,
-                             total_variation)
 
     n = cfg.exact_side
     mc_replicas = cfg.exact_replicas

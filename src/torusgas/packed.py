@@ -54,8 +54,8 @@ orbit clips the representative's count: n + 1 times per class, and a unit
 orbit vector spreads its mass evenly over its classes, so the orbit's clip
 weight is the representative's own.
 
-Assembled are the degree-preserving arrows, one CSR pattern with separate
-even/odd weight data, the even diagonal, and the degree-raising arrows R.
+Assembled are the degree-preserving arrows, with separate even and odd
+weights, the even diagonal, and the degree-raising arrows R.
 The rest follows from the odd part being antisymmetric in the
 degree-weighted pairing (the product-measure inner product of the dual
 space): the lowering arrows are minus the weighted adjoint of the raising
@@ -69,6 +69,14 @@ two sparse matvecs plus a diagonal, with the density entering only through
 scalar coefficients, so one assembly serves a whole density grid.  So does
 the stack of dual currents, one orbit vector per direction, which
 `assemble` builds once per engine.
+
+The degree-preserving arrows are stored slot-major: rows of similar arrow
+count share a block, whose (slots, rows) arrays list each row's arrows in
+assembly order and pad the rest with weight 0 on a zero entry appended to
+the input.  A block's matvec is one gather, one product and one sum over
+the slots, which runs in the same order as a compressed-row matvec over
+the same arrows.  The degree-changing arrows are coordinate arrays sorted
+by row, then column, summed per row with `np.bincount`.
 """
 
 from __future__ import annotations
@@ -77,12 +85,14 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ConfigError, InvariantViolation
 from .kernels import KernelAnalysis, TruncationParams
 
 _BITS = 16  # per-point index field in the set encoding
+# a slot block holds the rows whose arrow count is at least this share of
+# its widest row's, so at most a fifth of its slots are padding
+_BLOCK_FILL = 0.8
 
 
 def canonical(points) -> tuple:
@@ -326,36 +336,62 @@ class PackedOperator:
 
     space: OrbitSpace
     analysis: KernelAnalysis
-    keep: sp.csr_matrix      # degree-preserving arrows, data = even weights
-    keep_odd: np.ndarray     # odd-weight data on the same pattern
+    slot_rows: np.ndarray    # the rows of the slot blocks, block after block
+    slot_cols: list          # per block, (slots, rows) degree-preserving arrow targets
+    slot_even: list          # per block, even weights on the same slots (0 on pads)
+    slot_odd: list           # per block, odd weights on the same slots (0 on pads)
     diag_even: np.ndarray
-    updown: sp.csr_matrix    # degree-changing arrows (shared density scalar)
+    change_rows: np.ndarray  # degree-changing arrows (shared density scalar),
+    change_cols: np.ndarray  # sorted by row, then column
+    change_vals: np.ndarray
     clip_weight: np.ndarray  # per-orbit clipped-arrow weight, see clipped_outflow
     currents: np.ndarray     # (d, orbits): the dual current of each direction
 
     def __post_init__(self):
-        self._buf = np.empty_like(self.keep.data)
-        self._composed = sp.csr_matrix(
-            (self._buf, self.keep.indices, self.keep.indptr),
-            shape=self.keep.shape, copy=False)
+        self._composed = None
         self._cd = None
 
-    def _compose(self, cd: float):
-        if self._cd != cd:
-            np.multiply(self.keep_odd, cd, out=self._buf)
-            self._buf += self.keep.data
-            self._cd = cd
+    @property
+    def nnz(self) -> int:
+        """Stored arrows, pads not counted."""
+        pad = self.space.size
+        return (sum(int(np.count_nonzero(cols != pad)) for cols in self.slot_cols)
+                + len(self.change_vals))
+
+    def preserving(self, x: np.ndarray, weights: list) -> np.ndarray:
+        """Degree-preserving arrows applied to x, with per-block slot weights."""
+        padded = np.append(x, 0.0)
+        out = np.empty(len(x))
+        start = 0
+        for cols, w in zip(self.slot_cols, weights):
+            stop = start + cols.shape[1]
+            terms = padded.take(cols)
+            terms *= w
+            np.add.reduce(terms, axis=0, out=out[start:stop])
+            start = stop
+        y = np.empty_like(out)
+        y[self.slot_rows] = out
+        return y
+
+    def changing(self, x: np.ndarray) -> np.ndarray:
+        """Degree-changing arrows applied to x."""
+        return np.bincount(self.change_rows, weights=self.change_vals * x[self.change_cols],
+                           minlength=len(x))
 
     def apply_full(self, x: np.ndarray, alpha: float) -> np.ndarray:
         """Apply (even part) + (1 - 2 alpha)(odd part) + sqrt(chi)(raise+lower)."""
-        self._compose(1.0 - 2.0 * alpha)
-        y = self._composed.dot(x)
+        cd = 1.0 - 2.0 * alpha
+        if self._cd != cd:
+            self._composed = [odd * cd + even
+                              for odd, even in zip(self.slot_odd, self.slot_even)]
+            self._cd = cd
+        y = self.preserving(x, self._composed)
         y += self.diag_even * x
-        y += np.sqrt(alpha * (1.0 - alpha)) * self.updown.dot(x)
+        y += np.sqrt(alpha * (1.0 - alpha)) * self.changing(x)
         return y
 
     def apply_sym(self, x: np.ndarray) -> np.ndarray:
-        return self.keep.dot(x) + self.diag_even * x
+        return self.preserving(x, self.slot_even) + self.diag_even * x
 
     def resolvent_matvec(self, x: np.ndarray, alpha: float, lam: float) -> np.ndarray:
         return lam * x - self.apply_full(x, alpha)
@@ -442,9 +478,13 @@ def assemble(space: PackedSpace, analysis: KernelAnalysis) -> PackedOperator:
     def ratio(rows, cols):
         return np.sqrt(orbit_size[rows] / orbit_size[cols])
 
-    indices_parts, offset_parts, indptr_counts = [], [], []
+    # degree-preserving arrows, rows from the representatives' canonical
+    # members, one column per (offset, member or rigid shift): column f of
+    # a degree-n row moves by offset f // (n + 1)
+    cols_all = np.full((size, len(offsets) * (trunc.max_degree + 1)), -1, dtype=np.int32)
     diag_even = np.zeros(size)
-    up_rows, up_cols, up_vals = [], [], []
+    empty = np.zeros(0, dtype=np.intp)  # a symmetric kernel raises nothing
+    up_rows, up_cols, up_vals = [empty], [empty], [np.zeros(0)]
     clip_weight = np.zeros(size)
 
     def raising(krow, tgt, vals, scale):
@@ -459,10 +499,7 @@ def assemble(space: PackedSpace, analysis: KernelAnalysis) -> PackedOperator:
         if nn == 0:
             continue
         sets_n = space.sets[n][orbits.rep[krow] - space.offsets[n]]  # representatives
-        # degree-preserving arrows, one column per (offset, member or rigid
-        # shift); matrix rows from the representatives' canonical members
-        cols2d = np.full((nn, len(offsets) * (n + 1)), -1, dtype=np.int32)
-        col_offset = np.repeat(np.arange(len(offsets), dtype=np.int32), n + 1)
+        cols2d = cols_all[krow[0]:krow[-1] + 1]  # a view
         f = 0
         for v, sv, av in zip(offsets, svals, avals):
             wsq = (sv * sv + av * av) / (n + 1.0)
@@ -483,11 +520,6 @@ def assemble(space: PackedSpace, analysis: KernelAnalysis) -> PackedOperator:
                 f += 1
             # every member of the class clips the same count (module docstring)
             clip_weight[krow] += wsq * (n + 1) * clipped
-        mask = cols2d >= 0
-        indptr_counts.append(mask.sum(axis=1))
-        indices_parts.append(cols2d[mask])
-        offset_parts.append(np.broadcast_to(col_offset, cols2d.shape)[mask])
-        del cols2d, mask
 
         # degree-raising arrows (rows of degree >= 2 read one point fewer)
         if n >= 2:
@@ -509,23 +541,44 @@ def assemble(space: PackedSpace, analysis: KernelAnalysis) -> PackedOperator:
                         raise InvariantViolation("rebased subset left the cube")
                     raising(krow[sel], _find_all(space, ridx), -2.0 * am[sel], scale)
 
-    # rows are the orbits in order; columns keep one entry per arrow
-    counts = np.concatenate(indptr_counts)
-    indptr = np.concatenate([[0], counts]).cumsum()
-    indices = np.concatenate(indices_parts)
-    offset_of = np.concatenate(offset_parts)
-    scale = ratio(np.repeat(np.arange(size), counts), indices)
-    keep = sp.csr_matrix((svals[offset_of] * scale, indices, indptr), shape=(size, size))
-    odd = avals[offset_of] * scale
+    # blocks of rows, widest first: a block takes every row whose arrow count
+    # is at least _BLOCK_FILL of its first row's; each row's arrows move to
+    # its first slots, in assembly order, and its pad slots read the zero
+    # entry appended to the input
+    counts = np.count_nonzero(cols_all >= 0, axis=1)
+    slot_rows = np.argsort(-counts, kind="stable")
+    ranked = counts[slot_rows]
+    slot_cols, slot_even, slot_odd = [], [], []
+    start = 0
+    while start < size:
+        slots = ranked[start]
+        stop = int(np.searchsorted(-ranked, -_BLOCK_FILL * slots, side="right"))
+        rows = slot_rows[start:stop]
+        # (slots, rows) in C order, so the sum over slots streams whole rows
+        f = np.argsort(cols_all[rows] < 0, axis=1, kind="stable")[:, :slots].T.copy()
+        cols = cols_all[rows, f].astype(np.intp)
+        pad = cols < 0
+        cols[pad] = 0
+        scale = np.where(pad, 0.0, ratio(rows, cols))
+        offset = np.where(pad, 0, f // (orbits.degree[rows] + 1))
+        cols[pad] = size
+        slot_cols.append(cols)
+        slot_even.append(svals[offset] * scale)
+        slot_odd.append(avals[offset] * scale)
+        start = stop
 
-    up = sp.coo_matrix(
-        (np.concatenate(up_vals), (np.concatenate(up_rows), np.concatenate(up_cols)))
-        if up_rows else ([], ([], [])), shape=(size, size)).tocsr().tocoo()
+    # raising arrows with repeats summed in assembly order, zeros dropped
+    key, where = np.unique(np.concatenate(up_rows) * size + np.concatenate(up_cols),
+                           return_inverse=True)
+    vals = np.bincount(where, weights=np.concatenate(up_vals), minlength=len(key))
+    r, c = np.divmod(key[vals != 0.0], size)
+    vals = vals[vals != 0.0]
     # lowering = minus the weighted adjoint of raising: L_ij = -R_ji w_j / w_i
     w = orbits.weight
-    down = sp.coo_matrix((-up.data * w[up.row] / w[up.col], (up.col, up.row)),
-                         shape=(size, size))
-    updown = (up + down).tocsr()
+    change_rows = np.concatenate([r, c])
+    change_cols = np.concatenate([c, r])
+    change_vals = np.concatenate([vals, -vals * w[r] / w[c]])
+    order = np.lexsort((change_cols, change_rows))
 
     class_currents = np.zeros((analysis.dimension, space.size))
     for z, a in zip(offsets, avals):
@@ -537,5 +590,6 @@ def assemble(space: PackedSpace, analysis: KernelAnalysis) -> PackedOperator:
 
     # clipped mass in the degree-weighted norm of the lift:
     # f(A)^2 = x_O^2 / ((n + 1) |O|) on each of the |O| (n + 1) sets of O
-    return PackedOperator(orbits, analysis, keep, odd, diag_even, updown,
-                          clip_weight * orbits.weight, currents)
+    return PackedOperator(orbits, analysis, slot_rows, slot_cols, slot_even, slot_odd,
+                          diag_even, change_rows[order], change_cols[order],
+                          change_vals[order], clip_weight * orbits.weight, currents)

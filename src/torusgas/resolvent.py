@@ -20,7 +20,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, bicgstab, cg
 
 from .errors import ConfigError, InvariantViolation, require, write_json
 from .kernels import KernelAnalysis, TruncationParams
@@ -32,6 +31,78 @@ RESIDUAL_REG = 1e-3  # `reg` of the residual splits that `compute_diffusion` rep
 def _krylov_maxiter(size: int) -> int:
     """Iteration cap of a Krylov solve on a space of `size` unknowns."""
     return max(2000, 40 * int(np.sqrt(size)))
+
+
+def _bicgstab(matvec, b: np.ndarray, x0, atol: float, maxiter: int):
+    """BiCGSTAB without preconditioner, as scipy 1.17's `bicgstab` computes it.
+
+    Every operation is scipy's, in its order, so the iterates match it bit
+    for bit; only the probe matvec of its `LinearOperator` is gone.  Stops
+    when the recursive residual is below `atol`.  Returns (x, info): info 0
+    on convergence, `maxiter` when the cap is hit, -10 or -11 on a rho or
+    omega breakdown.
+    """
+    x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=np.float64)
+    breakdown = np.finfo(np.float64).eps ** 2
+    r = b - matvec(x) if x.any() else b.copy()
+    rtilde = r.copy()
+    rho_prev = omega = alpha = p = v = None
+    for iteration in range(maxiter):
+        if np.linalg.norm(r) < atol:
+            return x, 0
+        rho = np.dot(rtilde, r)
+        if np.abs(rho) < breakdown:
+            return x, -10
+        if iteration > 0:
+            if np.abs(omega) < breakdown:
+                return x, -11
+            beta = (rho / rho_prev) * (alpha / omega)
+            p -= omega * v
+            p *= beta
+            p += r
+        else:
+            p = r.copy()
+        v = matvec(p)
+        rv = np.dot(rtilde, v)
+        if rv == 0:
+            return x, -11
+        alpha = rho / rv
+        r -= alpha * v
+        if np.linalg.norm(r) < atol:
+            x += alpha * p
+            return x, 0
+        t = matvec(r)
+        omega = np.dot(t, r) / np.dot(t, t)
+        x += alpha * p
+        x += omega * r
+        r -= omega * t
+        rho_prev = rho
+    return x, maxiter
+
+
+def _cg(matvec, b: np.ndarray, atol: float, maxiter: int):
+    """Conjugate gradients from zero, without preconditioner, as scipy 1.17's
+    `cg` computes it (bit for bit, without the probe matvec).  Stops when the
+    recursive residual is below `atol` or after `maxiter` steps.
+    """
+    x = np.zeros_like(b)
+    r = b.copy()
+    rho_prev = p = None
+    for iteration in range(maxiter):
+        if np.linalg.norm(r) < atol:
+            return x
+        rho = np.dot(r, r)
+        if iteration > 0:
+            p *= rho / rho_prev
+            p += r
+        else:
+            p = r.copy()
+        q = matvec(p)
+        alpha = rho / np.dot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+    return x
 
 
 def build_engine(analysis: KernelAnalysis, trunc: TruncationParams) -> PackedOperator:
@@ -73,9 +144,7 @@ def resolvent_solve(engine: PackedOperator, alpha: float, shift: float,
         matvecs += 1
         return engine.resolvent_matvec(x, alpha, shift)
 
-    op = LinearOperator((space.size, space.size), matvec=matvec)
-    x, info = bicgstab(op, b, x0=x0, rtol=0.0, atol=tol / 4.0,
-                       maxiter=_krylov_maxiter(space.size))
+    x, info = _bicgstab(matvec, b, x0, tol / 4.0, _krylov_maxiter(space.size))
     resid = float(np.linalg.norm(matvec(x) - b))
     if info < 0 or not np.all(np.isfinite(x)) or not resid <= tol:
         raise InvariantViolation(
@@ -114,11 +183,10 @@ def h_minus_one_sq(engine: PackedOperator, b: np.ndarray, reg: float) -> float:
     def matvec(x):
         return reg * x - engine.apply_sym(x)
 
-    op = LinearOperator((space.size, space.size), matvec=matvec)
     tol = space.trunc.solver_tol
-    u, info = cg(op, b, rtol=0.0, atol=tol, maxiter=_krylov_maxiter(space.size))
+    u = _cg(matvec, b, tol, _krylov_maxiter(space.size))
     resid = float(np.linalg.norm(matvec(u) - b))
-    if info < 0 or not resid <= tol:
+    if not resid <= tol:
         raise InvariantViolation(f"negative-norm solve stalled at residual {resid:g} "
                                  f"against tolerance {tol:g}")
     return max(space.dot(b, u), 0.0)

@@ -945,25 +945,38 @@ _IMPORT_SCRIPT = """
 import json, sys
 sys.path.insert(0, sys.argv[1] + "/src")
 from torusgas.cli import main
-codes = [main([command, "--config", sys.argv[2]]) for command in ("compare", "pde")]
-print(json.dumps({"codes": codes, "scipy": sorted(
-    name for name in sys.modules if name == "scipy" or name.startswith("scipy."))}))
+seen = []
+for command, config in json.loads(sys.argv[2]):
+    code = main([command, "--config", config])
+    seen.append([command, code, sorted(name for name in sys.modules
+                                       if name == "scipy" or name.startswith("scipy."))])
+print(json.dumps(seen))
 """
 
 
-def test_compare_and_pde_on_a_stored_table_import_no_scipy(tmp_path):
-    # scipy's import is most of the start-up cost; with a stored table these
-    # subcommands need numpy alone, so a module-level import of a
-    # scipy-backed module anywhere on their path fails this test
+def test_no_subcommand_imports_scipy(tmp_path):
+    # scipy's import is most of the start-up cost of a small run, and the
+    # package needs numpy alone: every subcommand, with a computed
+    # coefficient table and with a stored one, leaves scipy unloaded
     table_path = tmp_path / "table.json"
     DiffusionTable.from_callable(lambda a: 0.25 * np.eye(2), 2, nodes=2).save_json(table_path)
-    config_path = tmp_path / "cfg.json"
-    config_path.write_text(json.dumps(base_config(
-        output_dir=str(tmp_path / "o"), diffusion_table=str(table_path),
-        profile={"kind": "cosine", "base": 0.5, "amplitude": 0.2, "axis": 1})))
-    out = subprocess.run([sys.executable, "-c", _IMPORT_SCRIPT, str(ROOT), str(config_path)],
+    profile = {"kind": "cosine", "base": 0.5, "amplitude": 0.2, "axis": 1}
+    computed = tmp_path / "computed.json"
+    computed.write_text(json.dumps(base_config(
+        output_dir=str(tmp_path / "c"), profile=profile, alpha_grid=[0.3, 0.5, 0.7],
+        truncation={"radius": 1, "max_degree": 2},
+        exact={"side": 3, "replicas": 50, "alpha": 0.5})))
+    stored = tmp_path / "stored.json"
+    stored.write_text(json.dumps(base_config(
+        output_dir=str(tmp_path / "o"), diffusion_table=str(table_path), profile=profile)))
+    runs = [[command, str(computed)]
+            for command in ("kernel", "simulate", "diffusion", "pde", "compare", "exact")]
+    runs += [[command, str(stored)] for command in ("compare", "pde")]
+    out = subprocess.run([sys.executable, "-c", _IMPORT_SCRIPT, str(ROOT), json.dumps(runs)],
                          capture_output=True, text=True, check=True)
     seen = json.loads(out.stdout.splitlines()[-1])
-    assert seen == {"codes": [0, 0], "scipy": []}
+    assert seen == [[command, 0, []] for command, _ in runs]
+    for name in ("kernel.json", "diffusion.json", "report.json", "exact_diagnostics.json"):
+        assert (tmp_path / "c" / name).exists()
     assert (tmp_path / "o" / "report.json").exists()
     assert (tmp_path / "o" / "pde_t0.05.csv").exists()

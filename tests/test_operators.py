@@ -48,8 +48,8 @@ def test_symmetric_kernel_kills_odd_parts():
     for mat in (oracle.mat_drift, oracle.mat_raise, oracle.mat_lower):
         assert not np.any(mat.data)
     eng = assemble(PackedSpace(2, tr), an)
-    assert not np.any(eng.keep_odd)
-    assert not np.any(eng.updown.data)
+    assert not any(np.any(odd) for odd in eng.slot_odd)
+    assert not np.any(eng.change_vals)
 
 
 def test_half_density_composite(kernel_d2_asym):
@@ -58,7 +58,7 @@ def test_half_density_composite(kernel_d2_asym):
                    kernel_d2_asym)
     x = np.random.default_rng(6).standard_normal(eng.space.size)
     full = eng.apply_full(x, 0.5)
-    combo = eng.apply_sym(x) + 0.5 * eng.updown.dot(x)
+    combo = eng.apply_sym(x) + 0.5 * eng.changing(x)
     assert np.abs(full - combo).max() <= 1e-12
 
 
@@ -224,7 +224,59 @@ def test_bench_space_has_the_acceptance_orbit_count(kernel_d3_asym):
     assert set(np.unique(space.orbit_size)) <= {1, 2, 4, 8}
     assert np.array_equal(space.orbit[space.rep], np.arange(space.size))
     assert np.all(np.diff(space.rep) > 0) and np.all(np.diff(space.degree) >= 0)
-    assert eng.keep.shape == eng.updown.shape == (space.size, space.size)
+    # every orbit is the row of exactly one slot; 520,629 degree-preserving
+    # and 10,988 degree-changing arrows are stored
+    assert np.array_equal(np.sort(eng.slot_rows), np.arange(space.size))
+    assert eng.nnz == 531617
+
+
+def _compressed_rows(eng, weights):
+    """The degree-preserving arrows as a scipy CSR matrix: each row's stored
+    arrows in slot order, pads dropped."""
+    size = eng.space.size
+    rows, cols, vals, slots = [], [], [], []
+    start = 0
+    for block_cols, w in zip(eng.slot_cols, weights):
+        block_rows = eng.slot_rows[start:start + block_cols.shape[1]]
+        start += block_cols.shape[1]
+        slot, j = np.nonzero(block_cols != size)
+        rows.append(block_rows[j])
+        cols.append(block_cols[slot, j])
+        vals.append(w[slot, j])
+        slots.append(slot)
+    rows, cols, vals, slots = map(np.concatenate, (rows, cols, vals, slots))
+    order = np.lexsort((slots, rows))
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=size))])
+    return sp.csr_matrix((vals[order], cols[order], indptr), shape=(size, size))
+
+
+@pytest.mark.parametrize("kernel,trunc", [
+    pytest.param("kernel_d3_asym", (2, 2), id="d3-acceptance"),
+    pytest.param("exact_tiny", (2, 2), id="d2-exact-tiny"),
+])
+def test_slot_matvec_is_scipy_csr_bit_for_bit(request, kernel, trunc):
+    # the slot-major blocks sum each row's arrows in stored order, as scipy's
+    # compressed-row matvec does, so both give the same bits
+    an = (validate_kernel(TransitionKernel(2, np.array([[1, 0], [-1, 0], [0, 1], [0, -1]]),
+                                           np.array([0.5, 0.25, 0.125, 0.125])))
+          if kernel == "exact_tiny" else request.getfixturevalue(kernel))
+    eng = assemble(PackedSpace(an.dimension, TruncationParams(*trunc)), an)
+    size = eng.space.size
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(eng.change_rows, minlength=size))])
+    changing = sp.csr_matrix((eng.change_vals, eng.change_cols, indptr), shape=(size, size))
+    even = _compressed_rows(eng, eng.slot_even)
+    assert even.nnz + changing.nnz == eng.nnz
+    assert np.all(np.diff(eng.change_rows * size + eng.change_cols) > 0)
+    x = np.random.default_rng(21).standard_normal(size)
+    assert np.array_equal(eng.apply_sym(x), even.dot(x) + eng.diag_even * x)
+    for alpha in (0.3, 0.5):
+        cd = 1.0 - 2.0 * alpha
+        full = _compressed_rows(eng, [odd * cd + ev
+                                      for odd, ev in zip(eng.slot_odd, eng.slot_even)])
+        want = full.dot(x)
+        want += eng.diag_even * x
+        want += np.sqrt(alpha * (1.0 - alpha)) * changing.dot(x)
+        assert np.array_equal(eng.apply_full(x, alpha), want)
 
 
 def _range_two_kernel():

@@ -5,7 +5,7 @@ import pytest
 
 from torusgas.errors import ConfigError, InvariantViolation
 from torusgas.kernels import ssep, validate_kernel
-from torusgas.resolvent import (build_engine, compute_diffusion, extrapolate_to_zero,
+from torusgas.resolvent import (_bicgstab, _cg, build_engine, compute_diffusion,
                                 degree_one_seminorm, dirichlet_gram, extrapolate_to_zero,
                                 h_minus_one_sq, hydrodynamic_matrix,
                                 j_matrix, residual_triple_norm, resolvent_solve)
@@ -372,6 +372,56 @@ def test_iterations_count_operator_matvecs(kernel_d2_asym):
     assert res.solver["space_size"] == eng.space.n_sets
     assert res.solver["classes"] == res.truncation["classes"] == eng.space.classes.size
     assert res.solver["orbits"] == res.truncation["orbits"] == eng.space.size
+
+
+def test_warm_start_at_the_solution_costs_two_matvecs(small_engine):
+    # the initial residual and the final true-residual check: no probe
+    # matvec, no iteration
+    x, _ = resolvent_solve(small_engine, 0.3, 1e-2, 0)
+    again, info = resolvent_solve(small_engine, 0.3, 1e-2, 0, x0=x)
+    assert info.iterations == 2
+    assert np.array_equal(again, x)
+
+
+def test_krylov_ports_match_scipy_bit_for_bit(kernel_d3_asym):
+    # scipy's solvers are the reference: same iterates, one matvec fewer
+    # (the probe its LinearOperator makes when built without a dtype)
+    from scipy.sparse.linalg import LinearOperator, bicgstab, cg
+
+    eng = build_engine(kernel_d3_asym, TruncationParams(radius=2, max_degree=2))
+    n = eng.space.size
+    b = eng.currents[0]
+    tol = eng.space.trunc.solver_tol
+    counts = {}
+
+    def counted(key, fn):
+        counts[key] = 0
+
+        def matvec(x):
+            counts[key] += 1
+            return fn(x)
+        return matvec
+
+    def full(x):
+        return eng.resolvent_matvec(x, 0.3, 1e-2)
+
+    def sym(x):
+        return 1e-3 * x - eng.apply_sym(x)
+
+    cold, _ = _bicgstab(full, b, None, tol / 4.0, 2000)
+    for x0 in (None, 0.9 * cold):
+        got, info = _bicgstab(counted("port", full), b, x0, tol / 4.0, 2000)
+        want, want_info = bicgstab(LinearOperator((n, n), matvec=counted("scipy", full)), b,
+                                   x0=x0, rtol=0.0, atol=tol / 4.0, maxiter=2000)
+        assert info == want_info == 0
+        assert np.array_equal(got, want)
+        assert counts["port"] == counts["scipy"] - 1 > 1
+    got = _cg(counted("port", sym), b, tol, 2000)
+    want, want_info = cg(LinearOperator((n, n), matvec=counted("scipy", sym)), b,
+                         rtol=0.0, atol=tol, maxiter=2000)
+    assert want_info == 0
+    assert np.array_equal(got, want)
+    assert counts["port"] == counts["scipy"] - 1 > 1
 
 
 def test_unreachable_tolerance_raises(kernel_d2_asym, monkeypatch):
