@@ -116,7 +116,7 @@ def cmd_diffusion(args) -> int:
     write_run_meta(out, diffusion={
         "enumerate_s": enumerated - start, "assemble_s": assembled - enumerated,
         "classes": space.size, "orbits": engine.space.size,
-        "nnz": engine.nnz, "densities": stages})
+        "nnz": engine.nnz, "engine_mb": engine.nbytes / 2 ** 20, "densities": stages})
     print(out / "diffusion.json")
     return 0
 

@@ -81,10 +81,31 @@ def product_distribution(geometry: TorusGeometry, site_probs) -> np.ndarray:
     return dist
 
 
+def uniformized_chain(geometry: TorusGeometry, kernel: TransitionKernel) -> tuple:
+    """The uniformized jump chain (rows, cols, probs, lam) of the dynamics.
+
+    With lam the largest exit rate, P = I + L / lam (coordinate arrays,
+    repeated entries adding up) is stochastic and
+    exp(t L) = sum_k Pois(k; lam t) P^k.  lam is 0 when no move leaves its
+    site (every offset wraps around the torus); `probs` is then unused.
+    """
+    rows, cols, rates = generator_matrix(geometry, kernel)
+    diag = rows == cols
+    lam = float(-rates[diag].min())
+    if lam == 0.0:
+        return rows, cols, rates, lam
+    probs = rates / lam
+    probs[diag] += 1.0
+    return rows, cols, probs, lam
+
+
 def exact_evolution_small(geometry: TorusGeometry, kernel: TransitionKernel,
-                          initial: np.ndarray, duration: float) -> np.ndarray:
+                          initial: np.ndarray, duration: float,
+                          chain: tuple | None = None) -> np.ndarray:
     """Evolve a distribution over all configurations for a microscopic time.
 
+    `chain` is `uniformized_chain(geometry, kernel)`, built here when not
+    given; a caller that evolves several laws on one torus builds it once.
     Returns the exact law at the final time; nonnegative and summing to one
     within 1e-12.
     """
@@ -98,15 +119,11 @@ def exact_evolution_small(geometry: TorusGeometry, kernel: TransitionKernel,
         raise ConfigError("initial distribution does not sum to 1")
     if duration == 0.0:
         return initial.copy()
-    rows, cols, rates = generator_matrix(geometry, kernel)
-    # uniformization: with lam the largest exit rate, P = I + L / lam is
-    # stochastic and exp(t L) = sum_k Pois(k; lam t) P^k
-    diag = rows == cols
-    lam = float(-rates[diag].min())
-    if lam == 0.0:  # no move leaves its site: every offset wraps around the torus
+    if chain is None:
+        chain = uniformized_chain(geometry, kernel)
+    rows, cols, probs, lam = chain
+    if lam == 0.0:
         return initial.copy()
-    probs = rates / lam
-    probs[diag] += 1.0
     pieces = math.ceil(lam * duration / _PIECE_MEAN)
     mean = lam * duration / pieces
     out = initial

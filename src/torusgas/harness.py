@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ConfigError, as_number, as_numbers, as_string, require, write_json
 from .exactsmall import (MAX_SITES, exact_evolution_small, product_distribution,
                          relative_entropy_distributions, relative_entropy_product,
-                         total_variation)
+                         total_variation, uniformized_chain)
 from .kernels import KernelAnalysis, TransitionKernel, TruncationParams, validate_kernel
 from .lattice import (TorusGeometry, block_density, sample_product_measure, site_probabilities,
                       state_codes)
@@ -484,9 +484,12 @@ def exact_small_experiment(cfg: ExperimentConfig, stages: dict | None = None) ->
     marginals0 = site_probabilities(geom, profile)
     mu = product_distribution(geom, marginals0)
 
-    # stationarity of the flat product measure
+    # stationarity of the flat product measure; every exact law below
+    # evolves under the one uniformized chain of this torus
+    chain = uniformized_chain(geom, cfg.kernel)
     nu_alpha = product_distribution(geom, np.full(geom.n_sites, alpha))
-    nu_evolved = exact_evolution_small(geom, cfg.kernel, nu_alpha, times[-1] * n ** 2)
+    nu_evolved = exact_evolution_small(geom, cfg.kernel, nu_alpha, times[-1] * n ** 2,
+                                       chain)
     stationarity_tv = total_variation(nu_evolved, nu_alpha)
     lap("exact_s")
 
@@ -503,7 +506,7 @@ def exact_small_experiment(cfg: ExperimentConfig, stages: dict | None = None) ->
     # exact law and entropy curve along the run, including the time-zero row
     exact_laws = {0.0: mu}
     for t, span in spans(times):
-        mu = exact_evolution_small(geom, cfg.kernel, mu, span * n ** 2)
+        mu = exact_evolution_small(geom, cfg.kernel, mu, span * n ** 2, chain)
         exact_laws[t] = mu
     entropy_rows = []
     for t, fld in references:

@@ -16,21 +16,29 @@ Every class has exactly one canonical member whose points are all
 lexicographically positive: the shift of A u {0} by its lexicographically
 smallest point.  The point pool is in lexicographic order with the origin
 removed, so the canonical members are the compatible sets drawn from the
-upper half of the pool, and the space enumerates exactly those
-(degree-grouped, lexicographically sorted integer encodings).  A set whose
-smallest point is negative is looked up through one member shift, by that
-point.
+upper half of the pool.  A class is stored as one integer, the code of its
+canonical member (its sorted pool indices, `_BITS` bits each), and nothing
+else: the degree-(n + 1) codes are built from the degree-n ones, block by
+block, by appending each compatible larger pool index, which keeps them
+strictly increasing.  Every code of a positive degree-n member lies below
+every degree-(n + 1) code, so the whole code table is sorted, a class index
+is the position of its code, and `find` is one binary search.  Rows are
+decoded only where they are read.  A set whose smallest point is negative
+is looked up through one member shift, by that point.
 
 The kernel's point group (`KernelAnalysis.group`: the signed axis
 permutations g with p(gz) = p(z) that fix every point of the odd support)
 maps classes to classes, commutes with every operator part and leaves
 every dual current invariant, so the solutions of every direction are
 constant on the group orbits of the classes.  `OrbitSpace` keeps one
-unknown per orbit: the group's generators act on the canonical members
-(looked up with `find`), and the orbits are the connected components of
-that action, each represented by its smallest class index and ordered by
-it.  A kernel without symmetry has one class per orbit, and the engine is
-then the class engine exactly.
+unknown per orbit and one orbit index per class.  The orbits are the
+connected components of the action of the group's generators: each
+generator's class permutation is read off the codes in bounded chunks
+(decode, move every point, sort each row, `find`), and the smallest class
+index is propagated along those permutations to a fixed point.  Each orbit
+is represented by its smallest class index and ordered by it.  A kernel
+without symmetry has one class per orbit, and the engine is then the class
+engine exactly.
 
 Vectors are coordinates in the orthonormal orbit basis: the value of orbit
 O is f(A) * sqrt((n + 1) |O|) for any member A of any of its classes, so the
@@ -90,9 +98,16 @@ from .errors import ConfigError, InvariantViolation
 from .kernels import KernelAnalysis, TruncationParams
 
 _BITS = 16  # per-point index field in the set encoding
+_MASK = (1 << _BITS) - 1
 # a slot block holds the rows whose arrow count is at least this share of
 # its widest row's, so at most a fifth of its slots are padding
 _BLOCK_FILL = 0.8
+# passes over every class or every slot run in chunks of bounded size, so no
+# transient grows with the space: a level is extended _EXTEND_CHUNK classes
+# at a time (each needs a pool-wide mask row), and generator images and slot
+# fills take _CHUNK classes or slot entries at a time
+_EXTEND_CHUNK = 8192
+_CHUNK = 32768
 
 
 def canonical(points) -> tuple:
@@ -100,36 +115,30 @@ def canonical(points) -> tuple:
     return tuple(sorted(tuple(int(c) for c in p) for p in points))
 
 
-def _combinations_span(compat: np.ndarray, base: np.ndarray) -> np.ndarray:
-    """Extend sorted index tuples by one compatible, strictly larger index."""
-    p = compat.shape[0]
-    cols = np.arange(p, dtype=np.int64)
-    out = []
-    for start in range(0, len(base), 131072):
-        blk = base[start:start + 131072]
-        mask = np.ones((len(blk), p), dtype=bool)
-        for j in range(blk.shape[1]):
-            mask &= compat[blk[:, j]]
-        mask &= cols[None, :] > blk[:, -1][:, None]
-        rows, ks = np.nonzero(mask)
-        ext = np.empty((len(rows), blk.shape[1] + 1), dtype=np.int64)
-        ext[:, :-1] = blk[rows]
-        ext[:, -1] = ks
-        out.append(ext)
-    if not out:
-        return np.empty((0, base.shape[1] + 1), dtype=np.int64)
-    return np.concatenate(out)
+def _sort_rows(rows: np.ndarray) -> np.ndarray:
+    """Sort each row of a few-column integer array in place and return it.
+
+    Odd-even transposition: as many rounds of compare-exchange on
+    neighbouring columns as there are columns, cheaper than
+    `np.sort(axis=1)` on the at most `max_degree` columns of a set row.
+    """
+    n = rows.shape[1]
+    for r in range(n):
+        for j in range(r % 2, n - 1, 2):
+            lo = np.minimum(rows[:, j], rows[:, j + 1])
+            np.maximum(rows[:, j], rows[:, j + 1], out=rows[:, j + 1])
+            rows[:, j] = lo
+    return rows
 
 
 class PackedSpace:
     """The translation classes of the truncated set space.
 
-    `sets[n]` holds the canonical members of the degree-n classes as sorted
-    pool-index rows, `enc[n]` their strictly increasing encodings and
-    `offsets[n]` the index of the first degree-n class.  Classes are ordered
-    by degree, then by canonical member; `size` counts them, `degree` and
-    `weight` (1 / (n + 1)) are per class, and `n_sets` counts the sets they
-    stand for.
+    `codes` holds the code of every class's canonical member, strictly
+    increasing; class k is the k-th code, and the degree-n classes are
+    `offsets[n]` up to `offsets[n + 1]`.  Classes are ordered by degree,
+    then by canonical member; `size` counts them and `n_sets` counts the
+    sets they stand for.
     """
 
     def __init__(self, dimension: int, trunc: TruncationParams):
@@ -142,7 +151,7 @@ class PackedSpace:
         keep = ~(coords == 0).all(axis=1)
         self.pool = coords[keep]  # (P, d) lexicographic
         p = len(self.pool)
-        if p >= (1 << _BITS) - 1:
+        if p >= _MASK:
             raise ConfigError("truncation radius too large for the set encoding")
         # pool[:P/2] is lexicographically negative, pool[P/2:] positive, and
         # -pool[i] = pool[P - 1 - i]
@@ -158,31 +167,37 @@ class PackedSpace:
         # -2 at the origin; two points may share a set when it is >= 0
         rel = self.pool[None, :, :] - self.pool[:, None, :]
         self.diff = np.where((rel == 0).all(axis=2), -2, self.lookup_points(rel))
-        self.compat = compat = self.diff >= 0
+        self.compat = self.diff >= 0
         self.neg = self.lookup_points(-self.pool)  # pool index of -pool[i]
 
         # canonical members: compatible sets of positive points only
-        self.sets = {1: np.arange(self._half, p, dtype=np.int64)[:, None]}
-        level = self.sets[1]
-        for n in range(2, trunc.max_degree + 1):
-            level = _combinations_span(compat, level)
-            self.sets[n] = level
-        self.enc = {}
-        self.offsets = {}
-        total = 0
-        for n in range(1, trunc.max_degree + 1):
-            e = self.encode(self.sets[n])
-            if len(e) > 1 and not np.all(np.diff(e) > 0):
-                raise InvariantViolation("set encodings not strictly increasing")
-            self.enc[n] = e
-            self.offsets[n] = total
-            total += len(e)
-        self.size = total
-        self.degree = np.concatenate(
-            [np.full(len(self.sets[n]), n, dtype=np.int64)
-             for n in range(1, trunc.max_degree + 1)])
-        self.weight = 1.0 / (self.degree + 1.0)
-        self.n_sets = int(np.sum(self.degree + 1))
+        levels = [np.arange(self._half, p, dtype=np.int64)]
+        for n in range(1, trunc.max_degree):
+            levels.append(self._extend(levels[-1], n))
+        self.offsets = np.zeros(trunc.max_degree + 2, dtype=np.int64)
+        self.offsets[2:] = np.cumsum([len(level) for level in levels])
+        self.codes = np.concatenate(levels)
+        self.size = len(self.codes)
+        self.n_sets = sum((n + 1) * len(level) for n, level in enumerate(levels, 1))
+
+    def _extend(self, codes: np.ndarray, n: int) -> np.ndarray:
+        """Codes of the degree-(n + 1) canonical members from the degree-n ones.
+
+        Each member gains one compatible pool index above its largest.
+        `np.nonzero` walks the mask row by row, so the new codes are
+        strictly increasing, as their prefixes are.
+        """
+        cols = np.arange(len(self.pool))
+        out = [np.zeros(0, dtype=np.int64)]
+        for start in range(0, len(codes), _EXTEND_CHUNK):
+            block = codes[start:start + _EXTEND_CHUNK]
+            rows = self.decode(block, n)
+            mask = cols > rows[:, -1:]
+            for j in range(n):
+                mask &= self.compat[rows[:, j]]
+            which, k = np.nonzero(mask)
+            out.append((block[which] << _BITS) | k)
+        return np.concatenate(out)
 
     def _linear(self, coords: np.ndarray) -> np.ndarray:
         r = self.trunc.radius
@@ -207,6 +222,13 @@ class PackedSpace:
             code = (code << _BITS) | rows[:, j]
         return code
 
+    def decode(self, codes: np.ndarray, n: int) -> np.ndarray:
+        """The sorted pool-index rows, (len(codes), n), of degree-n codes."""
+        rows = np.empty((len(codes), n), dtype=np.int64)
+        for j in range(n):
+            rows[:, j] = (codes >> (_BITS * (n - 1 - j))) & _MASK
+        return rows
+
     def find(self, rows: np.ndarray) -> np.ndarray:
         """Class indices of sorted index rows; -1 when absent or invalid.
 
@@ -220,13 +242,9 @@ class PackedSpace:
             rows = rows.copy()
             rows[moved] = self._member_shift(rows[moved], 0)
             valid &= (rows >= 0).all(axis=1)
-        n = rows.shape[1]
         code = self.encode(np.where(valid[:, None], rows, 0))
-        table = self.enc[n]
-        pos = np.searchsorted(table, code)
-        pos_c = np.minimum(pos, len(table) - 1)
-        hit = valid & (table[pos_c] == code) if len(table) else np.zeros(len(rows), bool)
-        return np.where(hit, self.offsets[n] + pos_c, -1)
+        pos = np.minimum(np.searchsorted(self.codes, code), self.size - 1)
+        return np.where(valid & (self.codes[pos] == code), pos, -1)
 
     def _member_shift(self, rows: np.ndarray, m: int) -> np.ndarray:
         """Sorted index rows of (A u {0}) - a_m minus the origin, a_m in slot m.
@@ -236,7 +254,7 @@ class PackedSpace:
         z = rows[:, m]
         moved = self.diff[z[:, None], rows]
         moved[:, m] = self.neg[z]
-        return np.sort(moved, axis=1)
+        return _sort_rows(moved)
 
     def translate(self, v) -> np.ndarray:
         """Pool index of pool[i] + v for every pool point (-1 / -2 as in `diff`)."""
@@ -255,10 +273,6 @@ class PackedSpace:
         if np.any(idx < 0):
             return -1
         return int(self.find(np.sort(idx)[None, :])[0])
-
-    def dot(self, x: np.ndarray, y: np.ndarray) -> float:
-        """Degree-weighted inner product; equals that of the lifted vectors."""
-        return float(np.sum(self.weight * x * y))
 
 
 class OrbitSpace:
@@ -280,7 +294,7 @@ class OrbitSpace:
         # label propagation along each generator's class permutation; a
         # permutation of finite order closes its cycles, so the fixed point
         # labels every class with the smallest class index of its orbit
-        label = np.arange(classes.size)
+        label = np.arange(classes.size, dtype=np.int32)
         images = [_class_image(classes, g) for g in _generators(group)]
         changed = bool(images)
         while changed:
@@ -289,14 +303,19 @@ class OrbitSpace:
                 new = np.minimum(new, new[image])
             changed = not np.array_equal(new, label)
             label = new
-        self.rep = np.unique(label)
-        self.orbit = np.searchsorted(self.rep, label)
+        is_rep = label == np.arange(classes.size, dtype=np.int32)
+        self.rep = np.flatnonzero(is_rep)
+        index = np.cumsum(is_rep, dtype=np.int32)  # 1 + orbit index of each rep
+        index -= 1
+        self.orbit = index[label]
         self.orbit_size = np.bincount(self.orbit)
         self.size = len(self.rep)
-        self.degree = classes.degree[self.rep]
-        self.weight = classes.weight[self.rep]
+        self.degree = np.searchsorted(classes.offsets, self.rep, side="right") - 1
+        self.weight = 1.0 / (self.degree + 1.0)
 
-    dot = PackedSpace.dot
+    def dot(self, x: np.ndarray, y: np.ndarray) -> float:
+        """Degree-weighted inner product; equals that of the lifted vectors."""
+        return float(np.sum(self.weight * x * y))
 
 
 def _generators(group: np.ndarray) -> list:
@@ -323,10 +342,15 @@ def _generators(group: np.ndarray) -> list:
 def _class_image(space: PackedSpace, g: np.ndarray) -> np.ndarray:
     """Class index of g K for every class K, from the canonical members."""
     moved = space.lookup_points(space.pool @ g.T)
-    image = np.concatenate([space.find(np.sort(moved[space.sets[n]], axis=1))
-                            for n in range(1, space.trunc.max_degree + 1)])
-    if np.any(image < 0):
-        raise InvariantViolation("a point-group image left the truncated space")
+    image = np.empty(space.size, dtype=np.int32)
+    for n in range(1, space.trunc.max_degree + 1):
+        for start in range(space.offsets[n], space.offsets[n + 1], _CHUNK):
+            stop = min(start + _CHUNK, space.offsets[n + 1])
+            rows = moved[space.decode(space.codes[start:stop], n)]
+            found = space.find(_sort_rows(rows))
+            if np.any(found < 0):
+                raise InvariantViolation("a point-group image left the truncated space")
+            image[start:stop] = found
     return image
 
 
@@ -357,6 +381,18 @@ class PackedOperator:
         pad = self.space.size
         return (sum(int(np.count_nonzero(cols != pad)) for cols in self.slot_cols)
                 + len(self.change_vals))
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the arrays this engine, its orbit level and its class
+        level keep, the composed slot weights of the last density included."""
+        total = 0
+        for level in (self, self.space, self.space.classes):
+            for value in vars(level).values():
+                for a in value if isinstance(value, list) else [value]:
+                    if isinstance(a, np.ndarray):
+                        total += a.nbytes
+        return total
 
     def preserving(self, x: np.ndarray, weights: list) -> np.ndarray:
         """Degree-preserving arrows applied to x, with per-block slot weights."""
@@ -457,23 +493,16 @@ def assemble(space: PackedSpace, analysis: KernelAnalysis) -> PackedOperator:
     trunc.check_kernel(analysis)
     orbits = OrbitSpace(space, analysis.group)
     orbit, orbit_size = orbits.orbit, orbits.orbit_size
-    pool = space.pool
-    p = len(pool)
     size = orbits.size
 
     offsets = analysis.sym_offsets.astype(np.int64)
     svals = analysis.sym_weights
     avals = analysis.asym_weights
 
-    # pairwise odd weights between pool points, and at the points themselves
-    diffs = pool[:, None, :] - pool[None, :, :]
-    a_pp = np.zeros((p, p))
-    a_pt = np.zeros(p)
-    for z, a in zip(offsets, avals):
-        if a == 0.0:
-            continue
-        a_pp[(diffs == z).all(axis=2)] = a
-        a_pt[(pool == z).all(axis=1)] = a
+    # odd weight a(pool[i]) per pool point, with a 0 at the sentinels -2 and
+    # -1 of `space.diff`: a(pool[i] - pool[j]) is a_at[space.diff[j, i]]
+    a_at = np.zeros(len(space.pool) + 2)
+    a_at[space.lookup_points(offsets)] = avals
 
     def ratio(rows, cols):
         return np.sqrt(orbit_size[rows] / orbit_size[cols])
@@ -498,7 +527,7 @@ def assemble(space: PackedSpace, analysis: KernelAnalysis) -> PackedOperator:
         nn = len(krow)
         if nn == 0:
             continue
-        sets_n = space.sets[n][orbits.rep[krow] - space.offsets[n]]  # representatives
+        sets_n = space.decode(space.codes[orbits.rep[krow]], n)  # representatives
         cols2d = cols_all[krow[0]:krow[-1] + 1]  # a view
         f = 0
         for v, sv, av in zip(offsets, svals, avals):
@@ -513,9 +542,9 @@ def assemble(space: PackedSpace, analysis: KernelAnalysis) -> PackedOperator:
                 if m is None:
                     rows_new = hit[inside]
                 else:
-                    rows_new = sets_n[inside].copy()
+                    rows_new = sets_n[inside]
                     rows_new[:, m] = hit[inside]
-                    rows_new.sort(axis=1)
+                    _sort_rows(rows_new)
                 cols2d[inside, f] = orbit[_find_all(space, rows_new)]
                 f += 1
             # every member of the class clips the same count (module docstring)
@@ -529,10 +558,10 @@ def assemble(space: PackedSpace, analysis: KernelAnalysis) -> PackedOperator:
                 tgt = _find_all(space, sets_n[:, keep_slots[m]])
                 coeff = np.zeros(nn)
                 for j in keep_slots[m]:
-                    coeff += a_pp[sets_n[:, m], sets_n[:, j]]
+                    coeff += a_at[space.diff[sets_n[:, j], sets_n[:, m]]]
                 sel = coeff != 0.0
                 raising(krow[sel], tgt[sel], 2.0 * coeff[sel], scale)
-                am = a_pt[sets_n[:, m]]
+                am = a_at[sets_n[:, m]]
                 sel = am != 0.0
                 if sel.any():
                     raising(krow[sel], tgt[sel], 2.0 * am[sel], scale)
@@ -544,7 +573,8 @@ def assemble(space: PackedSpace, analysis: KernelAnalysis) -> PackedOperator:
     # blocks of rows, widest first: a block takes every row whose arrow count
     # is at least _BLOCK_FILL of its first row's; each row's arrows move to
     # its first slots, in assembly order, and its pad slots read the zero
-    # entry appended to the input
+    # entry appended to the input.  A block's arrays are allocated once and
+    # filled a bounded chunk of rows at a time.
     counts = np.count_nonzero(cols_all >= 0, axis=1)
     slot_rows = np.argsort(-counts, kind="stable")
     ranked = counts[slot_rows]
@@ -553,18 +583,26 @@ def assemble(space: PackedSpace, analysis: KernelAnalysis) -> PackedOperator:
     while start < size:
         slots = ranked[start]
         stop = int(np.searchsorted(-ranked, -_BLOCK_FILL * slots, side="right"))
-        rows = slot_rows[start:stop]
         # (slots, rows) in C order, so the sum over slots streams whole rows
-        f = np.argsort(cols_all[rows] < 0, axis=1, kind="stable")[:, :slots].T.copy()
-        cols = cols_all[rows, f].astype(np.intp)
-        pad = cols < 0
-        cols[pad] = 0
-        scale = np.where(pad, 0.0, ratio(rows, cols))
-        offset = np.where(pad, 0, f // (orbits.degree[rows] + 1))
-        cols[pad] = size
+        cols = np.empty((slots, stop - start), dtype=np.intp)
+        even, odd = np.empty(cols.shape), np.empty(cols.shape)
+        step = _CHUNK // max(slots, 1)
+        for lo in range(start, stop, step):
+            rows = slot_rows[lo:min(lo + step, stop)]
+            part = slice(lo - start, lo - start + len(rows))
+            f = np.argsort(cols_all[rows] < 0, axis=1, kind="stable")[:, :slots].T
+            c = cols_all[rows, f].astype(np.intp)
+            pad = c < 0
+            c[pad] = 0
+            scale = np.where(pad, 0.0, ratio(rows, c))
+            offset = np.where(pad, 0, f // (orbits.degree[rows] + 1))
+            c[pad] = size
+            cols[:, part] = c
+            np.multiply(svals[offset], scale, out=even[:, part])
+            np.multiply(avals[offset], scale, out=odd[:, part])
         slot_cols.append(cols)
-        slot_even.append(svals[offset] * scale)
-        slot_odd.append(avals[offset] * scale)
+        slot_even.append(even)
+        slot_odd.append(odd)
         start = stop
 
     # raising arrows with repeats summed in assembly order, zeros dropped
@@ -580,13 +618,18 @@ def assemble(space: PackedSpace, analysis: KernelAnalysis) -> PackedOperator:
     change_vals = np.concatenate([vals, -vals * w[r] / w[c]])
     order = np.lexsort((change_cols, change_rows))
 
-    class_currents = np.zeros((analysis.dimension, space.size))
+    # the currents' class values, added into orbit coordinates in ascending
+    # class order, as a bincount over all classes would add them
+    class_currents = {}
     for z, a in zip(offsets, avals):
         if a != 0.0:
             k = space.index_of_subset((z,))
-            class_currents[:, k] += -2.0 * z * a * (1.0 / np.sqrt(2.0))
-    currents = np.stack([np.bincount(orbit, weights=x, minlength=size)
-                         for x in class_currents]) / np.sqrt(orbit_size)
+            class_currents[k] = (class_currents.get(k, 0.0)
+                                 + -2.0 * z * a * (1.0 / np.sqrt(2.0)))
+    currents = np.zeros((analysis.dimension, size))
+    for k in sorted(class_currents):
+        currents[:, orbit[k]] += class_currents[k]
+    currents /= np.sqrt(orbit_size)
 
     # clipped mass in the degree-weighted norm of the lift:
     # f(A)^2 = x_O^2 / ((n + 1) |O|) on each of the |O| (n + 1) sets of O

@@ -78,6 +78,12 @@ def enumerate_truncation(dimension: int, trunc):
     return by_degree
 
 
+def class_degrees(space) -> np.ndarray:
+    """Degree of every class of a `PackedSpace`, read off its degree offsets."""
+    counts = np.diff(space.offsets[1:])
+    return np.repeat(np.arange(1, len(counts) + 1), counts)
+
+
 def _support_map(analysis, odd=False):
     vals = analysis.asym_weights if odd else analysis.sym_weights
     return {tuple(int(c) for c in z): float(v)
@@ -299,9 +305,9 @@ class DenseOracle:
         cls = np.array([space.index_of_subset(A) for A in self.basis])
         assert np.all(cls >= 0) and space.n_sets == self.size
         degree = np.array([len(A) for A in self.basis])
-        assert np.array_equal(np.bincount(cls, minlength=space.size),
-                              space.degree + 1)
-        assert np.array_equal(space.degree[cls], degree)
+        class_degree = class_degrees(space)
+        assert np.array_equal(np.bincount(cls, minlength=space.size), class_degree + 1)
+        assert np.array_equal(class_degree[cls], degree)
         # the same partition as the oracle's classes
         pairs = set(zip(self.set_class.tolist(), cls.tolist()))
         assert len(pairs) == space.size == self.classes.shape[1]

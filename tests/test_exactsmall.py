@@ -245,6 +245,25 @@ def test_exact_ensemble_is_deterministic_and_counts_every_replica(monkeypatch):
         assert 0 < row["jumps"] <= row["events"]
 
 
+def test_exact_experiment_builds_the_generator_once(monkeypatch):
+    # the stationarity check and every span evolve under one uniformized
+    # chain: the rate matrix is built once per experiment
+    import torusgas.exactsmall as exactsmall
+
+    calls = []
+    build = exactsmall.generator_matrix
+
+    def counting(geometry, kernel):
+        calls.append(geometry.n_sites)
+        return build(geometry, kernel)
+
+    monkeypatch.setattr(exactsmall, "generator_matrix", counting)
+    cfg = _exact_config(10)
+    assert len(cfg.exact_times) == 2
+    exact_small_experiment(cfg)
+    assert calls == [9]
+
+
 def test_exact_records_stage_seconds_in_run_meta(tmp_path):
     import time
 

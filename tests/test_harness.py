@@ -542,6 +542,37 @@ def test_config_keeps_its_validated_values():
     assert cfg.to_dict()["exact"] == data["exact"]
 
 
+def test_diffusion_run_meta_records_engine_memory(tmp_path, monkeypatch):
+    # `engine_mb` is the nbytes sum of every array the engine, its orbit
+    # level and its class level keep, the composed slot weights of the last
+    # density included
+    import torusgas.cli as cli
+
+    engines = []
+    build = cli.assemble
+
+    def keeping(space, analysis):
+        engines.append(build(space, analysis))
+        return engines[-1]
+
+    monkeypatch.setattr(cli, "assemble", keeping)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(base_config(
+        output_dir=str(tmp_path / "d"), alpha_grid=[0.3, 0.6],
+        truncation={"radius": 2, "max_degree": 2})))
+    assert cli_main(["diffusion", "--config", str(cfg_path)]) == 0
+    eng, = engines
+    space, classes = eng.space, eng.space.classes
+    arrays = [eng.slot_rows, *eng.slot_cols, *eng.slot_even, *eng.slot_odd, *eng._composed,
+              eng.diag_even, eng.change_rows, eng.change_cols, eng.change_vals,
+              eng.clip_weight, eng.currents,
+              space.rep, space.orbit, space.orbit_size, space.degree, space.weight,
+              classes.pool, classes._cube, classes.diff, classes.compat, classes.neg,
+              classes.offsets, classes.codes]
+    meta = json.loads((tmp_path / "d" / "run_meta.json").read_text())
+    assert meta["diffusion"]["engine_mb"] == sum(a.nbytes for a in arrays) / 2 ** 20
+
+
 def test_run_meta_records_pde_solves(tmp_path):
     data = base_config(output_dir=str(tmp_path / "o"), times=[0.02, 0.05],
                        profile={"kind": "cosine", "base": 0.5, "amplitude": 0.2,

@@ -3,9 +3,10 @@ import pytest
 import scipy.sparse as sp
 
 from torusgas.kernels import TransitionKernel, ssep, validate_kernel
-from torusgas.packed import PackedSpace, TruncationParams, assemble
+from torusgas.packed import _BITS, PackedSpace, TruncationParams, assemble
 
-from oracle import DenseOracle, enumerate_truncation, in_truncation, shift_set
+from oracle import (DenseOracle, class_degrees, enumerate_truncation, in_truncation,
+                    shift_set)
 
 
 def _unit(oracle, A):
@@ -119,8 +120,9 @@ def test_classes_have_degree_plus_one_members(dim, trunc):
                 assert in_truncation(tr, B)
                 assert space.index_of_subset(B) == k
     assert sorted(members) == list(range(space.size))
+    degree = class_degrees(space)
     for k, sets in members.items():
-        n = int(space.degree[k])
+        n = int(degree[k])
         assert {len(A) for A in sets} == {n}
         assert len(sets) == n + 1
 
@@ -139,8 +141,11 @@ def test_canonical_member_is_the_positive_set(dim, trunc, kernel_d2_asym, kernel
     positive = np.array([all(p > origin for p in A) for A in oracle.basis])
     assert np.array_equal(np.bincount(oracle.set_class, weights=positive),
                           np.ones(oracle.classes.shape[1]))
-    enumerated = [tuple(tuple(int(c) for c in space.pool[i]) for i in row)
-                  for n in sorted(space.sets) for row in space.sets[n]]
+    # the class codes decoded here, `_BITS` bits per pool index, first highest
+    enumerated = []
+    for code, n in zip(space.codes.tolist(), class_degrees(space).tolist()):
+        row = [(code >> (_BITS * (n - 1 - j))) & ((1 << _BITS) - 1) for j in range(n)]
+        enumerated.append(tuple(tuple(int(c) for c in space.pool[i]) for i in row))
     assert len(enumerated) == space.size
     assert set(enumerated) == {A for A, pos in zip(oracle.basis, positive) if pos}
     assert [space.index_of_subset(A) for A in enumerated] == list(range(space.size))
@@ -228,6 +233,54 @@ def test_bench_space_has_the_acceptance_orbit_count(kernel_d3_asym):
     # and 10,988 degree-changing arrows are stored
     assert np.array_equal(np.sort(eng.slot_rows), np.arange(space.size))
     assert eng.nnz == 531617
+
+
+def test_class_and_orbit_levels_keep_one_code_and_one_orbit_index_per_class(
+        kernel_d3_asym):
+    # deterministic memory guard at the acceptance truncation: the arrays the
+    # class and orbit levels keep at class length are one int64 code and one
+    # int32 orbit index, and none is longer (no per-class rows of points)
+    eng = assemble(PackedSpace(3, TruncationParams(radius=3, max_degree=3)),
+                   kernel_d3_asym)
+    n_classes = eng.space.classes.size
+    per_class = 0
+    for level in (eng.space.classes, eng.space):
+        for name, value in vars(level).items():
+            if isinstance(value, np.ndarray):
+                assert value.size <= n_classes, name
+                if value.size == n_classes:
+                    per_class += value.nbytes
+    assert per_class <= 12 * n_classes
+
+
+@pytest.mark.parametrize("dim,trunc,kernel", [
+    pytest.param(3, (1, 3), "ssep", id="d3-ssep-1-3"),
+    pytest.param(3, (2, 2), "ssep", id="d3-ssep-2-2"),
+    pytest.param(1, (1, 3), "d1_asym", id="d1-empty-levels"),
+])
+def test_engine_on_the_order_48_group_and_on_empty_levels(dim, trunc, kernel):
+    # SSEP in d = 3 keeps the whole order-48 group of signed permutations;
+    # `lift` checks on every set and group element that the engine's orbit
+    # of a set's class is the orbit of its images.  In d = 1 at radius 1 the
+    # degree-2 and degree-3 levels are empty, so every chunked pass meets an
+    # empty level
+    an = (validate_kernel(ssep(3)) if kernel == "ssep" else
+          validate_kernel(TransitionKernel(1, np.array([[1], [-1]]), np.array([0.7, 0.3]))))
+    tr = TruncationParams(*trunc)
+    eng = assemble(PackedSpace(dim, tr), an)
+    oracle = DenseOracle(an, tr)
+    lift = oracle.lift(eng.space)
+    if kernel == "ssep":
+        assert eng.space.symmetry_order == 48 and eng.space.size < eng.space.classes.size
+    else:
+        assert np.array_equal(np.diff(eng.space.classes.offsets[1:]), [1, 0, 0])
+        assert np.any(eng.currents)
+    for i, b in enumerate(eng.currents):
+        assert np.abs(lift(b) - oracle.current_vector(i)).max() <= 1e-15
+    x = np.random.default_rng(5).standard_normal(eng.space.size)
+    for alpha in (0.3, 0.5):
+        want = oracle.full_matrix(alpha).dot(lift(x))
+        assert np.abs(lift(eng.apply_full(x, alpha)) - want).max() <= 1e-12
 
 
 def _compressed_rows(eng, weights):

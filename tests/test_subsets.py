@@ -3,7 +3,7 @@ import pytest
 
 from torusgas.errors import ConfigError
 from torusgas.kernels import ssep, tasep, validate_kernel
-from torusgas.packed import PackedSpace, TruncationParams, assemble, canonical
+from torusgas.packed import OrbitSpace, PackedSpace, TruncationParams, assemble, canonical
 
 from oracle import DenseOracle, in_truncation, shift_set
 
@@ -40,24 +40,27 @@ def test_space_excludes_origin_and_repeats():
 
 def test_inner_product_weights():
     # weight 1/(n+1) on sets of n points; a class vector pairs like its lift
+    # (the orbits of the trivial group are the classes)
     tr = TruncationParams(radius=2, max_degree=2)
-    space = PackedSpace(2, tr)
+    classes = PackedSpace(2, tr)
+    space = OrbitSpace(classes, np.eye(2, dtype=np.int64)[None])
+    assert space.size == classes.size and np.array_equal(space.rep, np.arange(space.size))
     one = np.zeros(space.size)
-    one[space.index_of_subset(((1, 0),))] = 1.0
+    one[classes.index_of_subset(((1, 0),))] = 1.0
     assert space.dot(one, one) == pytest.approx(0.5)  # degree 1: 1/2
     two = np.zeros(space.size)
-    two[space.index_of_subset(((1, 0), (2, 0)))] = 1.0
+    two[classes.index_of_subset(((1, 0), (2, 0)))] = 1.0
     assert space.dot(two, two) == pytest.approx(1 / 3)  # degree 2: 1/3
     assert space.dot(one, two) == 0.0  # disjoint supports
     rng = np.random.default_rng(7)
     x, y = rng.standard_normal((2, space.size))
     an = validate_kernel(ssep(2))
     oracle = DenseOracle(an, tr)
-    lift = oracle.class_lift(space)
+    lift = oracle.class_lift(classes)
     assert space.dot(x, y) == pytest.approx(
         np.sum(oracle.weights * lift(x) * lift(y)), abs=1e-12)
     # and an orbit vector (order-8 group) pairs like its lift as well
-    orbits = assemble(space, an).space
+    orbits = assemble(classes, an).space
     assert orbits.symmetry_order == 8 and orbits.size < space.size
     x, y = rng.standard_normal((2, orbits.size))
     lift = oracle.lift(orbits)
