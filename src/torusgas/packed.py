@@ -177,6 +177,8 @@ class PackedSpace:
         self.offsets = np.zeros(trunc.max_degree + 2, dtype=np.int64)
         self.offsets[2:] = np.cumsum([len(level) for level in levels])
         self.codes = np.concatenate(levels)
+        if not np.all(self.codes[1:] > self.codes[:-1]):
+            raise InvariantViolation("class codes not strictly increasing")
         self.size = len(self.codes)
         self.n_sets = sum((n + 1) * len(level) for n, level in enumerate(levels, 1))
 
