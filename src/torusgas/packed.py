@@ -79,9 +79,9 @@ the stack of dual currents, one orbit vector per direction, which
 `assemble` builds once per engine.
 
 The degree-preserving arrows are stored slot-major: rows of similar arrow
-count share a block, whose (slots, rows) arrays list each row's arrows in
-assembly order and pad the rest with weight 0 on a zero entry appended to
-the input.  A block's matvec is one gather, one product and one sum over
+count share a block of bounded size, whose (slots, rows) arrays list each
+row's arrows in assembly order and pad the rest with weight 0 on a zero
+entry appended to the input.  A block's matvec is one gather, one product and one sum over
 the slots, which runs in the same order as a compressed-row matvec over
 the same arrows.  The degree-changing arrows are coordinate arrays sorted
 by row, then column, summed per row with `np.bincount`.
@@ -104,8 +104,8 @@ _MASK = (1 << _BITS) - 1
 _BLOCK_FILL = 0.8
 # passes over every class or every slot run in chunks of bounded size, so no
 # transient grows with the space: a level is extended _EXTEND_CHUNK classes
-# at a time (each needs a pool-wide mask row), and generator images and slot
-# fills take _CHUNK classes or slot entries at a time
+# at a time (each needs a pool-wide mask row), generator images take _CHUNK
+# classes at a time, and a slot block holds at most _CHUNK entries
 _EXTEND_CHUNK = 8192
 _CHUNK = 32768
 
@@ -573,10 +573,10 @@ def assemble(space: PackedSpace, analysis: KernelAnalysis) -> PackedOperator:
                     raising(krow[sel], _find_all(space, ridx), -2.0 * am[sel], scale)
 
     # blocks of rows, widest first: a block takes every row whose arrow count
-    # is at least _BLOCK_FILL of its first row's; each row's arrows move to
-    # its first slots, in assembly order, and its pad slots read the zero
-    # entry appended to the input.  A block's arrays are allocated once and
-    # filled a bounded chunk of rows at a time.
+    # is at least _BLOCK_FILL of its first row's, and at most _CHUNK slot
+    # entries (one row alone may be wider), which bounds the matvec's
+    # temporaries; each row's arrows move to its first slots, in assembly
+    # order, and its pad slots read the zero entry appended to the input
     counts = np.count_nonzero(cols_all >= 0, axis=1)
     slot_rows = np.argsort(-counts, kind="stable")
     ranked = counts[slot_rows]
@@ -585,26 +585,19 @@ def assemble(space: PackedSpace, analysis: KernelAnalysis) -> PackedOperator:
     while start < size:
         slots = ranked[start]
         stop = int(np.searchsorted(-ranked, -_BLOCK_FILL * slots, side="right"))
+        stop = min(stop, start + max(1, _CHUNK // max(slots, 1)))
+        rows = slot_rows[start:stop]
         # (slots, rows) in C order, so the sum over slots streams whole rows
-        cols = np.empty((slots, stop - start), dtype=np.intp)
-        even, odd = np.empty(cols.shape), np.empty(cols.shape)
-        step = _CHUNK // max(slots, 1)
-        for lo in range(start, stop, step):
-            rows = slot_rows[lo:min(lo + step, stop)]
-            part = slice(lo - start, lo - start + len(rows))
-            f = np.argsort(cols_all[rows] < 0, axis=1, kind="stable")[:, :slots].T
-            c = cols_all[rows, f].astype(np.intp)
-            pad = c < 0
-            c[pad] = 0
-            scale = np.where(pad, 0.0, ratio(rows, c))
-            offset = np.where(pad, 0, f // (orbits.degree[rows] + 1))
-            c[pad] = size
-            cols[:, part] = c
-            np.multiply(svals[offset], scale, out=even[:, part])
-            np.multiply(avals[offset], scale, out=odd[:, part])
+        f = np.argsort(cols_all[rows] < 0, axis=1, kind="stable")[:, :slots].T.copy()
+        cols = cols_all[rows, f].astype(np.intp)
+        pad = cols < 0
+        cols[pad] = 0
+        scale = np.where(pad, 0.0, ratio(rows, cols))
+        offset = np.where(pad, 0, f // (orbits.degree[rows] + 1))
+        cols[pad] = size
         slot_cols.append(cols)
-        slot_even.append(even)
-        slot_odd.append(odd)
+        slot_even.append(svals[offset] * scale)
+        slot_odd.append(avals[offset] * scale)
         start = stop
 
     # raising arrows with repeats summed in assembly order, zeros dropped

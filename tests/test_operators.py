@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from torusgas import packed
 from torusgas.kernels import TransitionKernel, ssep, validate_kernel
 from torusgas.packed import _BITS, PackedSpace, TruncationParams, assemble
 
@@ -330,6 +331,34 @@ def test_slot_matvec_is_scipy_csr_bit_for_bit(request, kernel, trunc):
         want += eng.diag_even * x
         want += np.sqrt(alpha * (1.0 - alpha)) * changing.dot(x)
         assert np.array_equal(eng.apply_full(x, alpha), want)
+
+
+def test_slot_blocks_hold_at_most_a_chunk(kernel_d3_asym, monkeypatch):
+    # a slot block holds at most _CHUNK entries unless one row alone is
+    # wider, in C order.  Splitting blocks along rows keeps each row's sum
+    # over its slots in stored order, so the matvecs keep their bits while
+    # every block keeps two rows or more (a one-row block is summed
+    # pairwise, as one contiguous run)
+    space = PackedSpace(3, TruncationParams(radius=2, max_degree=3))
+    whole = assemble(space, kernel_d3_asym)
+    x = np.random.default_rng(8).standard_normal(whole.space.size)
+    widest = max(cols.shape[0] for cols in whole.slot_cols)
+    for chunk in (2 * widest, widest - 4):
+        monkeypatch.setattr(packed, "_CHUNK", chunk)
+        split = assemble(space, kernel_d3_asym)
+        assert len(split.slot_cols) > len(whole.slot_cols)
+        for eng, cap in ((whole, 32768), (split, chunk)):
+            for blocks in (eng.slot_cols, eng.slot_even, eng.slot_odd):
+                for a in blocks:
+                    assert a.size <= cap or a.shape[1] == 1
+                    assert a.flags.c_contiguous
+        if chunk < widest:
+            assert any(cols.size > chunk for cols in split.slot_cols)
+            continue
+        assert min(cols.shape[1] for cols in split.slot_cols[:-1]) >= 2
+        assert np.array_equal(split.apply_sym(x), whole.apply_sym(x))
+        for alpha in (0.3, 0.5):
+            assert np.array_equal(split.apply_full(x, alpha), whole.apply_full(x, alpha))
 
 
 def _range_two_kernel():
