@@ -164,9 +164,14 @@ class PackedSpace:
         self._cube = cube
 
         # diff[i, j]: pool index of pool[j] - pool[i], -1 outside the cube and
-        # -2 at the origin; two points may share a set when it is >= 0
-        rel = self.pool[None, :, :] - self.pool[:, None, :]
-        self.diff = np.where((rel == 0).all(axis=2), -2, self.lookup_points(rel))
+        # -2 at the origin; two points may share a set when it is >= 0.  Built
+        # a few rows at a time, so each (rows, P, d) difference stays small
+        self.diff = np.empty((p, p), dtype=np.int64)
+        step = max(1, _CHUNK // p)
+        for lo in range(0, p, step):
+            rel = self.pool[None, :, :] - self.pool[lo:lo + step, None, :]
+            self.diff[lo:lo + step] = np.where((rel == 0).all(axis=2), -2,
+                                               self.lookup_points(rel))
         self.compat = self.diff >= 0
         self.neg = self.lookup_points(-self.pool)  # pool index of -pool[i]
 
@@ -420,8 +425,12 @@ class PackedOperator:
         """Apply (even part) + (1 - 2 alpha)(odd part) + sqrt(chi)(raise+lower)."""
         cd = 1.0 - 2.0 * alpha
         if self._cd != cd:
-            self._composed = [odd * cd + even
-                              for odd, even in zip(self.slot_odd, self.slot_even)]
+            # composed in place, with the two roundings of odd * cd + even
+            if self._composed is None:
+                self._composed = [np.empty_like(even) for even in self.slot_even]
+            for w, odd, even in zip(self._composed, self.slot_odd, self.slot_even):
+                np.multiply(odd, cd, out=w)
+                w += even
             self._cd = cd
         y = self.preserving(x, self._composed)
         y += self.diag_even * x

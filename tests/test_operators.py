@@ -333,6 +333,23 @@ def test_slot_matvec_is_scipy_csr_bit_for_bit(request, kernel, trunc):
         assert np.array_equal(eng.apply_full(x, alpha), want)
 
 
+def test_slot_weights_are_composed_in_place(kernel_d3_asym):
+    # apply_full composes odd * cd + even into the same arrays at every
+    # density change, with the bits of the two-rounding expression
+    eng = assemble(PackedSpace(3, TruncationParams(radius=2, max_degree=2)), kernel_d3_asym)
+    x = np.random.default_rng(13).standard_normal(eng.space.size)
+    held = None
+    for alpha in (0.3, 0.7, 0.3):
+        cd = 1.0 - 2.0 * alpha
+        want = eng.preserving(x, [odd * cd + even
+                                  for odd, even in zip(eng.slot_odd, eng.slot_even)])
+        want += eng.diag_even * x
+        want += np.sqrt(alpha * (1.0 - alpha)) * eng.changing(x)
+        assert np.array_equal(eng.apply_full(x, alpha), want)
+        held = held or [id(w) for w in eng._composed]
+        assert [id(w) for w in eng._composed] == held
+
+
 def test_slot_blocks_hold_at_most_a_chunk(kernel_d3_asym, monkeypatch):
     # a slot block holds at most _CHUNK entries unless one row alone is
     # wider, in C order.  Splitting blocks along rows keeps each row's sum

@@ -104,3 +104,17 @@ def test_truncation_membership():
     assert in_truncation(tr, ())
     with pytest.raises(ConfigError):
         TruncationParams(radius=2, max_degree=1)
+
+
+@pytest.mark.parametrize("dim,radius", [(2, 2), (3, 3)])
+def test_difference_table_is_the_point_arithmetic(dim, radius):
+    # `diff` is built a few rows at a time (several chunks at radius 3,
+    # d = 3); every entry, `compat` and `neg` against the literal points
+    space = PackedSpace(dim, TruncationParams(radius=radius, max_degree=2))
+    points = [tuple(p) for p in space.pool.tolist()]
+    index = {p: i for i, p in enumerate(points)}
+    want = np.array([[-2 if a == b else index.get(tuple(y - x for x, y in zip(a, b)), -1)
+                      for b in points] for a in points])
+    assert space.diff.dtype == np.int64 and np.array_equal(space.diff, want)
+    assert np.array_equal(space.compat, want >= 0)
+    assert np.array_equal(space.neg, [index[tuple(-c for c in p)] for p in points])
