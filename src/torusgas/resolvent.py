@@ -1,9 +1,11 @@
 """Resolvent solves on the truncated subset space and what they yield.
 
 The shifted equation (shift - generator image) f_i = c_i is solved per
-(density, direction i, shift) on the point-symmetry orbits of the
-translation classes of the truncated space (one unknown per orbit, see
-`packed`), c_i being the dual current.
+(density, direction i) for the whole shift ladder at once, on the
+point-symmetry orbits of the translation classes of the truncated space
+(one unknown per orbit, see `packed`), c_i being the dual current: one
+BiCGSTAB run on the smallest shift carries every larger shift on its
+Krylov space, and each shift's true residual is checked on its own.
 The diffusion matrix at a shift is one degree-weighted pairing of the
 solutions with the currents, D_ij = alpha sigma_ij + chi <f_i, c_j>, and is
 extrapolated linearly to zero shift entrywise, with the extrapolation
@@ -33,51 +35,102 @@ def _krylov_maxiter(size: int) -> int:
     return max(2000, 40 * int(np.sqrt(size)))
 
 
-def _bicgstab(matvec, b: np.ndarray, x0, atol: float, maxiter: int):
-    """BiCGSTAB without preconditioner, as scipy 1.17's `bicgstab` computes it.
+def _shifted_bicgstab(matvec, b: np.ndarray, sigmas, xs: list, atol: float,
+                      maxiter: int) -> int:
+    """BiCGSTAB on A x = b and, in the same Krylov space, on (A + sigma) x = b.
 
-    Every operation is scipy's, in its order, so the iterates match it bit
-    for bit; only the probe matvec of its `LinearOperator` is gone.  Stops
-    when the recursive residual is below `atol`.  Returns (x, info): info 0
-    on convergence, `maxiter` when the cap is hit, -10 or -11 on a rho or
-    omega breakdown.
+    `xs` holds zero vectors, filled in place: xs[0] with the solution of
+    the seed system A x = b, xs[1 + j] with that of shift `sigmas[j]`.
+    The seed iterates are scipy 1.17's `bicgstab` from zero without
+    preconditioner, every operation in its order, so they match it bit for
+    bit; only the probe matvec of its `LinearOperator` is gone.  Every
+    matvec is the seed's.
+
+    A shifted system keeps only its solution and its search vector.  Its
+    residuals are collinear with the seed's: r^sigma_k = r_k / (z_k tau_k),
+    where z_k is the BiCG residual polynomial of the seed at -sigma,
+    z_{k+1} = (1 + alpha_k sigma) z_k
+              + (alpha_k beta_{k-1} / alpha_{k-1}) (z_k - z_{k-1}),
+    and tau_k = prod_j (1 + omega_j sigma) is its stabilising factor.  Then
+    alpha^sigma = alpha z_k / z_{k+1}, omega^sigma = omega / (1 + omega
+    sigma), beta^sigma = beta (z_{k-1} / z_k)^2, and the shifted operator
+    on its search vector is (r^sigma - s^sigma) / alpha^sigma, with
+    r_k = s_k + alpha_k v_k.  See Jegerlehner, hep-lat/9612014 (1996), and
+    Frommer, Computing 70 (2003).
+
+    Stops when the seed's recursive residual is below `atol`, as scipy
+    does; a larger shift, better conditioned, is then solved at least as
+    far.  Returns 0 on convergence, `maxiter` when the cap is hit, -10 or
+    -11 on a rho or omega breakdown.
     """
-    x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=np.float64)
+    x = xs[0]
+    sigmas = np.asarray(sigmas, dtype=np.float64)
+    search = [b.copy() for _ in sigmas]
+    z = np.ones(len(sigmas))
+    z_prev = np.ones(len(sigmas))
+    tau = np.ones(len(sigmas))
+    tmp = np.empty_like(b)
     breakdown = np.finfo(np.float64).eps ** 2
-    r = b - matvec(x) if x.any() else b.copy()
+    r = b.copy()
     rtilde = r.copy()
     rho_prev = omega = alpha = p = v = None
+    beta = 0.0
     for iteration in range(maxiter):
         if np.linalg.norm(r) < atol:
-            return x, 0
+            return 0
         rho = np.dot(rtilde, r)
         if np.abs(rho) < breakdown:
-            return x, -10
+            return -10
         if iteration > 0:
             if np.abs(omega) < breakdown:
-                return x, -11
+                return -11
             beta = (rho / rho_prev) * (alpha / omega)
             p -= omega * v
             p *= beta
             p += r
+            # each search vector holds p^sigma - omega^sigma (A + sigma) p^sigma
+            # of the last step and becomes the next p^sigma
+            for q, zj, zp, tj in zip(search, z, z_prev, tau):
+                q *= beta * (zp / zj) ** 2
+                np.multiply(r, 1.0 / (zj * tj), out=tmp)
+                q += tmp
         else:
             p = r.copy()
         v = matvec(p)
         rv = np.dot(rtilde, v)
         if rv == 0:
-            return x, -11
-        alpha = rho / rv
+            return -11
+        alpha_prev, alpha = alpha, rho / rv
+        coupling = alpha * beta / alpha_prev if iteration > 0 else 0.0
+        z_next = (1.0 + alpha * sigmas) * z + coupling * (z - z_prev)
+        alpha_s = alpha * z / z_next
         r -= alpha * v
         if np.linalg.norm(r) < atol:
             x += alpha * p
-            return x, 0
+            for xj, q, aj in zip(xs[1:], search, alpha_s):
+                np.multiply(q, aj, out=tmp)
+                xj += tmp
+            return 0
         t = matvec(r)
         omega = np.dot(t, r) / np.dot(t, t)
+        omega_s = omega / (1.0 + omega * sigmas)
+        for xj, q, aj, oj, zj, zn, tj in zip(xs[1:], search, alpha_s, omega_s,
+                                             z, z_next, tau):
+            np.multiply(q, aj, out=tmp)
+            xj += tmp
+            np.multiply(r, oj / (zn * tj), out=tmp)
+            xj += tmp
+            np.multiply(v, oj * zn / (zj * zj * tj), out=tmp)
+            q -= tmp
+            np.multiply(r, oj * (zn - zj) / (alpha * zj * zj * tj), out=tmp)
+            q -= tmp
+        tau *= 1.0 + omega * sigmas
+        z_prev, z = z, z_next
         x += alpha * p
         x += omega * r
         r -= omega * t
         rho_prev = rho
-    return x, maxiter
+    return maxiter
 
 
 def _cg(matvec, b: np.ndarray, atol: float, maxiter: int):
@@ -112,55 +165,68 @@ def build_engine(analysis: KernelAnalysis, trunc: TruncationParams) -> PackedOpe
 
 @dataclass
 class SolveInfo:
-    iterations: int          # operator matvecs, residual check included
+    iterations: int          # operator matvecs booked to this shift, check included
     residual: float          # Euclidean residual norm, equal to the lifted one
     clipped_outflow: float
 
 
-def resolvent_solve(engine: PackedOperator, alpha: float, shift: float,
-                    direction: int, x0: np.ndarray | None = None):
-    """Solve (shift - full operator) f = current for one direction.
+def resolvent_solve(engine: PackedOperator, alpha: float, shifts, direction: int):
+    """Solve (shift - full operator) f = current for one direction at every shift.
 
-    One BiCGSTAB run from `x0`, then one matvec for the true residual, which
-    must not exceed `solver_tol`.  Works on orbit vectors, so the solution
+    One shifted BiCGSTAB run seeded with the smallest shift gives every
+    solution; then one matvec per shift for the true residual, which must
+    not exceed `solver_tol`.  Works on orbit vectors, so each solution
     satisfies the translation identity and is invariant under the kernel's
-    point group by construction; the empty set never
-    enters the space, so its value stays zero.  Returns (vector, SolveInfo)
-    with the true number of operator matvecs and the clipped image outflow.
+    point group by construction; the empty set never enters the space, so
+    its value stays zero.  Returns (X, infos), X[k] and infos[k] the
+    solution and `SolveInfo` at shifts[k].  The seed's info counts the
+    shared Krylov matvecs and its own check, every other shift its check.
     """
-    if shift <= 0.0:
+    shifts = [float(lam) for lam in shifts]
+    if not min(shifts) > 0.0:
         raise ConfigError("resolvent shift must be positive")
     space = engine.space
     b = engine.currents[direction]
     tol = space.trunc.solver_tol
+    X = np.zeros((len(shifts), space.size))
     if not np.any(b):
-        zero = np.zeros(space.size)
-        return zero, SolveInfo(0, 0.0, 0.0)
+        return X, [SolveInfo(0, 0.0, 0.0) for _ in shifts]
 
+    seed = int(np.argmin(shifts))
+    rest = [k for k in range(len(shifts)) if k != seed]
     matvecs = 0
 
     def matvec(x):
         nonlocal matvecs
         matvecs += 1
-        return engine.resolvent_matvec(x, alpha, shift)
+        return engine.resolvent_matvec(x, alpha, shifts[seed])
 
-    x, info = _bicgstab(matvec, b, x0, tol / 4.0, _krylov_maxiter(space.size))
-    resid = float(np.linalg.norm(matvec(x) - b))
-    if info < 0 or not np.all(np.isfinite(x)) or not resid <= tol:
-        raise InvariantViolation(
-            f"resolvent solve failed: residual {resid:g} against tolerance {tol:g}, "
-            f"bicgstab info {info}")
-    return x, SolveInfo(matvecs, resid, engine.clipped_outflow(x))
+    info = _shifted_bicgstab(matvec, b, [shifts[k] - shifts[seed] for k in rest],
+                             [X[seed]] + [X[k] for k in rest], tol / 4.0,
+                             _krylov_maxiter(space.size))
+    infos = []
+    for k, lam in enumerate(shifts):
+        resid = float(np.linalg.norm(engine.resolvent_matvec(X[k], alpha, lam) - b))
+        if info < 0 or not np.all(np.isfinite(X[k])) or not resid <= tol:
+            raise InvariantViolation(
+                f"resolvent solve failed: residual {resid:g} at shift {lam:g} against "
+                f"tolerance {tol:g}, bicgstab info {info}")
+        infos.append(SolveInfo(1 + (matvecs if k == seed else 0), resid,
+                               engine.clipped_outflow(X[k])))
+    return X, infos
 
 
 def dirichlet_gram(engine: PackedOperator, X: np.ndarray) -> np.ndarray:
     """Dirichlet Gram matrix H_ij = <X_i, (-sym part) X_j> of a vector stack.
 
     Degree-weighted pairing; built one column (one symmetric-part matvec) at
-    a time, so no second stack is held.
+    a time, so no second stack is held.  A zero column costs no matvec.
     """
     H = np.empty((len(X), len(X)))
     for j, x in enumerate(X):
+        if not x.any():  # its row and column of H are 0
+            H[:, j] = 0.0
+            continue
         sx = -engine.apply_sym(x)
         H[:, j] = [engine.space.dot(y, sx) for y in X]
     return H
@@ -376,13 +442,14 @@ def compute_diffusion(analysis: KernelAnalysis, alphas, trunc: TruncationParams,
                       stages: dict | None = None) -> DiffusionResult:
     """Full pipeline: solve over the density grid and shift sequence.
 
-    Warm starts chain along the shift sequence per (density, direction);
-    the per-shift energies, mobility gaps and (optionally) residual splits
-    are derived from the same solutions.  Energies and mobility right sides
-    read one d x d Dirichlet Gram matrix H per shift: the energy of
-    direction i is shift |X_i|^2 + H_ii, and that of the combination
-    sum_i v_i X_i is v.H v.  A `stages` dict receives, per density, the
-    solve seconds and, per shift, the matvecs and the worst true residual,
+    One shifted solve per (density, direction) gives every shift of the
+    sequence; the per-shift energies, mobility gaps and (optionally)
+    residual splits are derived from the same solutions.  Energies and
+    mobility right sides read one d x d Dirichlet Gram matrix H per shift:
+    the energy of direction i is shift |X_i|^2 + H_ii, and that of the
+    combination sum_i v_i X_i is v.H v.  A `stages` dict receives, per
+    density, the solve seconds and, per shift, the matvecs (the shared
+    Krylov ones booked to the smallest shift) and the worst true residual,
     for the run side file.
     """
     if engine is None:
@@ -410,23 +477,20 @@ def compute_diffusion(analysis: KernelAnalysis, alphas, trunc: TruncationParams,
         energy = {}
         dm_per_shift = {}
         grams = {}
-        sols = {}
-        x_prev = [None] * d
-        clipped = 0.0
+        sols = np.empty((len(shifts), d, space.size))  # [shift, direction]
+        infos = []  # per direction, one SolveInfo per shift
+        for i in range(d):
+            sols[:, i], info_i = resolvent_solve(engine, alpha, shifts, i)
+            infos.append(info_i)
+        clipped = max(info.clipped_outflow for info_i in infos for info in info_i)
         per_shift = {}
-        for lam in shifts:
-            X = sols[lam] = np.empty((d, space.size))  # one solution per direction
-            infos = []
-            for i in range(d):
-                X[i], info = resolvent_solve(engine, alpha, lam, i, x0=x_prev[i])
-                infos.append(info)
-            per_shift[lam] = {"matvecs": sum(info.iterations for info in infos),
-                              "residual": max(info.residual for info in infos)}
+        for k, lam in enumerate(shifts):
+            X = sols[k]
+            per_shift[lam] = {"matvecs": sum(info_i[k].iterations for info_i in infos),
+                              "residual": max(info_i[k].residual for info_i in infos)}
             solver_stats["iterations"] += per_shift[lam]["matvecs"]
             solver_stats["max_residual"] = max(solver_stats["max_residual"],
                                                per_shift[lam]["residual"])
-            clipped = max([clipped] + [info.clipped_outflow for info in infos])
-            x_prev = X
             H = grams[lam] = dirichlet_gram(engine, X)
             energy[lam] = [float(lam * space.dot(X[i], X[i]) + H[i, i]) for i in range(d)]
             dm_per_shift[lam] = alpha * sigma + chi * ((X * space.weight) @ engine.currents.T)
@@ -451,7 +515,7 @@ def compute_diffusion(analysis: KernelAnalysis, alphas, trunc: TruncationParams,
             for i in range(d):
                 res[str(i)] = residual_triple_norm(
                     engine, alpha, i, dmat[i] - dm_per_shift[lam_min][i],
-                    sols[lam_min][i], reg=RESIDUAL_REG)
+                    sols[-1][i], reg=RESIDUAL_REG)
         residuals_all[alpha] = res
         solver_stats["clipped_outflow"][alpha] = clipped
         solver_stats["max_clipped_outflow"] = max(solver_stats["max_clipped_outflow"],

@@ -5,7 +5,7 @@ import pytest
 
 from torusgas.errors import ConfigError, InvariantViolation
 from torusgas.kernels import ssep, validate_kernel
-from torusgas.resolvent import (_bicgstab, _cg, build_engine, compute_diffusion,
+from torusgas.resolvent import (_cg, _shifted_bicgstab, build_engine, compute_diffusion,
                                 degree_one_seminorm, dirichlet_gram, extrapolate_to_zero,
                                 h_minus_one_sq, hydrodynamic_matrix,
                                 j_matrix, residual_triple_norm, resolvent_solve)
@@ -22,9 +22,9 @@ def small_engine(kernel_d2_asym):
 def test_zero_right_side_symmetric_kernel():
     an = validate_kernel(ssep(3))
     eng = build_engine(an, TruncationParams(radius=2, max_degree=2))
-    x, info = resolvent_solve(eng, 0.4, 1e-3, 0)
-    assert np.all(x == 0.0)
-    assert info.iterations == 0
+    X, infos = resolvent_solve(eng, 0.4, [1e-1, 1e-3], 0)
+    assert X.shape == (2, eng.space.size) and np.all(X == 0.0)
+    assert [info.iterations for info in infos] == [0, 0]
 
 
 @pytest.fixture(scope="module")
@@ -33,7 +33,7 @@ def small_oracle(kernel_d2_asym, small_engine):
 
 
 def test_residual_and_identity(small_engine, small_oracle):
-    x, info = resolvent_solve(small_engine, 0.35, 1e-3, 0)
+    (x,), (info,) = resolvent_solve(small_engine, 0.35, [1e-3], 0)
     assert info.residual <= 1e-10
     # the lifted solution satisfies the translation identity on every set
     space = small_engine.space
@@ -48,7 +48,7 @@ def test_residual_and_identity(small_engine, small_oracle):
 
 def test_large_shift_asymptotics(small_engine):
     lam = 1e6
-    x, _ = resolvent_solve(small_engine, 0.5, lam, 0)
+    (x,), _ = resolvent_solve(small_engine, 0.5, [lam], 0)
     b = small_engine.currents[0]
     rel = np.abs(lam * x - b).max() / np.abs(b).max()
     assert rel < 1e-3
@@ -66,7 +66,7 @@ def test_iterative_matches_dense_oracle(small_engine, small_oracle):
         assert np.abs(got - want).max() <= 1e-8
     for alpha, lam in [(0.3, 1e-2), (0.5, 1e-3), (0.7, 1e-1)]:
         want = small_oracle.resolvent_direct(alpha, lam, 0)
-        got, _ = resolvent_solve(small_engine, alpha, lam, 0)
+        (got,), _ = resolvent_solve(small_engine, alpha, [lam], 0)
         assert np.abs(lift(got) - want).max() <= 1e-8
 
 
@@ -142,9 +142,9 @@ def test_regularized_cauchy_schwarz(small_engine):
 def test_energy_boundedness_small(kernel_d2_asym, small_engine):
     space = small_engine.space
     energies = []
-    x = None
-    for lam in (1e-1, 1e-2, 1e-3, 1e-4):
-        x, _ = resolvent_solve(small_engine, 0.5, lam, 0, x0=x)
+    shifts = (1e-1, 1e-2, 1e-3, 1e-4)
+    X, _ = resolvent_solve(small_engine, 0.5, shifts, 0)
+    for lam, x in zip(shifts, X):
         energies.append(lam * space.dot(x, x)
                         + dirichlet_gram(small_engine, x[None, :])[0, 0])
     top, bottom = max(energies), min(energies)
@@ -238,11 +238,7 @@ def test_residual_triple_norm_behaviour(small_engine, small_oracle):
                            small_oracle.singleton_values(lift(x)))
 
     shifts = [1e-1, 1e-2, 1e-3]
-    sols = {}
-    x = None
-    for lam in shifts:
-        x, _ = resolvent_solve(small_engine, alpha, lam, 0, x0=x)
-        sols[lam] = x
+    sols = dict(zip(shifts, resolvent_solve(small_engine, alpha, shifts, 0)[0]))
     D0, _ = extrapolate_to_zero(shifts, [row(sols[lam]) for lam in shifts])
     totals = []
     for lam in shifts:
@@ -323,7 +319,7 @@ def test_result_serialization_roundtrip(kernel_d2_asym, tmp_path, monkeypatch):
 
 def test_bad_inputs(small_engine):
     with pytest.raises(ConfigError):
-        resolvent_solve(small_engine, 0.5, 0.0, 0)
+        resolvent_solve(small_engine, 0.5, [1e-2, 0.0], 0)
     with pytest.raises(ConfigError):
         h_minus_one_sq(small_engine, np.zeros(small_engine.space.size), 0.0)
 
@@ -364,8 +360,13 @@ def test_iterations_count_operator_matvecs(kernel_d2_asym):
         return inner(*args)
 
     eng.resolvent_matvec = counted
-    _, info = resolvent_solve(eng, 0.3, 1e-2, 0)
+    _, (info,) = resolvent_solve(eng, 0.3, [1e-2], 0)
     assert info.iterations == len(calls) > 0
+    calls.clear()
+    # the shared Krylov matvecs are booked to the seed, one check to each shift
+    _, infos = resolvent_solve(eng, 0.3, [1e-1, 1e-2, 1e-3, 1e-4], 0)
+    assert [info.iterations for info in infos[:3]] == [1, 1, 1]
+    assert sum(info.iterations for info in infos) == len(calls) > 4
     calls.clear()
     res = compute_diffusion(kernel_d2_asym, [0.3], eng.space.trunc, engine=eng)
     assert res.solver["iterations"] == len(calls) > 0
@@ -374,18 +375,11 @@ def test_iterations_count_operator_matvecs(kernel_d2_asym):
     assert res.solver["orbits"] == res.truncation["orbits"] == eng.space.size
 
 
-def test_warm_start_at_the_solution_costs_two_matvecs(small_engine):
-    # the initial residual and the final true-residual check: no probe
-    # matvec, no iteration
-    x, _ = resolvent_solve(small_engine, 0.3, 1e-2, 0)
-    again, info = resolvent_solve(small_engine, 0.3, 1e-2, 0, x0=x)
-    assert info.iterations == 2
-    assert np.array_equal(again, x)
-
-
 def test_krylov_ports_match_scipy_bit_for_bit(kernel_d3_asym):
-    # scipy's solvers are the reference: same iterates, one matvec fewer
-    # (the probe its LinearOperator makes when built without a dtype)
+    # scipy's solvers are the reference: the seed iterate of the shifted
+    # BiCGSTAB, with one shift and with four, and the CG iterate are scipy's
+    # from zero, with one matvec fewer (the probe its LinearOperator makes
+    # when built without a dtype)
     from scipy.sparse.linalg import LinearOperator, bicgstab, cg
 
     eng = build_engine(kernel_d3_asym, TruncationParams(radius=2, max_degree=2))
@@ -403,18 +397,19 @@ def test_krylov_ports_match_scipy_bit_for_bit(kernel_d3_asym):
         return matvec
 
     def full(x):
-        return eng.resolvent_matvec(x, 0.3, 1e-2)
+        return eng.resolvent_matvec(x, 0.3, 1e-4)
 
     def sym(x):
         return 1e-3 * x - eng.apply_sym(x)
 
-    cold, _ = _bicgstab(full, b, None, tol / 4.0, 2000)
-    for x0 in (None, 0.9 * cold):
-        got, info = _bicgstab(counted("port", full), b, x0, tol / 4.0, 2000)
-        want, want_info = bicgstab(LinearOperator((n, n), matvec=counted("scipy", full)), b,
-                                   x0=x0, rtol=0.0, atol=tol / 4.0, maxiter=2000)
-        assert info == want_info == 0
-        assert np.array_equal(got, want)
+    want, want_info = bicgstab(LinearOperator((n, n), matvec=counted("scipy", full)), b,
+                               rtol=0.0, atol=tol / 4.0, maxiter=2000)
+    assert want_info == 0
+    for sigmas in ([], [1e-3 - 1e-4, 1e-2 - 1e-4, 1e-1 - 1e-4]):
+        X = np.zeros((1 + len(sigmas), n))
+        info = _shifted_bicgstab(counted("port", full), b, sigmas, list(X), tol / 4.0, 2000)
+        assert info == 0
+        assert np.array_equal(X[0], want)
         assert counts["port"] == counts["scipy"] - 1 > 1
     got = _cg(counted("port", sym), b, tol, 2000)
     want, want_info = cg(LinearOperator((n, n), matvec=counted("scipy", sym)), b,
@@ -424,6 +419,27 @@ def test_krylov_ports_match_scipy_bit_for_bit(kernel_d3_asym):
     assert counts["port"] == counts["scipy"] - 1 > 1
 
 
+@pytest.mark.parametrize("kernel", ["kernel_d2_asym", "kernel_d3_diag_tasep"])
+def test_every_shift_of_one_solve_matches_the_direct_resolvent(request, kernel):
+    # one shared solve per live direction against the oracle's direct
+    # factorization at every shift of the ladder, at criterion 3's
+    # tolerance; diagonal TASEP has two live currents
+    an = request.getfixturevalue(kernel)
+    trunc = TruncationParams(radius=2, max_degree=2)
+    eng = build_engine(an, trunc)
+    oracle = DenseOracle(an, trunc)
+    lift = oracle.lift(eng.space)
+    shifts = sorted(trunc.lambda_seq, reverse=True)
+    live = [i for i in range(an.dimension) if np.any(eng.currents[i])]
+    assert len(live) == 2
+    for i in live:
+        X, infos = resolvent_solve(eng, 0.3, shifts, i)
+        assert max(info.residual for info in infos) <= trunc.solver_tol
+        for lam, x in zip(shifts, X):
+            want = oracle.resolvent_direct(0.3, lam, i)
+            assert np.abs(lift(x) - want).max() <= 1e-8
+
+
 def test_unreachable_tolerance_raises(kernel_d2_asym, monkeypatch):
     # a true residual of 1e-30 is far below round-off, so the one BiCGSTAB
     # run cannot reach it; a residual above `solver_tol` is never accepted,
@@ -431,8 +447,7 @@ def test_unreachable_tolerance_raises(kernel_d2_asym, monkeypatch):
     monkeypatch.setattr(TruncationParams, "solver_tol", 1e-30)
     eng = build_engine(kernel_d2_asym, TruncationParams(radius=2, max_degree=2))
     with pytest.raises(InvariantViolation, match="resolvent solve failed: residual"):
-        resolvent_solve(eng, 0.3, 1e-2, 0)
-
+        resolvent_solve(eng, 0.3, [1e-1, 1e-2], 0)
 
 
 def test_diag_tasep_diffusion_matches_oracle(kernel_d3_diag_tasep):
