@@ -469,6 +469,8 @@ def compute_diffusion(analysis: KernelAnalysis, alphas, trunc: TruncationParams,
                     "clipped_outflow": {}, **sizes}
     if stages is None:
         stages = {}
+    # the solutions of one density, [shift, direction], overwritten by the next
+    sols = np.empty((len(shifts), d, space.size))
 
     for alpha in alphas:
         alpha = float(alpha)
@@ -477,7 +479,6 @@ def compute_diffusion(analysis: KernelAnalysis, alphas, trunc: TruncationParams,
         energy = {}
         dm_per_shift = {}
         grams = {}
-        sols = np.empty((len(shifts), d, space.size))  # [shift, direction]
         infos = []  # per direction, one SolveInfo per shift
         for i in range(d):
             sols[:, i], info_i = resolvent_solve(engine, alpha, shifts, i)
