@@ -81,10 +81,11 @@ the stack of dual currents, one orbit vector per direction, which
 The degree-preserving arrows are stored slot-major: rows of similar arrow
 count share a block of bounded size, whose (slots, rows) arrays list each
 row's arrows in assembly order and pad the rest with weight 0 on a zero
-entry appended to the input.  A block's matvec is one gather, one product and one sum over
-the slots, which runs in the same order as a compressed-row matvec over
-the same arrows.  The degree-changing arrows are coordinate arrays sorted
-by row, then column, summed per row with `np.bincount`.
+entry appended to the input.  A block's matvec is one gather, one product
+and one sum over the slots, which runs in the same order as a
+compressed-row matvec over the same arrows.  The degree-changing arrows
+are coordinate arrays sorted by row, then column, summed per row with
+`np.bincount`.
 """
 
 from __future__ import annotations
