@@ -73,9 +73,8 @@ def cmd_simulate(args) -> int:
     records = []
     for size_index, n in enumerate(cfg.torus_sizes):
         shape = (n,) * cfg.dimension
-        replica_fields, record = replica_results(cfg, size_index)
-        records.append(record)
-        for r, fields in enumerate(replica_fields):
+        record = {}
+        for r, fields in enumerate(replica_results(cfg, size_index, record)):
             for t, blocks in fields.items():
                 header = {"d": cfg.dimension, "N": n, "K": cfg.block_radius,
                           "t": t, "replica": r, "seed": cfg.master_seed}
@@ -86,6 +85,7 @@ def cmd_simulate(args) -> int:
                     np.save(out / f"{stem}.npy", blocks.reshape(shape))
                     (out / f"{stem}.meta.json").write_text(
                         json.dumps(header, sort_keys=True))
+        records.append(record)
     write_run_meta(out, simulate=records)
     print(out)
     return 0

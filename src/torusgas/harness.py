@@ -12,6 +12,7 @@ import resource
 import sys
 import time
 from dataclasses import asdict, dataclass, field
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -333,32 +334,38 @@ def _replica_job(cfg: ExperimentConfig, size_index: int, replica: int, probs: np
     return fields, record
 
 
-def replica_results(cfg: ExperimentConfig, size_index: int) -> tuple[list, dict]:
-    """`_replica_job` of every replica of one torus size.
+def replica_results(cfg: ExperimentConfig, size_index: int, record: dict):
+    """Yield the field map of every replica of one torus size, in replica order.
 
-    Returns the replicas' field maps in replica order and the size's
-    simulation record: its replicas' records summed, plus the wavefront
-    window of the size's torus.  The initial profile is evaluated here, once
-    per size.  With `threads > 1` the replicas run in a process pool; the
-    results are still read back in replica order, so the output does not
-    depend on it.
+    Each replica's `_replica_job` result is handed on as it returns, so no
+    list of every replica's fields is held.  `record` receives the size's
+    simulation record: the torus side, the wavefront window of the size's
+    torus and the replicas' records, summed in replica order as they
+    arrive.  The initial profile is evaluated here, once per size.  With
+    `threads > 1` the replicas run in a process pool, whose `map` still
+    hands them on in replica order, so the output does not depend on it.
     """
     geom = TorusGeometry(cfg.dimension, cfg.torus_sizes[size_index])
     probs = site_probabilities(geom, cfg.build_profile())
+    record.update(N=geom.side, replicas=0, window=wavefront_window(geom.n_sites))
+    args = (repeat(cfg), repeat(size_index), range(cfg.replicas), repeat(probs))
     if cfg.threads > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
-            futures = [pool.submit(_replica_job, cfg, size_index, r, probs)
-                       for r in range(cfg.replicas)]
-            results = [f.result() for f in futures]
+            yield from _summed(pool.map(_replica_job, *args), record)
     else:
-        results = [_replica_job(cfg, size_index, r, probs) for r in range(cfg.replicas)]
-    records = [rec for _, rec in results]
-    record = {"N": geom.side, "replicas": len(records),
-              "window": wavefront_window(geom.n_sites),
-              **{key: sum(rec[key] for rec in records) for key in records[0]}}
-    return [fields for fields, _ in results], record
+        yield from _summed(map(_replica_job, *args), record)
+
+
+def _summed(results, record: dict):
+    """Yield the fields of each (fields, record) result, adding its record
+    into `record` key by key, in arrival order."""
+    for fields, rec in results:
+        record["replicas"] += 1
+        for key, value in rec.items():
+            record[key] = record.get(key, 0) + value
+        yield fields
 
 
 @dataclass
@@ -368,10 +375,12 @@ class ComparisonReport:
     monotone_in_size: dict
     table_asymmetry: float
     failure: str | None = None
-    # one SolveReport record per observation time and one simulation record
-    # per torus size; they go to run_meta.json, not to the report
+    # one SolveReport record per observation time, one simulation record
+    # per torus size and the seconds by stage; they go to run_meta.json,
+    # not to the report
     pde_solves: list = field(default_factory=list)
     simulate: list = field(default_factory=list)
+    stages: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
@@ -383,6 +392,20 @@ class ComparisonReport:
         }
 
 
+class _Laps:
+    """Seconds by stage: each lap books the time since the last one."""
+
+    def __init__(self, stages: dict, names):
+        self.stages = stages
+        stages.update((name, 0.0) for name in names)
+        self.clock = time.perf_counter()
+
+    def __call__(self, stage: str):
+        now = time.perf_counter()
+        self.stages[stage] += now - self.clock
+        self.clock = now
+
+
 def run_experiment(cfg: ExperimentConfig) -> ComparisonReport:
     """Ensemble-vs-PDE comparison over all torus sizes and times.
 
@@ -390,34 +413,48 @@ def run_experiment(cfg: ExperimentConfig) -> ComparisonReport:
     names one, else computed on the config's density grid and truncation.
     Every trajectory is continuity-checked against its bond ledger; block
     fields are averaged over replicas before distances are taken, and
-    per-replica distances are logged alongside.
+    per-replica distances are logged alongside.  Each replica's fields are
+    folded into the sums and distances as the replica arrives, in replica
+    order.  The report's `stages` holds the call's seconds by stage:
+    `profile_s` (the profile check and the initial PDE field), `table_s`
+    (the coefficient table), `pde_s` (the PDE solves), `simulate_s` (the
+    trajectories and their block fields) and `fold_s` (the targets, sums
+    and distances).
     """
+    stages = {}
+    lap = _Laps(stages, ("profile_s", "table_s", "pde_s", "simulate_s", "fold_s"))
     profile = cfg.checked_profile()
+    fld0 = DensityField.from_profile(profile, cfg.pde_resolution)
+    lap("profile_s")
     table = _load_or_compute_table(cfg)
+    lap("table_s")
 
     pde_fields = {}
     pde_solves = []
-    for t, fld, solve in pde_through(DensityField.from_profile(profile, cfg.pde_resolution),
-                                     table, cfg.times):
+    for t, fld, solve in pde_through(fld0, table, cfg.times):
         pde_fields[t] = fld
         pde_solves.append(solve)
+    lap("pde_s")
 
     rows = []
     report = ComparisonReport(config=cfg.to_dict(), rows=rows,
                               monotone_in_size={}, table_asymmetry=table.asymmetry,
-                              pde_solves=pde_solves)
+                              pde_solves=pde_solves, stages=stages)
     try:
         for size_index, n in enumerate(cfg.torus_sizes):
             geom = TorusGeometry(cfg.dimension, n)
             targets = {t: pde_at_sites(pde_fields[t], n) for t in cfg.times}
             sums = {t: np.zeros(geom.n_sites) for t in cfg.times}
             per_replica = {t: [] for t in cfg.times}
-            replica_fields, record = replica_results(cfg, size_index)
-            report.simulate.append(record)
-            for fields in replica_fields:
+            record = {}
+            lap("fold_s")
+            for fields in replica_results(cfg, size_index, record):
+                lap("simulate_s")
                 for t in cfg.times:
                     sums[t] += fields[t]
                     per_replica[t].append(compare_fields(fields[t], targets[t])["L1"])
+                lap("fold_s")
+            report.simulate.append(record)
             for t in cfg.times:
                 mean_field = sums[t] / cfg.replicas
                 dist = compare_fields(mean_field, targets[t])
@@ -430,6 +467,7 @@ def run_experiment(cfg: ExperimentConfig) -> ComparisonReport:
             vals = [row["L1"] for row in rows if row["t"] == t]
             report.monotone_in_size[repr(float(t))] = all(
                 b < a for a, b in zip(vals, vals[1:]))
+        lap("fold_s")
     except Exception as exc:  # flush partial results with a marker, then re-raise
         report.failure = f"{type(exc).__name__}: {exc}"
         if cfg.output_dir:
@@ -460,18 +498,7 @@ def exact_small_experiment(cfg: ExperimentConfig, stages: dict | None = None) ->
     `mc_s` (the Monte Carlo ensemble) and `exact_s` (the rest: the exact
     laws, their entropies and the set-up).
     """
-    if stages is None:
-        stages = {}
-    stages.update(exact_s=0.0, table_s=0.0, pde_s=0.0, mc_s=0.0)
-    clock = time.perf_counter()
-
-    def lap(stage: str):
-        """Book the seconds since the last lap to `stage`."""
-        nonlocal clock
-        now = time.perf_counter()
-        stages[stage] += now - clock
-        clock = now
-
+    lap = _Laps({} if stages is None else stages, ("exact_s", "table_s", "pde_s", "mc_s"))
     n = cfg.exact_side
     mc_replicas = cfg.exact_replicas
     alpha = cfg.exact_alpha
@@ -589,7 +616,8 @@ def emit_outputs(report: ComparisonReport, output_dir, formats) -> list:
             lines += [sep.join(repr(row[c]) for c in _DISTANCE_COLUMNS) for row in report.rows]
             path.write_text("\n".join(lines) + "\n")
             written.append(str(path))
-    write_run_meta(out, pde=report.pde_solves, simulate=report.simulate)
+    write_run_meta(out, pde=report.pde_solves, simulate=report.simulate,
+                   compare=report.stages)
     return written
 
 

@@ -50,9 +50,20 @@ class Profile:
         return _interp_periodic(self.grid, pts, self.grid.shape[0])
 
     def sample_grid(self, m: int) -> np.ndarray:
-        """Values on the uniform m^d grid with nodes at multiples of 1/m."""
-        axes = np.indices((m,) * self.dimension).reshape(self.dimension, -1).T / m
-        return self.values_at(axes).reshape((m,) * self.dimension)
+        """Values on the uniform m^d grid with nodes at multiples of 1/m.
+
+        The grid is evaluated one slab of axis 0 at a time, so no (m^d, d)
+        point array is built.  Every profile is evaluated point by point,
+        so the values are those of one call on the whole grid.
+        """
+        d = self.dimension
+        out = np.empty((m,) * d)
+        points = np.empty((m ** (d - 1), d))
+        points[:, 1:] = np.indices(out.shape[1:]).reshape(d - 1, len(points)).T / m
+        for i in range(m):
+            points[:, 0] = i / m
+            out[i] = self.values_at(points).reshape(out.shape[1:])
+        return out
 
     @classmethod
     def constant(cls, dimension: int, value: float) -> "Profile":

@@ -4,6 +4,7 @@ import pickle
 import re
 import subprocess
 import sys
+import time
 from dataclasses import fields
 from pathlib import Path
 
@@ -266,9 +267,8 @@ def test_threads_option_matches_sequential(tmp_path):
                                                   threads=2))
     r1 = run_experiment(cfg1)
     r2 = run_experiment(cfg2)
-    rows1 = [{k: r[k] for k in ("N", "t", "L1")} for r in r1.rows]
-    rows2 = [{k: r[k] for k in ("N", "t", "L1")} for r in r2.rows]
-    assert rows1 == rows2
+    # every distance, per-replica ones included, to the bit
+    assert r1.rows == r2.rows and r1.monotone_in_size == r2.monotone_in_size
 
 
 @pytest.mark.parametrize("path", [("times",), ("kernel", "entries"),
@@ -587,6 +587,42 @@ def test_run_meta_records_pde_solves(tmp_path):
         assert row["shape"] == [1, 12]  # constant along axis 0
         assert row["mass_drift"] <= 1e-10 and row["seconds"] >= 0.0
     assert "pde" not in json.loads((tmp_path / "o" / "report.json").read_text())
+
+
+def test_replicas_are_folded_as_they_arrive(monkeypatch):
+    # each replica's fields are folded into the sums and distances before
+    # the next replica runs, so no list of every replica's fields is held
+    import torusgas.harness as harness
+
+    events = []
+    job, compare = harness._replica_job, harness.compare_fields
+    monkeypatch.setattr(harness, "_replica_job",
+                        lambda *args: events.append("job") or job(*args))
+    monkeypatch.setattr(harness, "compare_fields",
+                        lambda *args: events.append("fold") or compare(*args))
+    report = run_experiment(ExperimentConfig.from_dict(base_config(replicas=3)))
+    assert events == ["job", "fold"] * 3 + ["fold"]
+    assert report.simulate[0]["replicas"] == 3
+
+
+def test_compare_records_stage_seconds_in_run_meta(tmp_path):
+    # the stages cover the call and go to run_meta.json, not to the report
+    data = base_config(output_dir=str(tmp_path / "o"), torus_sizes=[4, 6], times=[0.05, 0.1],
+                       profile={"kind": "cosine", "base": 0.5, "amplitude": 0.2,
+                                "axis": 1})
+    cfg = ExperimentConfig.from_dict(data)
+    start = time.perf_counter()
+    report = run_experiment(cfg)
+    wall = time.perf_counter() - start
+    stages = report.stages
+    assert set(stages) == {"profile_s", "table_s", "pde_s", "simulate_s", "fold_s"}
+    assert min(stages.values()) > 0.0
+    assert sum(stages.values()) >= 0.9 * wall
+    emit_outputs(report, cfg.output_dir, ["json"])
+    assert json.loads((tmp_path / "o" / "run_meta.json").read_text())["compare"] == stages
+    written = json.loads((tmp_path / "o" / "report.json").read_text())
+    assert written == json.loads(json.dumps(report.to_dict()))
+    assert not {"stages", "compare"} & set(written)
 
 
 _COUNTS = ("expected_events", "events", "jumps", "rounds")

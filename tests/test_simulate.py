@@ -197,6 +197,9 @@ _REPLAY_CASES = {
     # the acceptance kernel on a half-filled 16^3 torus, whose window is sized
     # above `_WINDOW`, over more than one draw chunk
     "d3-16-half": (TorusGeometry(3, 16), D3_KERNEL, 0.5, 20.0, 65537, 10 ** 6),
+    # the same on the 32^3 torus, the benchmark's largest, in windows of
+    # `_WINDOW_MAX` events
+    "d3-32-half": (TorusGeometry(3, 32), D3_KERNEL, 0.5, 3.0, 65537, 10 ** 6),
 }
 
 
