@@ -14,9 +14,10 @@ that only happens when the scheme or the coefficient table is broken.
 The scheme keeps an exactly constant axis exactly constant: the face
 average there is 0.5 * (v + v) == v and every difference along it is 0.
 A field therefore stores such an axis with length 1 (the paper's profiles
-are constant along the drift), and the step runs unchanged on the stored
-array, since `np.roll` along a length-1 axis is the identity.  Every value
-is the one the full m^d grid would hold, bit for bit.
+are constant along the drift), and the step runs over the stored axes
+only.  Along an axis of length 1 every difference is exactly 0, and so is
+the flux divergence (`np.roll` along it is the identity), so skipping it
+leaves every value the one the full m^d grid would hold, bit for bit.
 """
 
 from __future__ import annotations
@@ -274,13 +275,18 @@ def stability_limit(field: DensityField, table: DiffusionTable) -> float:
     return field.h ** 2 / (2.0 * d * top)
 
 
+def _stored_axes(values: np.ndarray) -> list:
+    """The axes a field stores with more than one node."""
+    return [axis for axis, size in enumerate(values.shape) if size > 1]
+
+
 def _face_gradients(values: np.ndarray, axis: int, h: float) -> dict:
-    """Gradient components evaluated on faces normal to `axis`."""
-    d = values.ndim
+    """Gradient components evaluated on faces normal to `axis`, one per
+    stored axis: along an axis of length 1 every difference is exactly 0."""
     grads = {}
     fwd = np.roll(values, -1, axis=axis)
     grads[axis] = (fwd - values) / h
-    for j in range(d):
+    for j in _stored_axes(values):
         if j == axis:
             continue
         cj = (np.roll(values, -1, axis=j) - np.roll(values, 1, axis=j))
@@ -295,14 +301,14 @@ def pde_step(field: DensityField, table: DiffusionTable, dt: float) -> DensityFi
     dt is not checked here: `solve_to_time` keeps it within `stability_limit`.
     """
     values = field.values
-    d = field.dimension
     h = field.h
+    stored = _stored_axes(values)
     divergence = np.zeros_like(values)
-    for i in range(d):
+    for i in stored:
         face_rho = 0.5 * (values + np.roll(values, -1, axis=i))
         grads = _face_gradients(values, i, h)
         flux = np.zeros_like(values)
-        for j in range(d):
+        for j in stored:
             if table.entry_is_zero(i, j):
                 continue
             flux += table.entry(i, j, face_rho) * grads[j]
