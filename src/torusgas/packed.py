@@ -32,13 +32,13 @@ maps classes to classes, commutes with every operator part and leaves
 every dual current invariant, so the solutions of every direction are
 constant on the group orbits of the classes.  `OrbitSpace` keeps one
 unknown per orbit and one orbit index per class.  The orbits are the
-connected components of the action of the group's generators: each
-generator's class permutation is read off the codes in bounded chunks
-(decode, move every point, sort each row, `find`), and the smallest class
-index is propagated along those permutations to a fixed point.  Each orbit
-is represented by its smallest class index and ordered by it.  A kernel
-without symmetry has one class per orbit, and the engine is then the class
-engine exactly.
+connected components of the action of the group's generators, a few
+chosen greedily (`_generators`): each generator's class permutation is
+read off the codes in bounded chunks (decode, move every point, sort each
+row, `find`), and the smallest class index is propagated along those
+permutations to a fixed point.  Each orbit is represented by its smallest
+class index and ordered by it.  A kernel without symmetry has one class
+per orbit, and the engine is then the class engine exactly.
 
 Vectors are coordinates in the orthonormal orbit basis: the value of orbit
 O is f(A) * sqrt((n + 1) |O|) for any member A of any of its classes, so the
@@ -83,9 +83,10 @@ count share a block of bounded size, whose (slots, rows) arrays list each
 row's arrows in assembly order and pad the rest with weight 0 on a zero
 entry appended to the input.  A block's matvec is one gather, one product
 and one sum over the slots, which runs in the same order as a
-compressed-row matvec over the same arrows.  The degree-changing arrows
-are coordinate arrays sorted by row, then column, summed per row with
-`np.bincount`.
+compressed-row matvec over the same arrows (a one-row block is one
+contiguous run, which `np.add.reduce` would sum pairwise, so it is
+accumulated instead).  The degree-changing arrows are coordinate arrays
+sorted by row, then column, summed per row with `np.bincount`.
 """
 
 from __future__ import annotations
@@ -299,18 +300,18 @@ class OrbitSpace:
         self.trunc = classes.trunc
         self.n_sets = classes.n_sets
         self.symmetry_order = len(group)
-        # label propagation along each generator's class permutation; a
-        # permutation of finite order closes its cycles, so the fixed point
-        # labels every class with the smallest class index of its orbit
+        # label propagation along each generator's class permutation, in
+        # place; a permutation of finite order closes its cycles, so the
+        # fixed point labels every class with the smallest class index of
+        # its orbit
         label = np.arange(classes.size, dtype=np.int32)
         images = [_class_image(classes, g) for g in _generators(group)]
         changed = bool(images)
         while changed:
-            new = label
+            before = label.copy()
             for image in images:
-                new = np.minimum(new, new[image])
-            changed = not np.array_equal(new, label)
-            label = new
+                np.minimum(label, label[image], out=label)
+            changed = not np.array_equal(label, before)
         is_rep = label == np.arange(classes.size, dtype=np.int32)
         self.rep = np.flatnonzero(is_rep)
         index = np.cumsum(is_rep, dtype=np.int32)  # 1 + orbit index of each rep
@@ -326,24 +327,35 @@ class OrbitSpace:
         return float(np.sum(self.weight * x * y))
 
 
+def _closure(gens: list, identity: np.ndarray) -> dict:
+    """The group a list of elements of a finite matrix group generates, by key."""
+    reached = {identity.tobytes(): identity}
+    frontier = [identity]
+    while frontier:
+        fresh = {}
+        for a in frontier:
+            for h in gens:
+                b = a @ h
+                if b.tobytes() not in reached:
+                    fresh[b.tobytes()] = b
+        reached.update(fresh)
+        frontier = list(fresh.values())
+    return reached
+
+
 def _generators(group: np.ndarray) -> list:
-    """A generating subset of a finite matrix group, without the identity."""
+    """A generating subset of a finite matrix group, without the identity.
+
+    Each step adds the element (the first in group order) whose closure with
+    the generators so far is largest, so few generators are taken: each one
+    costs `OrbitSpace` a class image.
+    """
     gens = []
-    reached = {group[0].tobytes(): group[0]}  # the identity
-    for g in group:
-        if g.tobytes() in reached:
-            continue
-        gens.append(g)
-        frontier = list(reached.values())
-        while frontier:
-            fresh = {}
-            for a in frontier:
-                for h in gens:
-                    b = a @ h
-                    if b.tobytes() not in reached:
-                        fresh[b.tobytes()] = b
-            reached.update(fresh)
-            frontier = list(fresh.values())
+    reached = _closure(gens, group[0])  # group[0] is the identity
+    while len(reached) < len(group):
+        gens.append(max((g for g in group if g.tobytes() not in reached),
+                        key=lambda g: len(_closure(gens + [g], group[0]))))
+        reached = _closure(gens, group[0])
     return gens
 
 
@@ -369,7 +381,7 @@ class PackedOperator:
     space: OrbitSpace
     analysis: KernelAnalysis
     slot_rows: np.ndarray    # the rows of the slot blocks, block after block
-    slot_cols: list          # per block, (slots, rows) degree-preserving arrow targets
+    slot_cols: list          # per block, (slots, rows) int32 degree-preserving arrow targets
     slot_even: list          # per block, even weights on the same slots (0 on pads)
     slot_odd: list           # per block, odd weights on the same slots (0 on pads)
     diag_even: np.ndarray
@@ -411,7 +423,11 @@ class PackedOperator:
             stop = start + cols.shape[1]
             terms = padded.take(cols)
             terms *= w
-            np.add.reduce(terms, axis=0, out=out[start:stop])
+            if terms.shape[1] == 1 and len(terms) > 1:
+                # one contiguous run, which add.reduce would sum pairwise
+                out[start] = np.add.accumulate(terms[:, 0])[-1]
+            else:
+                np.add.reduce(terms, axis=0, out=out[start:stop])
             start = stop
         y = np.empty_like(out)
         y[self.slot_rows] = out
@@ -599,7 +615,9 @@ def assemble(space: PackedSpace, analysis: KernelAnalysis) -> PackedOperator:
         rows = slot_rows[start:stop]
         # (slots, rows) in C order, so the sum over slots streams whole rows
         f = np.argsort(cols_all[rows] < 0, axis=1, kind="stable")[:, :slots].T.copy()
-        cols = cols_all[rows, f].astype(np.intp)
+        # int32, as in cols_all: half the bytes of intp indices, and `take`
+        # casts one block at a time
+        cols = cols_all[rows, f]
         pad = cols < 0
         cols[pad] = 0
         scale = np.where(pad, 0.0, ratio(rows, cols))

@@ -284,6 +284,30 @@ def test_engine_on_the_order_48_group_and_on_empty_levels(dim, trunc, kernel):
         assert np.abs(lift(eng.apply_full(x, alpha)) - want).max() <= 1e-12
 
 
+@pytest.mark.parametrize("kernel,count", [("kernel_d3_asym", 2), ("ssep_d3", 2),
+                                          ("kernel_d3_diag_tasep", None),
+                                          ("kernel_d2_asym", None)])
+def test_greedy_generators_span_the_group_and_keep_the_orbits(request, monkeypatch, kernel,
+                                                              count):
+    # each generator costs a class image; the greedy choice needs two for the
+    # order-8 group of the acceptance kernel and for the order-48 group of
+    # SSEP in d = 3, and the orbits are those of the whole group
+    an = validate_kernel(ssep(3)) if kernel == "ssep_d3" else request.getfixturevalue(kernel)
+    group = an.group
+    gens = packed._generators(group)
+    closure = packed._closure(gens, group[0])
+    assert sorted(closure) == sorted(g.tobytes() for g in group)
+    assert not any(np.array_equal(g, group[0]) for g in gens)
+    if count is not None:
+        assert len(gens) == count
+    space = PackedSpace(an.dimension, TruncationParams(radius=2, max_degree=3))
+    orbits = packed.OrbitSpace(space, group)
+    monkeypatch.setattr(packed, "_generators", lambda grp: list(grp[1:]))
+    every = packed.OrbitSpace(space, group)
+    assert np.array_equal(orbits.orbit, every.orbit)
+    assert np.array_equal(orbits.rep, every.rep)
+
+
 def _compressed_rows(eng, weights):
     """The degree-preserving arrows as a scipy CSR matrix: each row's stored
     arrows in slot order, pads dropped."""
@@ -304,17 +328,26 @@ def _compressed_rows(eng, weights):
     return sp.csr_matrix((vals[order], cols[order], indptr), shape=(size, size))
 
 
-@pytest.mark.parametrize("kernel,trunc", [
-    pytest.param("kernel_d3_asym", (2, 2), id="d3-acceptance"),
-    pytest.param("exact_tiny", (2, 2), id="d2-exact-tiny"),
+@pytest.mark.parametrize("kernel,trunc,chunk", [
+    pytest.param("kernel_d3_asym", (2, 2), None, id="d3-acceptance"),
+    pytest.param("exact_tiny", (2, 2), None, id="d2-exact-tiny"),
+    # blocks of at most 20 entries: every row of 11 or more arrows is a
+    # one-row block, a single contiguous run of its slots
+    pytest.param("kernel_d3_asym", (2, 3), 20, id="d3-acceptance-one-row-blocks"),
 ])
-def test_slot_matvec_is_scipy_csr_bit_for_bit(request, kernel, trunc):
+def test_slot_matvec_is_scipy_csr_bit_for_bit(request, monkeypatch, kernel, trunc, chunk):
     # the slot-major blocks sum each row's arrows in stored order, as scipy's
     # compressed-row matvec does, so both give the same bits
     an = (validate_kernel(TransitionKernel(2, np.array([[1, 0], [-1, 0], [0, 1], [0, -1]]),
                                            np.array([0.5, 0.25, 0.125, 0.125])))
           if kernel == "exact_tiny" else request.getfixturevalue(kernel))
+    if chunk is not None:
+        monkeypatch.setattr(packed, "_CHUNK", chunk)
     eng = assemble(PackedSpace(an.dimension, TruncationParams(*trunc)), an)
+    if chunk is not None:
+        # numpy sums a one-row block of 8 or more slots pairwise unless told
+        # otherwise
+        assert any(cols.shape[1] == 1 and cols.shape[0] >= 8 for cols in eng.slot_cols)
     size = eng.space.size
     indptr = np.concatenate([[0], np.cumsum(np.bincount(eng.change_rows, minlength=size))])
     changing = sp.csr_matrix((eng.change_vals, eng.change_cols, indptr), shape=(size, size))
@@ -353,9 +386,8 @@ def test_slot_weights_are_composed_in_place(kernel_d3_asym):
 def test_slot_blocks_hold_at_most_a_chunk(kernel_d3_asym, monkeypatch):
     # a slot block holds at most _CHUNK entries unless one row alone is
     # wider, in C order.  Splitting blocks along rows keeps each row's sum
-    # over its slots in stored order, so the matvecs keep their bits while
-    # every block keeps two rows or more (a one-row block is summed
-    # pairwise, as one contiguous run)
+    # over its slots in stored order, one-row blocks included, so the
+    # matvecs keep their bits
     space = PackedSpace(3, TruncationParams(radius=2, max_degree=3))
     whole = assemble(space, kernel_d3_asym)
     x = np.random.default_rng(8).standard_normal(whole.space.size)
@@ -371,8 +403,6 @@ def test_slot_blocks_hold_at_most_a_chunk(kernel_d3_asym, monkeypatch):
                     assert a.flags.c_contiguous
         if chunk < widest:
             assert any(cols.size > chunk for cols in split.slot_cols)
-            continue
-        assert min(cols.shape[1] for cols in split.slot_cols[:-1]) >= 2
         assert np.array_equal(split.apply_sym(x), whole.apply_sym(x))
         for alpha in (0.3, 0.5):
             assert np.array_equal(split.apply_full(x, alpha), whole.apply_full(x, alpha))
