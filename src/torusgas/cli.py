@@ -108,6 +108,7 @@ def cmd_diffusion(args) -> int:
     result = compute_diffusion(cfg.analysis, cfg.alpha_grid, cfg.truncation,
                                mobility_vectors=vectors, with_residuals=True,
                                engine=engine, stages=stages)
+    solved = time.perf_counter()
     out = make_output_dir(cfg.output_dir)
     result.save_json(out / "diffusion.json")
     result.save_csv(out / "diffusion.csv")
@@ -115,6 +116,7 @@ def cmd_diffusion(args) -> int:
     table.save_json(out / "table.json")
     write_run_meta(out, diffusion={
         "enumerate_s": enumerated - start, "assemble_s": assembled - enumerated,
+        "write_s": time.perf_counter() - solved,
         "classes": space.size, "orbits": engine.space.size,
         "nnz": engine.nnz, "engine_mb": engine.nbytes / 2 ** 20, "densities": stages})
     print(out / "diffusion.json")

@@ -81,10 +81,15 @@ the stack of dual currents, one orbit vector per direction, which
 The degree-preserving arrows are stored slot-major: rows of similar arrow
 count share a block of bounded size, whose (slots, rows) arrays list each
 row's arrows in assembly order and pad the rest with weight 0 on a zero
-entry appended to the input.  A block's matvec is one gather, one product
-and one sum over the slots, which runs in the same order as a
-compressed-row matvec over the same arrows (a one-row block is one
-contiguous run, which `np.add.reduce` would sum pairwise, so it is
+entry appended to the input.  An arrow's even and odd weights are s(v) and
+a(v) of its offset v times sqrt(|O_row| / |O_col|), so they depend only on
+its weight class (offset, row orbit size, column orbit size), of which
+there are few (97 at the acceptance truncation): a slot stores its class
+code, two small tables the class weights, and one buffer the slot weights
+of the current density, gathered from the tables.  A block's matvec is one
+gather, one product and one sum over the slots, which runs in the same
+order as a compressed-row matvec over the same arrows (a one-row block is
+one contiguous run, which `np.add.reduce` would sum pairwise, so it is
 accumulated instead).  The degree-changing arrows are coordinate arrays
 sorted by row, then column, summed per row with `np.bincount`.
 """
@@ -245,15 +250,18 @@ class PackedSpace:
         canonical member, the shift by that point.
         """
         rows = np.asarray(rows, dtype=np.int64)
-        valid = (rows >= 0).all(axis=1)
+        # a sorted row holds a negative entry iff its first one is negative;
+        # such a row's code is negative, below every class code
+        valid = rows[:, 0] >= 0
         moved = valid & (rows[:, 0] < self._half)
         if moved.any():
             rows = rows.copy()
-            rows[moved] = self._member_shift(rows[moved], 0)
-            valid &= (rows >= 0).all(axis=1)
-        code = self.encode(np.where(valid[:, None], rows, 0))
+            shifted = self._member_shift(rows[moved], 0)
+            rows[moved] = shifted
+            valid[moved] = shifted[:, 0] >= 0
+        code = self.encode(rows)
         pos = np.minimum(np.searchsorted(self.codes, code), self.size - 1)
-        return np.where(valid & (self.codes[pos] == code), pos, -1)
+        return np.where(valid & (self.codes.take(pos) == code), pos, -1)
 
     def _member_shift(self, rows: np.ndarray, m: int) -> np.ndarray:
         """Sorted index rows of (A u {0}) - a_m minus the origin, a_m in slot m.
@@ -382,8 +390,9 @@ class PackedOperator:
     analysis: KernelAnalysis
     slot_rows: np.ndarray    # the rows of the slot blocks, block after block
     slot_cols: list          # per block, (slots, rows) int32 degree-preserving arrow targets
-    slot_even: list          # per block, even weights on the same slots (0 on pads)
-    slot_odd: list           # per block, odd weights on the same slots (0 on pads)
+    slot_class: list         # per block, the weight class of the same slots (0 on pads)
+    class_even: np.ndarray   # even weight of each class
+    class_odd: np.ndarray    # odd weight of each class
     diag_even: np.ndarray
     change_rows: np.ndarray  # degree-changing arrows (shared density scalar),
     change_cols: np.ndarray  # sorted by row, then column
@@ -392,7 +401,7 @@ class PackedOperator:
     currents: np.ndarray     # (d, orbits): the dual current of each direction
 
     def __post_init__(self):
-        self._composed = None
+        self._composed = None  # per block, the slot weights at density _cd
         self._cd = None
 
     @property
@@ -438,24 +447,32 @@ class PackedOperator:
         return np.bincount(self.change_rows, weights=self.change_vals * x[self.change_cols],
                            minlength=len(x))
 
+    def composed(self, cd: float) -> list:
+        """Per-block slot weights odd * cd + even, with its two roundings.
+
+        The weights are composed on the class tables and gathered into the
+        same buffers at every change of cd.  At cd = 0 they are the even
+        weights bit for bit: x + (+-0) = x, and +0 + -0 = +0.
+        """
+        if self._cd != cd:
+            if self._composed is None:
+                self._composed = [np.empty(c.shape) for c in self.slot_class]
+            t = self.class_odd * cd
+            t += self.class_even
+            for w, c in zip(self._composed, self.slot_class):
+                t.take(c, out=w)
+            self._cd = cd
+        return self._composed
+
     def apply_full(self, x: np.ndarray, alpha: float) -> np.ndarray:
         """Apply (even part) + (1 - 2 alpha)(odd part) + sqrt(chi)(raise+lower)."""
-        cd = 1.0 - 2.0 * alpha
-        if self._cd != cd:
-            # composed in place, with the two roundings of odd * cd + even
-            if self._composed is None:
-                self._composed = [np.empty_like(even) for even in self.slot_even]
-            for w, odd, even in zip(self._composed, self.slot_odd, self.slot_even):
-                np.multiply(odd, cd, out=w)
-                w += even
-            self._cd = cd
-        y = self.preserving(x, self._composed)
+        y = self.preserving(x, self.composed(1.0 - 2.0 * alpha))
         y += self.diag_even * x
         y += np.sqrt(alpha * (1.0 - alpha)) * self.changing(x)
         return y
 
     def apply_sym(self, x: np.ndarray) -> np.ndarray:
-        return self.preserving(x, self.slot_even) + self.diag_even * x
+        return self.preserving(x, self.composed(0.0)) + self.diag_even * x
 
     def resolvent_matvec(self, x: np.ndarray, alpha: float, lam: float) -> np.ndarray:
         return lam * x - self.apply_full(x, alpha)
@@ -495,8 +512,11 @@ def _rigid(sets_n: np.ndarray, back: np.ndarray):
     `back` is `space.translate(-v)`; translation keeps the rows sorted.
     """
     shifted = back[sets_n]
-    exists = ~(shifted == -2).any(axis=1)
-    inside = exists & (shifted >= 0).all(axis=1)
+    exists = shifted[:, 0] != -2
+    inside = shifted[:, 0] >= 0
+    for j in range(1, shifted.shape[1]):
+        exists &= shifted[:, j] != -2
+        inside &= shifted[:, j] >= 0
     return exists, inside, shifted
 
 
@@ -532,8 +552,17 @@ def assemble(space: PackedSpace, analysis: KernelAnalysis) -> PackedOperator:
     a_at = np.zeros(len(space.pool) + 2)
     a_at[space.lookup_points(offsets)] = avals
 
-    def ratio(rows, cols):
-        return np.sqrt(orbit_size[rows] / orbit_size[cols])
+    # a slot's weight depends on its offset and on the orbit sizes of its row
+    # and its column: with k distinct orbit sizes, the slot of offset f from
+    # an orbit of the a-th size to one of the b-th has the weight class
+    # 1 + (f k + a) k + b, and class 0 is the pad
+    sizes = np.flatnonzero(np.bincount(orbit_size))
+    size_code = np.searchsorted(sizes, orbit_size)
+    k = len(sizes)
+    scale = np.sqrt(sizes[:, None] / sizes[None, :]).ravel()
+    class_even = np.concatenate([[0.0], (svals[:, None] * scale).ravel()])
+    class_odd = np.concatenate([[0.0], (avals[:, None] * scale).ravel()])
+    class_dtype = np.min_scalar_type(len(class_even) - 1)
 
     # degree-preserving arrows, rows from the representatives' canonical
     # members, one column per (offset, member or rigid shift): column f of
@@ -548,7 +577,7 @@ def assemble(space: PackedSpace, analysis: KernelAnalysis) -> PackedOperator:
         cols = orbit[tgt]
         up_rows.append(krow)
         up_cols.append(cols)
-        up_vals.append(vals * scale * ratio(krow, cols))
+        up_vals.append(vals * scale * np.sqrt(orbit_size[krow] / orbit_size[cols]))
 
     for n in range(1, trunc.max_degree + 1):
         krow = np.nonzero(orbits.degree == n)[0]  # contiguous: orbits follow degree
@@ -556,7 +585,8 @@ def assemble(space: PackedSpace, analysis: KernelAnalysis) -> PackedOperator:
         if nn == 0:
             continue
         sets_n = space.decode(space.codes[orbits.rep[krow]], n)  # representatives
-        cols2d = cols_all[krow[0]:krow[-1] + 1]  # a view
+        cols2d = cols_all[krow[0]:krow[-1] + 1]  # views
+        diag_n = diag_even[krow[0]:krow[-1] + 1]
         f = 0
         for v, sv, av in zip(offsets, svals, avals):
             wsq = (sv * sv + av * av) / (n + 1.0)
@@ -566,7 +596,7 @@ def assemble(space: PackedSpace, analysis: KernelAnalysis) -> PackedOperator:
                 exists, inside, hit = (_rigid(sets_n, back) if m is None
                                        else _exchange(space, sets_n, m, move))
                 clipped += exists & ~inside
-                diag_even[krow[exists]] -= sv
+                np.subtract(diag_n, sv, out=diag_n, where=exists)
                 if m is None:
                     rows_new = hit[inside]
                 else:
@@ -606,7 +636,7 @@ def assemble(space: PackedSpace, analysis: KernelAnalysis) -> PackedOperator:
     counts = np.count_nonzero(cols_all >= 0, axis=1)
     slot_rows = np.argsort(-counts, kind="stable")
     ranked = counts[slot_rows]
-    slot_cols, slot_even, slot_odd = [], [], []
+    slot_cols, slot_class = [], []
     start = 0
     while start < size:
         slots = ranked[start]
@@ -620,12 +650,17 @@ def assemble(space: PackedSpace, analysis: KernelAnalysis) -> PackedOperator:
         cols = cols_all[rows, f]
         pad = cols < 0
         cols[pad] = 0
-        scale = np.where(pad, 0.0, ratio(rows, cols))
-        offset = np.where(pad, 0, f // (orbits.degree[rows] + 1))
+        # f becomes the weight class of each slot, in place
+        f //= orbits.degree[rows] + 1  # its offset
+        f *= k
+        f += size_code[rows]
+        f *= k
+        f += size_code[cols]
+        f += 1
+        f[pad] = 0
         cols[pad] = size
         slot_cols.append(cols)
-        slot_even.append(svals[offset] * scale)
-        slot_odd.append(avals[offset] * scale)
+        slot_class.append(f.astype(class_dtype))
         start = stop
 
     # raising arrows with repeats summed in assembly order, zeros dropped
@@ -656,6 +691,6 @@ def assemble(space: PackedSpace, analysis: KernelAnalysis) -> PackedOperator:
 
     # clipped mass in the degree-weighted norm of the lift:
     # f(A)^2 = x_O^2 / ((n + 1) |O|) on each of the |O| (n + 1) sets of O
-    return PackedOperator(orbits, analysis, slot_rows, slot_cols, slot_even, slot_odd,
-                          diag_even, change_rows[order], change_cols[order],
+    return PackedOperator(orbits, analysis, slot_rows, slot_cols, slot_class, class_even,
+                          class_odd, diag_even, change_rows[order], change_cols[order],
                           change_vals[order], clip_weight * orbits.weight, currents)

@@ -563,7 +563,8 @@ def test_diffusion_run_meta_records_engine_memory(tmp_path, monkeypatch):
     assert cli_main(["diffusion", "--config", str(cfg_path)]) == 0
     eng, = engines
     space, classes = eng.space, eng.space.classes
-    arrays = [eng.slot_rows, *eng.slot_cols, *eng.slot_even, *eng.slot_odd, *eng._composed,
+    arrays = [eng.slot_rows, *eng.slot_cols, *eng.slot_class, eng.class_even, eng.class_odd,
+              *eng._composed,
               eng.diag_even, eng.change_rows, eng.change_cols, eng.change_vals,
               eng.clip_weight, eng.currents,
               space.rep, space.orbit, space.orbit_size, space.degree, space.weight,
@@ -623,6 +624,31 @@ def test_compare_records_stage_seconds_in_run_meta(tmp_path):
     written = json.loads((tmp_path / "o" / "report.json").read_text())
     assert written == json.loads(json.dumps(report.to_dict()))
     assert not {"stages", "compare"} & set(written)
+
+
+def test_diffusion_records_stage_seconds_in_run_meta(tmp_path):
+    # enumeration, assembly, the densities' solves and the writing of the
+    # result files (`write_s`, which the record lacked) cover the command;
+    # what is left is reading the config and writing run_meta.json itself
+    import torusgas.cli as cli
+
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(base_config(
+        output_dir=str(tmp_path / "d"), alpha_grid=[0.3, 0.6],
+        truncation={"radius": 2, "max_degree": 3},
+        kernel={"dimension": 3, "entries": [
+            {"offset": [1, 0, 0], "prob": 1 / 2}, {"offset": [-1, 0, 0], "prob": 1 / 6},
+            {"offset": [0, 1, 0], "prob": 1 / 12}, {"offset": [0, -1, 0], "prob": 1 / 12},
+            {"offset": [0, 0, 1], "prob": 1 / 12}, {"offset": [0, 0, -1], "prob": 1 / 12}]})))
+    args = cli.build_parser().parse_args(["diffusion", "--config", str(cfg_path)])
+    start = time.perf_counter()
+    assert cli.cmd_diffusion(args) == 0
+    wall = time.perf_counter() - start
+    rec = json.loads((tmp_path / "d" / "run_meta.json").read_text())["diffusion"]
+    stages = [rec["enumerate_s"], rec["assemble_s"], rec["write_s"],
+              *(density["seconds"] for density in rec["densities"].values())]
+    assert len(stages) == 5 and min(stages) > 0.0
+    assert sum(stages) >= 0.9 * wall
 
 
 _COUNTS = ("expected_events", "events", "jumps", "rounds")
@@ -1016,7 +1042,8 @@ seen = []
 for command, config in json.loads(sys.argv[2]):
     code = main([command, "--config", config])
     seen.append([command, code, sorted(name for name in sys.modules
-                                       if name == "scipy" or name.startswith("scipy."))])
+                                       if name.split(".")[0] == "scipy"
+                                       or name.split(".")[:2] == ["numpy", "ma"])])
 print(json.dumps(seen))
 """
 
@@ -1024,7 +1051,9 @@ print(json.dumps(seen))
 def test_no_subcommand_imports_scipy(tmp_path):
     # scipy's import is most of the start-up cost of a small run, and the
     # package needs numpy alone: every subcommand, with a computed
-    # coefficient table and with a stored one, leaves scipy unloaded
+    # coefficient table and with a stored one, leaves scipy unloaded.  So
+    # does it leave numpy.ma, which a bare `np.unique` imports (about a
+    # megabyte of resident memory)
     table_path = tmp_path / "table.json"
     DiffusionTable.from_callable(lambda a: 0.25 * np.eye(2), 2, nodes=2).save_json(table_path)
     profile = {"kind": "cosine", "base": 0.5, "amplitude": 0.2, "axis": 1}

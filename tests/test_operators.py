@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -50,7 +52,7 @@ def test_symmetric_kernel_kills_odd_parts():
     for mat in (oracle.mat_drift, oracle.mat_raise, oracle.mat_lower):
         assert not np.any(mat.data)
     eng = assemble(PackedSpace(2, tr), an)
-    assert not any(np.any(odd) for odd in eng.slot_odd)
+    assert not np.any(eng.class_odd)
     assert not np.any(eng.change_vals)
 
 
@@ -254,6 +256,49 @@ def test_class_and_orbit_levels_keep_one_code_and_one_orbit_index_per_class(
     assert per_class <= 12 * n_classes
 
 
+def test_slot_arrays_keep_one_column_one_class_code_and_one_weight(kernel_d3_asym):
+    # deterministic memory guard at the acceptance truncation: after a matvec
+    # the arrays the engine keeps at slot length are an int32 column, a class
+    # code of at most two bytes and one float64 weight (the composed weights
+    # of the last density); the weights themselves live in the class tables,
+    # one entry per (offset, row orbit size, column orbit size) and the pad
+    eng = assemble(PackedSpace(3, TruncationParams(radius=3, max_degree=3)),
+                   kernel_d3_asym)
+    eng.apply_full(np.ones(eng.space.size), 0.3)
+    n_slots = sum(cols.size for cols in eng.slot_cols)
+    per_slot = 0
+    for name, value in vars(eng).items():
+        if isinstance(value, list):
+            assert sum(a.size for a in value) == n_slots, name
+            per_slot += sum(a.nbytes for a in value)
+        elif isinstance(value, np.ndarray):
+            assert value.size < n_slots, name
+    assert max(c.itemsize for c in eng.slot_class) <= 2
+    assert len(eng.class_even) == len(eng.class_odd) == 6 * 4 * 4 + 1
+    assert per_slot <= 14 * n_slots
+
+
+@pytest.mark.parametrize("kernel,trunc,digests", [
+    pytest.param("kernel_d2_asym", (2, 3), (
+        "01c24f2382fe7c90e7a4ac2fb4ce00ea7f61b3f1f42c9f297e6473bd8ef24595",
+        "a644c21fae73b7c4ebd91fa69f49030173f0df4af852a7ee709744728ccc2d92",
+        "26fc26d819eb672b2eba0709436851c33485dfb3316fcb500d8c7cbc2bba28e7"), id="d2-asym-2-3"),
+    # no odd part and no degree-changing arrows: the three matvecs agree
+    pytest.param("ssep_d3", (2, 2), (
+        "bad53c9727a6279c670421225f4b91565d836296999b034f1049899bf170c6ab",) * 3,
+        id="d3-ssep-2-2"),
+])
+def test_matvec_bits_are_pinned(request, kernel, trunc, digests):
+    # the sha256 of apply_full at densities 0.3 and 0.5 and of apply_sym on a
+    # fixed input: a change of storage that keeps every weight and every
+    # summation order keeps these bits
+    an = validate_kernel(ssep(3)) if kernel == "ssep_d3" else request.getfixturevalue(kernel)
+    eng = assemble(PackedSpace(an.dimension, TruncationParams(*trunc)), an)
+    x = np.random.default_rng(26).standard_normal(eng.space.size)
+    out = (eng.apply_full(x, 0.3), eng.apply_full(x, 0.5), eng.apply_sym(x))
+    assert tuple(hashlib.sha256(y.tobytes()).hexdigest() for y in out) == digests
+
+
 @pytest.mark.parametrize("dim,trunc,kernel", [
     pytest.param(3, (1, 3), "ssep", id="d3-ssep-1-3"),
     pytest.param(3, (2, 2), "ssep", id="d3-ssep-2-2"),
@@ -351,15 +396,15 @@ def test_slot_matvec_is_scipy_csr_bit_for_bit(request, monkeypatch, kernel, trun
     size = eng.space.size
     indptr = np.concatenate([[0], np.cumsum(np.bincount(eng.change_rows, minlength=size))])
     changing = sp.csr_matrix((eng.change_vals, eng.change_cols, indptr), shape=(size, size))
-    even = _compressed_rows(eng, eng.slot_even)
+    even = _compressed_rows(eng, [eng.class_even[c] for c in eng.slot_class])
     assert even.nnz + changing.nnz == eng.nnz
     assert np.all(np.diff(eng.change_rows * size + eng.change_cols) > 0)
     x = np.random.default_rng(21).standard_normal(size)
     assert np.array_equal(eng.apply_sym(x), even.dot(x) + eng.diag_even * x)
     for alpha in (0.3, 0.5):
         cd = 1.0 - 2.0 * alpha
-        full = _compressed_rows(eng, [odd * cd + ev
-                                      for odd, ev in zip(eng.slot_odd, eng.slot_even)])
+        full = _compressed_rows(eng, [(eng.class_odd * cd + eng.class_even)[c]
+                                      for c in eng.slot_class])
         want = full.dot(x)
         want += eng.diag_even * x
         want += np.sqrt(alpha * (1.0 - alpha)) * changing.dot(x)
@@ -368,17 +413,22 @@ def test_slot_matvec_is_scipy_csr_bit_for_bit(request, monkeypatch, kernel, trun
 
 def test_slot_weights_are_composed_in_place(kernel_d3_asym):
     # apply_full composes odd * cd + even into the same arrays at every
-    # density change, with the bits of the two-rounding expression
+    # density change, with the bits of the two-rounding expression, and
+    # apply_sym composes the even weights alone into them
     eng = assemble(PackedSpace(3, TruncationParams(radius=2, max_degree=2)), kernel_d3_asym)
     x = np.random.default_rng(13).standard_normal(eng.space.size)
     held = None
-    for alpha in (0.3, 0.7, 0.3):
-        cd = 1.0 - 2.0 * alpha
-        want = eng.preserving(x, [odd * cd + even
-                                  for odd, even in zip(eng.slot_odd, eng.slot_even)])
-        want += eng.diag_even * x
-        want += np.sqrt(alpha * (1.0 - alpha)) * eng.changing(x)
-        assert np.array_equal(eng.apply_full(x, alpha), want)
+    for alpha in (0.3, 0.7, None, 0.3):
+        if alpha is None:
+            want = eng.preserving(x, [eng.class_even[c] for c in eng.slot_class])
+            assert np.array_equal(eng.apply_sym(x), want + eng.diag_even * x)
+        else:
+            cd = 1.0 - 2.0 * alpha
+            want = eng.preserving(x, [(eng.class_odd * cd + eng.class_even)[c]
+                                      for c in eng.slot_class])
+            want += eng.diag_even * x
+            want += np.sqrt(alpha * (1.0 - alpha)) * eng.changing(x)
+            assert np.array_equal(eng.apply_full(x, alpha), want)
         held = held or [id(w) for w in eng._composed]
         assert [id(w) for w in eng._composed] == held
 
@@ -396,16 +446,16 @@ def test_slot_blocks_hold_at_most_a_chunk(kernel_d3_asym, monkeypatch):
         monkeypatch.setattr(packed, "_CHUNK", chunk)
         split = assemble(space, kernel_d3_asym)
         assert len(split.slot_cols) > len(whole.slot_cols)
+        assert np.array_equal(split.apply_sym(x), whole.apply_sym(x))
+        for alpha in (0.3, 0.5):
+            assert np.array_equal(split.apply_full(x, alpha), whole.apply_full(x, alpha))
         for eng, cap in ((whole, 32768), (split, chunk)):
-            for blocks in (eng.slot_cols, eng.slot_even, eng.slot_odd):
+            for blocks in (eng.slot_cols, eng.slot_class, eng._composed):
                 for a in blocks:
                     assert a.size <= cap or a.shape[1] == 1
                     assert a.flags.c_contiguous
         if chunk < widest:
             assert any(cols.size > chunk for cols in split.slot_cols)
-        assert np.array_equal(split.apply_sym(x), whole.apply_sym(x))
-        for alpha in (0.3, 0.5):
-            assert np.array_equal(split.apply_full(x, alpha), whole.apply_full(x, alpha))
 
 
 def _range_two_kernel():
