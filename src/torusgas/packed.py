@@ -14,13 +14,17 @@ never enumerates the sets themselves.
 
 Every class has exactly one canonical member whose points are all
 lexicographically positive: the shift of A u {0} by its lexicographically
-smallest point.  The point pool is in lexicographic order with the origin
-removed, so the canonical members are the compatible sets drawn from the
-upper half of the pool.  A class is stored as one integer, the code of its
-canonical member (its sorted pool indices, `_BITS` bits each), and nothing
-else: the degree-(n + 1) codes are built from the degree-n ones, block by
-block, by appending each compatible larger pool index, which keeps them
-strictly increasing.  Every code of a positive degree-n member lies below
+smallest point.  The point pool is the radius cube in lexicographic order
+without its middle point, the origin, so the canonical members are the
+compatible sets drawn from the upper half of the pool, and -pool[i] is
+pool[P - 1 - i].  A point's position, its coordinates read as a signed
+number in base 4r + 1, subtracts like the point, so one table over the
+radius-2r cube gives every point difference (`difference`), and no P x P
+table is kept.  A class is stored as one integer, the code of its canonical
+member (its sorted pool indices, `_BITS` bits each), and nothing else: the
+degree-(n + 1) codes are built from the degree-n ones, block by block, by
+appending each compatible larger pool index, which keeps them strictly
+increasing.  Every code of a positive degree-n member lies below
 every degree-(n + 1) code, so the whole code table is sorted, a class index
 is the position of its code, and `find` is one binary search.  Rows are
 decoded only where they are read.  A set whose smallest point is negative
@@ -96,7 +100,6 @@ sorted by row, then column, summed per row with `np.bincount`.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,10 +113,10 @@ _MASK = (1 << _BITS) - 1
 # its widest row's, so at most a fifth of its slots are padding
 _BLOCK_FILL = 0.8
 # passes over every class or every slot run in chunks of bounded size, so no
-# transient grows with the space: a level is extended _EXTEND_CHUNK classes
-# at a time (each needs a pool-wide mask row), generator images take _CHUNK
-# classes at a time, and a slot block holds at most _CHUNK entries
-_EXTEND_CHUNK = 8192
+# transient grows with the space: a level is extended by masks of at most
+# _CHUNK entries, generator images take _CHUNK classes at a time, and a slot
+# block holds at most _CHUNK entries (one pool-wide mask row or one slot row
+# alone may be wider)
 _CHUNK = 32768
 
 
@@ -152,35 +155,18 @@ class PackedSpace:
         self.dimension = dimension
         self.trunc = trunc
         r = trunc.radius
-        side = 2 * r + 1
-        coords = np.array(list(itertools.product(range(-r, r + 1), repeat=dimension)),
-                          dtype=np.int64)
-        keep = ~(coords == 0).all(axis=1)
-        self.pool = coords[keep]  # (P, d) lexicographic
+        cube = np.indices((2 * r + 1,) * dimension).reshape(dimension, -1).T - r
+        self.pool = np.delete(cube, len(cube) // 2, axis=0)  # (P, d) lexicographic
         p = len(self.pool)
         if p >= _MASK:
             raise ConfigError("truncation radius too large for the set encoding")
-        # pool[:P/2] is lexicographically negative, pool[P/2:] positive, and
-        # -pool[i] = pool[P - 1 - i]
-        self._half = p // 2
-        # dense coordinate -> pool index map over the radius cube, -1 at origin
-        self._side = side
-        cube = np.full(side ** dimension, -1, dtype=np.int64)
-        lin = self._linear(self.pool)
-        cube[lin] = np.arange(p)
-        self._cube = cube
-
-        # diff[i, j]: pool index of pool[j] - pool[i], -1 outside the cube and
-        # -2 at the origin; two points may share a set when it is >= 0.  Built
-        # a few rows at a time, so each (rows, P, d) difference stays small
-        self.diff = np.empty((p, p), dtype=np.int64)
-        step = max(1, _CHUNK // p)
-        for lo in range(0, p, step):
-            rel = self.pool[None, :, :] - self.pool[lo:lo + step, None, :]
-            self.diff[lo:lo + step] = np.where((rel == 0).all(axis=2), -2,
-                                               self.lookup_points(rel))
-        self.compat = self.diff >= 0
-        self.neg = self.lookup_points(-self.pool)  # pool index of -pool[i]
+        self._half = p // 2  # pool[:P/2] is lexicographically negative
+        # `_index` maps each position of the radius-2r cube (a negative one
+        # from the end) to its pool index, -2 at 0, -1 outside the radius cube
+        self._pos = self._position(self.pool)
+        self._index = np.full((4 * r + 1) ** dimension, -1, dtype=np.int64)
+        self._index[self._pos] = np.arange(p)
+        self._index[0] = -2
 
         # canonical members: compatible sets of positive points only
         levels = [np.arange(self._half, p, dtype=np.int64)]
@@ -197,37 +183,37 @@ class PackedSpace:
     def _extend(self, codes: np.ndarray, n: int) -> np.ndarray:
         """Codes of the degree-(n + 1) canonical members from the degree-n ones.
 
-        Each member gains one compatible pool index above its largest.
-        `np.nonzero` walks the mask row by row, so the new codes are
-        strictly increasing, as their prefixes are.
+        Each member gains one pool index above its largest whose point is
+        within `radius` of all of its points on each axis (on axis 0 every
+        such index is, as the points are positive).  `np.nonzero` walks the
+        mask row by row, so the new codes are strictly increasing, as their
+        prefixes are.
         """
+        r = self.trunc.radius
         cols = np.arange(len(self.pool))
+        step = max(1, _CHUNK // len(cols))
         out = [np.zeros(0, dtype=np.int64)]
-        for start in range(0, len(codes), _EXTEND_CHUNK):
-            block = codes[start:start + _EXTEND_CHUNK]
+        for start in range(0, len(codes), step):
+            block = codes[start:start + step]
             rows = self.decode(block, n)
-            mask = cols > rows[:, -1:]
-            for j in range(n):
-                mask &= self.compat[rows[:, j]]
+            low = rows[:, -1].min() + 1
+            mask = cols[low:] > rows[:, -1:]
+            for ax in range(1, self.dimension):
+                points = self.pool[rows, ax]
+                mask &= self.pool[low:, ax] >= points.max(axis=1, keepdims=True) - r
+                mask &= self.pool[low:, ax] <= points.min(axis=1, keepdims=True) + r
             which, k = np.nonzero(mask)
-            out.append((block[which] << _BITS) | k)
+            out.append((block[which] << _BITS) | (k + low))
         return np.concatenate(out)
 
-    def _linear(self, coords: np.ndarray) -> np.ndarray:
-        r = self.trunc.radius
-        shifted = coords + r
-        lin = shifted[..., 0]
-        for ax in range(1, self.dimension):
-            lin = lin * self._side + shifted[..., ax]
-        return lin
+    def _position(self, coords: np.ndarray) -> np.ndarray:
+        return coords @ (4 * self.trunc.radius + 1) ** np.arange(self.dimension - 1, -1, -1)
 
     def lookup_points(self, coords: np.ndarray) -> np.ndarray:
         """Pool indices of coordinate rows; -1 outside the cube or at 0."""
-        r = self.trunc.radius
-        inside = (np.abs(coords) <= r).all(axis=-1)
-        lin = self._linear(np.where(inside[..., None], coords, 0))
-        idx = self._cube[lin]
-        return np.where(inside, idx, -1)
+        # a point beyond the radius-2r cube reads the origin's -2, as -1
+        near = (np.abs(coords) <= 2 * self.trunc.radius).all(axis=-1, keepdims=True)
+        return np.maximum(self._index[self._position(np.where(near, coords, 0))], -1)
 
     def encode(self, rows: np.ndarray) -> np.ndarray:
         rows = np.asarray(rows, dtype=np.int64)
@@ -246,8 +232,8 @@ class PackedSpace:
     def find(self, rows: np.ndarray) -> np.ndarray:
         """Class indices of sorted index rows; -1 when absent or invalid.
 
-        A row whose smallest point is negative is first moved to its
-        canonical member, the shift by that point.
+        A row whose smallest point z is negative is first moved to its
+        canonical member, (A u {0}) - z minus the origin.
         """
         rows = np.asarray(rows, dtype=np.int64)
         # a sorted row holds a negative entry iff its first one is negative;
@@ -256,29 +242,27 @@ class PackedSpace:
         moved = valid & (rows[:, 0] < self._half)
         if moved.any():
             rows = rows.copy()
-            shifted = self._member_shift(rows[moved], 0)
-            rows[moved] = shifted
+            z = rows[moved, :1]
+            shifted = self.difference(z, rows[moved])
+            shifted[:, 0] = len(self.pool) - 1 - z[:, 0]  # -pool[z]
+            rows[moved] = _sort_rows(shifted)
             valid[moved] = shifted[:, 0] >= 0
         code = self.encode(rows)
         pos = np.minimum(np.searchsorted(self.codes, code), self.size - 1)
         return np.where(valid & (self.codes.take(pos) == code), pos, -1)
 
-    def _member_shift(self, rows: np.ndarray, m: int) -> np.ndarray:
-        """Sorted index rows of (A u {0}) - a_m minus the origin, a_m in slot m.
-
-        Entries are -1 where a point leaves the radius cube.
-        """
-        z = rows[:, m]
-        moved = self.diff[z[:, None], rows]
-        moved[:, m] = self.neg[z]
-        return _sort_rows(moved)
+    def difference(self, i, j) -> np.ndarray:
+        """Pool index of pool[j] - pool[i], broadcast; -1 outside the cube,
+        -2 at the origin.  Two points may share a set when it is >= 0."""
+        return self._index[self._pos[j] - self._pos[i]]
 
     def translate(self, v) -> np.ndarray:
-        """Pool index of pool[i] + v for every pool point (-1 / -2 as in `diff`)."""
+        """Pool index of pool[i] + v for every pool point, as `difference`."""
         iv = self.lookup_points(np.asarray(v, dtype=np.int64))
         if iv < 0:
             raise ConfigError("offset outside the truncation cube")
-        return self.diff[self.neg[iv]]
+        p = len(self.pool)
+        return self.difference(p - 1 - iv, np.arange(p))
 
     def index_of_subset(self, A) -> int:
         """Class index of a subset; -1 outside the truncated space."""
@@ -502,7 +486,7 @@ def _exchange(space: PackedSpace, sets_n: np.ndarray, m: int, move: np.ndarray):
     safe = np.where(inside, y, 0)
     for j in range(sets_n.shape[1]):
         if j != m:
-            inside &= space.compat[safe, sets_n[:, j]]
+            inside &= space.difference(safe, sets_n[:, j]) >= 0
     return exists, inside, y
 
 
@@ -548,7 +532,7 @@ def assemble(space: PackedSpace, analysis: KernelAnalysis) -> PackedOperator:
     avals = analysis.asym_weights
 
     # odd weight a(pool[i]) per pool point, with a 0 at the sentinels -2 and
-    # -1 of `space.diff`: a(pool[i] - pool[j]) is a_at[space.diff[j, i]]
+    # -1: a(pool[i] - pool[j]) is a_at[space.difference(j, i)]
     a_at = np.zeros(len(space.pool) + 2)
     a_at[space.lookup_points(offsets)] = avals
 
@@ -616,14 +600,15 @@ def assemble(space: PackedSpace, analysis: KernelAnalysis) -> PackedOperator:
                 tgt = _find_all(space, sets_n[:, keep_slots[m]])
                 coeff = np.zeros(nn)
                 for j in keep_slots[m]:
-                    coeff += a_at[space.diff[sets_n[:, j], sets_n[:, m]]]
+                    coeff += a_at[space.difference(sets_n[:, j], sets_n[:, m])]
                 sel = coeff != 0.0
                 raising(krow[sel], tgt[sel], 2.0 * coeff[sel], scale)
                 am = a_at[sets_n[:, m]]
                 sel = am != 0.0
                 if sel.any():
                     raising(krow[sel], tgt[sel], 2.0 * am[sel], scale)
-                    ridx = space.diff[sets_n[sel, m][:, None], sets_n[sel][:, keep_slots[m]]]
+                    ridx = space.difference(sets_n[sel, m][:, None],
+                                            sets_n[sel][:, keep_slots[m]])
                     if np.any(ridx < 0):
                         raise InvariantViolation("rebased subset left the cube")
                     raising(krow[sel], _find_all(space, ridx), -2.0 * am[sel], scale)

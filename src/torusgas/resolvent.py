@@ -283,11 +283,6 @@ def hydrodynamic_matrix(alpha: float, diffusion: np.ndarray,
     return diffusion + 0.5 * (1.0 - 2.0 * alpha) * np.asarray(sigma)
 
 
-def j_matrix(beta: float, diffusion: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """Quadratic-coupling matrix 2 beta (1-beta) (D(beta) - beta sigma)."""
-    return 2.0 * beta * (1.0 - beta) * (np.asarray(diffusion) - beta * np.asarray(sigma))
-
-
 def degree_one_seminorm(c, alpha: float, sigma) -> dict:
     """Closed form of the degree-one variational seminorm.
 
@@ -357,7 +352,6 @@ class DiffusionResult:
     sigma: np.ndarray
     diffusion: dict          # alpha -> (d, d)
     hydro: dict              # alpha -> (d, d)
-    coupling: dict           # alpha -> (d, d)
     spread: dict             # alpha -> (d, d) extrapolation spread
     per_shift: dict          # alpha -> {shift: (d, d)}
     energy: dict             # alpha -> {shift: [per-direction energy]}
@@ -408,7 +402,6 @@ class DiffusionResult:
             sigma=np.array(get("sigma")),
             diffusion=parse(get("diffusion")),
             hydro=parse(get("hydro")),
-            coupling=parse(get("coupling")),
             spread=parse(get("spread")),
             per_shift={float(k): parse(v) for k, v in get("per_shift").items()},
             energy={float(k): {float(s): list(e) for s, e in v.items()}
@@ -461,7 +454,7 @@ def compute_diffusion(analysis: KernelAnalysis, alphas, trunc: TruncationParams,
     if mobility_vectors is None:
         mobility_vectors = {}
 
-    diffusion, hydro, coupling, spread = {}, {}, {}, {}
+    diffusion, hydro, spread = {}, {}, {}
     per_shift_all, energy_all, mobility_all, residuals_all = {}, {}, {}, {}
     sizes = {"space_size": space.n_sets, "classes": space.classes.size,
              "orbits": space.size, "symmetry_order": space.symmetry_order}
@@ -500,7 +493,6 @@ def compute_diffusion(analysis: KernelAnalysis, alphas, trunc: TruncationParams,
         diffusion[alpha] = dmat
         per_shift_all[alpha] = dm_per_shift
         hydro[alpha] = hydrodynamic_matrix(alpha, dmat, sigma)
-        coupling[alpha] = j_matrix(alpha, dmat, sigma)
         energy_all[alpha] = energy
 
         mob = {}
@@ -529,7 +521,6 @@ def compute_diffusion(analysis: KernelAnalysis, alphas, trunc: TruncationParams,
         sigma=sigma,
         diffusion=diffusion,
         hydro=hydro,
-        coupling=coupling,
         spread=spread,
         per_shift=per_shift_all,
         energy=energy_all,

@@ -568,8 +568,7 @@ def test_diffusion_run_meta_records_engine_memory(tmp_path, monkeypatch):
               eng.diag_even, eng.change_rows, eng.change_cols, eng.change_vals,
               eng.clip_weight, eng.currents,
               space.rep, space.orbit, space.orbit_size, space.degree, space.weight,
-              classes.pool, classes._cube, classes.diff, classes.compat, classes.neg,
-              classes.offsets, classes.codes]
+              classes.pool, classes._pos, classes._index, classes.offsets, classes.codes]
     meta = json.loads((tmp_path / "d" / "run_meta.json").read_text())
     assert meta["diffusion"]["engine_mb"] == sum(a.nbytes for a in arrays) / 2 ** 20
 

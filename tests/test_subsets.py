@@ -1,6 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from torusgas import packed
 from torusgas.errors import ConfigError
 from torusgas.kernels import ssep, tasep, validate_kernel
 from torusgas.packed import OrbitSpace, PackedSpace, TruncationParams, assemble, canonical
@@ -108,13 +111,49 @@ def test_truncation_membership():
 
 @pytest.mark.parametrize("dim,radius", [(2, 2), (3, 3)])
 def test_difference_table_is_the_point_arithmetic(dim, radius):
-    # `diff` is built a few rows at a time (several chunks at radius 3,
-    # d = 3); every entry, `compat` and `neg` against the literal points
+    # `difference`, `translate` and `lookup_points` read one table over the
+    # radius-2r cube; every pool pair, every offset of the radius cube and
+    # every point of the radius-(2r + 1) cube against the literal points
     space = PackedSpace(dim, TruncationParams(radius=radius, max_degree=2))
     points = [tuple(p) for p in space.pool.tolist()]
     index = {p: i for i, p in enumerate(points)}
-    want = np.array([[-2 if a == b else index.get(tuple(y - x for x, y in zip(a, b)), -1)
-                      for b in points] for a in points])
-    assert space.diff.dtype == np.int64 and np.array_equal(space.diff, want)
-    assert np.array_equal(space.compat, want >= 0)
-    assert np.array_equal(space.neg, [index[tuple(-c for c in p)] for p in points])
+    origin = (0,) * dim
+
+    def want(point):
+        return -2 if point == origin else index.get(point, -1)
+
+    pairs = np.array([[want(tuple(y - x for x, y in zip(a, b))) for b in points]
+                      for a in points])
+    i = np.arange(len(points))
+    assert np.array_equal(space.difference(i[:, None], i[None, :]), pairs)
+    for v in points:
+        assert np.array_equal(space.translate(v),
+                              [want(tuple(x + y for x, y in zip(a, v))) for a in points])
+    with pytest.raises(ConfigError):
+        space.translate(origin)
+    cube = list(itertools.product(range(-2 * radius - 1, 2 * radius + 2), repeat=dim))
+    assert np.array_equal(space.lookup_points(np.array(cube)),
+                          [index.get(c, -1) for c in cube])
+
+def test_class_level_keeps_no_pool_squared_array():
+    # a point difference is pool arithmetic, so radius costs no P x P table:
+    # at (6,2) in d = 3 (P = 2196) every array the class level keeps has
+    # fewer than P^2 entries
+    space = PackedSpace(3, TruncationParams(radius=6, max_degree=2))
+    p = len(space.pool)
+    assert p == 2196
+    sizes = {k: v.size for k, v in vars(space).items() if isinstance(v, np.ndarray)}
+    assert max(sizes.values()) < p * p, sizes
+
+
+@pytest.mark.parametrize("rows", [3, 10 ** 6])
+def test_extend_chunks_keep_the_codes(monkeypatch, rows):
+    # a level is extended a few rows at a time, here 3 rows per chunk (2,757
+    # chunks for level 2 of (3,3)) or all at once, with the default build's
+    # codes and offsets
+    trunc = TruncationParams(radius=3, max_degree=3)
+    whole = PackedSpace(3, trunc)
+    monkeypatch.setattr(packed, "_CHUNK", rows * len(whole.pool))
+    split = PackedSpace(3, trunc)
+    assert np.array_equal(split.codes, whole.codes)
+    assert np.array_equal(split.offsets, whole.offsets)
