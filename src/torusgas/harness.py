@@ -133,6 +133,7 @@ class ExperimentConfig:
         self.exact_alpha = as_number(float, ex.get("alpha", EXACT_ALPHA), "exact.alpha")
         if not 0.0 <= self.exact_alpha <= 1.0:  # also false for nan
             raise ConfigError(f"exact.alpha must lie in [0, 1], got {self.exact_alpha!r}")
+        _at_least(self.torus_sizes[0], 2, "torus_sizes")
         for n in self.torus_sizes:
             if 2 * self.block_radius + 1 > n:
                 raise ConfigError(f"block radius {self.block_radius} too large for N={n}")
@@ -232,8 +233,7 @@ class ExperimentConfig:
 
 def pde_at_sites(pde_field: DensityField, side: int) -> np.ndarray:
     """PDE density at the point x/N of every site x of the side-N torus."""
-    geom = TorusGeometry(pde_field.dimension, side)
-    return pde_field.evaluate(geom.all_coords() / side)
+    return Profile(pde_field.dimension, func=pde_field.evaluate).sample_grid(side).reshape(-1)
 
 
 def compare_fields(empirical: np.ndarray, target: np.ndarray) -> dict:

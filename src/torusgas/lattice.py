@@ -40,18 +40,18 @@ class TorusGeometry:
     def site_coords(self, index: int) -> np.ndarray:
         return np.array(np.unravel_index(index, self.shape), dtype=np.int64)
 
-    def all_coords(self) -> np.ndarray:
-        """(n_sites, d) coordinates in flat-index order."""
-        grids = np.indices(self.shape).reshape(self.dimension, -1)
-        return grids.T.astype(np.int64)
-
     def neighbor_table(self, offsets: np.ndarray) -> np.ndarray:
-        """(n_sites, k) flat indices of site + offset for each offset row."""
-        coords = self.all_coords()  # (n, d)
-        out = np.empty((self.n_sites, len(offsets)), dtype=np.int64)
+        """(n_sites, k) flat indices of site + offset for each offset row,
+        int32 where the site indices fit."""
+        dtype = np.int32 if self.n_sites <= np.iinfo(np.int32).max else np.int64
+        out = np.empty((self.n_sites, len(offsets)), dtype=dtype)
+        d, side = self.dimension, self.side
         for j, z in enumerate(offsets):
-            shifted = np.mod(coords + np.asarray(z, dtype=np.int64), self.side)
-            out[:, j] = np.ravel_multi_index(shifted.T, self.shape)
+            column = 0
+            for axis, shift in enumerate(z):
+                index = (np.arange(side) + int(shift)) % side * side ** (d - 1 - axis)
+                column = column + index.astype(dtype).reshape((side,) + (1,) * (d - 1 - axis))
+            out[:, j] = column.reshape(-1)
         return out
 
 
@@ -92,16 +92,15 @@ class Configuration:
 def site_probabilities(geometry: TorusGeometry, profile) -> np.ndarray:
     """Flat per-site probabilities rho(x/N), checked to lie in [0, 1].
 
-    `profile` is a constant, a flat array of per-site probabilities, or an
-    object with `values_at(points)` evaluating on [0,1)^d points.
+    `profile` is a constant, a flat array of per-site probabilities, or a
+    `Profile`, sampled at the sites by `Profile.sample_grid`.
     """
     n = geometry.n_sites
     if np.isscalar(profile):
         probs = np.full(n, float(profile))
-    elif hasattr(profile, "values_at"):
-        pts = geometry.all_coords() / geometry.side
-        probs = np.asarray(profile.values_at(pts), dtype=np.float64)
     else:
+        if hasattr(profile, "sample_grid"):
+            profile = profile.sample_grid(geometry.side)
         probs = np.asarray(profile, dtype=np.float64).reshape(-1)
         if probs.shape != (n,):
             raise ConfigError("profile grid incompatible with torus size")

@@ -69,14 +69,11 @@ _neighbor_cache: dict = {}
 
 
 def _neighbors(geom: TorusGeometry, offsets: np.ndarray) -> np.ndarray:
-    """The cached neighbor table of `offsets` on the torus, int32 where the
-    site indices fit."""
+    """The cached neighbor table of `offsets` on the torus."""
     key = (geom.dimension, geom.side, offsets.tobytes())
     table = _neighbor_cache.get(key)
     if table is None:
         table = geom.neighbor_table(offsets)
-        if geom.n_sites <= np.iinfo(np.int32).max:
-            table = table.astype(np.int32)
         if len(_neighbor_cache) > 64:
             _neighbor_cache.clear()
         _neighbor_cache[key] = table

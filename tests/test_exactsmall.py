@@ -10,7 +10,7 @@ from torusgas.errors import ConfigError, InvariantViolation
 from torusgas.harness import EXACT_BATCH, ExperimentConfig, exact_small_experiment
 from torusgas.kernels import TransitionKernel, validate_kernel
 from torusgas.lattice import (Configuration, TorusGeometry, sample_product_measure,
-                              state_codes)
+                              site_probabilities, state_codes)
 from torusgas import simulate
 from torusgas.simulate import (RngStream, check_replica_ledgers, evolve, evolve_replicas,
                                net_site_change)
@@ -232,7 +232,7 @@ def test_exact_ensemble_is_deterministic_and_counts_every_replica(monkeypatch):
     # every batch records one code array per observation time, in time order;
     # the reported distances are those of exactly `replicas` final states
     geom = TorusGeometry(2, 3)
-    law = product_distribution(geom, cfg.build_profile().values_at(geom.all_coords() / 3))
+    law = product_distribution(geom, site_probabilities(geom, cfg.build_profile()))
     t_prev = 0.0
     for i, row in enumerate(first["mc"]):
         codes = np.concatenate(seen[i::len(first["mc"])])

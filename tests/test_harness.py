@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -100,6 +101,55 @@ def test_compare_fields_trivials():
     out = compare_fields(checker.reshape(-1), target)
     assert out["L1"] == pytest.approx(0.05)
     assert out["L2"] == pytest.approx(0.05)
+
+
+def _site_points(d, side):
+    """The points x/N of every site x, in flat-index order."""
+    return np.indices((side,) * d).reshape(d, -1).T / side
+
+
+@pytest.mark.parametrize("resolution", [64, 18, 12, 20, 30])
+def test_site_values_are_the_pointwise_values_at_x_over_n(tmp_path, resolution):
+    # sides that divide the grid resolution and sides that do not; the slab
+    # loop gives the values of one evaluation at every point x/N
+    rng = np.random.default_rng(resolution)
+    csv = tmp_path / "grid.csv"
+    np.savetxt(csv, rng.uniform(0.1, 0.9, (1, resolution ** 2)), delimiter=",")
+    profiles = [Profile.constant(3, 0.3), Profile.from_spec(2, {"kind": "csv", "path": str(csv)})]
+    profiles += [Profile.cosine(3, 0.5, 0.2, axis=a) for a in range(3)]
+    # full fields in d = 1, 2, 3 and fields with collapsed axes
+    fields = [DensityField(rng.uniform(0.2, 0.8, [resolution if a in varying else 1
+                                                  for a in range(d)]), resolution)
+              for d, varying in [(1, (0,)), (1, ()), (2, (0, 1)), (2, (1,)), (3, (0, 1, 2)),
+                                 (3, (1,)), (3, (0, 2))]]
+    for side in (3, 7, 8, 12, 16, 24, 32):
+        for profile in profiles:
+            geom = TorusGeometry(profile.dimension, side)
+            assert np.array_equal(site_probabilities(geom, profile),
+                                  profile.values_at(_site_points(profile.dimension, side)))
+        for fld in fields:
+            assert np.array_equal(pde_at_sites(fld, side),
+                                  fld.evaluate(_site_points(fld.dimension, side)))
+
+
+def test_site_grids_build_no_coordinate_array(kernel_d3_asym):
+    # at N = 32 in d = 3 one (n_sites, d) coordinate array is 0.75 MiB; the
+    # neighbor table itself (six int32 columns) is 0.75 MiB
+    geom = TorusGeometry(3, 32)
+    profile = Profile.cosine(3, 0.5, 0.2, axis=1)
+    fld = DensityField.from_profile(profile, 64)
+    calls = {"neighbor_table": (lambda: geom.neighbor_table(kernel_d3_asym.kernel.offsets), 1.2),
+             "site_probabilities": (lambda: site_probabilities(geom, profile), 0.5),
+             "pde_at_sites": (lambda: pde_at_sites(fld, 32), 1.0)}
+    for name, (call, bound_mib) in calls.items():
+        call()
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound_mib * 2 ** 20, (name, peak)
 
 
 def test_run_and_outputs_deterministic(tmp_path):
@@ -820,6 +870,9 @@ _NAN_PROB = {"dimension": 2, "entries": [
     ("diffusion", {"kernel": _NAN_PROB}, [], "kernel prob"),
     ("pde", {"times": [0.02, float("inf")]}, [], "times entry"),
     ("exact", {"exact": {"times": [float("inf")]}}, [], "exact.times entry"),
+    # a side of 1 passed the parse and failed in the size loop, after the
+    # profile check, the table and the PDE solve, with files already written
+    ("compare", {"torus_sizes": [1, 8], "block_radius": 0}, [], "torus_sizes"),
 ])
 def test_out_of_domain_value_is_config_error(tmp_path, capsys, command, data, flags, key):
     # each used to crash inside the run (exit 1), name the wrong cause, or

@@ -17,6 +17,26 @@ def test_site_indexing_roundtrip():
     assert geom.site_index([-1, 0, 0]) == geom.site_index([4, 0, 0])
 
 
+_WRAPPING = {1: [[1], [-1], [2], [-3], [7]],
+             2: [[1, 0], [-1, 0], [0, 1], [0, -1], [2, -3], [7, 0]],
+             3: [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1],
+                 [0, 0, -3], [7, 0, 1], [1, -1, 0]]}
+
+
+@pytest.mark.parametrize("d, side", itertools.product((1, 2, 3), (2, 3, 4, 5, 32)))
+def test_neighbor_table_is_the_literal_formula(d, side):
+    # offsets that wrap more than once: 2 on the side-2 ring, [0, 0, -3] and
+    # [7, 0, 1] on side 5
+    geom = TorusGeometry(d, side)
+    offsets = np.array(_WRAPPING[d])
+    table = geom.neighbor_table(offsets)
+    assert table.dtype == np.int32 and table.shape == (side ** d, len(offsets))
+    coords = np.indices(geom.shape).reshape(d, -1)
+    for j, z in enumerate(offsets):
+        want = np.ravel_multi_index(np.mod(coords + z[:, None], side), geom.shape)
+        assert np.array_equal(table[:, j], want)
+
+
 def test_product_sampling_degenerate():
     geom = TorusGeometry(2, 6)
     rng = RngStream(1).generator()
