@@ -131,8 +131,9 @@ class ExperimentConfig:
         self.exact_times = _increasing(as_numbers(float, ex.get("times", self.times),
                                                    "exact.times"), "exact.times", np.inf)
         self.exact_alpha = as_number(float, ex.get("alpha", EXACT_ALPHA), "exact.alpha")
-        if not 0.0 <= self.exact_alpha <= 1.0:  # also false for nan
-            raise ConfigError(f"exact.alpha must lie in [0, 1], got {self.exact_alpha!r}")
+        # the flat reference needs full support; the test is false for nan too
+        if not 0.0 < self.exact_alpha < 1.0:
+            raise ConfigError(f"exact.alpha must lie in (0, 1), got {self.exact_alpha!r}")
         _at_least(self.torus_sizes[0], 2, "torus_sizes")
         for n in self.torus_sizes:
             if 2 * self.block_radius + 1 > n:
@@ -251,10 +252,14 @@ def compare_fields(empirical: np.ndarray, target: np.ndarray) -> dict:
     }
 
 
-def _load_or_compute_table(cfg: ExperimentConfig) -> DiffusionTable:
+def _load_or_compute_table(cfg: ExperimentConfig, densities: dict | None = None
+                           ) -> DiffusionTable:
+    """The stored table, else one computed on the config's grid; a computed
+    table's per-density solver records go to `densities`."""
     if cfg.diffusion_table_path:
         return DiffusionTable.load_json(cfg.diffusion_table_path)
-    result = compute_diffusion(cfg.analysis, cfg.alpha_grid, cfg.truncation)
+    result = compute_diffusion(cfg.analysis, cfg.alpha_grid, cfg.truncation,
+                               stages=densities)
     return DiffusionTable.from_diffusion_result(result)
 
 
@@ -496,9 +501,12 @@ def exact_small_experiment(cfg: ExperimentConfig, stages: dict | None = None) ->
     dict receives the call's seconds by stage, for the run side file:
     `table_s` (the coefficient table), `pde_s` (the PDE references),
     `mc_s` (the Monte Carlo ensemble) and `exact_s` (the rest: the exact
-    laws, their entropies and the set-up).
+    laws, their entropies and the set-up), and under `densities` the
+    solver record of each density of a computed table, as the `diffusion`
+    record holds them.
     """
-    lap = _Laps({} if stages is None else stages, ("exact_s", "table_s", "pde_s", "mc_s"))
+    stages = {} if stages is None else stages
+    lap = _Laps(stages, ("exact_s", "table_s", "pde_s", "mc_s"))
     n = cfg.exact_side
     mc_replicas = cfg.exact_replicas
     alpha = cfg.exact_alpha
@@ -523,7 +531,8 @@ def exact_small_experiment(cfg: ExperimentConfig, stages: dict | None = None) ->
     # PDE reference along the run (grid resolution a multiple of the side)
     resolution = max(cfg.pde_resolution, n)
     resolution += (-resolution) % n
-    table = _load_or_compute_table(cfg)
+    stages["densities"] = {}
+    table = _load_or_compute_table(cfg, stages["densities"])
     lap("table_s")
     fld0 = DensityField.from_profile(profile, resolution)
     references = [(0.0, fld0)] + [(t, fld) for t, fld, _ in
@@ -553,14 +562,14 @@ def exact_small_experiment(cfg: ExperimentConfig, stages: dict | None = None) ->
     for batch, start in enumerate(range(0, mc_replicas, EXACT_BATCH)):
         size = min(EXACT_BATCH, mc_replicas - start)
         gen = RngStream(cfg.master_seed, (1, batch)).generator()
-        occ = (gen.random((size, geom.n_sites)) < marginals0).astype(np.uint8)
+        codes = state_codes((gen.random((size, geom.n_sites)) < marginals0).astype(np.uint8))
         for t, span in spans(times):
-            before = occ
-            occ, ledger, drawn = evolve_replicas(geom, occ, cfg.kernel, span * n ** 2, gen)
-            check_replica_ledgers(geom, cfg.kernel.offsets, before, occ, ledger)
-            hist[t] += np.bincount(state_codes(occ), minlength=1 << geom.n_sites)
+            before = codes
+            codes, moved, drawn = evolve_replicas(geom, codes, cfg.kernel, span * n ** 2, gen)
+            check_replica_ledgers(geom, cfg.kernel.offsets, before, codes, moved)
+            hist[t] += np.bincount(codes, minlength=1 << geom.n_sites)
             events[t] += int(drawn.sum())
-            jumps[t] += int(ledger.sum())
+            jumps[t] += moved.shape[1]
     mc_rows = []
     for t in times:
         emp = hist[t] / hist[t].sum()

@@ -17,6 +17,7 @@ stage.
 
 from __future__ import annotations
 
+import copy
 import json
 import time
 from dataclasses import dataclass, field
@@ -444,6 +445,45 @@ def compute_diffusion(analysis: KernelAnalysis, alphas, trunc: TruncationParams,
     density, the solve seconds and, per shift, the matvecs (the shared
     Krylov ones booked to the smallest shift) and the worst true residual,
     for the run side file.
+
+    Particle-hole symmetry halves the grid.  A density alpha > 1/2 is not
+    solved when an earlier density beta < 1/2 of the grid, with
+    1 - beta == alpha in floating point, was: its leaves are filled from
+    beta's.  D(alpha) = alpha sigma + (D(beta) - beta sigma) at every
+    shift, extrapolated and turned into a(alpha) as a solved density's
+    are, and beta's energies, mobility gaps, residual splits and clipped
+    outflow are copied.  Its `stages` entry names the source (`mirror_of`)
+    and books 0 matvecs to every shift.  The leaves are the values at
+    1 - beta, which differs from alpha by at most half an ulp.
+
+    Why the leaves agree, on every truncation.  Let R map each set A to
+    -A and P multiply a set function by (-1)^degree, and U = P R.  The
+    truncation is closed under R (-A u {0} has the sup-norm diameter of
+    A u {0}), R maps translation classes to classes and commutes with the
+    point group (signed axis permutations, with which -1 commutes), so U
+    is a signed permutation of the orbit coordinates that keeps degrees:
+    an involution, orthogonal and self-adjoint in the degree-weighted
+    pairing.  Under R a move of a point by v becomes one by -v; the even
+    weights s(v) = s(-v) are kept, while the odd weights a(-v) = -a(v)
+    change sign, and so do the degree-changing arrows, whose weights are
+    sums of odd weights.  P keeps the degree-preserving arrows and
+    negates the degree-changing ones.  So U keeps the even part S and the
+    degree-changing part and negates the odd part, whose coefficient is
+    1 - 2 alpha, while the degree-changing coefficient sqrt(chi) is the
+    same at alpha and 1 - alpha: U L(alpha) U = L(1 - alpha), the
+    truncated generators included.  The current c_i({z}) = -2 z_i a(z),
+    on singletons, is even under R and odd under P: U c_i = -c_i.  Hence
+    at every shift f_i(1 - alpha) = -U f_i(alpha) and
+    <f_i(1 - alpha), c_j> = <f_i(alpha), c_j>, so D - alpha sigma, and with
+    it a(alpha) = D + (1/2 - alpha) sigma, is the same at both densities.
+    Every copied leaf is invariant under f -> -U f: the energies and the
+    Gram matrices of the mobility gaps are quadratic forms of S, which U
+    keeps; the residual split reads the negative-order norm of S at
+    c + L(alpha) f, which becomes -U (c + L(alpha) f), and the leftover
+    row of D - alpha sigma; the clipped outflow weighs each orbit by its
+    clipped moves, and A's move by v clips exactly when -A's move by -v
+    does, with s and a^2 even.  Particle-hole duality of exclusion:
+    Liggett, *Interacting Particle Systems* (1985), ch. VIII.
     """
     if engine is None:
         engine = build_engine(analysis, trunc)
@@ -464,11 +504,30 @@ def compute_diffusion(analysis: KernelAnalysis, alphas, trunc: TruncationParams,
         stages = {}
     # the solutions of one density, [shift, direction], overwritten by the next
     sols = np.empty((len(shifts), d, space.size))
+    alphas = [float(a) for a in alphas]
+    mirrors = {}  # 1 - beta -> beta, for every solved density beta < 1/2
 
     for alpha in alphas:
-        alpha = float(alpha)
         chi = alpha * (1.0 - alpha)
         start = time.perf_counter()
+        beta = mirrors.get(alpha)
+        if beta is not None:
+            dm_per_shift = {lam: alpha * sigma + (dm - beta * sigma)
+                            for lam, dm in per_shift_all[beta].items()}
+            dmat, spread[alpha] = extrapolate_to_zero(
+                shifts, [dm_per_shift[lam] for lam in shifts])
+            diffusion[alpha] = dmat
+            per_shift_all[alpha] = dm_per_shift
+            hydro[alpha] = hydrodynamic_matrix(alpha, dmat, sigma)
+            energy_all[alpha] = copy.deepcopy(energy_all[beta])
+            mobility_all[alpha] = copy.deepcopy(mobility_all[beta])
+            residuals_all[alpha] = copy.deepcopy(residuals_all[beta])
+            solver_stats["clipped_outflow"][alpha] = solver_stats["clipped_outflow"][beta]
+            stages[alpha] = {"seconds": time.perf_counter() - start, "mirror_of": beta,
+                             "shifts": {lam: {"matvecs": 0} for lam in shifts}}
+            continue
+        if alpha < 0.5:
+            mirrors[1.0 - alpha] = alpha
         energy = {}
         dm_per_shift = {}
         grams = {}
@@ -517,7 +576,7 @@ def compute_diffusion(analysis: KernelAnalysis, alphas, trunc: TruncationParams,
 
     return DiffusionResult(
         dimension=d,
-        alphas=[float(a) for a in alphas],
+        alphas=alphas,
         sigma=sigma,
         diffusion=diffusion,
         hydro=hydro,

@@ -32,16 +32,24 @@ cheaper there than the vectorized step.  The window's gathers are
 boolean masks at these sizes.
 
 The neighbor tables are cached per torus and offset list as int32, half
-the int64 table: the +offsets serve `evolve` and `evolve_replicas`, the
--offsets the continuity check, which stays a gather (a scatter-add
-version measured 40-55 % slower).
+the int64 table: the +offsets serve `evolve`, the move tables and the
+replica check, the -offsets `CurrentLedger.check_continuity`, which stays
+a gather (a scatter-add version measured 40-55 % slower).
 
 Because the total event rate does not depend on the state, the number of
 events in a span T is Poisson(k T) whatever the trajectory (uniformization).
 `evolve_replicas` uses this to advance many independent replicas of a tiny
-torus in lockstep, with particle picking: the event counts are drawn up
-front, and each step applies one vectorized event to every replica that
-still has events left.
+torus (at most `MAX_SITES` sites) in lockstep, with particle picking.  A
+replica's state is its state code.  The event counts are drawn up front
+and the replicas permuted once into decreasing count, so the replicas
+still active at a step are a prefix and each step works on a slice, with
+no row gathers.  An event is one lookup in the move table of the torus
+and offsets (`move_table`), which maps (code, particle p, offset j) to the
+next code and the executed bond, or to "rejected".  Particle p is the
+p-th occupied site in site order, so a uniform p picks a uniform
+particle.  The ledger is the list of executed jumps (replica, bond), and
+`check_replica_ledgers` checks it against the codes through the neighbor
+table alone, never through the move table.
 """
 
 from __future__ import annotations
@@ -51,6 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InvariantViolation
+from .exactsmall import MAX_SITES
 from .kernels import TransitionKernel
 from .lattice import Configuration, TorusGeometry
 
@@ -66,6 +75,7 @@ _WINDOW_MAX = 8 * 1024
 _SHORT = 32  # windows up to this length run one event at a time
 
 _neighbor_cache: dict = {}
+_move_cache: dict = {}
 
 
 def _neighbors(geom: TorusGeometry, offsets: np.ndarray) -> np.ndarray:
@@ -141,9 +151,17 @@ class CurrentLedger:
         return cls(geometry, kernel.offsets.copy(), counts)
 
     def check_continuity(self, before: Configuration, after: Configuration):
-        """The span's checks of `check_replica_ledgers`, on one replica."""
-        check_replica_ledgers(self.geometry, self.offsets, before.occupancy[None],
-                              after.occupancy[None], self.counts[None])
+        """Continuity at every site and the particle count, in full.
+
+        Inflow minus outflow of each site, read from the counts, must equal
+        its occupancy change from `before` to `after`.
+        """
+        delta = after.occupancy.astype(np.int64) - before.occupancy
+        if not np.array_equal(delta, net_site_change(self.geometry, self.offsets,
+                                                     self.counts)):
+            raise InvariantViolation("bond counts do not reproduce occupancy change")
+        if after.particle_count != before.particle_count:
+            raise InvariantViolation("particle count changed")
 
 
 def net_site_change(geometry: TorusGeometry, offsets: np.ndarray,
@@ -159,21 +177,6 @@ def net_site_change(geometry: TorusGeometry, offsets: np.ndarray,
         # jumps from x - z_j along z_j land on x
         change += counts[..., neigh[:, j], j]
     return change
-
-
-def check_replica_ledgers(geometry: TorusGeometry, offsets: np.ndarray,
-                          before: np.ndarray, after: np.ndarray, counts: np.ndarray):
-    """Continuity and particle count of every replica of a batch, in full.
-
-    `before` and `after` are [R, n_sites] occupancies, `counts` the
-    [R, n_sites, J] bond ledgers of the span between them.
-    """
-    delta = after.astype(np.int64) - before.astype(np.int64)
-    if not np.array_equal(delta, net_site_change(geometry, offsets, counts)):
-        raise InvariantViolation("bond counts do not reproduce occupancy change")
-    if not np.array_equal(after.sum(axis=1, dtype=np.int64),
-                          before.sum(axis=1, dtype=np.int64)):
-        raise InvariantViolation("particle count changed")
 
 
 def evolve(config: Configuration, kernel: TransitionKernel, duration: float,
@@ -261,47 +264,129 @@ def evolve(config: Configuration, kernel: TransitionKernel, duration: float,
     return out, ledger
 
 
-def evolve_replicas(geometry: TorusGeometry, occupancy: np.ndarray,
-                    kernel: TransitionKernel, duration: float, rng: np.random.Generator):
-    """Run independent replicas of one torus in lockstep for a microscopic span.
+def move_table(geometry: TorusGeometry, offsets: np.ndarray) -> tuple:
+    """The cached lockstep move table of `offsets` on a tiny torus.
 
-    `occupancy` is [R, n_sites] with 0/1 entries and is not modified.
+    A replica's state is its state code c (bit x = site x), carried as the
+    table row c * n_sites * J.  Entry c * n_sites * J + p * J + j is the
+    event "particle p along offset j", particle p being the p-th occupied
+    site x of c in site order.  Returns (row, bond, count): `row` holds the
+    row of the code after the event, `bond` the executed bond x * J + j, or
+    -1 and the row of c itself when the target x + z_j is occupied (x
+    itself included) or p is not below the particle count of c; `count`
+    holds the particle count of every code.  Built from the neighbor table
+    by bit operations on every code at once, so only tori of at most
+    `MAX_SITES` sites have one.
+    """
+    n = geometry.n_sites
+    if n > MAX_SITES:
+        raise ConfigError(f"lockstep replicas need at most {MAX_SITES} sites, got {n}")
+    key = (geometry.dimension, geometry.side, offsets.tobytes())
+    table = _move_cache.get(key)
+    if table is not None:
+        return table
+    n_off = len(offsets)
+    neigh = _neighbors(geometry, offsets).astype(np.int64)
+    codes = np.arange(1 << n, dtype=np.int64)[:, None]
+    full = (codes >> np.arange(n)) & 1  # [code, site]
+    # site[c, p]: the p-th occupied site of c, rank read off a running count
+    site = np.zeros((1 << n, n), dtype=np.int64)
+    c, x = full.nonzero()
+    site[c, np.cumsum(full, axis=1)[c, x] - 1] = x
+    source = site[:, :, None]
+    target = neigh[site]  # [code, p, j]
+    free = ((codes[:, :, None] >> target) & 1) == 0
+    count = full.sum(axis=1)
+    free &= (np.arange(n) < count[:, None])[:, :, None]
+    moved = codes[:, :, None] ^ (1 << source) ^ (1 << target)
+    row = np.where(free, moved, codes[:, :, None]) * (n * n_off)
+    bond = np.where(free, source * n_off + np.arange(n_off), -1)
+    table = (row.astype(np.int32).reshape(-1), bond.astype(np.int32).reshape(-1), count)
+    if len(_move_cache) > 16:
+        _move_cache.clear()
+    _move_cache[key] = table
+    return table
+
+
+def check_replica_ledgers(geometry: TorusGeometry, offsets: np.ndarray,
+                          before: np.ndarray, after: np.ndarray, jumps: np.ndarray):
+    """Continuity and particle count of every replica of a batch, in full.
+
+    `before` and `after` are the [R] state codes at the ends of a span,
+    `jumps` its executed jumps as (replica, bond x * J + j) columns of a
+    [2, M] array.  Inflow minus outflow of every site of every replica, two
+    `bincount`s over the records through the neighbor table (not the move
+    table), must equal the site's occupancy change between the two codes.
+    The arrays are site-major, [n_sites, R], so every reduction runs along
+    contiguous rows.
+    """
+    n, n_off = geometry.n_sites, len(offsets)
+    n_rep = len(before)
+    replica, bond = jumps
+    if len(bond) and not (0 <= replica.min() and replica.max() < n_rep
+                          and 0 <= bond.min() and bond.max() < n * n_off):
+        raise InvariantViolation("jump record outside the batch's replicas and bonds")
+    targets = _neighbors(geometry, offsets).reshape(-1)
+    net = np.bincount(targets.take(bond) * n_rep + replica, minlength=n * n_rep)
+    net -= np.bincount(bond // n_off * n_rep + replica, minlength=n * n_rep)
+    sites = np.arange(n, dtype=np.int16)[:, None]  # codes of at most MAX_SITES bits
+    delta = (after.astype(np.int16) >> sites) & 1
+    delta -= (before.astype(np.int16) >> sites) & 1
+    if not np.array_equal(delta.reshape(-1), net):
+        raise InvariantViolation("jump records do not reproduce occupancy change")
+    if delta.sum(axis=0).any():
+        raise InvariantViolation("particle count changed")
+
+
+def evolve_replicas(geometry: TorusGeometry, codes: np.ndarray,
+                    kernel: TransitionKernel, duration: float, rng: np.random.Generator):
+    """Run independent replicas of one tiny torus in lockstep for a microscopic span.
+
+    `codes` holds the [R] state codes of the replicas and is not modified.
     Replica r draws its event count M_r ~ Poisson(k_r * duration) up front;
     step s = 1, 2, ... applies one event (uniform particle, kernel offset,
-    rejected on an occupied target) to every replica with M_r >= s.  Returns
-    (occupancy, counts [R, n_sites, J], events M [R]).
+    rejected on an occupied target) to every replica with M_r >= s, through
+    `move_table`.  Returns (codes, jumps, events M [R]), `jumps` the
+    executed jumps as (replica, bond) columns of a [2, M] array, in step
+    order.
     """
     if duration < 0:
         raise ConfigError("duration must be nonnegative")
-    occ = np.array(occupancy, dtype=np.uint8)
-    n_rep, n = occ.shape
-    if n != geometry.n_sites:
-        raise ConfigError("occupancy must have one column per site")
-    counts = np.zeros((n_rep, n, len(kernel.offsets)), dtype=np.int64)
-    k = occ.sum(axis=1, dtype=np.int64)
-    if k.max() * duration > _EVENT_BUDGET:
+    n = geometry.n_sites
+    next_row, next_bond, count = move_table(geometry, kernel.offsets)
+    codes = np.asarray(codes, dtype=np.int64)
+    if codes.ndim != 1 or not 0 <= codes.min(initial=0) <= codes.max(initial=0) < 1 << n:
+        raise ConfigError(f"need one state code below 2^{n} per replica")
+    n_off = len(kernel.offsets)
+    k = count.take(codes)
+    if k.max(initial=0) * duration > _EVENT_BUDGET:
         raise ConfigError("event budget overflow: duration too large for this system")
     events = rng.poisson(k * duration)
 
     # replicas in decreasing event count: the active ones at every step are
-    # a prefix of this order
-    order = np.argsort(-events, kind="stable")
-    # padded particle positions: each replica's occupied sites come first
-    positions = np.argsort(occ == 0, axis=1, kind="stable")[:, :k.max()]
-    neigh = _neighbors(geometry, kernel.offsets)
+    # a prefix of this order (a stable sort of the narrowest key type, which
+    # numpy radix-sorts)
+    top = events.max(initial=0)
+    order = np.argsort((top - events).astype(np.min_scalar_type(top)), kind="stable")
+    rows = (codes.take(order) * (n * n_off)).astype(np.int32)
+    k = k.take(order)
     cumw = np.cumsum(kernel.weights)
-    # active[s] = number of replicas with at least s events
-    active = np.cumsum(np.bincount(events)[::-1])[::-1]
-    for s in range(1, len(active)):
-        rows = order[:active[s]]
-        p = rng.integers(0, k[rows])
-        j = offset_index(cumw, rng.random(len(rows)))
-        x = positions[rows, p]
-        tgt = neigh[x, j]
-        free = occ[rows, tgt] == 0
-        rows, p, j, x, tgt = rows[free], p[free], j[free], x[free], tgt[free]
-        occ[rows, x] = 0
-        occ[rows, tgt] = 1
-        positions[rows, p] = tgt
-        counts[rows, x, j] += 1
-    return occ, counts, events
+    # active[s - 1] = number of replicas with at least s events
+    active = np.cumsum(np.bincount(events)[::-1])[::-1][1:]
+    bonds = np.empty(int(active.sum()), dtype=np.int32)  # one per event, -1 rejected
+    start = 0
+    for a in active.tolist():
+        entry = rng.integers(0, k[:a])
+        entry *= n_off
+        entry += offset_index(cumw, rng.random(a))
+        entry += rows[:a]
+        next_row.take(entry, out=rows[:a])
+        next_bond.take(entry, out=bonds[start:start + a])
+        start += a
+    out = np.empty_like(codes)
+    out[order] = rows // (n * n_off)
+    # the replica position of each event: step s covers positions 0 .. active[s - 1] - 1
+    position = np.arange(len(bonds)) - np.repeat(np.cumsum(active) - active, active)
+    done = np.flatnonzero(bonds >= 0)
+    jumps = np.stack([order.take(position.take(done)), bonds.take(done).astype(np.int64)])
+    return out, jumps, events

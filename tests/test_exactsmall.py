@@ -13,7 +13,7 @@ from torusgas.lattice import (Configuration, TorusGeometry, sample_product_measu
                               site_probabilities, state_codes)
 from torusgas import simulate
 from torusgas.simulate import (RngStream, check_replica_ledgers, evolve, evolve_replicas,
-                               net_site_change)
+                               move_table)
 
 D2_KERNEL = TransitionKernel(2, np.array([[1, 0], [-1, 0], [0, 1], [0, -1]]),
                              np.array([0.5, 0.25, 0.125, 0.125]))
@@ -155,37 +155,77 @@ def test_wavefront_matches_exact_law(monkeypatch, window, short, duration):
 def test_lockstep_replicas_match_exact_law(geom, kernel, marg, spans):
     replicas = 20000
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(31)))
-    occ = (rng.random((replicas, geom.n_sites)) < marg).astype(np.uint8)
+    codes = state_codes((rng.random((replicas, geom.n_sites)) < marg).astype(np.uint8))
     law = product_distribution(geom, marg)
     for span in spans:
-        before = occ
-        occ, counts, events = evolve_replicas(geom, before, kernel, span, rng)
-        check_replica_ledgers(geom, kernel.offsets, before, occ, counts)
-        assert counts.sum() <= events.sum()
+        before = codes
+        codes, jumps, events = evolve_replicas(geom, before, kernel, span, rng)
+        check_replica_ledgers(geom, kernel.offsets, before, codes, jumps)
+        assert jumps.shape[1] <= events.sum()
         law = exact_evolution_small(geom, kernel, law, span)
-        emp = _histogram(state_codes(occ), 1 << geom.n_sites)
+        emp = _histogram(codes, 1 << geom.n_sites)
         assert total_variation(emp, law) <= 0.05
+
+
+@pytest.mark.parametrize("geom, kernel", [
+    (TorusGeometry(2, 3), D2_KERNEL),
+    (TorusGeometry(1, 2), TransitionKernel(1, np.array([[1], [2]]), np.array([0.3, 0.7]))),
+])
+def test_move_table_is_the_literal_one_particle_move(geom, kernel):
+    # every (code, particle, offset) entry against the move made by hand:
+    # find the particle's site, place the target by coordinates, reject on
+    # an occupied target (on the side-2 ring offset 2 is the site itself)
+    n, n_off = geom.n_sites, len(kernel.offsets)
+    row, bond, count = move_table(geom, kernel.offsets)
+    assert row.shape == bond.shape == ((1 << n) * n * n_off,)
+    for code in range(1 << n):
+        occ = [(code >> x) & 1 for x in range(n)]
+        sites = [x for x in range(n) if occ[x]]
+        assert count[code] == len(sites)
+        for p in range(n):
+            for j, z in enumerate(kernel.offsets):
+                e = (code * n + p) * n_off + j
+                if p >= len(sites):
+                    assert (row[e], bond[e]) == (code * n * n_off, -1)
+                    continue
+                x = sites[p]
+                y = geom.site_index(geom.site_coords(x) + z)
+                if occ[y]:
+                    assert (row[e], bond[e]) == (code * n * n_off, -1)
+                else:
+                    moved = code - (1 << x) + (1 << y)
+                    assert (row[e], bond[e]) == (moved * n * n_off, x * n_off + j)
+
+
+def test_lockstep_replicas_refuse_a_torus_above_the_exact_size():
+    geom = TorusGeometry(2, 4)  # 16 sites
+    with pytest.raises(ConfigError, match="at most 13 sites"):
+        evolve_replicas(geom, np.zeros(3, dtype=np.int64), D2_KERNEL, 1.0,
+                        np.random.default_rng(0))
 
 
 def test_replica_ledger_check_catches_a_corrupted_count():
     geom = TorusGeometry(2, 3)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(5)))
-    before = (rng.random((200, 9)) < 0.4).astype(np.uint8)
-    after, counts, _ = evolve_replicas(geom, before, D2_KERNEL, 2.0, rng)
-    check_replica_ledgers(geom, D2_KERNEL.offsets, before, after, counts)
+    before = state_codes((rng.random((200, 9)) < 0.4).astype(np.uint8))
+    after, jumps, _ = evolve_replicas(geom, before, D2_KERNEL, 2.0, rng)
+    check_replica_ledgers(geom, D2_KERNEL.offsets, before, after, jumps)
     assert not np.array_equal(after, before)
-    # the vectorized inflow-minus-outflow against the literal per-site sum
-    change = net_site_change(geom, D2_KERNEL.offsets, counts)
+    # the records against the literal per-site sum, replica by replica
     for r in (0, 77, 199):
-        for x in range(9):
-            coords = geom.site_coords(x)
-            inflow = sum(counts[r, geom.site_index(coords - z), j]
-                         for j, z in enumerate(D2_KERNEL.offsets))
-            assert change[r, x] == inflow - counts[r, x].sum()
-    bad = counts.copy()
-    bad[137, 4, 2] += 1
-    with pytest.raises(InvariantViolation):
-        check_replica_ledgers(geom, D2_KERNEL.offsets, before, after, bad)
+        change = np.zeros(9, dtype=np.int64)
+        for b in jumps[1][jumps[0] == r]:
+            x, j = divmod(int(b), 4)
+            change[x] -= 1
+            change[geom.site_index(geom.site_coords(x) + D2_KERNEL.offsets[j])] += 1
+        bits = [((int(after[r]) >> x) & 1) - ((int(before[r]) >> x) & 1) for x in range(9)]
+        assert [int(c) for c in change] == bits
+    moved = jumps.copy()
+    moved[1, 137] ^= 1  # the same source site along another offset
+    dropped = np.delete(jumps, 137, axis=1)
+    for bad in (moved, dropped):
+        with pytest.raises(InvariantViolation):
+            check_replica_ledgers(geom, D2_KERNEL.offsets, before, after, bad)
 
 
 def test_batched_state_codes_match_configuration():
@@ -218,12 +258,12 @@ def test_exact_ensemble_is_deterministic_and_counts_every_replica(monkeypatch):
     cfg = _exact_config(replicas)
     seen = []
 
-    def recording(occupancy):
-        codes = state_codes(occupancy)
-        seen.append(codes)
-        return codes
+    def recording(*args):
+        out = evolve_replicas(*args)
+        seen.append(out[0])
+        return out
 
-    monkeypatch.setattr(harness, "state_codes", recording)
+    monkeypatch.setattr(harness, "evolve_replicas", recording)
     first = exact_small_experiment(cfg)
     monkeypatch.undo()
     assert exact_small_experiment(cfg) == first
@@ -276,17 +316,28 @@ def test_exact_records_stage_seconds_in_run_meta(tmp_path):
     cfg_path.write_text(json.dumps(data))
     assert cli_main(["exact", "--config", str(cfg_path)]) == 0
     meta = json.loads((tmp_path / "o" / "run_meta.json").read_text())
-    assert set(meta["exact"]) == {"table_s", "pde_s", "exact_s", "mc_s"}
-    assert all(seconds >= 0.0 for seconds in meta["exact"].values())
+    names = {"table_s", "pde_s", "exact_s", "mc_s"}
+    assert set(meta["exact"]) == names | {"densities"}
+    assert all(meta["exact"][name] >= 0.0 for name in names)
     assert meta["peak_rss_mb"] > 0.0
+    # the table's nine densities: five solved, four filled from their
+    # particle-hole mirrors with no matvec
+    densities = meta["exact"]["densities"]
+    assert len(densities) == 9
+    mirrored = {a: rec["mirror_of"] for a, rec in densities.items() if "mirror_of" in rec}
+    assert mirrored == {"0.6": 0.4, "0.7": 0.3, "0.8": 0.2, "0.9": 0.1}
+    for a, rec in densities.items():
+        matvecs = sum(shift["matvecs"] for shift in rec["shifts"].values())
+        assert (matvecs == 0) == (a in mirrored)
 
     # the stages cover the call, and recording them leaves the report alone
     stages = {}
     start = time.perf_counter()
     diag = exact_small_experiment(cfg, stages=stages)
     wall = time.perf_counter() - start
-    assert sum(stages.values()) >= 0.9 * wall
-    assert min(stages.values()) >= 0.0
+    seconds = [stages[name] for name in names]
+    assert sum(seconds) >= 0.9 * wall
+    assert min(seconds) >= 0.0
     written = json.loads((tmp_path / "o" / "exact_diagnostics.json").read_text())
     assert written == json.loads(json.dumps(diag))
 

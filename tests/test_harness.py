@@ -301,13 +301,15 @@ def test_diffusion_reports_orbits_and_writes_run_meta(tmp_path):
     assert rec["nnz"] > rec["orbits"] and meta["peak_rss_mb"] > 0.0
     assert rec["enumerate_s"] >= 0.0 and rec["assemble_s"] >= 0.0
     assert sorted(rec["densities"]) == ["0.3", "0.7"]
-    matvecs = 0
-    for density in rec["densities"].values():
-        assert density["seconds"] > 0.0 and len(density["shifts"]) == 4
-        for shift in density["shifts"].values():
-            assert shift["matvecs"] > 0 and 0.0 < shift["residual"] <= 1e-10
-            matvecs += shift["matvecs"]
-    assert matvecs == solver["iterations"]
+    # 0.7 is filled from its particle-hole mirror 0.3 and solves nothing
+    mirrored = rec["densities"]["0.7"]
+    assert mirrored["mirror_of"] == 0.3 and len(mirrored["shifts"]) == 4
+    assert all(shift == {"matvecs": 0} for shift in mirrored["shifts"].values())
+    solved = rec["densities"]["0.3"]
+    assert solved["seconds"] > 0.0 and len(solved["shifts"]) == 4
+    for shift in solved["shifts"].values():
+        assert shift["matvecs"] > 0 and 0.0 < shift["residual"] <= 1e-10
+    assert sum(shift["matvecs"] for shift in solved["shifts"].values()) == solver["iterations"]
     assert "wall_time" not in data and "peak_rss_mb" not in solver
 
 
@@ -443,7 +445,7 @@ def test_exact_replica_count_below_one_is_config_error(tmp_path, count):
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("alpha", [1.5, -0.1, float("nan"), float("inf")])
+@pytest.mark.parametrize("alpha", [1.5, -0.1, 0.0, 1.0, float("nan"), float("inf")])
 def test_exact_alpha_outside_unit_interval_is_config_error(tmp_path, capsys, alpha):
     # the flat reference density is rejected at parse time, before the exact
     # evolution runs and fails for a reason that does not name it

@@ -493,3 +493,56 @@ def test_orbit_engine_matches_class_engine(kernel_d3_asym):
         assert orbit.mobility[a]["e1"]["gap"] == pytest.approx(
             plain.mobility[a]["e1"]["gap"], abs=1e-9)
     assert orbit.solver["max_clipped_outflow"] == max(orbit.solver["clipped_outflow"].values())
+
+
+@pytest.mark.parametrize("kernel", ["kernel_d3_diag_tasep", "kernel_d2_asym"])
+def test_mirrored_densities_match_the_direct_solve(request, kernel):
+    # particle-hole symmetry: the densities above one half are filled from
+    # their mirrors below it.  Every density-indexed leaf against the
+    # oracle's direct factorization at 1 - alpha, and the copied leaves
+    # against a solve of 1 - alpha alone
+    an = request.getfixturevalue(kernel)
+    trunc = TruncationParams(radius=2, max_degree=2)
+    shifts = sorted(trunc.lambda_seq, reverse=True)
+    alphas = [round(0.1 * i, 10) for i in range(1, 10)]
+    vectors = {"e1": [1.0] + [0.0] * (an.dimension - 1)}
+    stages = {}
+    res = compute_diffusion(an, alphas, trunc, mobility_vectors=vectors,
+                            with_residuals=True, stages=stages)
+    assert res.alphas == alphas and list(res.diffusion) == alphas
+    mirrored = {a: stages[a]["mirror_of"] for a in alphas if "mirror_of" in stages[a]}
+    assert mirrored == {0.6: 0.4, 0.7: 0.3, 0.8: 0.2, 0.9: 0.1}
+    assert res.solver["iterations"] == sum(
+        rec["matvecs"] for a in alphas for rec in stages[a]["shifts"].values())
+    oracle = DenseOracle(an, trunc)
+    for alpha, beta in mirrored.items():
+        assert all(rec == {"matvecs": 0} for rec in stages[alpha]["shifts"].values())
+        direct = [oracle.diffusion_direct(alpha, lam) for lam in shifts]
+        for lam, want in zip(shifts, direct):
+            assert np.abs(res.per_shift[alpha][lam] - want).max() <= 1e-12
+        want, spread = extrapolate_to_zero(shifts, direct)
+        assert np.abs(res.diffusion[alpha] - want).max() <= 1e-12
+        assert np.abs(res.spread[alpha] - spread).max() <= 1e-12
+        assert np.abs(res.hydro[alpha] - hydrodynamic_matrix(alpha, want, an.covariance)
+                      ).max() <= 1e-12
+        # the identity moves D by (1 - 2 beta) sigma and keeps a
+        assert np.abs(res.diffusion[alpha] - res.diffusion[beta]).max() > 1e-2
+        assert np.abs(res.hydro[alpha] - res.hydro[beta]).max() <= 1e-15
+
+        # energy, mobility, residual splits and clipped outflow are
+        # invariant: the copies equal the values of a direct solve
+        alone = compute_diffusion(an, [alpha], trunc, mobility_vectors=vectors,
+                                  with_residuals=True)
+        # (the gap is a difference of nearly equal sides, the residual
+        # splits are squared norms of solver-sized residuals)
+        for lam in shifts:
+            assert res.energy[alpha][lam] == pytest.approx(alone.energy[alpha][lam],
+                                                           rel=1e-12)
+        for key in ("left", "right", "gap"):
+            assert res.mobility[alpha]["e1"][key] == pytest.approx(
+                alone.mobility[alpha]["e1"][key], rel=1e-12, abs=1e-12)
+        for i, split in alone.residuals[alpha].items():
+            for key in ("degree_two_plus", "degree_one", "total"):
+                assert res.residuals[alpha][i][key] == pytest.approx(split[key], rel=1e-8)
+        assert res.solver["clipped_outflow"][alpha] == pytest.approx(
+            alone.solver["clipped_outflow"][alpha], rel=1e-12)
