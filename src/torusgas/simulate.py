@@ -166,16 +166,15 @@ class CurrentLedger:
 
 def net_site_change(geometry: TorusGeometry, offsets: np.ndarray,
                     counts: np.ndarray) -> np.ndarray:
-    """Inflow minus outflow per site from bond counts [..., n_sites, J].
+    """Inflow minus outflow per site from one ledger's bond counts [n_sites, J].
 
-    Leading axes (replicas) are carried through; integer counts give an
-    exact integer result.
+    Integer counts give an exact integer result.
     """
     neigh = _neighbors(geometry, -offsets)  # x - z for each offset z
-    change = -counts.sum(axis=-1)
-    for j in range(counts.shape[-1]):
+    change = -counts.sum(axis=1)
+    for j in range(counts.shape[1]):
         # jumps from x - z_j along z_j land on x
-        change += counts[..., neigh[:, j], j]
+        change += counts[neigh[:, j], j]
     return change
 
 

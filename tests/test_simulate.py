@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from torusgas import simulate
+from torusgas.errors import InvariantViolation
 from torusgas.harness import replica_trajectory
 from torusgas.kernels import TransitionKernel, ssep, tasep
 from torusgas.lattice import (Configuration, TorusGeometry, sample_product_measure,
@@ -43,6 +44,28 @@ def test_conservation_and_continuity():
         assert c1.particle_count == c0.particle_count
         assert int(c1.occupancy.sum()) == c0.particle_count
         ledger.check_continuity(c0, c1)  # integer-exact identity
+
+
+def test_ledger_continuity_is_the_literal_site_balance():
+    geom = TorusGeometry(2, 5)
+    kernel = TransitionKernel(2, np.array([[1, 0], [-1, 0], [0, 1], [0, -1]]),
+                              np.array([0.4, 0.2, 0.3, 0.1]))
+    rng = RngStream(13).generator()
+    c0 = sample_product_measure(geom, 0.4, rng)
+    c1, ledger = evolve(c0, kernel, 2.0, rng)
+    ledger.check_continuity(c0, c1)
+    assert ledger.counts.sum() > 0
+    # the vectorized inflow-minus-outflow against the literal per-site sum
+    change = simulate.net_site_change(geom, kernel.offsets, ledger.counts)
+    for x in range(geom.n_sites):
+        coords = geom.site_coords(x)
+        inflow = sum(ledger.counts[geom.site_index(coords - z), j]
+                     for j, z in enumerate(kernel.offsets))
+        assert change[x] == inflow - ledger.counts[x].sum()
+    # one count too many moves a particle the configurations never moved
+    ledger.counts[3, 1] += 1
+    with pytest.raises(InvariantViolation, match="bond counts"):
+        ledger.check_continuity(c0, c1)
 
 
 def test_single_particle_drift():
