@@ -126,7 +126,8 @@ def cmd_diffusion(args) -> int:
 def cmd_pde(args) -> int:
     cfg = _load(args)
     profile = cfg.checked_profile()
-    table = _load_or_compute_table(cfg)
+    densities = {}
+    table = _load_or_compute_table(cfg, densities)
     out = make_output_dir(cfg.output_dir)
     solves = []
     for t, fld, solve in pde_through(DensityField.from_profile(profile, cfg.pde_resolution),
@@ -137,7 +138,7 @@ def cmd_pde(args) -> int:
             fld.save_csv(out / f"pde_t{t}.csv", header)
         if "npy" in cfg.formats:
             fld.save_npy(out / f"pde_t{t}.npy")
-    write_run_meta(out, pde=solves)
+    write_run_meta(out, pde=solves, densities=densities)
     print(out)
     return 0
 

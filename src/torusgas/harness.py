@@ -255,9 +255,18 @@ def compare_fields(empirical: np.ndarray, target: np.ndarray) -> dict:
 def _load_or_compute_table(cfg: ExperimentConfig, densities: dict | None = None
                            ) -> DiffusionTable:
     """The stored table, else one computed on the config's grid; a computed
-    table's per-density solver records go to `densities`."""
+    table's per-density solver records go to `densities`.  A stored table's
+    `floor_matrix` is sigma / 2 of the kernel it was solved for, so one that
+    is not the config kernel's is refused."""
     if cfg.diffusion_table_path:
-        return DiffusionTable.load_json(cfg.diffusion_table_path)
+        table = DiffusionTable.load_json(cfg.diffusion_table_path)
+        floor, half_sigma = table.floor_matrix, 0.5 * cfg.analysis.covariance
+        if floor is not None and not (floor.shape == half_sigma.shape and np.allclose(
+                floor, half_sigma, rtol=0.0, atol=1e-12)):
+            raise ConfigError(
+                f"diffusion table {cfg.diffusion_table_path} was solved for another kernel: "
+                f"its floor_matrix {floor.tolist()} is not sigma/2 = {half_sigma.tolist()}")
+        return table
     result = compute_diffusion(cfg.analysis, cfg.alpha_grid, cfg.truncation,
                                stages=densities)
     return DiffusionTable.from_diffusion_result(result)
@@ -381,11 +390,12 @@ class ComparisonReport:
     table_asymmetry: float
     failure: str | None = None
     # one SolveReport record per observation time, one simulation record
-    # per torus size and the seconds by stage; they go to run_meta.json,
-    # not to the report
+    # per torus size, the seconds by stage and a computed table's density
+    # records; they go to run_meta.json, not to the report
     pde_solves: list = field(default_factory=list)
     simulate: list = field(default_factory=list)
     stages: dict = field(default_factory=dict)
+    densities: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
@@ -431,7 +441,8 @@ def run_experiment(cfg: ExperimentConfig) -> ComparisonReport:
     profile = cfg.checked_profile()
     fld0 = DensityField.from_profile(profile, cfg.pde_resolution)
     lap("profile_s")
-    table = _load_or_compute_table(cfg)
+    densities = {}
+    table = _load_or_compute_table(cfg, densities)
     lap("table_s")
 
     pde_fields = {}
@@ -444,7 +455,7 @@ def run_experiment(cfg: ExperimentConfig) -> ComparisonReport:
     rows = []
     report = ComparisonReport(config=cfg.to_dict(), rows=rows,
                               monotone_in_size={}, table_asymmetry=table.asymmetry,
-                              pde_solves=pde_solves, stages=stages)
+                              pde_solves=pde_solves, stages=stages, densities=densities)
     try:
         for size_index, n in enumerate(cfg.torus_sizes):
             geom = TorusGeometry(cfg.dimension, n)
@@ -626,7 +637,7 @@ def emit_outputs(report: ComparisonReport, output_dir, formats) -> list:
             path.write_text("\n".join(lines) + "\n")
             written.append(str(path))
     write_run_meta(out, pde=report.pde_solves, simulate=report.simulate,
-                   compare=report.stages)
+                   compare=report.stages, densities=report.densities)
     return written
 
 

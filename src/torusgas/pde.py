@@ -32,6 +32,7 @@ from .errors import ConfigError, InvariantViolation, as_number, require, write_j
 from .profiles import _interp_periodic
 
 DENSE_NODES = 4097  # nodes of the uniform lookup grid a DiffusionTable resamples onto
+BLEND = 7  # Floater-Hormann blend order: the lowest that reaches the lookup grid's 2e-9 error
 EIGEN_SAMPLES = 201  # densities at which `max_eigenvalue` reads the table
 SAFETY = 0.9  # the step of `solve_to_time` as a fraction of the stability limit
 
@@ -104,61 +105,43 @@ class DensityField:
         np.save(path, np.ascontiguousarray(self.grid()))
 
 
-def _pchip_edge(h0, h1, m0, m1):
-    """One-sided three-point end slope, kept monotone (scipy's `_edge_case`)."""
-    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-    flip = np.sign(d) != np.sign(m0)
-    steep = (np.sign(m0) != np.sign(m1)) & (np.abs(d) > 3.0 * np.abs(m0))
-    return np.where(flip, 0.0, np.where(steep, 3.0 * m0, d))
-
-
-def _pchip(x, y, points):
-    """Monotone piecewise-cubic (PCHIP) interpolant of y[k] at x[k], at `points`.
+def _floater_hormann(x, y, points):
+    """Floater-Hormann barycentric rational interpolant of y[k] at x[k], at `points`.
 
     `x` is strictly increasing, `y` has shape (len(x), ...) and the result
-    (len(points), ...).  Every trailing entry is interpolated on its own, and
-    every operation is the one scipy's `PchipInterpolator` makes, in its
-    order: the Fritsch-Butland node slopes (zero at a sign change or a flat
-    segment, else a weighted harmonic mean) with one-sided ends, the
-    `CubicHermiteSpline` coefficients, and `PPoly`'s power-ascending
-    evaluation on the half-open interval [x_k, x_k+1) (the last one closed;
-    points beyond the ends extrapolate the end cubics).  So the values are
-    scipy's bit for bit.
+    (len(points), ...).  The blend order is `BLEND`, capped at len(x) - 1
+    (the polynomial through the nodes); polynomials up to that degree come
+    back exactly, and the denominator has no real zero (Floater and
+    Hormann, Numer. Math. 107, 2007).  A point equal to a node takes the
+    node's value exactly.
     """
-    y = np.asarray(y, dtype=np.float64)
-    hk = np.diff(x).reshape((-1,) + (1,) * (y.ndim - 1))
-    mk = (y[1:] - y[:-1]) / hk
-    if len(x) == 2:
-        dk = np.concatenate([mk, mk])
-    else:
-        smk = np.sign(mk)
-        zero = (smk[1:] != smk[:-1]) | (mk[1:] == 0) | (mk[:-1] == 0)
-        w1 = 2 * hk[1:] + hk[:-1]
-        w2 = hk[1:] + 2 * hk[:-1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            whmean = (w1 / mk[:-1] + w2 / mk[1:]) / (w1 + w2)
-            inner = np.where(zero, 0.0, 1.0 / whmean)
-        dk = np.concatenate([_pchip_edge(hk[:1], hk[1:2], mk[:1], mk[1:2]), inner,
-                             _pchip_edge(hk[-1:], hk[-2:-1], mk[-1:], mk[-2:-1])])
-    t = (dk[:-1] + dk[1:] - 2 * mk) / hk
-    c0, c1, c2, c3 = t / hk, (mk - dk[:-1]) / hk - t, dk[:-1], y[:-1]
-    points = np.asarray(points, dtype=np.float64)
-    k = np.clip(np.searchsorted(x, points, side="right") - 1, 0, len(x) - 2)
-    s = (points - x[k]).reshape((-1,) + (1,) * (y.ndim - 1))
-    s2 = s * s
-    # PPoly's sum starts from 0.0, which turns a -0.0 value into 0.0
-    return ((0.0 + c3[k] + c2[k] * s) + c1[k] * s2) + c0[k] * (s2 * s)
+    d = min(BLEND, len(x) - 1)
+    # w_k = (-1)^k sum over the windows of d + 1 nodes holding x_k of
+    # prod_{j != k} 1 / |x_k - x_j|, j running over the window
+    windows = np.lib.stride_tricks.sliding_window_view(x, d + 1)
+    terms = 1.0 / (np.abs(windows[:, :, None] - windows[:, None, :]) + np.eye(d + 1)).prod(2)
+    weights = np.zeros(len(x))
+    for k in range(d + 1):
+        weights[k:k + len(windows)] += terms[:, k]
+    weights[1::2] *= -1.0
+    offsets = points[:, None] - x
+    at_node = offsets == 0.0
+    coeffs = np.where(at_node.any(axis=1, keepdims=True), at_node,
+                      weights / np.where(at_node, 1.0, offsets))
+    return np.tensordot(coeffs / coeffs.sum(axis=1, keepdims=True), y, axes=1)
 
 
 class DiffusionTable:
     """Density-dependent coefficient matrix sampled on a density grid.
 
-    Monotone-cubic interpolation per entry (`_pchip`, scipy's PCHIP bit for
-    bit), resampled onto a dense uniform grid for fast lookup inside the
-    solver; symmetrized with the asymmetry recorded.  A table needs at least
-    two density nodes, all distinct.  `floor_matrix`, when given (half the jump
-    covariance), is checked to stay below the table in the matrix order at
-    every node.
+    Symmetrized with the asymmetry recorded, then resampled per entry by
+    the Floater-Hormann interpolant (`_floater_hormann`, blend order
+    `BLEND`) onto a dense uniform grid, which the solver reads by linear
+    lookup.  A table needs at least two density nodes, all distinct.
+    `floor_matrix`, when given (half the jump covariance), is checked to
+    stay below the table in the matrix order at every node and at every
+    point of the dense grid: the interpolant is not monotone per entry, so
+    it may dip between nodes.
     """
 
     def __init__(self, alphas, matrices, floor_matrix=None):
@@ -179,17 +162,19 @@ class DiffusionTable:
         mats = 0.5 * (mats + np.transpose(mats, (0, 2, 1)))
         self.matrices = mats
         self.dimension = mats.shape[1]
+        self._grid = np.linspace(self.alphas[0], self.alphas[-1], DENSE_NODES)
+        dense = _floater_hormann(self.alphas, mats, self._grid)
         self.floor_matrix = None if floor_matrix is None else np.asarray(floor_matrix, float)
         if self.floor_matrix is not None:
-            for beta, m in zip(self.alphas, mats):
-                gap = np.linalg.eigvalsh(m - self.floor_matrix).min()
-                if gap < -1e-6:
-                    raise ConfigError(
-                        f"coefficient table dips below the mobility floor at "
-                        f"density {beta:g} by {-gap:g}")
-        self._grid = np.linspace(self.alphas[0], self.alphas[-1], DENSE_NODES)
-        self._dense = np.ascontiguousarray(
-            _pchip(self.alphas, mats, self._grid).transpose(1, 2, 0))
+            rhos = np.concatenate([self.alphas, self._grid])
+            gaps = np.linalg.eigvalsh(
+                np.concatenate([mats, dense]) - self.floor_matrix).min(axis=1)
+            worst = int(np.argmin(gaps))
+            if gaps[worst] < -1e-6:
+                raise ConfigError(
+                    f"coefficient table dips below the mobility floor at "
+                    f"density {rhos[worst]:g} by {-gaps[worst]:g}")
+        self._dense = np.ascontiguousarray(dense.transpose(1, 2, 0))
         self._zero_entry = np.all(self._dense == 0.0, axis=2)
 
     @classmethod

@@ -1130,3 +1130,58 @@ def test_no_subcommand_imports_scipy(tmp_path):
         assert (tmp_path / "c" / name).exists()
     assert (tmp_path / "o" / "report.json").exists()
     assert (tmp_path / "o" / "pde_t0.05.csv").exists()
+
+
+def test_stored_table_from_another_kernel_is_refused(tmp_path, capsys):
+    # a table carries half the jump covariance it was solved with as its
+    # floor; one whose floor is not sigma / 2 of the config's kernel (here
+    # 0.25 I) was solved for another kernel
+    def table_with(floor):
+        path = tmp_path / f"table{len(list(tmp_path.glob('table*')))}.json"
+        DiffusionTable([0.0, 0.5, 1.0], [np.diag([0.4, 0.3])] * 3,
+                       floor_matrix=floor).save_json(path)
+        return path
+
+    def config(table_path, name):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(base_config(
+            output_dir=str(tmp_path / name), diffusion_table=str(table_path),
+            profile={"kind": "cosine", "base": 0.5, "amplitude": 0.1, "axis": 1},
+            exact={"side": 3, "replicas": 10})))
+        return path
+
+    other = config(table_with(np.diag([1 / 3, 1 / 12])), "other")
+    for command in ("pde", "compare", "exact"):
+        assert cli_main([command, "--config", str(other)]) == 2
+        err = capsys.readouterr().err
+        assert "solved for another kernel" in err
+        assert "[[0.3333333333333333, 0.0], [0.0, 0.08333333333333333]]" in err
+        assert "[[0.25, 0.0], [0.0, 0.25]]" in err
+    assert not list((tmp_path / "other").glob("*"))
+    for name, floor in (("same", 0.25 * np.eye(2)), ("bare", None)):
+        assert cli_main(["pde", "--config", str(config(table_with(floor), name))]) == 0
+        meta = json.loads((tmp_path / name / "run_meta.json").read_text())
+        assert meta["densities"] == {}  # a stored table solves no density
+
+
+def test_compare_and_pde_record_the_computed_table_in_run_meta(tmp_path):
+    # each density's solver record, as `diffusion` and `exact` write it;
+    # 0.7 is filled from its particle-hole mirror 0.3
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(base_config(
+        output_dir=str(tmp_path / "o"), alpha_grid=[0.3, 0.7],
+        truncation={"radius": 2, "max_degree": 2},
+        kernel={"dimension": 2, "entries": [
+            {"offset": [1, 0], "prob": 0.5}, {"offset": [-1, 0], "prob": 0.25},
+            {"offset": [0, 1], "prob": 0.125}, {"offset": [0, -1], "prob": 0.125}]},
+        profile={"kind": "cosine", "base": 0.5, "amplitude": 0.1, "axis": 1})))
+    for command in ("pde", "compare"):
+        assert cli_main([command, "--config", str(cfg_path)]) == 0
+        densities = json.loads((tmp_path / "o" / "run_meta.json").read_text())["densities"]
+        assert sorted(densities) == ["0.3", "0.7"]
+        solved, mirrored = densities["0.3"], densities["0.7"]
+        assert "mirror_of" not in solved and mirrored["mirror_of"] == 0.3
+        assert solved["shifts"].keys() == mirrored["shifts"].keys()
+        for lam, rec in solved["shifts"].items():
+            assert rec["matvecs"] >= 1 and 0.0 <= rec["residual"] < 1e-6
+            assert mirrored["shifts"][lam] == {"matvecs": 0}

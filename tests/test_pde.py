@@ -1,14 +1,16 @@
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
 import sympy
 
 from torusgas.errors import ConfigError, InvariantViolation
-from torusgas.pde import (DENSE_NODES, EIGEN_SAMPLES, SAFETY, DensityField, DiffusionTable,
-                          SolveReport, _pchip, pde_step, solve_to_time, stability_limit)
+from torusgas.packed import TruncationParams
+from torusgas.pde import (BLEND, DENSE_NODES, EIGEN_SAMPLES, SAFETY, DensityField,
+                          DiffusionTable, SolveReport, _floater_hormann, pde_step, solve_to_time,
+                          stability_limit)
 from torusgas.profiles import Profile, _interp_periodic
+from torusgas.resolvent import compute_diffusion
 
 
 def reference_step(values, table, dt, h):
@@ -224,6 +226,14 @@ def test_table_floor_check(kernel_d2_asym):
     bad = np.stack([0.5 * sigma - 0.05 * np.eye(2) for _ in alphas])
     with pytest.raises(ConfigError):
         DiffusionTable(alphas, bad, floor_matrix=0.5 * sigma)
+    # on the floor at every node but 0.5, above it there: the interpolant's
+    # side lobes take it below the floor between the nodes
+    spike = np.stack([0.5 * sigma + (a == 0.5) * 0.05 * np.eye(2) for a in alphas])
+    assert min(np.linalg.eigvalsh(m - 0.5 * sigma).min() for m in spike) >= 0.0
+    dense = DiffusionTable(alphas, spike)._dense.transpose(2, 0, 1)
+    assert np.linalg.eigvalsh(dense - 0.5 * sigma).min() < -1e-6
+    with pytest.raises(ConfigError, match="dips below the mobility floor"):
+        DiffusionTable(alphas, spike, floor_matrix=0.5 * sigma)
 
 
 def test_table_needs_two_density_nodes(tmp_path):
@@ -406,61 +416,111 @@ def test_max_overshoot_is_the_largest_over_the_run():
     assert rep.max_overshoot == max(overshoots) > overshoots[-1]
 
 
-def _same_bits(a, b) -> bool:
-    a, b = np.asarray(a, np.float64), np.asarray(b, np.float64)
-    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+def _uneven_nodes(rng, n, lo=0.0, hi=1.0):
+    """n strictly increasing nodes from lo to hi, neighbouring gaps up to 3.3 apart."""
+    x = np.cumsum(rng.uniform(0.3, 1.0, size=n))
+    x = lo + (x - x[0]) / (x[-1] - x[0]) * (hi - lo)
+    x[-1] = hi
+    return x
 
 
-def test_stored_table_resamples_as_scipy_pchip_bit_for_bit():
-    from scipy.interpolate import PchipInterpolator
+def test_interpolant_reproduces_polynomials_up_to_the_blend_order():
+    rng = np.random.default_rng(20261021)
+    points = np.linspace(0.0, 1.0, DENSE_NODES)
+    for n in (2, 3, 5, BLEND + 1, BLEND + 2, 11, 17, 40):
+        x = _uneven_nodes(rng, n)
+        for degree in range(min(BLEND, n - 1) + 1):
+            coeffs = rng.normal(size=(degree + 1, 2, 2))
+            y = np.polynomial.polynomial.polyval(x, coeffs).transpose(2, 0, 1)
+            want = np.polynomial.polynomial.polyval(points, coeffs).transpose(2, 0, 1)
+            got = _floater_hormann(x, y, points)
+            assert np.abs(got - want).max() < 1e-12, (n, degree)
+            table = DiffusionTable(x, y + y.transpose(0, 2, 1))
+            assert np.abs(table._dense.transpose(2, 0, 1)
+                          - (want + want.transpose(0, 2, 1))).max() < 1e-12, (n, degree)
+    # the blend order is what it says: one degree more is not reproduced
+    x = _uneven_nodes(rng, 20)
+    assert np.abs(_floater_hormann(x, x ** (BLEND + 1), points)
+                  - points ** (BLEND + 1)).max() > 1e-9
 
-    root = Path(__file__).resolve().parents[1]
-    table = DiffusionTable.load_json(root / "perfbench" / "data" / "hydro_table.json")
-    assert len(table._grid) == DENSE_NODES
-    d = table.dimension
-    for i in range(d):
-        for j in range(d):
-            ref = PchipInterpolator(table.alphas, table.matrices[:, i, j])(table._grid)
-            assert _same_bits(table._dense[i, j], ref)
+
+def _blend_of_local_polynomials(x, y, t):
+    """Floater and Hormann's defining form at one point t off the nodes:
+    sum_i lambda_i p_i / sum_i lambda_i, with p_i the polynomial through
+    x_i .. x_i+d and lambda_i = (-1)^i / prod_j (t - x_j) over the same nodes."""
+    d = min(BLEND, len(x) - 1)
+    num = den = 0.0
+    for i in range(len(x) - d):
+        window = range(i, i + d + 1)
+        lam = (-1) ** i / np.prod([t - x[j] for j in window])
+        num += lam * sum(y[k] * np.prod([(t - x[j]) / (x[k] - x[j]) for j in window if j != k])
+                         for k in window)
+        den += lam
+    return num / den
 
 
-def test_pchip_matches_scipy_on_random_node_sets():
-    # node sets with uneven spacing; the kinds make sure every branch of the
-    # slope rule is met: two nodes, flat segments, slope sign changes, and
-    # both end-slope corrections (zeroed and limited to 3 m_0)
-    from scipy.interpolate import PchipInterpolator
+def test_interpolant_is_the_blend_of_local_polynomials():
+    rng = np.random.default_rng(5)
+    for n in (2, 3, 6, BLEND + 1, BLEND + 2, 12, 20):
+        x = _uneven_nodes(rng, n)
+        y = rng.normal(size=(n, 2))
+        points = rng.uniform(0.0, 1.0, size=40)
+        want = np.array([_blend_of_local_polynomials(x, y, t) for t in points])
+        assert np.abs(_floater_hormann(x, y, points) - want).max() < 1e-12 * np.abs(want).max()
 
-    rng = np.random.default_rng(20261018)
-    seen = {"two nodes": 0, "flat": 0, "sign change": 0, "end zeroed": 0,
-            "end limited": 0}
-    for case in range(300):
-        n = 2 if case % 10 == 0 else int(rng.integers(3, 12))
-        x = np.cumsum(rng.exponential(size=n) + 1e-3)
-        x = (x - x[0]) / (x[-1] - x[0]) * rng.uniform(0.2, 1.0) + rng.uniform(0.0, 0.5)
-        kind = case % 4
-        if kind == 0:
-            y = rng.normal(size=n)
-        elif kind == 1:
-            y = rng.integers(0, 3, size=n).astype(float)
-        elif kind == 2:
-            y = np.cumsum(rng.exponential(size=n) * rng.choice([0.01, 1.0, 30.0], size=n))
-        else:
-            y = rng.normal(size=n)
-            y[1] = y[0] + rng.choice([-1.0, 1.0]) * rng.uniform(1e-3, 1e-1)
-        points = np.linspace(x[0], x[-1], DENSE_NODES)
-        ref = PchipInterpolator(x, y)
-        assert _same_bits(_pchip(x, y, points), ref(points))
-        stacked = np.stack([y, -y, y[::-1]], axis=1).reshape(n, 3, 1)
-        together = _pchip(x, stacked, points)
-        for k in range(3):
-            column = PchipInterpolator(x, stacked[:, k, 0])(points)
-            assert _same_bits(together[:, k, 0], column)
 
-        slopes = np.diff(y) / np.diff(x)
-        end = ref.c[2, 0]  # the slope scipy chose at x[0]
-        seen["two nodes"] += n == 2
-        seen["flat"] += bool((slopes == 0).any())
-        seen["sign change"] += bool((np.sign(slopes[1:]) != np.sign(slopes[:-1])).any())
-        seen["end zeroed"] += n > 2 and slopes[0] != 0 and end == 0.0
-        seen["end limited"] += n > 2 and slopes[0] != 0 and end == 3.0 * slopes[0]
-    assert all(count > 0 for count in seen.values()), seen
+def test_interpolant_returns_node_values_exactly():
+    # grid points that are nodes take the node's value bit for bit, with no
+    # division by zero on the way
+    rng = np.random.default_rng(7)
+    k = np.sort(rng.choice(np.arange(1, DENSE_NODES - 1), size=9, replace=False))
+    x = np.concatenate([[0.0], k / (DENSE_NODES - 1), [1.0]])
+    mats = rng.normal(size=(len(x), 3, 3))
+    mats = mats + mats.transpose(0, 2, 1)
+    with np.errstate(all="raise"):
+        assert np.array_equal(_floater_hormann(x, mats, x), mats)
+        table = DiffusionTable(x, mats)
+    assert np.array_equal(table._grid[k], x[1:-1])
+    for node, index in enumerate(np.concatenate([[0], k, [DENSE_NODES - 1]])):
+        assert np.array_equal(table._dense[:, :, index], mats[node])
+
+
+def test_two_node_table_is_linear():
+    lo, hi = 0.13, 0.71
+    a, b = np.diag([0.1, 0.3]), np.array([[0.2, 0.05], [0.05, 0.1]])
+    table = DiffusionTable([lo, hi], [a, b])
+    s = ((table._grid - lo) / (hi - lo))[:, None, None]
+    want = (1.0 - s) * a + s * b
+    assert np.abs(table._dense.transpose(2, 0, 1) - want).max() < 1e-15
+
+
+def test_symmetric_table_resamples_symmetrically():
+    # a(1 - rho) = a(rho) at mirrored nodes stays true on the dense grid, so
+    # the particle-hole identity survives resampling
+    low = _uneven_nodes(np.random.default_rng(11), 7, 0.0, 0.5)
+    x = np.concatenate([low, 1.0 - low[-2::-1]])
+    u = (2.0 * low - 1.0) ** 2
+    below = np.stack([[[0.3 - 0.05 * v, 0.02 * v * v], [0.02 * v * v, 0.1 + 0.2 * v]]
+                      for v in u])
+    mats = np.concatenate([below, below[-2::-1]])
+    table = DiffusionTable(x, mats)
+    assert np.array_equal(table._grid[::-1], 1.0 - table._grid)
+    dense = table._dense
+    assert np.abs(dense[:, :, ::-1] - dense).max() < 1e-14
+
+
+def test_table_matches_direct_solves_between_its_nodes(kernel_d3_diag_tasep):
+    # the table of the default nine-density grid, read as the PDE reads it,
+    # against direct solves at 20 densities off the grid
+    trunc = TruncationParams(radius=3, max_degree=2)
+    grid = [round(0.1 * i, 10) for i in range(1, 10)]
+    others = [0.025, 0.075, 0.125, 0.175, 0.225, 0.275, 0.325, 0.375, 0.425, 0.475,
+              0.525, 0.575, 0.625, 0.675, 0.725, 0.775, 0.825, 0.875, 0.925, 0.975]
+    table = DiffusionTable.from_diffusion_result(
+        compute_diffusion(kernel_d3_diag_tasep, grid, trunc))
+    direct = compute_diffusion(kernel_d3_diag_tasep, others, trunc)
+    rhos = np.array(others)
+    for i in range(3):
+        for j in range(3):
+            want = np.array([direct.hydro[a][i, j] for a in others])
+            assert np.abs(table.entry(i, j, rhos) - want).max() < 1e-8, (i, j)
