@@ -124,11 +124,13 @@ def _floater_hormann(x, y, points):
     for k in range(d + 1):
         weights[k:k + len(windows)] += terms[:, k]
     weights[1::2] *= -1.0
-    offsets = points[:, None] - x
-    at_node = offsets == 0.0
-    coeffs = np.where(at_node.any(axis=1, keepdims=True), at_node,
-                      weights / np.where(at_node, 1.0, offsets))
-    return np.tensordot(coeffs / coeffs.sum(axis=1, keepdims=True), y, axes=1)
+    coeffs = points[:, None] - x  # divided in place: the grid makes the largest temporary
+    at_node = coeffs == 0.0
+    np.divide(weights, coeffs, out=coeffs, where=~at_node)
+    hit = at_node.any(axis=1)
+    coeffs[hit] = at_node[hit]  # a node's own value, exactly
+    coeffs /= coeffs.sum(axis=1, keepdims=True)
+    return np.tensordot(coeffs, y, axes=1)
 
 
 class DiffusionTable:
