@@ -19,9 +19,8 @@ from .errors import ConfigError, InvariantViolation, write_json
 from .harness import (ExperimentConfig, _load_or_compute_table, emit_outputs,
                       exact_small_experiment, make_output_dir, pde_through,
                       replica_results, run_experiment, write_run_meta)
-from .packed import PackedSpace, assemble
 from .pde import DensityField, DiffusionTable
-from .resolvent import compute_diffusion
+from .resolvent import build_engine, compute_diffusion
 
 
 def _add_shared(p):
@@ -99,26 +98,19 @@ def cmd_diffusion(args) -> int:
         v = np.zeros(d)
         v[0] = v[1] = 1.0 / np.sqrt(2.0)
         vectors["diag12"] = [float(x) for x in v]
-    start = time.perf_counter()
-    space = PackedSpace(d, cfg.truncation)
-    enumerated = time.perf_counter()
-    engine = assemble(space, cfg.analysis)
-    assembled = time.perf_counter()
-    stages = {}
+    record = {"densities": {}}
+    engine = build_engine(cfg.analysis, cfg.truncation, record)
     result = compute_diffusion(cfg.analysis, cfg.alpha_grid, cfg.truncation,
                                mobility_vectors=vectors, with_residuals=True,
-                               engine=engine, stages=stages)
+                               engine=engine, stages=record["densities"])
     solved = time.perf_counter()
     out = make_output_dir(cfg.output_dir)
     result.save_json(out / "diffusion.json")
     result.save_csv(out / "diffusion.csv")
     table = DiffusionTable.from_diffusion_result(result)
     table.save_json(out / "table.json")
-    write_run_meta(out, diffusion={
-        "enumerate_s": enumerated - start, "assemble_s": assembled - enumerated,
-        "write_s": time.perf_counter() - solved,
-        "classes": space.size, "orbits": engine.space.size,
-        "nnz": engine.nnz, "engine_mb": engine.nbytes / 2 ** 20, "densities": stages})
+    record["write_s"] = time.perf_counter() - solved
+    write_run_meta(out, diffusion=record)
     print(out / "diffusion.json")
     return 0
 
@@ -126,8 +118,8 @@ def cmd_diffusion(args) -> int:
 def cmd_pde(args) -> int:
     cfg = _load(args)
     profile = cfg.checked_profile()
-    densities = {}
-    table = _load_or_compute_table(cfg, densities)
+    table_record = {}
+    table = _load_or_compute_table(cfg, table_record)
     out = make_output_dir(cfg.output_dir)
     solves = []
     for t, fld, solve in pde_through(DensityField.from_profile(profile, cfg.pde_resolution),
@@ -138,7 +130,7 @@ def cmd_pde(args) -> int:
             fld.save_csv(out / f"pde_t{t}.csv", header)
         if "npy" in cfg.formats:
             fld.save_npy(out / f"pde_t{t}.npy")
-    write_run_meta(out, pde=solves, densities=densities)
+    write_run_meta(out, pde=solves, **table_record)
     print(out)
     return 0
 

@@ -26,7 +26,7 @@ from .lattice import (TorusGeometry, block_density, sample_product_measure, site
                       state_codes)
 from .pde import DensityField, DiffusionTable, SolveReport, solve_to_time
 from .profiles import Profile, validate_profile
-from .resolvent import compute_diffusion
+from .resolvent import build_engine, compute_diffusion
 from .simulate import (RngStream, check_replica_ledgers, evolve, evolve_replicas,
                        wavefront_window)
 
@@ -252,23 +252,31 @@ def compare_fields(empirical: np.ndarray, target: np.ndarray) -> dict:
     }
 
 
-def _load_or_compute_table(cfg: ExperimentConfig, densities: dict | None = None
-                           ) -> DiffusionTable:
-    """The stored table, else one computed on the config's grid; a computed
-    table's per-density solver records go to `densities`.  A stored table's
-    `floor_matrix` is sigma / 2 of the kernel it was solved for, so one that
-    is not the config kernel's is refused."""
+def _load_or_compute_table(cfg: ExperimentConfig, record: dict) -> DiffusionTable:
+    """The stored table, else one computed on the config's grid.  `record`
+    receives `densities`, the per-density solver records of a computed
+    table (empty for a stored one), and, for a computed table only,
+    `engine`, the record of its engine build (`build_engine`).  A stored
+    table must hold d x d matrices for the config's d, and its
+    `floor_matrix` is sigma / 2 of the kernel it was solved for, so one
+    that is not the config kernel's is refused."""
+    record["densities"] = {}
     if cfg.diffusion_table_path:
         table = DiffusionTable.load_json(cfg.diffusion_table_path)
+        k, d = table.dimension, cfg.dimension
+        if k != d:
+            raise ConfigError(f"diffusion table {cfg.diffusion_table_path} holds {k}x{k} "
+                              f"matrices, not {d}x{d} for the config's dimension {d}")
         floor, half_sigma = table.floor_matrix, 0.5 * cfg.analysis.covariance
-        if floor is not None and not (floor.shape == half_sigma.shape and np.allclose(
-                floor, half_sigma, rtol=0.0, atol=1e-12)):
+        if floor is not None and not np.allclose(floor, half_sigma, rtol=0.0, atol=1e-12):
             raise ConfigError(
                 f"diffusion table {cfg.diffusion_table_path} was solved for another kernel: "
                 f"its floor_matrix {floor.tolist()} is not sigma/2 = {half_sigma.tolist()}")
         return table
+    record["engine"] = {}
+    engine = build_engine(cfg.analysis, cfg.truncation, record["engine"])
     result = compute_diffusion(cfg.analysis, cfg.alpha_grid, cfg.truncation,
-                               stages=densities)
+                               engine=engine, stages=record["densities"])
     return DiffusionTable.from_diffusion_result(result)
 
 
@@ -390,12 +398,13 @@ class ComparisonReport:
     table_asymmetry: float
     failure: str | None = None
     # one SolveReport record per observation time, one simulation record
-    # per torus size, the seconds by stage and a computed table's density
-    # records; they go to run_meta.json, not to the report
+    # per torus size, the seconds by stage and the table's `densities` and
+    # `engine` records (`_load_or_compute_table`); they go to run_meta.json,
+    # not to the report
     pde_solves: list = field(default_factory=list)
     simulate: list = field(default_factory=list)
     stages: dict = field(default_factory=dict)
-    densities: dict = field(default_factory=dict)
+    table_record: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
@@ -441,8 +450,8 @@ def run_experiment(cfg: ExperimentConfig) -> ComparisonReport:
     profile = cfg.checked_profile()
     fld0 = DensityField.from_profile(profile, cfg.pde_resolution)
     lap("profile_s")
-    densities = {}
-    table = _load_or_compute_table(cfg, densities)
+    table_record = {}
+    table = _load_or_compute_table(cfg, table_record)
     lap("table_s")
 
     pde_fields = {}
@@ -455,7 +464,7 @@ def run_experiment(cfg: ExperimentConfig) -> ComparisonReport:
     rows = []
     report = ComparisonReport(config=cfg.to_dict(), rows=rows,
                               monotone_in_size={}, table_asymmetry=table.asymmetry,
-                              pde_solves=pde_solves, stages=stages, densities=densities)
+                              pde_solves=pde_solves, stages=stages, table_record=table_record)
     try:
         for size_index, n in enumerate(cfg.torus_sizes):
             geom = TorusGeometry(cfg.dimension, n)
@@ -512,9 +521,10 @@ def exact_small_experiment(cfg: ExperimentConfig, stages: dict | None = None) ->
     dict receives the call's seconds by stage, for the run side file:
     `table_s` (the coefficient table), `pde_s` (the PDE references),
     `mc_s` (the Monte Carlo ensemble) and `exact_s` (the rest: the exact
-    laws, their entropies and the set-up), and under `densities` the
-    solver record of each density of a computed table, as the `diffusion`
-    record holds them.
+    laws, their entropies and the set-up), and the table's records
+    (`_load_or_compute_table`): under `densities` the solver record of each
+    density of a computed table, as the `diffusion` record holds them, and
+    under `engine` the computed table's engine build.
     """
     stages = {} if stages is None else stages
     lap = _Laps(stages, ("exact_s", "table_s", "pde_s", "mc_s"))
@@ -542,8 +552,7 @@ def exact_small_experiment(cfg: ExperimentConfig, stages: dict | None = None) ->
     # PDE reference along the run (grid resolution a multiple of the side)
     resolution = max(cfg.pde_resolution, n)
     resolution += (-resolution) % n
-    stages["densities"] = {}
-    table = _load_or_compute_table(cfg, stages["densities"])
+    table = _load_or_compute_table(cfg, stages)
     lap("table_s")
     fld0 = DensityField.from_profile(profile, resolution)
     references = [(0.0, fld0)] + [(t, fld) for t, fld, _ in
@@ -637,7 +646,7 @@ def emit_outputs(report: ComparisonReport, output_dir, formats) -> list:
             path.write_text("\n".join(lines) + "\n")
             written.append(str(path))
     write_run_meta(out, pde=report.pde_solves, simulate=report.simulate,
-                   compare=report.stages, densities=report.densities)
+                   compare=report.stages, **report.table_record)
     return written
 
 

@@ -149,8 +149,9 @@ class DiffusionTable:
     def __init__(self, alphas, matrices, floor_matrix=None):
         alphas = np.asarray(alphas, dtype=np.float64)
         matrices = np.asarray(matrices, dtype=np.float64)
-        if matrices.ndim != 3 or matrices.shape[0] != len(alphas):
-            raise ConfigError("need one matrix per density node")
+        if (matrices.ndim != 3 or matrices.shape[0] != len(alphas)
+                or matrices.shape[1] != matrices.shape[2]):
+            raise ConfigError("need one square matrix per density node")
         if len(alphas) < 2:
             raise ConfigError(f"a coefficient table needs at least two density nodes, "
                               f"got {len(alphas)}")
@@ -168,6 +169,9 @@ class DiffusionTable:
         dense = _floater_hormann(self.alphas, mats, self._grid)
         self.floor_matrix = None if floor_matrix is None else np.asarray(floor_matrix, float)
         if self.floor_matrix is not None:
+            if self.floor_matrix.shape != mats.shape[1:]:
+                raise ConfigError(f"coefficient table floor_matrix has shape "
+                                  f"{self.floor_matrix.shape}, its matrices {mats.shape[1:]}")
             rhos = np.concatenate([self.alphas, self._grid])
             gaps = np.linalg.eigvalsh(
                 np.concatenate([mats, dense]) - self.floor_matrix).min(axis=1)

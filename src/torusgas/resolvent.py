@@ -159,9 +159,23 @@ def _cg(matvec, b: np.ndarray, atol: float, maxiter: int):
     return x
 
 
-def build_engine(analysis: KernelAnalysis, trunc: TruncationParams) -> PackedOperator:
+def build_engine(analysis: KernelAnalysis, trunc: TruncationParams,
+                 record: dict | None = None) -> PackedOperator:
+    """The dual engine of `analysis` on the truncated space.  A `record`
+    receives the seconds of enumeration and assembly, the class and orbit
+    counts, the stored nonzeros and the MiB kept while solving: `nbytes`
+    and the slot weights (8 bytes a slot) the first solve composes."""
+    start = time.perf_counter()
     space = PackedSpace(analysis.dimension, trunc)
-    return assemble(space, analysis)
+    enumerated = time.perf_counter()
+    engine = assemble(space, analysis)
+    if record is not None:
+        record.update(enumerate_s=enumerated - start,
+                      assemble_s=time.perf_counter() - enumerated,
+                      classes=space.size, orbits=engine.space.size,
+                      nnz=engine.nnz, engine_mb=(engine.nbytes + 8 * sum(
+                          c.size for c in engine.slot_class)) / 2 ** 20)
+    return engine
 
 
 @dataclass

@@ -317,7 +317,7 @@ def test_exact_records_stage_seconds_in_run_meta(tmp_path):
     assert cli_main(["exact", "--config", str(cfg_path)]) == 0
     meta = json.loads((tmp_path / "o" / "run_meta.json").read_text())
     names = {"table_s", "pde_s", "exact_s", "mc_s"}
-    assert set(meta["exact"]) == names | {"densities"}
+    assert set(meta["exact"]) == names | {"densities", "engine"}
     assert all(meta["exact"][name] >= 0.0 for name in names)
     assert meta["peak_rss_mb"] > 0.0
     # the table's nine densities: five solved, four filled from their
@@ -329,6 +329,13 @@ def test_exact_records_stage_seconds_in_run_meta(tmp_path):
     for a, rec in densities.items():
         matvecs = sum(shift["matvecs"] for shift in rec["shifts"].values())
         assert (matvecs == 0) == (a in mirrored)
+    # the table's engine build, with the keys of the `diffusion` record
+    engine = meta["exact"]["engine"]
+    assert set(engine) == {"enumerate_s", "assemble_s", "classes", "orbits", "nnz",
+                           "engine_mb"}
+    assert engine["enumerate_s"] > 0.0 and engine["assemble_s"] > 0.0
+    assert 0 < engine["orbits"] < engine["classes"] < engine["nnz"]
+    assert engine["engine_mb"] > 0.0
 
     # the stages cover the call, and recording them leaves the report alone
     stages = {}

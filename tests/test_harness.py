@@ -266,7 +266,7 @@ def test_computed_table_reaches_both_end_densities(tmp_path):
         assert cli_main([command, "--config", str(cfg_path)]) == 0
     cfg = ExperimentConfig.from_dict(json.loads(cfg_path.read_text()))
     assert cfg.checked_profile().sample_grid(cfg.pde_resolution).min() < 0.1
-    table = _load_or_compute_table(cfg)
+    table = _load_or_compute_table(cfg, {})
     assert table.alphas[0] == 0.0 and table.alphas[-1] == 1.0
     assert np.array_equal(table.alphas[1:-1], cfg.alpha_grid)
     half_sigma = 0.5 * cfg.analysis.covariance
@@ -598,16 +598,16 @@ def test_diffusion_run_meta_records_engine_memory(tmp_path, monkeypatch):
     # `engine_mb` is the nbytes sum of every array the engine, its orbit
     # level and its class level keep, the composed slot weights of the last
     # density included
-    import torusgas.cli as cli
+    import torusgas.resolvent as resolvent
 
     engines = []
-    build = cli.assemble
+    build = resolvent.assemble
 
     def keeping(space, analysis):
         engines.append(build(space, analysis))
         return engines[-1]
 
-    monkeypatch.setattr(cli, "assemble", keeping)
+    monkeypatch.setattr(resolvent, "assemble", keeping)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(base_config(
         output_dir=str(tmp_path / "d"), alpha_grid=[0.3, 0.6],
@@ -1158,15 +1158,40 @@ def test_stored_table_from_another_kernel_is_refused(tmp_path, capsys):
         assert "[[0.3333333333333333, 0.0], [0.0, 0.08333333333333333]]" in err
         assert "[[0.25, 0.0], [0.0, 0.25]]" in err
     assert not list((tmp_path / "other").glob("*"))
+    # a floor of another shape than the matrices, 3x3 matrices under the
+    # config's d = 2 with no floor, and matrices that are not square
+    def stored(name, matrix, floor=None):
+        path = tmp_path / f"{name}-stored.json"
+        data = {"alphas": [0.0, 1.0], "matrices": [matrix, matrix]}
+        if floor is not None:
+            data["floor_matrix"] = floor
+        path.write_text(json.dumps(data))
+        return path
+
+    eye3 = (0.25 * np.eye(3)).tolist()
+    for name, matrix, floor, message in (
+            ("floor", eye3, [[0.25, 0.0], [0.0, 0.25]],
+             "floor_matrix has shape (2, 2), its matrices (3, 3)"),
+            ("size", eye3, None, "holds 3x3 matrices, not 2x2 for the config's dimension 2"),
+            ("oblong", [[0.25, 0.0, 0.0], [0.0, 0.25, 0.0]], None,
+             "need one square matrix per density node")):
+        cfg_path = config(stored(name, matrix, floor), name)
+        for command in ("pde", "compare", "exact"):
+            assert cli_main([command, "--config", str(cfg_path)]) == 2
+            err = capsys.readouterr().err
+            assert message in err and "Traceback" not in err
+        assert not list((tmp_path / name).glob("*"))
     for name, floor in (("same", 0.25 * np.eye(2)), ("bare", None)):
         assert cli_main(["pde", "--config", str(config(table_with(floor), name))]) == 0
         meta = json.loads((tmp_path / name / "run_meta.json").read_text())
         assert meta["densities"] == {}  # a stored table solves no density
+        assert "engine" not in meta  # and builds no engine
 
 
 def test_compare_and_pde_record_the_computed_table_in_run_meta(tmp_path):
     # each density's solver record, as `diffusion` and `exact` write it;
-    # 0.7 is filled from its particle-hole mirror 0.3
+    # 0.7 is filled from its particle-hole mirror 0.3; and next to them the
+    # engine build, with the keys and counts of the `diffusion` record
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(base_config(
         output_dir=str(tmp_path / "o"), alpha_grid=[0.3, 0.7],
@@ -1175,9 +1200,12 @@ def test_compare_and_pde_record_the_computed_table_in_run_meta(tmp_path):
             {"offset": [1, 0], "prob": 0.5}, {"offset": [-1, 0], "prob": 0.25},
             {"offset": [0, 1], "prob": 0.125}, {"offset": [0, -1], "prob": 0.125}]},
         profile={"kind": "cosine", "base": 0.5, "amplitude": 0.1, "axis": 1})))
+    engines = []
     for command in ("pde", "compare"):
         assert cli_main([command, "--config", str(cfg_path)]) == 0
-        densities = json.loads((tmp_path / "o" / "run_meta.json").read_text())["densities"]
+        meta = json.loads((tmp_path / "o" / "run_meta.json").read_text())
+        engines.append(meta["engine"])
+        densities = meta["densities"]
         assert sorted(densities) == ["0.3", "0.7"]
         solved, mirrored = densities["0.3"], densities["0.7"]
         assert "mirror_of" not in solved and mirrored["mirror_of"] == 0.3
@@ -1185,3 +1213,10 @@ def test_compare_and_pde_record_the_computed_table_in_run_meta(tmp_path):
         for lam, rec in solved["shifts"].items():
             assert rec["matvecs"] >= 1 and 0.0 <= rec["residual"] < 1e-6
             assert mirrored["shifts"][lam] == {"matvecs": 0}
+    assert cli_main(["diffusion", "--config", str(cfg_path)]) == 0
+    rec = json.loads((tmp_path / "o" / "run_meta.json").read_text())["diffusion"]
+    counts = ("classes", "orbits", "nnz", "engine_mb")
+    for engine in engines:
+        assert set(engine) == {"enumerate_s", "assemble_s", *counts}
+        assert engine["enumerate_s"] > 0.0 and engine["assemble_s"] > 0.0
+        assert {key: engine[key] for key in counts} == {key: rec[key] for key in counts}
