@@ -257,20 +257,29 @@ def _load_or_compute_table(cfg: ExperimentConfig, record: dict) -> DiffusionTabl
     receives `densities`, the per-density solver records of a computed
     table (empty for a stored one), and, for a computed table only,
     `engine`, the record of its engine build (`build_engine`).  A stored
-    table must hold d x d matrices for the config's d, and its
-    `floor_matrix` is sigma / 2 of the kernel it was solved for, so one
-    that is not the config kernel's is refused."""
+    table must hold d x d matrices for the config's d.  One from another
+    kernel is refused: by its recorded kernel entries, which `diffusion`
+    writes, and by its `floor_matrix`, sigma / 2 of the kernel it was
+    solved for."""
     record["densities"] = {}
     if cfg.diffusion_table_path:
-        table = DiffusionTable.load_json(cfg.diffusion_table_path)
+        path = cfg.diffusion_table_path
+        table = DiffusionTable.load_json(path)
         k, d = table.dimension, cfg.dimension
         if k != d:
-            raise ConfigError(f"diffusion table {cfg.diffusion_table_path} holds {k}x{k} "
+            raise ConfigError(f"diffusion table {path} holds {k}x{k} "
                               f"matrices, not {d}x{d} for the config's dimension {d}")
+        entries = table.solved_for.get("kernel_entries")
+        if entries is not None:
+            solved, wanted = _law(TransitionKernel.from_entries(d, entries)), _law(cfg.kernel)
+            if solved != wanted:
+                raise ConfigError(
+                    f"diffusion table {path} was solved for another kernel: "
+                    f"{_law_text(solved)}, not the config's {_law_text(wanted)}")
         floor, half_sigma = table.floor_matrix, 0.5 * cfg.analysis.covariance
         if floor is not None and not np.allclose(floor, half_sigma, rtol=0.0, atol=1e-12):
             raise ConfigError(
-                f"diffusion table {cfg.diffusion_table_path} was solved for another kernel: "
+                f"diffusion table {path} was solved for another kernel: "
                 f"its floor_matrix {floor.tolist()} is not sigma/2 = {half_sigma.tolist()}")
         return table
     record["engine"] = {}
@@ -278,6 +287,16 @@ def _load_or_compute_table(cfg: ExperimentConfig, record: dict) -> DiffusionTabl
     result = compute_diffusion(cfg.analysis, cfg.alpha_grid, cfg.truncation,
                                engine=engine, stages=record["densities"])
     return DiffusionTable.from_diffusion_result(result)
+
+
+def _law(kernel: TransitionKernel) -> list:
+    """A kernel's support as sorted (offset, probability) pairs."""
+    return sorted((tuple(z), p) for z, p in zip(kernel.offsets.tolist(),
+                                                kernel.weights.tolist()) if p)
+
+
+def _law_text(law: list) -> str:
+    return ", ".join(f"p{z} = {p!r}" for z, p in law)
 
 
 def replica_stream(cfg: ExperimentConfig, size_index: int, replica: int) -> RngStream:
@@ -313,7 +332,7 @@ def replica_trajectory(geom: TorusGeometry, profile, kernel: TransitionKernel, t
 
     `profile` is any input of `site_probabilities`.  Yields (t,
     configuration, ledger) at every observation time t.  Every span is
-    checked by its ledger: continuity against the bond counts and a kept
+    checked by its ledger: continuity against the jump records and a kept
     particle count.  The random draws depend only on `rng` and the
     arguments.
     """
@@ -349,7 +368,7 @@ def _replica_job(cfg: ExperimentConfig, size_index: int, replica: int, probs: np
         record["seconds"] += time.perf_counter() - start
         record["expected_events"] += geom.n_sites * ledger.elapsed
         record["events"] += ledger.events
-        record["jumps"] += int(ledger.counts.sum())
+        record["jumps"] += len(ledger.bonds)
         record["rounds"] += ledger.rounds
         fields[t] = block_density(config, cfg.block_radius)
         start = time.perf_counter()
@@ -364,17 +383,20 @@ def replica_results(cfg: ExperimentConfig, size_index: int, record: dict):
     simulation record: the torus side, the wavefront window of the size's
     torus and the replicas' records, summed in replica order as they
     arrive.  The initial profile is evaluated here, once per size.  With
-    `threads > 1` the replicas run in a process pool, whose `map` still
-    hands them on in replica order, so the output does not depend on it.
+    more than one thread and replica the replicas run in a process pool of
+    min(threads, replicas) workers (the pool forks all its workers at the
+    first submit), whose `map` still hands them on in replica order, so
+    the output does not depend on it.
     """
     geom = TorusGeometry(cfg.dimension, cfg.torus_sizes[size_index])
     probs = site_probabilities(geom, cfg.build_profile())
     record.update(N=geom.side, replicas=0, window=wavefront_window(geom.n_sites))
     args = (repeat(cfg), repeat(size_index), range(cfg.replicas), repeat(probs))
-    if cfg.threads > 1:
+    workers = min(cfg.threads, cfg.replicas)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             yield from _summed(pool.map(_replica_job, *args), record)
     else:
         yield from _summed(map(_replica_job, *args), record)
@@ -435,7 +457,7 @@ def run_experiment(cfg: ExperimentConfig) -> ComparisonReport:
 
     The coefficient table is the stored `diffusion_table` when the config
     names one, else computed on the config's density grid and truncation.
-    Every trajectory is continuity-checked against its bond ledger; block
+    Every trajectory is continuity-checked against its jump ledger; block
     fields are averaged over replicas before distances are taken, and
     per-replica distances are logged alongside.  Each replica's fields are
     folded into the sums and distances as the replica arrives, in replica

@@ -143,7 +143,9 @@ class DiffusionTable:
     `floor_matrix`, when given (half the jump covariance), is checked to
     stay below the table in the matrix order at every node and at every
     point of the dense grid: the interpolant is not monotone per entry, so
-    it may dip between nodes.
+    it may dip between nodes.  `solved_for` holds what a computed table was
+    solved for, its `kernel_entries` and `truncation`, and is empty for any
+    other table; `save_json` writes it and `load_json` reads it back.
     """
 
     def __init__(self, alphas, matrices, floor_matrix=None):
@@ -182,6 +184,7 @@ class DiffusionTable:
                     f"density {rhos[worst]:g} by {-gaps[worst]:g}")
         self._dense = np.ascontiguousarray(dense.transpose(1, 2, 0))
         self._zero_entry = np.all(self._dense == 0.0, axis=2)
+        self.solved_for = {}
 
     @classmethod
     def from_callable(cls, func, dimension: int, nodes: int = 401,
@@ -204,8 +207,12 @@ class DiffusionTable:
         nodes = {0.0: floor, 1.0: floor}
         nodes.update((float(a), np.asarray(result.hydro[a])) for a in result.alphas)
         alphas = sorted(nodes)
-        return cls(np.array(alphas), np.stack([nodes[a] for a in alphas]),
-                   floor_matrix=floor)
+        table = cls(np.array(alphas), np.stack([nodes[a] for a in alphas]),
+                    floor_matrix=floor)
+        table.solved_for = {
+            "kernel_entries": result.kernel_entries,
+            "truncation": {key: result.truncation[key] for key in ("radius", "max_degree")}}
+        return table
 
     def entry(self, i: int, j: int, rho: np.ndarray) -> np.ndarray:
         return np.interp(rho, self._grid, self._dense[i, j])
@@ -228,6 +235,7 @@ class DiffusionTable:
                 "asymmetry": self.asymmetry}
         if self.floor_matrix is not None:
             data["floor_matrix"] = self.floor_matrix
+        data.update(self.solved_for)
         write_json(path, data)
 
     @classmethod
@@ -253,6 +261,8 @@ class DiffusionTable:
                     floor_matrix=None if floor is None else array("floor_matrix"))
         if "asymmetry" in data:
             table.asymmetry = as_number(float, data["asymmetry"], "diffusion table asymmetry")
+        table.solved_for = {key: data[key] for key in ("kernel_entries", "truncation")
+                            if key in data}
         return table
 
 

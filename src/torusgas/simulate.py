@@ -31,10 +31,10 @@ cheaper there than the vectorized step.  The window's gathers are
 `ndarray.take` and `compress` calls, cheaper than fancy indexing and
 boolean masks at these sizes.
 
-The neighbor tables are cached per torus and offset list as int32, half
-the int64 table: the +offsets serve `evolve`, the move tables and the
-replica check, the -offsets `CurrentLedger.check_continuity`, which stays
-a gather (a scatter-add version measured 40-55 % slower).
+Both kernels record the executed jumps as bonds x * J + j (site x, offset
+j) in execution order, a wavefront's jumps (on distinct sites) in window
+order; `check_site_balance` checks either ledger.  The neighbor tables are
+cached per torus and offset list as int32, half the int64 table.
 
 Because the total event rate does not depend on the state, the number of
 events in a span T is Poisson(k T) whatever the trajectory (uniformization).
@@ -47,7 +47,7 @@ no row gathers.  An event is one lookup in the move table of the torus
 and offsets (`move_table`), which maps (code, particle p, offset j) to the
 next code and the executed bond, or to "rejected".  Particle p is the
 p-th occupied site in site order, so a uniform p picks a uniform
-particle.  The ledger is the list of executed jumps (replica, bond), and
+particle.  Its ledger adds the replica to each record, and
 `check_replica_ledgers` checks it against the codes through the neighbor
 table alone, never through the move table.
 """
@@ -129,53 +129,51 @@ class RngStream:
 
 @dataclass
 class CurrentLedger:
-    """Signed per-directed-bond jump counts over a run.
+    """The executed jumps of one run, in execution order.
 
-    counts[x, j] is the number of executed jumps from site x along kernel
-    offset j.  Discrete continuity holds exactly in integers: the occupancy
-    change of a site equals inflow minus outflow read from the counts.
-    `events` is the number of events drawn for the span and `rounds` the
-    number of wavefront windows that ran them.
+    bonds[i] = x * J + j records the i-th executed jump, from site x along
+    kernel offset j.  Replayed in record order from the start state, every
+    jump leaves an occupied site for an empty one and the replay ends in
+    the final state.  `events` is the number of events drawn for the span
+    and `rounds` the number of wavefront windows that ran them.
     """
 
     geometry: TorusGeometry
     offsets: np.ndarray
-    counts: np.ndarray
+    bonds: np.ndarray
     elapsed: float = 0.0
     events: int = 0
     rounds: int = 0
 
-    @classmethod
-    def zero(cls, geometry: TorusGeometry, kernel: TransitionKernel) -> "CurrentLedger":
-        counts = np.zeros((geometry.n_sites, len(kernel.offsets)), dtype=np.int64)
-        return cls(geometry, kernel.offsets.copy(), counts)
+    @property
+    def counts(self) -> np.ndarray:
+        """counts[x, j], the executed jumps from site x along offset j."""
+        n, n_off = self.geometry.n_sites, len(self.offsets)
+        return np.bincount(self.bonds, minlength=n * n_off).reshape(n, n_off)
 
     def check_continuity(self, before: Configuration, after: Configuration):
-        """Continuity at every site and the particle count, in full.
-
-        Inflow minus outflow of each site, read from the counts, must equal
-        its occupancy change from `before` to `after`.
-        """
+        """`check_site_balance` from `before` to `after`."""
         delta = after.occupancy.astype(np.int64) - before.occupancy
-        if not np.array_equal(delta, net_site_change(self.geometry, self.offsets,
-                                                     self.counts)):
-            raise InvariantViolation("bond counts do not reproduce occupancy change")
-        if after.particle_count != before.particle_count:
-            raise InvariantViolation("particle count changed")
+        check_site_balance(self.geometry, self.offsets, delta, self.bonds)
 
 
-def net_site_change(geometry: TorusGeometry, offsets: np.ndarray,
-                    counts: np.ndarray) -> np.ndarray:
-    """Inflow minus outflow per site from one ledger's bond counts [n_sites, J].
+def check_site_balance(geometry: TorusGeometry, offsets: np.ndarray, delta: np.ndarray,
+                       bonds: np.ndarray, replica=0):
+    """Continuity and the particle count of jump records, exactly in integers.
 
-    Integer counts give an exact integer result.
+    `delta` is the site-major occupancy change of a span, [n_sites] or
+    [n_sites, R] for R replicas, `bonds` its executed jumps x * J + j and
+    `replica` theirs.  Inflow minus outflow of every site, two `bincount`s
+    through the neighbor table, must equal `delta`.  Each record moves one
+    particle within its replica, so that also checks every particle count.
     """
-    neigh = _neighbors(geometry, -offsets)  # x - z for each offset z
-    change = -counts.sum(axis=1)
-    for j in range(counts.shape[1]):
-        # jumps from x - z_j along z_j land on x
-        change += counts[neigh[:, j], j]
-    return change
+    n, n_off = geometry.n_sites, len(offsets)
+    n_rep = delta.size // n
+    targets = _neighbors(geometry, offsets).reshape(-1)
+    net = np.bincount(targets.take(bonds) * n_rep + replica, minlength=n * n_rep)
+    net -= np.bincount(bonds // n_off * n_rep + replica, minlength=n * n_rep)
+    if not np.array_equal(delta.reshape(-1), net):
+        raise InvariantViolation("jump records do not reproduce occupancy change")
 
 
 def evolve(config: Configuration, kernel: TransitionKernel, duration: float,
@@ -191,18 +189,18 @@ def evolve(config: Configuration, kernel: TransitionKernel, duration: float,
     n = geom.n_sites
     if n * duration > _EVENT_BUDGET:
         raise ConfigError("event budget overflow: duration too large for this system")
-    ledger = CurrentLedger.zero(geom, kernel)
-    ledger.elapsed = duration
     out = config.copy()
     if duration == 0.0 or out.particle_count in (0, n):
-        return out, ledger  # no jump can happen: nothing is drawn
+        # no jump can happen: nothing is drawn
+        return out, CurrentLedger(geom, kernel.offsets.copy(), np.empty(0, dtype=np.int64),
+                                  duration)
 
     occ = out.occupancy
     n_off = len(kernel.offsets)
     targets = _neighbors(geom, kernel.offsets).reshape(-1)  # of bond x * J + j
     cumw = np.cumsum(kernel.weights)
     window_len = wavefront_window(n)
-    bond_counts = ledger.counts.reshape(-1)
+    executed = [np.empty(0, dtype=np.int64)]  # bonds run by each window, in order
     events = int(rng.poisson(n * duration))
     # stamp of the earliest event of the current window that jumps onto /
     # off / touches each site; stamps grow from window to window, so older
@@ -227,12 +225,14 @@ def evolve(config: Configuration, kernel: TransitionKernel, duration: float,
             break
         rounds += 1
         if w <= _SHORT:
+            ran = []
             for b in window.tolist():
                 x, y = b // n_off, targets[b]
                 if occ[x] and not occ[y]:
                     occ[x] = 0
                     occ[y] = 1
-                    bond_counts[b] += 1
+                    ran.append(b)
+            executed.append(np.array(ran, dtype=np.int64))
             head += w
             continue
         key = np.arange(stamp + w, stamp, -1)  # larger key = earlier event
@@ -253,14 +253,13 @@ def evolve(config: Configuration, kernel: TransitionKernel, duration: float,
         jump = (first & can).nonzero()[0]
         occ.put(x.take(jump), 0)
         occ.put(y.take(jump), 1)
-        bond_counts[window.take(jump)] += 1  # distinct sources, so distinct bonds
+        executed.append(window.take(jump))
         rest = window.compress(~first)
         head += w - len(rest)
         queue[head:head + len(rest)] = rest
 
-    ledger.events = events
-    ledger.rounds = rounds
-    return out, ledger
+    return out, CurrentLedger(geom, kernel.offsets.copy(), np.concatenate(executed),
+                              duration, events, rounds)
 
 
 def move_table(geometry: TorusGeometry, offsets: np.ndarray) -> tuple:
@@ -313,28 +312,19 @@ def check_replica_ledgers(geometry: TorusGeometry, offsets: np.ndarray,
 
     `before` and `after` are the [R] state codes at the ends of a span,
     `jumps` its executed jumps as (replica, bond x * J + j) columns of a
-    [2, M] array.  Inflow minus outflow of every site of every replica, two
-    `bincount`s over the records through the neighbor table (not the move
-    table), must equal the site's occupancy change between the two codes.
-    The arrays are site-major, [n_sites, R], so every reduction runs along
-    contiguous rows.
+    [2, M] array.  In range, they must pass `check_site_balance`, through
+    the neighbor table (not the move table), against the codes' site-major
+    occupancy change [n_sites, R].
     """
     n, n_off = geometry.n_sites, len(offsets)
-    n_rep = len(before)
     replica, bond = jumps
-    if len(bond) and not (0 <= replica.min() and replica.max() < n_rep
+    if len(bond) and not (0 <= replica.min() and replica.max() < len(before)
                           and 0 <= bond.min() and bond.max() < n * n_off):
         raise InvariantViolation("jump record outside the batch's replicas and bonds")
-    targets = _neighbors(geometry, offsets).reshape(-1)
-    net = np.bincount(targets.take(bond) * n_rep + replica, minlength=n * n_rep)
-    net -= np.bincount(bond // n_off * n_rep + replica, minlength=n * n_rep)
     sites = np.arange(n, dtype=np.int16)[:, None]  # codes of at most MAX_SITES bits
     delta = (after.astype(np.int16) >> sites) & 1
     delta -= (before.astype(np.int16) >> sites) & 1
-    if not np.array_equal(delta.reshape(-1), net):
-        raise InvariantViolation("jump records do not reproduce occupancy change")
-    if delta.sum(axis=0).any():
-        raise InvariantViolation("particle count changed")
+    check_site_balance(geometry, offsets, delta, bond, replica)
 
 
 def evolve_replicas(geometry: TorusGeometry, codes: np.ndarray,

@@ -17,6 +17,9 @@ is an attribute, or the attribute name its tracer patches by string (the
 second argument of a `_patch_function`/`_patch_method` call); its own local
 names and other strings (a worker mode "full") read nothing of `src`.
 Dunder methods are called implicitly and are skipped.
+
+A second scan leaves `perfbench` out: the definitions it then flags are
+read by the benchmark alone, and `BENCH_SURFACE` must name exactly those.
 """
 
 import ast
@@ -37,6 +40,17 @@ TEST_SURFACE = (
     ("kernels.KernelAnalysis.asym_of", "reads the odd part of a validated kernel"),
     ("lattice.TorusGeometry.site_index", "places particles by coordinates in tests"),
     ("lattice.TorusGeometry.site_coords", "inverts site_index in tests"),
+)
+
+# Read only by `perfbench`: each goes, or gains a reader in src, when the
+# benchmark reads what the CLI writes instead of patching the package.
+BENCH_SURFACE = (
+    ("lattice.Configuration.state_code",
+     "the tracer patches it; no workload calls it"),
+    ("resolvent.DiffusionResult.load_json", "the worker's diffusion.json round-trip check"),
+    ("resolvent.DiffusionResult.min_eig_above_mobility_floor",
+     "the worker's criterion-2 check"),
+    ("simulate.CurrentLedger.counts", "the tracer's `on_evolve` sums it into its jumps"),
 )
 
 
@@ -93,15 +107,16 @@ def _scan(path: Path, bench: bool, defs: list, reads: list, classes: dict) -> li
     return attr_reads
 
 
-def unused_definitions(exempt=()) -> list:
+def unused_definitions(exempt=(), bench=True) -> list:
     """Qualified names of src definitions with no read outside dead code.
 
     `exempt` names count as used, so their bodies keep their callees alive.
+    With `bench` false the reads in `perfbench` do not count.
     """
     defs, reads, bench_defs, classes, attr_reads = [], [], [], {}, []
     for path in sorted((ROOT / "src" / "torusgas").glob("*.py")):
         attr_reads += _scan(path, False, defs, reads, classes)
-    for path in sorted((ROOT / "perfbench").glob("*.py")):
+    for path in sorted((ROOT / "perfbench").glob("*.py")) if bench else ():
         attr_reads += _scan(path, True, bench_defs, reads, classes)
     for name, where, base, in_class in attr_reads:
         if base in ("self", "cls") and in_class is not None:
@@ -132,3 +147,12 @@ def test_src_has_no_test_only_surface():
     assert not unused, "no caller in src or perfbench: " + ", ".join(unused)
     # every exemption is still defined and still needs to be one
     assert set(unused_definitions()) >= exempt
+
+
+def test_bench_only_surface_is_listed():
+    # without perfbench's reads, exactly the listed names lose their readers
+    exempt = {qual for qual, _ in TEST_SURFACE}
+    bench = {qual for qual, _ in BENCH_SURFACE}
+    unused = unused_definitions(exempt | bench, bench=False)
+    assert not unused, "read only by perfbench, not in BENCH_SURFACE: " + ", ".join(unused)
+    assert set(unused_definitions(exempt, bench=False)) >= bench

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -226,6 +227,17 @@ def test_replica_ledger_check_catches_a_corrupted_count():
     for bad in (moved, dropped):
         with pytest.raises(InvariantViolation):
             check_replica_ledgers(geom, D2_KERNEL.offsets, before, after, bad)
+    # an `evolve` ledger, corrupted the same two ways
+    start = Configuration(geom, np.array([1, 1, 0, 1, 0, 1, 0, 1, 0], dtype=np.uint8))
+    end, ledger = evolve(start, D2_KERNEL, 2.0, rng)
+    ledger.check_continuity(start, end)
+    assert len(ledger.bonds) > 2
+    k = len(ledger.bonds) // 2
+    moved = ledger.bonds.copy()
+    moved[k] ^= 1
+    for bad in (moved, np.delete(ledger.bonds, k)):
+        with pytest.raises(InvariantViolation):
+            replace(ledger, bonds=bad).check_continuity(start, end)
 
 
 def test_batched_state_codes_match_configuration():

@@ -16,7 +16,8 @@ from torusgas.cli import main as cli_main
 from torusgas.errors import ConfigError
 from torusgas.harness import (_PDE_KEYS, _TOP_KEYS, _TRUNC_KEYS, ExperimentConfig,
                               _load_or_compute_table, _replica_job, compare_fields, emit_outputs,
-                              pde_at_sites, pde_through, replica_stream, run_experiment)
+                              pde_at_sites, pde_through, replica_results, replica_stream,
+                              run_experiment)
 from torusgas.lattice import TorusGeometry, site_probabilities
 from torusgas.packed import TruncationParams
 from torusgas.simulate import RngStream
@@ -321,6 +322,40 @@ def test_threads_option_matches_sequential(tmp_path):
     r2 = run_experiment(cfg2)
     # every distance, per-replica ones included, to the bit
     assert r1.rows == r2.rows and r1.monotone_in_size == r2.monotone_in_size
+
+
+def test_process_pool_is_no_larger_than_the_replica_count(monkeypatch):
+    # the pool forks all its workers at the first submit, so it gets at
+    # most one per replica; a recorder stands in for it and starts no process
+    import concurrent.futures
+
+    pools = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+    want = {}
+    for threads, replicas, asked in ((64, 2, [2]), (8, 1, []), (1, 2, [])):
+        cfg = ExperimentConfig.from_dict(base_config(torus_sizes=[4], replicas=replicas,
+                                                     threads=threads))
+        pools.clear()
+        record = {}
+        got = list(replica_results(cfg, 0, record))
+        assert pools == asked and record["replicas"] == replicas
+        want.setdefault(replicas, got)
+        assert all(np.array_equal(a[t], b[t]) for a, b in zip(got, want[replicas])
+                   for t in a)
 
 
 @pytest.mark.parametrize("path", [("times",), ("kernel", "entries"),
@@ -1186,6 +1221,47 @@ def test_stored_table_from_another_kernel_is_refused(tmp_path, capsys):
         meta = json.loads((tmp_path / name / "run_meta.json").read_text())
         assert meta["densities"] == {}  # a stored table solves no density
         assert "engine" not in meta  # and builds no engine
+    # a table that `diffusion` wrote records its kernel entries and
+    # truncation.  One solved for the symmetrized acceptance kernel,
+    # p(+-1, 0, 0) = 1/3, has the acceptance kernel's sigma, so its floor
+    # alone would pass it under the acceptance kernel.
+    def kernel3(forward, backward):
+        return {"dimension": 3, "entries": [
+            {"offset": [1, 0, 0], "prob": forward}, {"offset": [-1, 0, 0], "prob": backward},
+            {"offset": [0, 1, 0], "prob": 1 / 12}, {"offset": [0, -1, 0], "prob": 1 / 12},
+            {"offset": [0, 0, 1], "prob": 1 / 12}, {"offset": [0, 0, -1], "prob": 1 / 12}]}
+
+    symmetrized, acceptance = kernel3(1 / 3, 1 / 3), kernel3(1 / 2, 1 / 6)
+    solve = tmp_path / "solve.json"
+    solve.write_text(json.dumps(base_config(
+        output_dir=str(tmp_path / "solved"), kernel=symmetrized, alpha_grid=[0.5],
+        truncation={"radius": 2, "max_degree": 2})))
+    assert cli_main(["diffusion", "--config", str(solve)]) == 0
+    solved = tmp_path / "solved" / "table.json"
+    stored = json.loads(solved.read_text())
+    assert stored["kernel_entries"] == symmetrized["entries"]
+    assert stored["truncation"] == {"radius": 2, "max_degree": 2}
+    assert np.allclose(stored["floor_matrix"], np.diag([1 / 3, 1 / 12, 1 / 12]),
+                       rtol=0.0, atol=1e-15)
+
+    def config3(kernel, name):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(base_config(
+            output_dir=str(tmp_path / name), diffusion_table=str(solved), kernel=kernel,
+            profile={"kind": "cosine", "base": 0.5, "amplitude": 0.1, "axis": 1},
+            exact={"side": 2, "replicas": 10})))
+        return path
+
+    cfg_path = config3(acceptance, "acceptance")
+    for command in ("pde", "compare", "exact"):
+        assert cli_main([command, "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "solved for another kernel" in err and "Traceback" not in err
+        assert "p(-1, 0, 0) = 0.3333333333333333" in err
+        assert "p(-1, 0, 0) = 0.16666666666666666" in err
+    assert not list((tmp_path / "acceptance").glob("*"))
+    # the kernel it was solved for runs on it
+    assert cli_main(["pde", "--config", str(config3(symmetrized, "symmetrized"))]) == 0
 
 
 def test_compare_and_pde_record_the_computed_table_in_run_meta(tmp_path):

@@ -54,18 +54,39 @@ def test_ledger_continuity_is_the_literal_site_balance():
     c0 = sample_product_measure(geom, 0.4, rng)
     c1, ledger = evolve(c0, kernel, 2.0, rng)
     ledger.check_continuity(c0, c1)
-    assert ledger.counts.sum() > 0
-    # the vectorized inflow-minus-outflow against the literal per-site sum
-    change = simulate.net_site_change(geom, kernel.offsets, ledger.counts)
-    for x in range(geom.n_sites):
-        coords = geom.site_coords(x)
-        inflow = sum(ledger.counts[geom.site_index(coords - z), j]
-                     for j, z in enumerate(kernel.offsets))
-        assert change[x] == inflow - ledger.counts[x].sum()
-    # one count too many moves a particle the configurations never moved
-    ledger.counts[3, 1] += 1
-    with pytest.raises(InvariantViolation, match="bond counts"):
+    assert len(ledger.bonds) > 0
+    # the records against the literal per-site sum, and the counts view
+    # against the records counted one by one
+    n_off = len(kernel.offsets)
+    change = np.zeros(geom.n_sites, dtype=np.int64)
+    counts = np.zeros((geom.n_sites, n_off), dtype=np.int64)
+    for b in ledger.bonds.tolist():
+        x, j = divmod(b, n_off)
+        counts[x, j] += 1
+        change[x] -= 1
+        change[geom.site_index(geom.site_coords(x) + kernel.offsets[j])] += 1
+    assert np.array_equal(change, c1.occupancy.astype(np.int64) - c0.occupancy)
+    assert np.array_equal(ledger.counts, counts)
+    # one record too many moves a particle the configurations never moved
+    ledger.bonds = np.append(ledger.bonds, 3 * n_off + 1)
+    with pytest.raises(InvariantViolation, match="jump records"):
         ledger.check_continuity(c0, c1)
+
+
+def replay_records(occupancy, geom, offsets, bonds):
+    """Replay jump records x * J + j in record order from `occupancy`.
+
+    Every source must be occupied and every target empty at its turn.
+    Returns the final occupancy.
+    """
+    occ = occupancy.tolist()
+    neighbor = geom.neighbor_table(offsets).tolist()
+    for i, b in enumerate(np.asarray(bonds).tolist()):
+        x, j = divmod(b, len(offsets))
+        y = neighbor[x][j]
+        assert occ[x] == 1 and occ[y] == 0, f"record {i} ({x} -> {y}) cannot run"
+        occ[x], occ[y] = 0, 1
+    return np.array(occ, dtype=occupancy.dtype)
 
 
 def test_single_particle_drift():
@@ -150,6 +171,11 @@ def test_lockstep_replicas_conserve_and_keep_their_input():
     assert np.array_equal(occ.sum(axis=1), occ0.sum(axis=1))
     assert events[0] == 0 and events[1] > 0 and not np.isin(jumps[0], [0, 1]).any()
     assert jumps.shape[0] == 2 and 0 < jumps.shape[1] <= events.sum()
+    # each replica's records, in step order, replay from its start state to
+    # its end state
+    for r in range(len(codes0)):
+        got = replay_records(occ0[r], geom, ssep(2).offsets, jumps[1][jumps[0] == r])
+        assert np.array_equal(got, occ[r])
     # the same stream state reproduces the whole batch
     rng = RngStream(3).generator()
     rng.random((300, geom.n_sites))
@@ -243,6 +269,11 @@ def test_wavefronts_equal_the_one_by_one_replay(case):
     assert np.array_equal(out.occupancy, occ)
     assert np.array_equal(ledger.counts, counts)
     ledger.check_continuity(config, out)
+    # only an ordered record states this: each jump, at its turn, leaves an
+    # occupied site for an empty one, and the replay ends where `evolve` did
+    assert ledger.bonds.dtype == np.int64
+    assert np.array_equal(replay_records(config.occupancy, geom, kernel.offsets,
+                                         ledger.bonds), out.occupancy)
     # both consumed the same draws
     assert rng_a.integers(0, 2 ** 62) == rng_b.integers(0, 2 ** 62)
 
