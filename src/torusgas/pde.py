@@ -145,10 +145,10 @@ class DiffusionTable:
     point of the dense grid: the interpolant is not monotone per entry, so
     it may dip between nodes.  `solved_for` holds what a computed table was
     solved for, its `kernel_entries` and `truncation`, and is empty for any
-    other table; `save_json` writes it and `load_json` reads it back.
+    other table; `save_json` writes it and `load_json` passes it back.
     """
 
-    def __init__(self, alphas, matrices, floor_matrix=None):
+    def __init__(self, alphas, matrices, floor_matrix=None, solved_for=None):
         alphas = np.asarray(alphas, dtype=np.float64)
         matrices = np.asarray(matrices, dtype=np.float64)
         if (matrices.ndim != 3 or matrices.shape[0] != len(alphas)
@@ -184,7 +184,7 @@ class DiffusionTable:
                     f"density {rhos[worst]:g} by {-gaps[worst]:g}")
         self._dense = np.ascontiguousarray(dense.transpose(1, 2, 0))
         self._zero_entry = np.all(self._dense == 0.0, axis=2)
-        self.solved_for = {}
+        self.solved_for = solved_for or {}
 
     @classmethod
     def from_callable(cls, func, dimension: int, nodes: int = 401,
@@ -207,12 +207,10 @@ class DiffusionTable:
         nodes = {0.0: floor, 1.0: floor}
         nodes.update((float(a), np.asarray(result.hydro[a])) for a in result.alphas)
         alphas = sorted(nodes)
-        table = cls(np.array(alphas), np.stack([nodes[a] for a in alphas]),
-                    floor_matrix=floor)
-        table.solved_for = {
-            "kernel_entries": result.kernel_entries,
-            "truncation": {key: result.truncation[key] for key in ("radius", "max_degree")}}
-        return table
+        truncation = {key: result.truncation[key] for key in ("radius", "max_degree")}
+        return cls(np.array(alphas), np.stack([nodes[a] for a in alphas]), floor_matrix=floor,
+                   solved_for={"kernel_entries": result.kernel_entries,
+                               "truncation": truncation})
 
     def entry(self, i: int, j: int, rho: np.ndarray) -> np.ndarray:
         return np.interp(rho, self._grid, self._dense[i, j])
@@ -258,11 +256,11 @@ class DiffusionTable:
 
         floor = data.get("floor_matrix")
         table = cls(array("alphas"), array("matrices"),
-                    floor_matrix=None if floor is None else array("floor_matrix"))
+                    floor_matrix=None if floor is None else array("floor_matrix"),
+                    solved_for={key: data[key] for key in ("kernel_entries", "truncation")
+                                if key in data})
         if "asymmetry" in data:
             table.asymmetry = as_number(float, data["asymmetry"], "diffusion table asymmetry")
-        table.solved_for = {key: data[key] for key in ("kernel_entries", "truncation")
-                            if key in data}
         return table
 
 

@@ -31,10 +31,12 @@ cheaper there than the vectorized step.  The window's gathers are
 `ndarray.take` and `compress` calls, cheaper than fancy indexing and
 boolean masks at these sizes.
 
-Both kernels record the executed jumps as bonds x * J + j (site x, offset
-j) in execution order, a wavefront's jumps (on distinct sites) in window
-order; `check_site_balance` checks either ledger.  The neighbor tables are
-cached per torus and offset list as int32, half the int64 table.
+`evolve` counts its executed jumps per bond x * J + j (site x, offset j)
+in one [n_sites, J] matrix, so its ledger has the same size whatever the
+span; `evolve_replicas` records them in execution order.
+`check_site_balance` checks either ledger: a record is a bond of weight
+one, a count the weight of its bond.  The neighbor tables are cached per
+torus and offset list as int32, half the int64 table.
 
 Because the total event rate does not depend on the state, the number of
 events in a span T is Poisson(k T) whatever the trajectory (uniformization).
@@ -47,9 +49,9 @@ no row gathers.  An event is one lookup in the move table of the torus
 and offsets (`move_table`), which maps (code, particle p, offset j) to the
 next code and the executed bond, or to "rejected".  Particle p is the
 p-th occupied site in site order, so a uniform p picks a uniform
-particle.  Its ledger adds the replica to each record, and
-`check_replica_ledgers` checks it against the codes through the neighbor
-table alone, never through the move table.
+particle.  Its ledger lists the executed jumps as (replica, bond) in
+step order, and `check_replica_ledgers` checks it against the codes
+through the neighbor table alone, never through the move table.
 """
 
 from __future__ import annotations
@@ -129,51 +131,46 @@ class RngStream:
 
 @dataclass
 class CurrentLedger:
-    """The executed jumps of one run, in execution order.
+    """Per-directed-bond jump counts over a run.
 
-    bonds[i] = x * J + j records the i-th executed jump, from site x along
-    kernel offset j.  Replayed in record order from the start state, every
-    jump leaves an occupied site for an empty one and the replay ends in
-    the final state.  `events` is the number of events drawn for the span
-    and `rounds` the number of wavefront windows that ran them.
+    counts[x, j] is the number of executed jumps from site x along kernel
+    offset j.  `events` is the number of events drawn for the span and
+    `rounds` the number of wavefront windows that ran them.
     """
 
     geometry: TorusGeometry
     offsets: np.ndarray
-    bonds: np.ndarray
+    counts: np.ndarray
     elapsed: float = 0.0
     events: int = 0
     rounds: int = 0
 
-    @property
-    def counts(self) -> np.ndarray:
-        """counts[x, j], the executed jumps from site x along offset j."""
-        n, n_off = self.geometry.n_sites, len(self.offsets)
-        return np.bincount(self.bonds, minlength=n * n_off).reshape(n, n_off)
-
     def check_continuity(self, before: Configuration, after: Configuration):
-        """`check_site_balance` from `before` to `after`."""
+        """`check_site_balance` of the counts from `before` to `after`."""
         delta = after.occupancy.astype(np.int64) - before.occupancy
-        check_site_balance(self.geometry, self.offsets, delta, self.bonds)
+        check_site_balance(self.geometry, self.offsets, delta, np.arange(self.counts.size),
+                           weights=self.counts.reshape(-1))
 
 
 def check_site_balance(geometry: TorusGeometry, offsets: np.ndarray, delta: np.ndarray,
-                       bonds: np.ndarray, replica=0):
-    """Continuity and the particle count of jump records, exactly in integers.
+                       bonds: np.ndarray, replica=0, weights=1):
+    """Continuity and the particle count of a span's jumps, exactly in integers.
 
     `delta` is the site-major occupancy change of a span, [n_sites] or
-    [n_sites, R] for R replicas, `bonds` its executed jumps x * J + j and
-    `replica` theirs.  Inflow minus outflow of every site, two `bincount`s
-    through the neighbor table, must equal `delta`.  Each record moves one
+    [n_sites, R] for R replicas, `bonds` its jumps x * J + j, `replica`
+    theirs and `weights` the number of jumps each entry stands for (one
+    each by default).  Inflow minus outflow of every site, scattered
+    through the neighbor table, must equal `delta`.  Each jump moves one
     particle within its replica, so that also checks every particle count.
     """
     n, n_off = geometry.n_sites, len(offsets)
     n_rep = delta.size // n
     targets = _neighbors(geometry, offsets).reshape(-1)
-    net = np.bincount(targets.take(bonds) * n_rep + replica, minlength=n * n_rep)
-    net -= np.bincount(bonds // n_off * n_rep + replica, minlength=n * n_rep)
+    net = np.zeros(n * n_rep, dtype=np.int64)
+    np.add.at(net, targets.take(bonds) * n_rep + replica, weights)
+    np.subtract.at(net, bonds // n_off * n_rep + replica, weights)
     if not np.array_equal(delta.reshape(-1), net):
-        raise InvariantViolation("jump records do not reproduce occupancy change")
+        raise InvariantViolation("jumps do not reproduce occupancy change")
 
 
 def evolve(config: Configuration, kernel: TransitionKernel, duration: float,
@@ -190,17 +187,17 @@ def evolve(config: Configuration, kernel: TransitionKernel, duration: float,
     if n * duration > _EVENT_BUDGET:
         raise ConfigError("event budget overflow: duration too large for this system")
     out = config.copy()
+    n_off = len(kernel.offsets)
+    counts = np.zeros((n, n_off), dtype=np.int64)
+    ledger = CurrentLedger(geom, kernel.offsets.copy(), counts, duration)
     if duration == 0.0 or out.particle_count in (0, n):
-        # no jump can happen: nothing is drawn
-        return out, CurrentLedger(geom, kernel.offsets.copy(), np.empty(0, dtype=np.int64),
-                                  duration)
+        return out, ledger  # no jump can happen: nothing is drawn
 
     occ = out.occupancy
-    n_off = len(kernel.offsets)
     targets = _neighbors(geom, kernel.offsets).reshape(-1)  # of bond x * J + j
     cumw = np.cumsum(kernel.weights)
     window_len = wavefront_window(n)
-    executed = [np.empty(0, dtype=np.int64)]  # bonds run by each window, in order
+    bond_counts = counts.reshape(-1)
     events = int(rng.poisson(n * duration))
     # stamp of the earliest event of the current window that jumps onto /
     # off / touches each site; stamps grow from window to window, so older
@@ -225,14 +222,12 @@ def evolve(config: Configuration, kernel: TransitionKernel, duration: float,
             break
         rounds += 1
         if w <= _SHORT:
-            ran = []
             for b in window.tolist():
                 x, y = b // n_off, targets[b]
                 if occ[x] and not occ[y]:
                     occ[x] = 0
                     occ[y] = 1
-                    ran.append(b)
-            executed.append(np.array(ran, dtype=np.int64))
+                    bond_counts[b] += 1
             head += w
             continue
         key = np.arange(stamp + w, stamp, -1)  # larger key = earlier event
@@ -253,13 +248,14 @@ def evolve(config: Configuration, kernel: TransitionKernel, duration: float,
         jump = (first & can).nonzero()[0]
         occ.put(x.take(jump), 0)
         occ.put(y.take(jump), 1)
-        executed.append(window.take(jump))
+        bond_counts[window.take(jump)] += 1  # distinct sources, so distinct bonds
         rest = window.compress(~first)
         head += w - len(rest)
         queue[head:head + len(rest)] = rest
 
-    return out, CurrentLedger(geom, kernel.offsets.copy(), np.concatenate(executed),
-                              duration, events, rounds)
+    ledger.events = events
+    ledger.rounds = rounds
+    return out, ledger
 
 
 def move_table(geometry: TorusGeometry, offsets: np.ndarray) -> tuple:

@@ -50,7 +50,6 @@ BENCH_SURFACE = (
     ("resolvent.DiffusionResult.load_json", "the worker's diffusion.json round-trip check"),
     ("resolvent.DiffusionResult.min_eig_above_mobility_floor",
      "the worker's criterion-2 check"),
-    ("simulate.CurrentLedger.counts", "the tracer's `on_evolve` sums it into its jumps"),
 )
 
 

@@ -231,13 +231,15 @@ def test_replica_ledger_check_catches_a_corrupted_count():
     start = Configuration(geom, np.array([1, 1, 0, 1, 0, 1, 0, 1, 0], dtype=np.uint8))
     end, ledger = evolve(start, D2_KERNEL, 2.0, rng)
     ledger.check_continuity(start, end)
-    assert len(ledger.bonds) > 2
-    k = len(ledger.bonds) // 2
-    moved = ledger.bonds.copy()
-    moved[k] ^= 1
-    for bad in (moved, np.delete(ledger.bonds, k)):
+    x, j = np.argwhere(ledger.counts)[0]
+    moved = ledger.counts.copy()
+    moved[x, j] -= 1
+    moved[x, j ^ 1] += 1  # one jump of a source site along another offset
+    dropped = ledger.counts.copy()
+    dropped[x, j] -= 1
+    for bad in (moved, dropped):
         with pytest.raises(InvariantViolation):
-            replace(ledger, bonds=bad).check_continuity(start, end)
+            replace(ledger, counts=bad).check_continuity(start, end)
 
 
 def test_batched_state_codes_match_configuration():

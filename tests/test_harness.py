@@ -1260,8 +1260,12 @@ def test_stored_table_from_another_kernel_is_refused(tmp_path, capsys):
         assert "p(-1, 0, 0) = 0.3333333333333333" in err
         assert "p(-1, 0, 0) = 0.16666666666666666" in err
     assert not list((tmp_path / "acceptance").glob("*"))
-    # the kernel it was solved for runs on it
+    # the kernel it was solved for runs on it, also written with a
+    # probability one rounding step away (the floor check's 1e-12 holds)
     assert cli_main(["pde", "--config", str(config3(symmetrized, "symmetrized"))]) == 0
+    rounded = kernel3(np.nextafter(1 / 3, 1.0), 1 / 3)
+    assert rounded["entries"][0]["prob"] != symmetrized["entries"][0]["prob"]
+    assert cli_main(["pde", "--config", str(config3(rounded, "rounded"))]) == 0
 
 
 def test_compare_and_pde_record_the_computed_table_in_run_meta(tmp_path):
